@@ -18,18 +18,22 @@ each (eigenvalue, |alpha| <= cap) block is a finite subcomplex over the
 rationals.  Brute-force dimensions are computed on the eigenvalue-0 block;
 blocks of nonzero eigenvalue are exact (the contraction against x d/dx is
 a homotopy), which the tests assert rather than assume.  A result is
-reported stable only when three consecutive caps agree.
+reported stable only when three consecutive caps agree.  The three caps
+are read off one build of the largest: its block basis is ordered by
+|alpha|, so each smaller cap's basis is a prefix of it, and each smaller
+cap's differential is the matching block of leading columns.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .closedform import classify
-from .linalg import sparse_rank
+from .linalg import sparse_prefix_ranks, sparse_rank
 from .multiindices import MultiIndex, enumerate_up_to, index_weight
 from .operators import DiffOperator, act_on_operator
 from .polynomials import Polynomial
@@ -286,29 +290,45 @@ def default_alpha_max(w: Weights) -> int:
     return k + 3 if k is not None else 3
 
 
-def h2_block_dimension(w: Weights, alpha_max: int, weight: int = 0) -> int:
-    """dim ker(d: C2 -> C3) - rank(d: C1 -> C2) on one truncated block."""
-    tr = Truncation(alpha_max, weight)
-    b1 = weight_block_basis(1, tr, w)
-    b2 = weight_block_basis(2, tr, w)
-    b3 = weight_block_basis(3, tr, w)
-    rank1 = sparse_rank(block_matrix(1, tr, w, b1, b2))
-    rank2 = sparse_rank(block_matrix(2, tr, w, b2, b3))
-    return len(b2) - rank2 - rank1
+def _cap_lengths(basis: list[BlockElement], caps: Sequence[int]) -> list[int]:
+    """Length of the prefix of a block basis with |alpha| <= cap, per cap."""
+    levels = [index_weight(alpha) for _, alpha, _ in basis]
+    return [bisect.bisect_right(levels, cap) for cap in caps]
+
+
+def h2_block_dimensions(w: Weights, caps: Sequence[int], weight: int = 0) -> list[int]:
+    """dim ker(d: C2 -> C3) - rank(d: C1 -> C2) on the block truncated at each cap.
+
+    Bases and differentials are built once, at the largest cap.  A smaller
+    cap's basis is a prefix of the largest (the basis is ordered by
+    |alpha|), and since d never raises |alpha| its matrix is the leading
+    columns of the largest, on the same row indices; one incremental
+    echelon pass per degree yields every cap's rank.
+    """
+    if not caps or min(caps) < 0:
+        raise ValueError("caps must be a nonempty list of nonnegative integers")
+    tr = Truncation(max(caps), weight)
+    b1, b2, b3 = (weight_block_basis(p, tr, w) for p in (1, 2, 3))
+    cuts1 = _cap_lengths(b1, caps)
+    cuts2 = _cap_lengths(b2, caps)
+    ranks1 = sparse_prefix_ranks(block_matrix(1, tr, w, b1, b2), cuts1)
+    ranks2 = sparse_prefix_ranks(block_matrix(2, tr, w, b2, b3), cuts2)
+    return [n2 - r2 - r1 for n2, r1, r2 in zip(cuts2, ranks1, ranks2)]
 
 
 def brute_force_h2(w: Weights, alpha_max: Optional[int] = None) -> CohomResult:
     """Brute-force dimension of the degree-2 cohomology on the weight-0 block.
 
-    Recomputes at alpha_max + 1 and alpha_max + 2; the result is flagged
-    stable only when the three truncations agree, and an unstable number is
-    never reported silently (callers must consult the flag).
+    Also computes the dimension at alpha_max + 1 and alpha_max + 2, reading
+    all three off one build of the block at alpha_max + 2; the result is
+    flagged stable only when the three truncations agree, and an unstable
+    number is never reported silently (callers must consult the flag).
     """
     if alpha_max is None:
         alpha_max = default_alpha_max(w)
     if alpha_max < 1:
         raise ValueError("alpha_max must be at least 1")
-    dims = [h2_block_dimension(w, alpha_max + extra) for extra in range(3)]
+    dims = h2_block_dimensions(w, [alpha_max + extra for extra in range(3)])
     return CohomResult(
         dim=dims[0],
         method="oracle",

@@ -53,6 +53,17 @@ def _parse_weights(args: argparse.Namespace) -> Weights:
     return Weights(lambdas, _parse_rational_arg(args.mu, "--mu"))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and caps; a value below 1 is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_methods(raw: Optional[str], default: Sequence[str]) -> tuple[str, ...]:
     if raw is None:
         return tuple(default)
@@ -168,26 +179,26 @@ def build_parser() -> argparse.ArgumentParser:
     add_weight_args(p_dim)
     p_dim.add_argument("--methods", type=str, default=None,
                        help="comma list from: system,closed,summary,oracle")
-    p_dim.add_argument("--alpha-max", type=int, default=None)
+    p_dim.add_argument("--alpha-max", type=_positive_int, default=None)
     p_dim.add_argument("--out", type=str, default=None)
     p_dim.add_argument("--format", choices=("json",), default="json")
     p_dim.set_defaults(func=_cmd_dim)
 
     p_table = sub.add_parser("table", help="parameter sweep report")
-    p_table.add_argument("--n", type=int, required=True)
+    p_table.add_argument("--n", type=_positive_int, required=True)
     p_table.add_argument("--k-max", type=int, required=True)
     p_table.add_argument("--methods", type=str, default=None)
     p_table.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
-    p_table.add_argument("--alpha-max", type=int, default=None)
+    p_table.add_argument("--alpha-max", type=_positive_int, default=None)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", type=str, default=None)
     p_table.set_defaults(func=_cmd_table)
 
     p_verify = sub.add_parser("verify", help="cross-check methods over a sweep")
-    p_verify.add_argument("--n", type=int, required=True)
+    p_verify.add_argument("--n", type=_positive_int, required=True)
     p_verify.add_argument("--k-max", type=int, required=True)
     p_verify.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
-    p_verify.add_argument("--alpha-max", type=int, default=None)
+    p_verify.add_argument("--alpha-max", type=_positive_int, default=None)
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.add_argument("--self-test-perturb", action="store_true",
                           help="corrupt one matrix entry to prove the gate trips")

@@ -6,8 +6,9 @@ denominator-cleared copy so intermediate growth stays controlled, with
 pivots chosen as the first nonzero entry in column order, which makes the
 elimination, and hence every downstream report, deterministic.  A sparse
 rank routine on dictionary rows handles the large, very sparse block
-matrices of the truncated cochain complex; both routines agree exactly and
-are cross-checked in the tests.
+matrices of the truncated cochain complex, and can report the rank of every
+leading-column prefix from one pass; both routines agree exactly and are
+cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -242,13 +243,18 @@ def sparse_echelon(vectors: list[dict[int, Fraction]]) -> list[dict[int, Fractio
     """
     echelon: dict[int, dict[int, Fraction]] = {}
     for vec in vectors:
-        v = dict(vec)
-        v = sparse_reduce(v, echelon)
-        if v:
-            lead = min(v)
-            lv = v[lead]
-            echelon[lead] = {i: c / lv for i, c in v.items()}
+        _echelon_insert(vec, echelon)
     return [echelon[lead] for lead in sorted(echelon)]
+
+
+def _echelon_insert(vec: dict[int, Fraction],
+                    echelon: dict[int, dict[int, Fraction]]) -> None:
+    """Reduce vec against echelon and keep the remainder, if any, as a new row."""
+    v = sparse_reduce(vec, echelon)
+    if v:
+        lead = min(v)
+        lv = v[lead]
+        echelon[lead] = {i: c / lv for i, c in v.items()}
 
 
 def sparse_reduce(vec: dict[int, Fraction],
@@ -273,6 +279,26 @@ def sparse_reduce(vec: dict[int, Fraction],
 def sparse_rank(vectors: list[dict[int, Fraction]]) -> int:
     """Rank of the span of sparse vectors, by incremental echelon reduction."""
     return len(sparse_echelon(vectors))
+
+
+def sparse_prefix_ranks(vectors: list[dict[int, Fraction]],
+                        cuts: Sequence[int]) -> list[int]:
+    """Rank of vectors[:cut] for each cut, from one incremental echelon pass.
+
+    The vectors are inserted once, in order; the rank is read off whenever
+    the pass reaches a cut.  Cuts may come in any order.
+    """
+    if any(cut < 0 for cut in cuts):
+        raise ValueError("prefix lengths must be nonnegative")
+    echelon: dict[int, dict[int, Fraction]] = {}
+    rank_at: dict[int, int] = {}
+    done = 0
+    for cut in sorted(set(cuts)):
+        for vec in vectors[done:cut]:
+            _echelon_insert(vec, echelon)
+        done = cut
+        rank_at[cut] = len(echelon)
+    return [rank_at[cut] for cut in cuts]
 
 
 def sparse_in_span(vec: dict[int, Fraction],

@@ -22,7 +22,7 @@ formula is kept alongside as an independent evaluation oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .multiindices import (
     MultiIndex,
@@ -230,8 +230,3 @@ def act_via_conjugation(g: SL2Generator, op: DiffOperator,
         perturbed[i] = lie_derivative_density(g, densities[i], w.lambdas[i])
         value = value - op.apply(perturbed)
     return value
-
-
-def operator_basis(weights: Weights, alphas: Iterable[MultiIndex]) -> list[DiffOperator]:
-    """Elementary operators with unit coefficient for each listed index."""
-    return [DiffOperator.elementary(weights, alpha) for alpha in alphas]

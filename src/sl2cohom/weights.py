@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .polynomials import ONE, Polynomial, X, format_rational, parse_rational
 
@@ -155,10 +155,6 @@ class Weights:
         if "n" in data and int(data["n"]) != w.n:
             raise ValueError("inconsistent arity in weights")
         return w
-
-    @staticmethod
-    def from_strings(lambdas: Sequence[str], mu: str) -> "Weights":
-        return Weights(tuple(parse_rational(s) for s in lambdas), parse_rational(mu))
 
     def __str__(self) -> str:
         lams = ",".join(format_rational(v) for v in self.lambdas)

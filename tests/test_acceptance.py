@@ -13,6 +13,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 """
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -247,11 +248,25 @@ def test_criterion_6_cocycle_bases():
     _finish(6, 120.0, time.monotonic() - t0, failures)
 
 
-def test_criterion_7_negative_control():
+def test_criterion_7_negative_control(tmp_path):
     """An injected single-entry perturbation makes the verify gate exit
-    nonzero."""
+    nonzero and changes its gate-failure list.
+
+    The unperturbed sweep already fails the gate (system against oracle is
+    the documented method disagreement), so the exit code alone cannot
+    show that the perturbation was detected; the failure list must move.
+    """
     t0 = time.monotonic()
-    code = cli_main(["verify", "--n", "2", "--k-max", "2", "--oracle", "auto",
-                     "--self-test-perturb"])
-    failures = [] if code != 0 else [("exit-code", code)]
+    reports = {}
+    for label, extra in (("clean", []), ("perturbed", ["--self-test-perturb"])):
+        path = tmp_path / f"{label}.json"
+        code = cli_main(["verify", "--n", "2", "--k-max", "2", "--oracle", "auto",
+                         "--out", str(path)] + extra)
+        reports[label] = (code, json.loads(path.read_text())["gate_failures"])
+    failures = []
+    code, perturbed = reports["perturbed"]
+    if code == 0:
+        failures.append(("exit-code", code))
+    if perturbed == reports["clean"][1]:
+        failures.append(("gate-failures-unchanged", len(perturbed)))
     _finish(7, 60.0, time.monotonic() - t0, failures)

@@ -11,16 +11,19 @@ from sl2cohom.cecomplex import (
     brute_force_h2,
     coboundary,
     cochain_weight_components,
+    block_matrix,
     default_alpha_max,
-    h2_block_dimension,
+    h2_block_dimensions,
     weight_block_basis,
     weight_block_report,
     weight_of,
 )
+from sl2cohom.linalg import sparse_rank
 from sl2cohom.multiindices import enumerate_up_to, index_weight
 from sl2cohom.operators import DiffOperator, act_on_operator
 from sl2cohom.polynomials import Polynomial
 from sl2cohom.reduced import rank_data
+from sl2cohom.sweep import nonresonant_weights, weights_for_tvector
 from sl2cohom.weights import GENERATORS, Weights
 
 X1, XX, XX2 = GENERATORS
@@ -199,8 +202,55 @@ def test_default_alpha_max():
 
 def test_block_dimension_stable_across_truncations():
     w = Weights((Fraction(0), Fraction(0)), Fraction(1))
-    dims = {amax: h2_block_dimension(w, amax) for amax in (2, 3, 4, 5, 6)}
-    assert len(set(dims.values())) == 1
+    dims = h2_block_dimensions(w, [2, 3, 4, 5, 6])
+    assert len(set(dims)) == 1
+
+
+#: (weights, caps, eigenvalue block): n = 1, 2, 3, resonant and not, a
+#: non-integral shift (empty blocks) and a nonzero eigenvalue block.
+PREFIX_CASES = [
+    (weights_for_tvector(1, 2, (0,)), [1, 2, 3, 4], 0),
+    (nonresonant_weights(1, 2), [1, 2, 3, 4], 0),
+    (weights_for_tvector(2, 2, (1, 0)), [1, 2, 3, 4], 0),
+    (nonresonant_weights(2, 2), [1, 2, 3, 4], 0),
+    (weights_for_tvector(3, 2, (0, 1, 0)), [1, 2, 3], 0),
+    (nonresonant_weights(3, 1), [1, 2, 3], 0),
+    (Weights((Fraction(1, 3),), Fraction(0)), [1, 2, 3], 0),
+    (Weights((Fraction(0), Fraction(0)), Fraction(1)), [1, 2, 3, 4], 1),
+]
+
+
+def _h2_block_dimension_reference(w, cap, weight):
+    """One cap built and ranked from scratch."""
+    tr = Truncation(cap, weight)
+    b1, b2, b3 = (weight_block_basis(p, tr, w) for p in (1, 2, 3))
+    return (len(b2) - sparse_rank(block_matrix(2, tr, w, b2, b3))
+            - sparse_rank(block_matrix(1, tr, w, b1, b2)))
+
+
+def test_block_dimensions_equal_per_cap_reference():
+    for w, caps, weight in PREFIX_CASES:
+        expected = [_h2_block_dimension_reference(w, cap, weight) for cap in caps]
+        assert h2_block_dimensions(w, caps, weight) == expected
+        assert h2_block_dimensions(w, caps[::-1], weight) == expected[::-1]
+
+
+def test_block_basis_at_a_cap_is_a_prefix_of_a_larger_cap():
+    for w, caps, weight in PREFIX_CASES:
+        cap = caps[0]
+        for p in (1, 2, 3):
+            small = weight_block_basis(p, Truncation(cap, weight), w)
+            large = weight_block_basis(p, Truncation(cap + 2, weight), w)
+            assert large[:len(small)] == small
+            assert all(index_weight(a) > cap for _, a, _ in large[len(small):])
+
+
+def test_block_matrix_coordinates_are_exact_fractions():
+    for w, caps, weight in PREFIX_CASES:
+        tr = Truncation(max(caps), weight)
+        for p in (1, 2):
+            for column in block_matrix(p, tr, w):
+                assert all(type(c) is Fraction for c in column.values())
 
 
 def test_cohom_result_json():

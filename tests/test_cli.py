@@ -47,6 +47,20 @@ def test_malformed_rational_is_usage_error(capsys):
     assert "malformed rational" in err
 
 
+def test_out_of_range_count_or_cap_is_usage_error(capsys):
+    # exit 1 is reserved for a verify disagreement
+    for argv in (
+        ["verify", "--n", "2", "--k-max", "1", "--alpha-max", "0"],
+        ["table", "--n", "2", "--k-max", "1", "--oracle", "off", "--alpha-max", "-1"],
+        ["dim", "--n", "1", "--lambdas", "0", "--mu", "1", "--alpha-max", "0"],
+        ["table", "--n", "0", "--k-max", "1"],
+        ["verify", "--n", "-1", "--k-max", "1"],
+    ):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert "must be at least 1" in err, argv
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert run_cli([], capsys)[0] == 2
 

@@ -13,6 +13,7 @@ from sl2cohom.linalg import (
     solve,
     sparse_echelon,
     sparse_in_span,
+    sparse_prefix_ranks,
     sparse_rank,
 )
 
@@ -79,6 +80,15 @@ def test_sparse_rank_agrees_with_dense(m):
         col = {i: m[i, j] for i in range(m.rows) if m[i, j] != 0}
         cols.append(col)
     assert sparse_rank(cols) == rank(m)
+    # every leading-column prefix, cuts given out of order
+    cuts = list(range(m.cols, -1, -1))
+    leading = [rank(RationalMatrix([row[:j] for row in m.entries], cols=j)) for j in cuts]
+    assert sparse_prefix_ranks(cols, cuts) == leading
+
+
+def test_sparse_prefix_ranks_rejects_negative_cut():
+    with pytest.raises(ValueError):
+        sparse_prefix_ranks([{0: Fraction(1)}], [1, -1])
 
 
 def test_solve_feasible_and_infeasible():
