@@ -53,15 +53,21 @@ def _parse_weights(args: argparse.Namespace) -> Weights:
     return Weights(lambdas, _parse_rational_arg(args.mu, "--mu"))
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts and caps; a value below 1 is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for an int bounded below; a smaller value is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _parse_methods(raw: Optional[str], default: Sequence[str]) -> tuple[str, ...]:
@@ -186,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="parameter sweep report")
     p_table.add_argument("--n", type=_positive_int, required=True)
-    p_table.add_argument("--k-max", type=int, required=True)
+    p_table.add_argument("--k-max", type=_nonnegative_int, required=True)
     p_table.add_argument("--methods", type=str, default=None)
     p_table.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
     p_table.add_argument("--alpha-max", type=_positive_int, default=None)
@@ -196,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-check methods over a sweep")
     p_verify.add_argument("--n", type=_positive_int, required=True)
-    p_verify.add_argument("--k-max", type=int, required=True)
+    p_verify.add_argument("--k-max", type=_nonnegative_int, required=True)
     p_verify.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
     p_verify.add_argument("--alpha-max", type=_positive_int, default=None)
     p_verify.add_argument("--out", type=str, default=None)
@@ -227,6 +233,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except OverflowError as exc:
+        # Input too large for the exact engine (e.g. an exponent beyond an
+        # index-sized integer); exit 1 would read as a verify disagreement.
+        print(f"usage error: input too large: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except IOError as exc:
         print(f"io error: {exc}", file=sys.stderr)

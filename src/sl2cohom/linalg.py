@@ -1,19 +1,19 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one sparse echelon.
 
-Dense matrices cover the structured systems built elsewhere (at desk scale
-they stay small); rank uses fraction-free Bareiss elimination on a
-denominator-cleared copy so intermediate growth stays controlled, with
-pivots chosen as the first nonzero entry in column order, which makes the
-elimination, and hence every downstream report, deterministic.  A sparse
-rank routine on dictionary rows handles the large, very sparse block
-matrices of the truncated cochain complex, and can report the rank of every
-leading-column prefix from one pass; both routines agree exactly and are
-cross-checked in the tests.
+Every rank, kernel and solve runs the same elimination: vectors are stored
+as dictionaries {index: value} of their nonzero entries and inserted one at
+a time into an echelon keyed by leading (minimal) index, each new row
+normalised to leading coefficient 1.  ``kernel_basis`` and ``solve``
+back-substitute that echelon to the reduced row echelon form, which is
+unique, so their results do not depend on the order of elimination.  The
+dense ``RationalMatrix`` holds the structured systems built elsewhere and
+hands its nonzero entries to the engine; the large, very sparse block
+matrices of the truncated cochain complex go to it directly, and one pass
+can report the rank of every leading prefix.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -113,109 +113,70 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-def _integer_rows(matrix: RationalMatrix) -> list[list[int]]:
-    """Clear denominators row by row (row scaling preserves rank)."""
-    out = []
-    for row in matrix.entries:
-        scale = 1
-        for v in row:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
-        out.append([int(v * scale) for v in row])
-    return out
+def _sparse_rows(matrix: RationalMatrix) -> list[dict[int, Fraction]]:
+    """The rows of a dense matrix as sparse vectors of their nonzero entries."""
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix.entries]
+
+
+def _reduced_echelon(vectors: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of the span, keyed by leading index.
+
+    Echelonise, then back-substitute from the largest leading index down, so
+    each row is zero at every other row's leading index.  The reduced form
+    of a span is unique, so the result does not depend on insertion order.
+    """
+    echelon: dict[int, dict[int, Fraction]] = {}
+    for vec in vectors:
+        _echelon_insert(vec, echelon)
+    for lead in sorted(echelon, reverse=True):
+        row = echelon[lead]
+        for pivot in [i for i in row if i != lead and i in echelon]:
+            _subtract_multiple(row, row[pivot], echelon[pivot])
+    return echelon
 
 
 def rank(matrix: RationalMatrix) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination.
-
-    Pivot selection scans columns left to right and, within a column, takes
-    the first nonzero entry below the current pivot row.
-    """
-    m = _integer_rows(matrix)
-    nrows, ncols = matrix.rows, matrix.cols
-    pivot_row = 0
-    prev_pivot = 1
-    for col in range(ncols):
-        pivot = None
-        for r in range(pivot_row, nrows):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != pivot_row:
-            m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
-        pv = m[pivot_row][col]
-        for r in range(pivot_row + 1, nrows):
-            if not any(m[r][col:]):
-                continue
-            rv = m[r][col]
-            for c in range(col, ncols):
-                m[r][c] = (pv * m[r][c] - rv * m[pivot_row][c]) // prev_pivot
-        prev_pivot = pv
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return pivot_row
-
-
-def _rref(entries: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot column list)."""
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(entries)):
-            if entries[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        entries[r], entries[pivot] = entries[pivot], entries[r]
-        pv = entries[r][col]
-        entries[r] = [v / pv for v in entries[r]]
-        for i in range(len(entries)):
-            if i != r and entries[i][col] != 0:
-                factor = entries[i][col]
-                entries[i] = [a - factor * b for a, b in zip(entries[i], entries[r])]
-        pivots.append(col)
-        r += 1
-    return entries, pivots
+    """Exact rank: the sparse echelon rank of the matrix's rows."""
+    return sparse_rank(_sparse_rows(matrix))
 
 
 def kernel_basis(matrix: RationalMatrix) -> list[list[Fraction]]:
     """Basis of the null space; exactly cols - rank vectors with M v = 0.
 
-    Free columns are parametrised in ascending column order, so the result
-    is deterministic.
+    Free columns are parametrised in ascending column order, each vector
+    read off the reduced row echelon form, so the result is deterministic.
     """
-    entries = [list(row) for row in matrix.entries]
-    entries, pivots = _rref(entries, matrix.cols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
+    echelon = _reduced_echelon(_sparse_rows(matrix))
     basis = []
-    for free in free_cols:
+    for free in range(matrix.cols):
+        if free in echelon:
+            continue
         vec = [Fraction(0)] * matrix.cols
         vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -entries[r][free]
+        for lead, row in echelon.items():
+            vec[lead] = -row.get(free, Fraction(0))
         basis.append(vec)
     return basis
 
 
 def solve(matrix: RationalMatrix, rhs: Sequence[Scalar]) -> Optional[list[Fraction]]:
-    """One exact solution of M x = rhs, or None when the system is infeasible."""
+    """One exact solution of M x = rhs, or None when the system is infeasible.
+
+    The right-hand side is column ``cols`` of the augmented rows; a leading
+    entry there means 0 = nonzero.  Free coordinates of the solution are 0.
+    """
     if len(rhs) != matrix.rows:
         raise ValueError("dimension mismatch")
-    aug = [list(row) + [Fraction(v)] for row, v in zip(matrix.entries, [Fraction(v) for v in rhs])]
-    if not aug:
-        return [Fraction(0)] * matrix.cols
-    aug, pivots = _rref(aug, matrix.cols)
-    for r in range(len(pivots), len(aug)):
-        if aug[r][matrix.cols] != 0:
-            return None
+    rows = _sparse_rows(matrix)
+    for row, v in zip(rows, rhs):
+        if v:
+            row[matrix.cols] = Fraction(v)
+    echelon = _reduced_echelon(rows)
+    if matrix.cols in echelon:
+        return None
     x = [Fraction(0)] * matrix.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][matrix.cols]
+    for lead, row in echelon.items():
+        x[lead] = row.get(matrix.cols, Fraction(0))
     return x
 
 
@@ -266,14 +227,19 @@ def sparse_reduce(vec: dict[int, Fraction],
         row = echelon.get(lead)
         if row is None:
             return v
-        factor = v[lead]
-        for i, c in row.items():
-            newval = v.get(i, Fraction(0)) - factor * c
-            if newval == 0:
-                v.pop(i, None)
-            else:
-                v[i] = newval
+        _subtract_multiple(v, v[lead], row)
     return v
+
+
+def _subtract_multiple(v: dict[int, Fraction], factor: Fraction,
+                       row: dict[int, Fraction]) -> None:
+    """v -= factor * row in place, dropping the entries that cancel."""
+    for i, c in row.items():
+        newval = v.get(i, Fraction(0)) - factor * c
+        if newval == 0:
+            v.pop(i, None)
+        else:
+            v[i] = newval
 
 
 def sparse_rank(vectors: list[dict[int, Fraction]]) -> int:
@@ -299,10 +265,3 @@ def sparse_prefix_ranks(vectors: list[dict[int, Fraction]],
         done = cut
         rank_at[cut] = len(echelon)
     return [rank_at[cut] for cut in cuts]
-
-
-def sparse_in_span(vec: dict[int, Fraction],
-                   echelon: list[dict[int, Fraction]]) -> bool:
-    """Whether vec lies in the span of an echelonised vector set."""
-    table = {min(row): row for row in echelon if row}
-    return not sparse_reduce(vec, table)

@@ -4,10 +4,9 @@ A sweep enumerates, for each k up to a bound, every integral t-vector in
 {0, ..., k-1}^n (realised by lambda_i = -t_i / 2, mu = k - sigma / 2) plus
 one non-resonant configuration per k (lambda_i = 1).  Each row records the
 dimension of every requested method side by side; disagreements are never
-suppressed, they are collected into a discrepancy report.  Row evaluation
-is pure, so rows may be computed concurrently; output order is fixed by
-the row key, not completion order, and no timestamps appear in data files,
-so identical configurations produce byte-identical reports.
+suppressed, they are collected into a discrepancy report.  Output order is
+fixed by the row key and no timestamps appear in data files, so identical
+configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -191,30 +188,12 @@ def sweep_configurations(n: int, k_max: int) -> list[tuple[Weights, int, Optiona
     return configs
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("COHOM_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
 def run_sweep(n: int, k_max: int, methods: Sequence[str],
               oracle_policy: str = "auto", alpha_max: Optional[int] = None,
               perturb: Optional[Callable] = None) -> list[SweepRow]:
-    """Evaluate a full sweep; deterministic output order regardless of workers."""
-    configs = sweep_configurations(n, k_max)
-    workers = _max_workers()
-    if workers == 1:
-        rows = [evaluate_row(w, k, t, methods, oracle_policy, alpha_max, perturb)
-                for (w, k, t) in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda cfg: evaluate_row(cfg[0], cfg[1], cfg[2], methods,
-                                         oracle_policy, alpha_max, perturb),
-                configs))
+    """Evaluate a full sweep; rows come back in row-key order."""
+    rows = [evaluate_row(w, k, t, methods, oracle_policy, alpha_max, perturb)
+            for (w, k, t) in sweep_configurations(n, k_max)]
     return sorted(rows, key=lambda row: row.sort_key())
 
 

@@ -59,6 +59,22 @@ def test_out_of_range_count_or_cap_is_usage_error(capsys):
         code, _, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert "must be at least 1" in err, argv
+    for argv in (
+        ["verify", "--n", "2", "--k-max", "-3"],
+        ["table", "--n", "2", "--k-max", "-1"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert "must be at least 0" in err, argv
+        assert "verdict" not in out, argv
+
+
+def test_input_too_large_is_usage_error(capsys):
+    # 10^400 overflows an index-sized integer in the polynomial layer
+    code, _, err = run_cli(["dim", "--n", "1", "--lambdas", "1e400", "--mu", "0"],
+                           capsys)
+    assert code == 2
+    assert "too large" in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

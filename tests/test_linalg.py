@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -12,19 +13,47 @@ from sl2cohom.linalg import (
     rank,
     solve,
     sparse_echelon,
-    sparse_in_span,
     sparse_prefix_ranks,
     sparse_rank,
 )
 
 entries = st.fractions(min_value=-8, max_value=8, max_denominator=4)
+# about half zeros, so rank deficiency and infeasible systems are common
+sparse_entries = st.one_of(st.just(Fraction(0)), entries)
 
 
-def matrices(max_dim=5):
+def matrices(max_dim=5, cells=entries):
     return st.integers(1, max_dim).flatmap(
         lambda r: st.integers(1, max_dim).flatmap(
-            lambda c: st.lists(st.lists(entries, min_size=c, max_size=c),
+            lambda c: st.lists(st.lists(cells, min_size=c, max_size=c),
                                min_size=r, max_size=r).map(RationalMatrix)))
+
+
+def leibniz_det(square):
+    """Determinant as the signed sum over permutations (Leibniz formula)."""
+    n = len(square)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        term = Fraction(-1) if inversions % 2 else Fraction(1)
+        for i, j in enumerate(perm):
+            term *= square[i][j]
+        total += term
+    return total
+
+
+def reference_rank(rows, ncols):
+    """Size of the largest nonzero minor; independent of the elimination engine."""
+    for size in range(min(len(rows), ncols), 0, -1):
+        for rs in combinations(range(len(rows)), size):
+            for cs in combinations(range(ncols), size):
+                if leibniz_det([[rows[i][j] for j in cs] for i in rs]):
+                    return size
+    return 0
+
+
+def leading_columns(m, j):
+    return [row[:j] for row in m.entries]
 
 
 def test_rank_examples():
@@ -44,18 +73,30 @@ def test_kernel_examples():
         assert m.mat_vec(v) == [0, 0]
 
 
+def test_kernel_basis_is_read_off_the_reduced_echelon_form():
+    # third row = first + second; pivots in columns 0 and 2
+    m = RationalMatrix([[2, 4, 0, -1, 3], [0, 0, 3, 2, -1], [2, 4, 3, 1, 2]])
+    F = Fraction
+    assert kernel_basis(m) == [
+        [F(-2), F(1), F(0), F(0), F(0)],
+        [F(1, 2), F(0), F(-2, 3), F(1), F(0)],
+        [F(-3, 2), F(0), F(1, 3), F(0), F(1)],
+    ]
+
+
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_equals_transpose_rank(m):
     assert rank(m) == rank(m.transpose())
 
 
-@given(matrices())
+@given(matrices(cells=sparse_entries))
 @settings(max_examples=60, deadline=None)
 def test_rank_plus_kernel_dim_is_cols(m):
     kern = kernel_basis(m)
     assert rank(m) + len(kern) == m.cols
     for v in kern:
+        assert all(type(x) is Fraction for x in v)
         assert all(x == 0 for x in m.mat_vec(v))
 
 
@@ -72,23 +113,52 @@ def test_rank_invariant_under_row_ops(m, row, c):
     assert rank(swapped) == rank(m)
 
 
-@given(matrices())
-@settings(max_examples=40, deadline=None)
+@given(matrices(cells=sparse_entries))
+@settings(max_examples=60, deadline=None)
 def test_sparse_rank_agrees_with_dense(m):
+    expected = reference_rank(m.entries, m.cols)
+    assert rank(m) == expected
+    rows = [{j: v for j, v in enumerate(row) if v} for row in m.entries]
+    assert sparse_rank(rows) == expected
     cols = []
     for j in range(m.cols):
         col = {i: m[i, j] for i in range(m.rows) if m[i, j] != 0}
         cols.append(col)
-    assert sparse_rank(cols) == rank(m)
+    assert sparse_rank(cols) == expected
     # every leading-column prefix, cuts given out of order
     cuts = list(range(m.cols, -1, -1))
-    leading = [rank(RationalMatrix([row[:j] for row in m.entries], cols=j)) for j in cuts]
+    leading = [reference_rank(leading_columns(m, j), j) for j in cuts]
     assert sparse_prefix_ranks(cols, cuts) == leading
 
 
 def test_sparse_prefix_ranks_rejects_negative_cut():
     with pytest.raises(ValueError):
         sparse_prefix_ranks([{0: Fraction(1)}], [1, -1])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_solve_matches_reference_feasibility(data):
+    m = data.draw(matrices(cells=sparse_entries))
+    cells = st.lists(sparse_entries, min_size=m.cols, max_size=m.cols)
+    if data.draw(st.booleans()):
+        rhs = m.mat_vec(data.draw(cells))
+    else:
+        rhs = data.draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows))
+    augmented = [row + [Fraction(v)] for row, v in zip(m.entries, rhs)]
+    feasible = reference_rank(augmented, m.cols + 1) == reference_rank(m.entries, m.cols)
+    x = solve(m, rhs)
+    if not feasible:
+        assert x is None
+        return
+    assert x is not None
+    assert all(type(v) is Fraction for v in x)
+    assert m.mat_vec(x) == [Fraction(v) for v in rhs]
+    # a column that adds no rank to the ones before it is free, and set to 0
+    for j in range(m.cols):
+        if reference_rank(leading_columns(m, j + 1), j + 1) == \
+                reference_rank(leading_columns(m, j), j):
+            assert x[j] == 0
 
 
 def test_solve_feasible_and_infeasible():
@@ -104,8 +174,9 @@ def test_column_space_membership():
     m = RationalMatrix([[1, 2], [0, 0], [1, 2]])
     ech = column_space_echelon(m)
     assert len(ech) == 1
-    assert sparse_in_span({0: Fraction(2), 2: Fraction(2)}, ech)
-    assert not sparse_in_span({1: Fraction(1)}, ech)
+    # a vector lies in the span exactly when adding it keeps the rank
+    assert sparse_rank(ech + [{0: Fraction(2), 2: Fraction(2)}]) == 1
+    assert sparse_rank(ech + [{1: Fraction(1)}]) == 2
 
 
 def test_sparse_echelon_leads_are_distinct():

@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 from sl2cohom.closedform import CaseKind, classify
@@ -47,20 +46,6 @@ def test_sweep_csv_deterministic_and_complete():
     assert len(lines) == 1 + len(sweep_configurations(2, 2))
     json_text = rows_to_json(rows)
     assert json_text == rows_to_json(rows)
-
-
-def test_sweep_threading_is_deterministic():
-    old = os.environ.get("COHOM_THREADS")
-    try:
-        os.environ["COHOM_THREADS"] = "4"
-        threaded = rows_to_csv(run_sweep(2, 2, ("system", "closed"), "off"))
-    finally:
-        if old is None:
-            os.environ.pop("COHOM_THREADS", None)
-        else:
-            os.environ["COHOM_THREADS"] = old
-    serial = rows_to_csv(run_sweep(2, 2, ("system", "closed"), "off"))
-    assert threaded == serial
 
 
 def test_oracle_policy_limits():
