@@ -22,19 +22,37 @@ reported stable only when three consecutive caps agree.  The three caps
 are read off one build of the largest: its block basis is ordered by
 |alpha|, so each smaller cap's basis is a prefix of it, and each smaller
 cap's differential is the matching block of leading columns.
+
+On a basis cochain f = x^m Omega^alpha on the ascending tuple S the
+differential has a closed form, so the block matrices are written entry
+by entry without building any operator:
+
+* action terms: for each generator X_{x^j} not in S, with T = S + {X_{x^j}}
+  and the new generator at position i of T, d f gains
+  (-1)^i (m + j (delta - |alpha|)) x^(m+j-1) Omega^alpha on T, and when
+  j = 2 also -(-1)^i a_l (a_l + 2 lambda_l - 1) x^m Omega^(alpha - e_l) on
+  T for each a_l > 0 (the generator action of the operators module);
+* bracket terms: for each pair r < s of a (p+1)-tuple T whose bracket
+  c gen, put in front of the rest of T, re-sorts to S with permutation
+  sign sigma, d f gains (-1)^(r+s) c sigma x^m Omega^alpha on T.
+
+The (S, T, sign, c) tables are derived once from the structure constants.
+The generic ``coboundary`` on operator-valued cochains stays as the
+independent route the tests compare the block matrices against.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .closedform import classify
 from .linalg import sparse_prefix_ranks, sparse_rank
-from .multiindices import MultiIndex, enumerate_up_to, index_weight
+from .multiindices import MultiIndex, enumerate_up_to, index_weight, sub_unit
 from .operators import DiffOperator, act_on_operator
 from .polynomials import Polynomial
 from .weights import GENERATORS, SL2Generator, Weights, bracket
@@ -190,6 +208,8 @@ class Truncation:
     def __post_init__(self) -> None:
         if self.alpha_max < 0:
             raise ValueError("alpha_max must be nonnegative")
+        if not isinstance(self.weight, int):
+            raise TypeError(f"block eigenvalue must be an int, got {self.weight!r}")
 
 
 #: One basis cochain of a weight block: (m, alpha, args).
@@ -200,19 +220,27 @@ def weight_block_basis(p: int, tr: Truncation, w: Weights) -> list[BlockElement]
     """Ordered basis of the selected eigenvalue block in degree p.
 
     For each |alpha| <= alpha_max and each ascending p-tuple, the monomial
-    degree m is pinned down by the eigenvalue equation; the element is kept
-    when that m is a nonnegative integer.  The list is empty e.g. when the
-    shift is not an integer and an integer block is requested.
+    degree m = weight - delta + |alpha| - (argument contributions) is pinned
+    down by the eigenvalue equation; the element is kept when m >= 0.  Either
+    every such m is an integer or none is: the list is empty when
+    weight - delta is not an integer, e.g. for a non-integral shift.  A
+    block whose monomial degrees exceed an index-sized integer raises
+    OverflowError: no polynomial x^m of that degree can be built, so its
+    cochains do not exist in the operator layer.
     """
+    shift = tr.weight - w.delta()
+    if shift.denominator != 1:
+        return []
+    if shift + 1 + tr.alpha_max > sys.maxsize:
+        raise OverflowError("monomial degree of the block exceeds an index-sized integer")
+    offsets = [(args, int(shift) - sum(g.weight_contribution for g in args))
+               for args in BASIS_TUPLES[p]]
     out: list[BlockElement] = []
-    delta = w.delta()
     for alpha in enumerate_up_to(w.n, tr.alpha_max):
         level = index_weight(alpha)
-        for args in BASIS_TUPLES[p]:
-            m = Fraction(tr.weight) - delta + level - sum(
-                g.weight_contribution for g in args)
-            if m.denominator == 1 and m >= 0:
-                out.append((int(m), alpha, args))
+        for args, offset in offsets:
+            if offset + level >= 0:
+                out.append((offset + level, alpha, args))
     return out
 
 
@@ -223,21 +251,44 @@ def basis_cochain(w: Weights, element: BlockElement) -> Cochain:
     return Cochain(w, len(args), {args: op})
 
 
-def _cochain_block_coordinates(f: Cochain, index: Mapping[BlockElement, int]) -> dict[int, Fraction]:
-    """Coordinates of a cochain in a block basis; raises if it leaves the block."""
-    coords: dict[int, Fraction] = {}
-    for args, op in f.components.items():
-        for alpha, poly in op.terms.items():
-            for m, coeff in enumerate(poly.coeffs):
-                if coeff == 0:
-                    continue
-                key = (m, alpha, args)
-                pos = index.get(key)
-                if pos is None:
-                    raise ValueError(
-                        f"image coordinate {key} falls outside the block basis")
-                coords[pos] = coeff
-    return coords
+#: One target of d on a cochain supported on the ascending tuple S:
+#: (T, j, sign, c).  When T = S + {X_{x^j}} with the new generator at
+#: position i, j is that degree and sign = (-1)^i; otherwise j is None.  c
+#: sums (-1)^(r+s) c' sigma over the pairs r < s of T whose bracket c' gen,
+#: put in front of the rest of T, re-sorts to S with permutation sign sigma.
+DifferentialTerm = tuple[ArgTuple, Optional[int], int, Fraction]
+
+
+def _differential_table(p: int) -> dict[ArgTuple, tuple[DifferentialTerm, ...]]:
+    """Targets of d on degree-p cochains, per source tuple, in target order.
+
+    Read off the coboundary formula on argument tuples alone, with the
+    structure constants of `bracket` and the signs of `_sort_with_sign`.
+    """
+    terms: dict[ArgTuple, dict[ArgTuple, list]] = {s: {} for s in BASIS_TUPLES[p]}
+    for target in BASIS_TUPLES[p + 1]:
+        for i, g in enumerate(target):
+            entry = terms[target[:i] + target[i + 1:]].setdefault(
+                target, [None, 0, Fraction(0)])
+            entry[0], entry[1] = g.h.degree(), (-1) ** i
+        for i, j in itertools.combinations(range(p + 1), 2):
+            br = bracket(target[i], target[j])
+            if br is None:
+                continue
+            coeff, gen = br
+            rest = tuple(a for t, a in enumerate(target) if t not in (i, j))
+            sorted_sign = _sort_with_sign((gen,) + rest)
+            if sorted_sign is None:
+                continue
+            source, sigma = sorted_sign
+            entry = terms[source].setdefault(target, [None, 0, Fraction(0)])
+            entry[2] += (-1) ** (i + j) * coeff * sigma
+    return {source: tuple((t, j, sign, c) for t, (j, sign, c) in by_target.items()
+                          if j is not None or c)
+            for source, by_target in terms.items()}
+
+
+_DIFFERENTIAL_TABLES = {p: _differential_table(p) for p in range(3)}
 
 
 def block_matrix(p: int, tr: Truncation, w: Weights,
@@ -246,19 +297,64 @@ def block_matrix(p: int, tr: Truncation, w: Weights,
                  ) -> list[dict[int, Fraction]]:
     """Columns of the differential block_p -> block_{p+1} as sparse vectors.
 
-    Raising the degree preserves the eigenvalue and never increases
-    |alpha|, so every image coordinate must land in the target basis; a
-    coordinate falling outside it is a hard error, not a truncation.
+    Each column is written straight from the closed form of d on the basis
+    cochain x^m Omega^alpha on the tuple S.  For each target tuple T of
+    the table above, with its action degree j, sign and bracket sum c:
+
+        sign (m + j (delta - |alpha|))            at (m + j - 1, alpha, T),
+        -sign a_i (a_i + 2 lambda_i - 1)          at (m, alpha - e_i, T)
+                                                  for j = 2 and each a_i > 0,
+        c                                         at (m, alpha, T).
+
+    Entries are exact Fractions; coordinates whose terms cancel are
+    dropped.  Raising the degree preserves the eigenvalue and never
+    increases |alpha|, so every image coordinate must land in the target
+    basis; a coordinate falling outside it is a hard error, not a
+    truncation.
     """
     if source is None:
         source = weight_block_basis(p, tr, w)
     if target is None:
         target = weight_block_basis(p + 1, tr, w)
     index = {elem: i for i, elem in enumerate(target)}
+    table = _DIFFERENTIAL_TABLES[p]
+    delta = w.delta()
+    lowering: dict[tuple[int, int], Fraction] = {}
     columns = []
-    for elem in source:
-        image = coboundary(basis_cochain(w, elem))
-        columns.append(_cochain_block_coordinates(image, index))
+    for m, alpha, args in source:
+        order_shift = delta - index_weight(alpha)
+        image: dict[BlockElement, Fraction] = {}
+        for tup, j, sign, c in table[args]:
+            if c:
+                key = (m, alpha, tup)
+                prev = image.get(key)
+                image[key] = c if prev is None else prev + c
+            if j is None:
+                continue
+            value = m + j * order_shift
+            key = (m + j - 1, alpha, tup)
+            prev = image.get(key)
+            image[key] = sign * value if prev is None else prev + sign * value
+            if j != 2:
+                continue
+            for i, a in enumerate(alpha):
+                if not a:
+                    continue
+                factor = lowering.get((i, a))
+                if factor is None:
+                    factor = lowering[(i, a)] = a * (a + 2 * w.lambdas[i] - 1)
+                key = (m, sub_unit(alpha, i), tup)
+                prev = image.get(key)
+                image[key] = -sign * factor if prev is None else prev - sign * factor
+        column: dict[int, Fraction] = {}
+        for key, value in image.items():
+            if value:
+                pos = index.get(key)
+                if pos is None:
+                    raise ValueError(
+                        f"image coordinate {key} falls outside the block basis")
+                column[pos] = value
+        columns.append(column)
     return columns
 
 

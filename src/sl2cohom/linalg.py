@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .polynomials import Scalar, format_rational, parse_rational
+from .polynomials import Scalar, exact, format_rational, parse_rational
 
 
 class RationalMatrix:
@@ -26,7 +26,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[Scalar]], cols: Optional[int] = None):
-        data = [[Fraction(v) for v in row] for row in entries]
+        data = [[exact(v) for v in row] for row in entries]
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):

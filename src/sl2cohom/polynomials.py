@@ -22,6 +22,17 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def exact(value: Scalar) -> Fraction:
+    """value as a Fraction.  A float is refused: it is inexact before any
+    arithmetic starts (0.1 is not 1/10), so every later answer would be
+    about a different input."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a float; pass an int, a Fraction or a 'p/q' string")
+    return Fraction(value)
+
+
 def format_rational(value: Scalar) -> str:
     """Canonical text form: "p/q" with q > 0 and gcd(|p|, q) = 1, or "p"."""
     return str(Fraction(value))
@@ -33,7 +44,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

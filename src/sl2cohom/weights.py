@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .polynomials import ONE, Polynomial, X, format_rational, parse_rational
+from .polynomials import ONE, Polynomial, X, exact, format_rational, parse_rational
 
 
 class SL2Generator(enum.IntEnum):
@@ -99,8 +99,8 @@ class Weights:
     mu: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lambdas", tuple(Fraction(v) for v in self.lambdas))
-        object.__setattr__(self, "mu", Fraction(self.mu))
+        object.__setattr__(self, "lambdas", tuple(exact(v) for v in self.lambdas))
+        object.__setattr__(self, "mu", exact(self.mu))
         if not self.lambdas:
             raise ValueError("at least one argument weight is required")
 

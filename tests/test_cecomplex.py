@@ -253,6 +253,75 @@ def test_block_matrix_coordinates_are_exact_fractions():
                 assert all(type(c) is Fraction for c in column.values())
 
 
+def _generic_block_matrix(w, source, target):
+    """Columns of d read off the generic coboundary of each basis cochain."""
+    index = {elem: i for i, elem in enumerate(target)}
+    columns = []
+    for elem in source:
+        column = {}
+        for args, op in coboundary(basis_cochain(w, elem)).components.items():
+            for alpha, poly in op.terms.items():
+                for m, c in enumerate(poly.coeffs):
+                    if c:
+                        column[index[(m, alpha, args)]] = c
+        columns.append(column)
+    return columns
+
+
+def _box(n, p, m_max, alpha_max):
+    """Every basis cochain of degree p with m <= m_max and |alpha| <= alpha_max."""
+    return [(m, alpha, args) for alpha in enumerate_up_to(n, alpha_max)
+            for args in BASIS_TUPLES[p] for m in range(m_max + 1)]
+
+
+def test_block_matrix_equals_generic_coboundary():
+    weights = SAMPLED_WEIGHTS + [w for w, _, _ in PREFIX_CASES]
+    for w in weights:
+        cap = 4 if w.n < 3 else 3
+        for eigenvalue in (0, 1, -1):
+            tr = Truncation(cap, eigenvalue)
+            bases = [weight_block_basis(p, tr, w) for p in range(4)]
+            for p in range(3):
+                columns = block_matrix(p, tr, w, bases[p], bases[p + 1])
+                assert columns == _generic_block_matrix(w, bases[p], bases[p + 1])
+                assert all(type(c) is Fraction for col in columns for c in col.values())
+    # Outside any one eigenvalue block: every monomial degree up to 3, so a
+    # non-integral shift (-1/3, 2/5) and half-integral lambda give columns too.
+    for w in (SAMPLED_WEIGHTS[1], SAMPLED_WEIGHTS[2], SAMPLED_WEIGHTS[7]):
+        for p in range(3):
+            source = _box(w.n, p, 3, 3)
+            target = _box(w.n, p + 1, 4, 3)
+            columns = block_matrix(p, Truncation(2), w, source, target)
+            assert columns == _generic_block_matrix(w, source, target)
+            assert any(columns)
+            assert all(type(c) is Fraction for col in columns for c in col.values())
+
+
+def test_block_matrix_refuses_a_target_missing_an_image_coordinate():
+    w = Weights((Fraction(0), Fraction(0)), Fraction(1))
+    tr = Truncation(3)
+    source = weight_block_basis(1, tr, w)
+    target = weight_block_basis(2, tr, w)
+    for hit in sorted({i for col in block_matrix(1, tr, w, source, target) for i in col})[:5]:
+        with pytest.raises(ValueError, match="outside the block basis"):
+            block_matrix(1, tr, w, source, target[:hit] + target[hit + 1:])
+
+
+def test_truncation_refuses_a_non_integer_eigenvalue():
+    for eigenvalue in (0.5, 1.0, Fraction(1, 2), Fraction(1)):
+        with pytest.raises(TypeError, match="int"):
+            Truncation(3, eigenvalue)
+    assert Truncation(3, -1).weight == -1
+
+
+def test_block_beyond_index_sized_monomial_degrees_overflows():
+    # shift -10^30: the block's cochains would need x^(10^30)
+    w = Weights((Fraction(10**30),), Fraction(0))
+    with pytest.raises(OverflowError, match="index-sized"):
+        weight_block_basis(1, Truncation(3), w)
+    assert weight_block_basis(1, Truncation(3), Weights((Fraction(0),), Fraction(10**30))) == []
+
+
 def test_cohom_result_json():
     w = Weights((Fraction(0),), Fraction(1))
     result = brute_force_h2(w, 4)

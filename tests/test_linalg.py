@@ -200,6 +200,12 @@ def test_csv_roundtrip():
     assert RationalMatrix.from_csv(text, labeled=True) == m
 
 
+def test_float_entries_are_refused():
+    with pytest.raises(TypeError, match="float"):
+        RationalMatrix([[1, 0.5], [0, 1]])
+    assert RationalMatrix([[1, "1/2"]])[0, 1] == Fraction(1, 2)
+
+
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2], [1]])

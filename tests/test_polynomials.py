@@ -55,6 +55,14 @@ def test_constant_derivative_is_zero():
     assert Polynomial.constant(Fraction(7, 3)).derivative() == Polynomial.zero()
 
 
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError, match="float"):
+        Polynomial([0.1])
+    with pytest.raises(TypeError, match="float"):
+        Polynomial((1, 0.5))
+    assert Polynomial(["1/10", 2]).coeffs == (Fraction(1, 10), Fraction(2))
+
+
 def test_trailing_zeros_are_stripped():
     assert Polynomial((1, 0, 0)).coeffs == (Fraction(1),)
     assert Polynomial((0, 0)).is_zero()

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2cohom.polynomials import Polynomial
+from sl2cohom.polynomials import Polynomial, parse_rational
 from sl2cohom.weights import (
     GENERATORS,
     Weights,
@@ -81,3 +81,16 @@ def test_weights_json_roundtrip():
 def test_weights_requires_an_argument():
     with pytest.raises(ValueError):
         Weights((), Fraction(0))
+
+
+def test_float_weights_are_refused():
+    # 0.1 + 0.2 - 0.3 is not 0 in binary floating point: the shift would be
+    # -1/36028797018963968 and natural_delta() None, a different module.
+    with pytest.raises(TypeError, match="float"):
+        Weights((0.1, 0.2), 0.3)
+    with pytest.raises(TypeError, match="float"):
+        Weights((Fraction(0),), 1.0)
+    # the decimal strings the command line passes stay exact
+    w = Weights(tuple(parse_rational(v) for v in ("0.1", "0.2")), parse_rational("0.3"))
+    assert w.lambdas == (Fraction(1, 10), Fraction(1, 5))
+    assert w.natural_delta() == 0
