@@ -54,7 +54,7 @@ from .closedform import classify
 from .linalg import sparse_prefix_ranks, sparse_rank
 from .multiindices import MultiIndex, enumerate_up_to, index_weight, sub_unit
 from .operators import DiffOperator, act_on_operator
-from .polynomials import Polynomial
+from .polynomials import Polynomial, Scalar, as_int
 from .weights import GENERATORS, SL2Generator, Weights, bracket
 
 ArgTuple = tuple[SL2Generator, ...]
@@ -256,7 +256,7 @@ def basis_cochain(w: Weights, element: BlockElement) -> Cochain:
 #: position i, j is that degree and sign = (-1)^i; otherwise j is None.  c
 #: sums (-1)^(r+s) c' sigma over the pairs r < s of T whose bracket c' gen,
 #: put in front of the rest of T, re-sorts to S with permutation sign sigma.
-DifferentialTerm = tuple[ArgTuple, Optional[int], int, Fraction]
+DifferentialTerm = tuple[ArgTuple, Optional[int], int, Scalar]
 
 
 def _differential_table(p: int) -> dict[ArgTuple, tuple[DifferentialTerm, ...]]:
@@ -283,7 +283,7 @@ def _differential_table(p: int) -> dict[ArgTuple, tuple[DifferentialTerm, ...]]:
             source, sigma = sorted_sign
             entry = terms[source].setdefault(target, [None, 0, Fraction(0)])
             entry[2] += (-1) ** (i + j) * coeff * sigma
-    return {source: tuple((t, j, sign, c) for t, (j, sign, c) in by_target.items()
+    return {source: tuple((t, j, sign, as_int(c)) for t, (j, sign, c) in by_target.items()
                           if j is not None or c)
             for source, by_target in terms.items()}
 
@@ -294,7 +294,7 @@ _DIFFERENTIAL_TABLES = {p: _differential_table(p) for p in range(3)}
 def block_matrix(p: int, tr: Truncation, w: Weights,
                  source: Optional[list[BlockElement]] = None,
                  target: Optional[list[BlockElement]] = None,
-                 ) -> list[dict[int, Fraction]]:
+                 ) -> list[dict[int, Scalar]]:
     """Columns of the differential block_p -> block_{p+1} as sparse vectors.
 
     Each column is written straight from the closed form of d on the basis
@@ -306,10 +306,12 @@ def block_matrix(p: int, tr: Truncation, w: Weights,
                                                   for j = 2 and each a_i > 0,
         c                                         at (m, alpha, T).
 
-    Entries are exact Fractions; coordinates whose terms cancel are
-    dropped.  Raising the degree preserves the eigenvalue and never
-    increases |alpha|, so every image coordinate must land in the target
-    basis; a coordinate falling outside it is a hard error, not a
+    Entries are exact: ``int`` where delta and every 2 lambda_i are
+    integers (delta always is on a nonempty eigenvalue block), else
+    ``Fraction``, which the echelon's intake clears.  Coordinates whose
+    terms cancel are dropped.  Raising the degree preserves the eigenvalue
+    and never increases |alpha|, so every image coordinate must land in the
+    target basis; a coordinate falling outside it is a hard error, not a
     truncation.
     """
     if source is None:
@@ -318,12 +320,13 @@ def block_matrix(p: int, tr: Truncation, w: Weights,
         target = weight_block_basis(p + 1, tr, w)
     index = {elem: i for i, elem in enumerate(target)}
     table = _DIFFERENTIAL_TABLES[p]
-    delta = w.delta()
-    lowering: dict[tuple[int, int], Fraction] = {}
+    delta = as_int(w.delta())
+    twice_lambdas = [as_int(2 * lam) for lam in w.lambdas]
+    lowering: dict[tuple[int, int], Scalar] = {}
     columns = []
     for m, alpha, args in source:
         order_shift = delta - index_weight(alpha)
-        image: dict[BlockElement, Fraction] = {}
+        image: dict[BlockElement, Scalar] = {}
         for tup, j, sign, c in table[args]:
             if c:
                 key = (m, alpha, tup)
@@ -342,11 +345,11 @@ def block_matrix(p: int, tr: Truncation, w: Weights,
                     continue
                 factor = lowering.get((i, a))
                 if factor is None:
-                    factor = lowering[(i, a)] = a * (a + 2 * w.lambdas[i] - 1)
+                    factor = lowering[(i, a)] = a * (a + twice_lambdas[i] - 1)
                 key = (m, sub_unit(alpha, i), tup)
                 prev = image.get(key)
                 image[key] = -sign * factor if prev is None else prev - sign * factor
-        column: dict[int, Fraction] = {}
+        column: dict[int, Scalar] = {}
         for key, value in image.items():
             if value:
                 pos = index.get(key)

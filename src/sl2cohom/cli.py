@@ -6,7 +6,9 @@ or JSON, ``verify`` runs the sweep cross-check gate, and ``basis`` exports
 a spanning set of cocycle representatives.  Weights are passed as exact
 rational strings; no floats are parsed anywhere, so the natural-shift
 predicate stays exact.  Exit codes: 0 success, 1 method disagreement in
-``verify``, 2 usage error, 3 unwritable output.
+``verify``, 2 usage error, 3 unwritable output.  An instance above one of
+the size ceilings below is a usage error, refused before anything is
+enumerated.
 """
 
 from __future__ import annotations
@@ -19,13 +21,35 @@ from typing import Optional, Sequence
 
 from .cecomplex import brute_force_h2, default_alpha_max
 from .closedform import classify, dim_h2_closed_form, dim_h2_summary_table
+from .multiindices import multiset_coeff
 from .polynomials import format_rational, parse_rational
 from .reduced import cocycle_basis, cocycle_residual, dim_h2_via_system
-from .sweep import rows_to_csv, rows_to_json, run_sweep, verify_rows
+from .sweep import (
+    largest_oracle_k,
+    nonresonant_weights,
+    rows_to_csv,
+    rows_to_json,
+    run_sweep,
+    verify_rows,
+)
 from .weights import Weights
 
 USAGE_EXIT = 2
 IO_EXIT = 3
+
+# Size ceilings, each set where one evaluation takes seconds, not minutes
+# (timings: 2 vCPU, Python 3.11.7, slowest resonant t found).
+#: Equations C(n + k - 2, k - 1) of the constraint system the ``system``
+#: method ranks: 4,960 took 4.5 s (n = 4, k = 30, t = (15, 15, 15, 15));
+#: 9,880 took 27 s (n = 4, k = 38).
+MAX_SYSTEM_EQUATIONS = 5_000
+#: Candidate cochains 3 C(cap + n, n) of the oracle's largest block, at
+#: cap = alpha_max + 2: 17,955 took 2.1 s (n = 4, k = 12) and 25,704 took
+#: 8.9 s and 118 MiB (n = 5, k = 8).
+MAX_ORACLE_BLOCK = 25_000
+#: Cells C(n + k - 2, k - 1) C(n + k - 1, k) of the dense constraint matrix
+#: ``basis`` derives: 10^6 cells took 2.1 s and 80 MiB (n = 2, k = 1000).
+MAX_BASIS_CELLS = 1_000_000
 
 ALL_METHODS = ("system", "closed", "summary", "oracle")
 
@@ -82,6 +106,33 @@ def _parse_methods(raw: Optional[str], default: Sequence[str]) -> tuple[str, ...
     return methods
 
 
+def _check_ceiling(what: str, size: int, unit: str, ceiling: int) -> None:
+    if size > ceiling:
+        raise UsageError(f"{what} has {size} {unit}, above the ceiling of {ceiling}")
+
+
+def _check_system_size(n: int, k: int) -> None:
+    _check_ceiling(f"the constraint system at n = {n}, k = {k}",
+                   multiset_coeff(n, k - 1), "equations", MAX_SYSTEM_EQUATIONS)
+
+
+def _check_oracle_size(n: int, alpha_max: int) -> None:
+    # 3 tuples times #{alpha : |alpha| <= alpha_max + 2}: what the oracle enumerates
+    _check_ceiling(f"the oracle's largest block at n = {n}, alpha_max = {alpha_max}",
+                   3 * multiset_coeff(n + 1, alpha_max + 2), "candidate cochains",
+                   MAX_ORACLE_BLOCK)
+
+
+def _check_sweep_size(n: int, k_max: int, methods: Sequence[str], policy: str,
+                      alpha_max: Optional[int]) -> None:
+    """The ceilings at the sweep's largest row; every row runs the system method."""
+    _check_system_size(n, k_max)
+    k = largest_oracle_k(policy, n, k_max) if "oracle" in methods else None
+    if k is not None:
+        _check_oracle_size(n, alpha_max if alpha_max is not None
+                           else default_alpha_max(nonresonant_weights(n, k)))
+
+
 def _write_output(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -96,6 +147,12 @@ def _write_output(text: str, path: Optional[str]) -> None:
 def _cmd_dim(args: argparse.Namespace) -> int:
     w = _parse_weights(args)
     methods = _parse_methods(args.methods, ("system", "closed", "oracle"))
+    k = w.natural_delta()
+    amax = args.alpha_max if args.alpha_max is not None else default_alpha_max(w)
+    if "system" in methods and k is not None:
+        _check_system_size(w.n, k)
+    if "oracle" in methods and w.delta().denominator == 1:
+        _check_oracle_size(w.n, amax)  # otherwise every block is empty
     tag = classify(w)
     results = []
     for method in methods:
@@ -116,7 +173,6 @@ def _cmd_dim(args: argparse.Namespace) -> int:
                 "weights": w.to_json_dict(), "case": tag.describe(),
             })
         else:
-            amax = args.alpha_max if args.alpha_max is not None else default_alpha_max(w)
             results.append(brute_force_h2(w, amax).to_json_dict())
     _write_output(json.dumps(results, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -124,6 +180,7 @@ def _cmd_dim(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     methods = _parse_methods(args.methods, ("system", "closed", "summary", "oracle"))
+    _check_sweep_size(args.n, args.k_max, methods, args.oracle, args.alpha_max)
     rows = run_sweep(args.n, args.k_max, methods, oracle_policy=args.oracle,
                      alpha_max=args.alpha_max)
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
@@ -140,7 +197,9 @@ def _perturb_first_entry(matrix):
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     perturb = _perturb_first_entry if args.self_test_perturb else None
-    rows = run_sweep(args.n, args.k_max, ("system", "closed", "summary", "oracle"),
+    methods = ("system", "closed", "summary", "oracle")
+    _check_sweep_size(args.n, args.k_max, methods, args.oracle, args.alpha_max)
+    rows = run_sweep(args.n, args.k_max, methods,
                      oracle_policy=args.oracle, alpha_max=args.alpha_max,
                      perturb=perturb)
     report = verify_rows(rows)
@@ -158,6 +217,10 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         print("H^2 = 0, empty basis")
         _write_output(json.dumps([], indent=2) + "\n", args.out)
         return 0
+    k = w.natural_delta()
+    _check_ceiling(f"the dense constraint matrix at n = {w.n}, k = {k}",
+                   multiset_coeff(w.n, k - 1) * multiset_coeff(w.n, k), "cells",
+                   MAX_BASIS_CELLS)
     basis = cocycle_basis(w)
     for element in basis:
         if cocycle_residual(element):

@@ -1,20 +1,28 @@
-"""Exact linear algebra over the rationals, on one sparse echelon.
+"""Exact linear algebra over the rationals, on one fraction-free sparse echelon.
 
 Every rank, kernel and solve runs the same elimination: vectors are stored
 as dictionaries {index: value} of their nonzero entries and inserted one at
-a time into an echelon keyed by leading (minimal) index, each new row
-normalised to leading coefficient 1.  ``kernel_basis`` and ``solve``
-back-substitute that echelon to the reduced row echelon form, which is
-unique, so their results do not depend on the order of elimination.  The
-dense ``RationalMatrix`` holds the structured systems built elsewhere and
-hands its nonzero entries to the engine; the large, very sparse block
-matrices of the truncated cochain complex go to it directly, and one pass
-can report the rank of every leading prefix.
+a time into an echelon keyed by leading (minimal) index.  The elimination
+is fraction-free (Bareiss, Math. Comp. 22, 1968): each incoming vector has
+its denominators cleared once and is divided by its content, a floating
+point entry being refused; it is reduced by v <- a v - b row, with a and b
+the two pivot entries divided by their gcd; and every echelon row is
+stored as a primitive ``int`` row.  No ``Fraction`` arithmetic runs inside
+the elimination.  ``kernel_basis`` and ``solve`` back-substitute the same
+integer echelon to the reduced row echelon form, which is unique up to the
+scale of each row, so their results do not depend on the order of
+elimination; only when reading results off do they divide by the leading
+entry and return ``Fraction`` values.  The dense ``RationalMatrix`` holds
+the systems that need a dense view and hands its nonzero entries to the
+engine; sparse rows, such as the block matrices of the truncated cochain
+complex, go to it directly, and one pass can report the rank of every
+leading prefix.  There is one engine; no other elimination routine exists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .polynomials import Scalar, exact, format_rational, parse_rational
@@ -69,18 +77,19 @@ class RationalMatrix:
     def mat_vec(self, vec: Sequence[Scalar]) -> list[Fraction]:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        vec = [Fraction(v) for v in vec]
+        vec = [exact(v) for v in vec]
         return [sum((a * b for a, b in zip(row, vec)), Fraction(0))
                 for row in self.entries]
 
     def scale_row(self, i: int, c: Scalar) -> "RationalMatrix":
         out = [list(r) for r in self.entries]
-        out[i] = [Fraction(c) * v for v in out[i]]
+        c = exact(c)
+        out[i] = [c * v for v in out[i]]
         return RationalMatrix(out, cols=self.cols)
 
     def with_entry(self, i: int, j: int, value: Scalar) -> "RationalMatrix":
         out = [list(r) for r in self.entries]
-        out[i][j] = Fraction(value)
+        out[i][j] = exact(value)
         return RationalMatrix(out, cols=self.cols)
 
     def to_csv(self, row_labels: Optional[Sequence[str]] = None,
@@ -118,20 +127,20 @@ def _sparse_rows(matrix: RationalMatrix) -> list[dict[int, Fraction]]:
     return [{j: v for j, v in enumerate(row) if v} for row in matrix.entries]
 
 
-def _reduced_echelon(vectors: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+def _reduced_echelon(vectors: list[dict[int, Scalar]]) -> dict[int, dict[int, int]]:
     """Reduced row echelon form of the span, keyed by leading index.
 
     Echelonise, then back-substitute from the largest leading index down, so
-    each row is zero at every other row's leading index.  The reduced form
-    of a span is unique, so the result does not depend on insertion order.
+    each row is zero at every other row's leading index.  Rows stay
+    primitive integer rows; row / row[lead] is the reduced form, which is
+    unique, so the result does not depend on insertion order.
     """
-    echelon: dict[int, dict[int, Fraction]] = {}
-    for vec in vectors:
-        _echelon_insert(vec, echelon)
+    echelon = _echelon(vectors)
     for lead in sorted(echelon, reverse=True):
         row = echelon[lead]
         for pivot in [i for i in row if i != lead and i in echelon]:
-            _subtract_multiple(row, row[pivot], echelon[pivot])
+            row = _eliminate(row, pivot, echelon[pivot])
+        echelon[lead] = _primitive(row)
     return echelon
 
 
@@ -154,7 +163,7 @@ def kernel_basis(matrix: RationalMatrix) -> list[list[Fraction]]:
         vec = [Fraction(0)] * matrix.cols
         vec[free] = Fraction(1)
         for lead, row in echelon.items():
-            vec[lead] = -row.get(free, Fraction(0))
+            vec[lead] = Fraction(-row.get(free, 0), row[lead])
         basis.append(vec)
     return basis
 
@@ -169,14 +178,15 @@ def solve(matrix: RationalMatrix, rhs: Sequence[Scalar]) -> Optional[list[Fracti
         raise ValueError("dimension mismatch")
     rows = _sparse_rows(matrix)
     for row, v in zip(rows, rhs):
+        v = exact(v)
         if v:
-            row[matrix.cols] = Fraction(v)
+            row[matrix.cols] = v
     echelon = _reduced_echelon(rows)
     if matrix.cols in echelon:
         return None
     x = [Fraction(0)] * matrix.cols
     for lead, row in echelon.items():
-        x[lead] = row.get(matrix.cols, Fraction(0))
+        x[lead] = Fraction(row.get(matrix.cols, 0), row[lead])
     return x
 
 
@@ -192,62 +202,31 @@ def column_space_echelon(matrix: RationalMatrix) -> list[dict[int, Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# Sparse routines on dictionary vectors {index: value}.
+# The engine: a fraction-free echelon of sparse vectors {index: value}.
 # ---------------------------------------------------------------------------
 
 
-def sparse_echelon(vectors: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
+def sparse_echelon(vectors: list[dict[int, Scalar]]) -> list[dict[int, Fraction]]:
     """Reduce a list of sparse vectors to an independent echelon set.
 
     Each returned vector is normalised to leading coefficient 1 at its
     minimal index, and the leading indices are pairwise distinct.
     """
-    echelon: dict[int, dict[int, Fraction]] = {}
-    for vec in vectors:
-        _echelon_insert(vec, echelon)
-    return [echelon[lead] for lead in sorted(echelon)]
+    echelon = _echelon(vectors)
+    out = []
+    for lead in sorted(echelon):
+        row = echelon[lead]
+        pivot = row[lead]
+        out.append({i: Fraction(c, pivot) for i, c in row.items()})
+    return out
 
 
-def _echelon_insert(vec: dict[int, Fraction],
-                    echelon: dict[int, dict[int, Fraction]]) -> None:
-    """Reduce vec against echelon and keep the remainder, if any, as a new row."""
-    v = sparse_reduce(vec, echelon)
-    if v:
-        lead = min(v)
-        lv = v[lead]
-        echelon[lead] = {i: c / lv for i, c in v.items()}
-
-
-def sparse_reduce(vec: dict[int, Fraction],
-                  echelon: dict[int, dict[int, Fraction]]) -> dict[int, Fraction]:
-    """Reduce vec against echelon rows keyed by leading index."""
-    v = dict(vec)
-    while v:
-        lead = min(v)
-        row = echelon.get(lead)
-        if row is None:
-            return v
-        _subtract_multiple(v, v[lead], row)
-    return v
-
-
-def _subtract_multiple(v: dict[int, Fraction], factor: Fraction,
-                       row: dict[int, Fraction]) -> None:
-    """v -= factor * row in place, dropping the entries that cancel."""
-    for i, c in row.items():
-        newval = v.get(i, Fraction(0)) - factor * c
-        if newval == 0:
-            v.pop(i, None)
-        else:
-            v[i] = newval
-
-
-def sparse_rank(vectors: list[dict[int, Fraction]]) -> int:
+def sparse_rank(vectors: list[dict[int, Scalar]]) -> int:
     """Rank of the span of sparse vectors, by incremental echelon reduction."""
-    return len(sparse_echelon(vectors))
+    return len(_echelon(vectors))
 
 
-def sparse_prefix_ranks(vectors: list[dict[int, Fraction]],
+def sparse_prefix_ranks(vectors: list[dict[int, Scalar]],
                         cuts: Sequence[int]) -> list[int]:
     """Rank of vectors[:cut] for each cut, from one incremental echelon pass.
 
@@ -256,12 +235,77 @@ def sparse_prefix_ranks(vectors: list[dict[int, Fraction]],
     """
     if any(cut < 0 for cut in cuts):
         raise ValueError("prefix lengths must be nonnegative")
-    echelon: dict[int, dict[int, Fraction]] = {}
+    echelon: dict[int, dict[int, int]] = {}
     rank_at: dict[int, int] = {}
     done = 0
     for cut in sorted(set(cuts)):
         for vec in vectors[done:cut]:
-            _echelon_insert(vec, echelon)
+            _insert(vec, echelon)
         done = cut
         rank_at[cut] = len(echelon)
     return [rank_at[cut] for cut in cuts]
+
+
+def _echelon(vectors: list[dict[int, Scalar]]) -> dict[int, dict[int, int]]:
+    """Echelon of primitive integer rows keyed by leading (minimal) index."""
+    echelon: dict[int, dict[int, int]] = {}
+    for vec in vectors:
+        _insert(vec, echelon)
+    return echelon
+
+
+def _insert(vec: dict[int, Scalar], echelon: dict[int, dict[int, int]]) -> None:
+    """Reduce vec against echelon and keep the remainder, if any, as a new row."""
+    v = _intake(vec)
+    while v:
+        lead = min(v)
+        row = echelon.get(lead)
+        if row is None:
+            echelon[lead] = _primitive(v)
+            return
+        v = _eliminate(v, lead, row)
+
+
+def _intake(vec: dict[int, Scalar]) -> dict[int, int]:
+    """vec as a primitive integer vector of its nonzero entries.
+
+    Denominators are cleared once, by their lcm; a float is refused.
+    """
+    try:
+        g = gcd(*vec.values())
+    except TypeError:  # a Fraction, or a float that exact refuses
+        q = {i: exact(c) for i, c in vec.items()}
+        den = lcm(*(c.denominator for c in q.values()))
+        return _primitive({i: c.numerator * (den // c.denominator)
+                           for i, c in q.items() if c})
+    if g > 1:
+        return {i: c // g for i, c in vec.items() if c}
+    return {i: c for i, c in vec.items() if c}
+
+
+def _primitive(v: dict[int, int]) -> dict[int, int]:
+    """v divided by the gcd of its entries."""
+    g = gcd(*v.values())
+    if g > 1:
+        return {i: c // g for i, c in v.items()}
+    return v
+
+
+def _eliminate(v: dict[int, int], at: int, row: dict[int, int]) -> dict[int, int]:
+    """a v - b row, which vanishes at ``at``; entries that cancel are dropped.
+
+    a and b are row[at] and v[at] divided by their gcd.  v may be updated in
+    place; row is not.
+    """
+    b, a = v[at], row[at]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        v = {i: a * c for i, c in v.items()}
+    for i, c in row.items():
+        new = v.get(i, 0) - b * c
+        if new:
+            v[i] = new
+        else:
+            del v[i]
+    return v

@@ -32,7 +32,7 @@ from .multiindices import (
     parse_multiindex,
     sub_unit,
 )
-from .polynomials import Polynomial, Scalar
+from .polynomials import Polynomial, Scalar, exact
 from .weights import SL2Generator, Weights, lie_derivative_density
 
 
@@ -120,7 +120,7 @@ class DiffOperator:
         return self + (-other)
 
     def scale(self, c: Scalar) -> "DiffOperator":
-        c = Fraction(c)
+        c = exact(c)
         return DiffOperator(self.weights,
                             {a: p.scale(c) for a, p in self.terms.items()})
 

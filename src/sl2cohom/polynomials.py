@@ -33,6 +33,11 @@ def exact(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
+def as_int(value: Scalar) -> Scalar:
+    """value as an int when it is integral, else the Fraction unchanged."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def format_rational(value: Scalar) -> str:
     """Canonical text form: "p/q" with q > 0 and gcd(|p|, q) = 1, or "p"."""
     return str(Fraction(value))
@@ -128,7 +133,7 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        if isinstance(other, (Fraction, int)):
+        if not isinstance(other, Polynomial):
             return self.scale(other)
         if not self.coeffs or not other.coeffs:
             return Polynomial(())
@@ -145,7 +150,7 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
+        c = exact(c)
         if c == 0:
             return Polynomial(())
         return Polynomial._raw([c * a for a in self.coeffs])

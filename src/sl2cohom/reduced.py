@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional
 
 from . import linalg
@@ -61,7 +62,7 @@ from .multiindices import (
     multiset_coeff,
 )
 from .operators import DiffOperator
-from .polynomials import Polynomial, X
+from .polynomials import Polynomial, Scalar, X, as_int, exact
 from .weights import SL2Generator, Weights
 
 FamilyMap = dict[MultiIndex, Polynomial]
@@ -346,7 +347,9 @@ class LinearSystem:
     Rows are indexed by multi-indices of weight k - 1 (the equations),
     columns by multi-indices of weight k (the unknowns), both in graded-lex
     order.  The row for a has entry (a_i + 1)(a_i + 2 lambda_i) in the
-    column of a + e_i and zero elsewhere.
+    column of a + e_i and zero elsewhere.  ``equations`` holds each row as
+    a sparse vector {column: entry} of its nonzero entries, ``int`` when
+    2 lambda_i is an integer; the dense ``matrix`` is derived on demand.
     """
 
     n: int
@@ -354,10 +357,18 @@ class LinearSystem:
     lambdas: tuple[Fraction, ...]
     row_index: tuple[MultiIndex, ...]
     col_index: tuple[MultiIndex, ...]
-    matrix: RationalMatrix
+    equations: tuple[dict[int, Scalar], ...]
+
+    @cached_property
+    def matrix(self) -> RationalMatrix:
+        dense = [[0] * len(self.col_index) for _ in self.equations]
+        for row, equation in zip(dense, self.equations):
+            for j, c in equation.items():
+                row[j] = c
+        return RationalMatrix(dense, cols=len(self.col_index))
 
     def rank(self) -> int:
-        return linalg.rank(self.matrix)
+        return linalg.sparse_rank(list(self.equations))
 
     def kernel_basis(self) -> list[list[Fraction]]:
         return linalg.kernel_basis(self.matrix)
@@ -372,30 +383,31 @@ class LinearSystem:
             col_labels=[format_multiindex(b) for b in self.col_index])
 
     def with_rows(self, keep: list[int]) -> "LinearSystem":
-        rows = [self.matrix.row(i) for i in keep]
         return LinearSystem(
             self.n, self.k, self.lambdas,
             tuple(self.row_index[i] for i in keep),
             self.col_index,
-            RationalMatrix(rows, cols=self.matrix.cols))
+            tuple(self.equations[i] for i in keep))
 
 
 def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
     """The constraint system; empty (zero rows) when k = 0."""
     if len(lambdas) != n:
         raise ValueError("lambda tuple length must equal n")
-    lambdas = tuple(Fraction(v) for v in lambdas)
+    lambdas = tuple(exact(v) for v in lambdas)
+    twice_lambdas = [as_int(2 * lam) for lam in lambdas]
     rows = tuple(enumerate_multiindices(n, k - 1))
     cols = tuple(enumerate_multiindices(n, k))
     col_pos = {c: j for j, c in enumerate(cols)}
-    entries = []
+    equations = []
     for alpha in rows:
-        row = [Fraction(0)] * len(cols)
-        for i in range(n):
-            row[col_pos[add_unit(alpha, i)]] = _pair_factor(alpha, i, lambdas)
-        entries.append(row)
-    return LinearSystem(n, k, lambdas, rows, cols,
-                        RationalMatrix(entries, cols=len(cols)))
+        equation = {}
+        for i, a in enumerate(alpha):
+            factor = (a + 1) * (a + twice_lambdas[i])
+            if factor:
+                equation[col_pos[add_unit(alpha, i)]] = factor
+        equations.append(equation)
+    return LinearSystem(n, k, lambdas, rows, cols, tuple(equations))
 
 
 def split_systems(sys: LinearSystem, t1: int) -> tuple[LinearSystem, LinearSystem, LinearSystem]:
@@ -419,17 +431,15 @@ def split_systems(sys: LinearSystem, t1: int) -> tuple[LinearSystem, LinearSyste
     s2 = sys.with_rows(s2_rows)
     prime_rows = [i for i, a in enumerate(sys.row_index) if a[0] == t1 - 1]
     col_pos = {c: j for j, c in enumerate(sys.col_index)}
-    entries = []
+    equations = []
     for i in prime_rows:
-        row = sys.matrix.row(i)
-        alpha = sys.row_index[i]
-        row[col_pos[add_unit(alpha, 0)]] = Fraction(0)
-        entries.append(row)
+        dropped = col_pos[add_unit(sys.row_index[i], 0)]
+        equations.append({j: c for j, c in sys.equations[i].items() if j != dropped})
     s1prime = LinearSystem(
         sys.n, sys.k, sys.lambdas,
         tuple(sys.row_index[i] for i in prime_rows),
         sys.col_index,
-        RationalMatrix(entries, cols=sys.matrix.cols))
+        tuple(equations))
     return s1, s2, s1prime
 
 

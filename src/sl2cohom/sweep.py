@@ -138,12 +138,23 @@ class SweepRow:
         }
 
 
+#: ``oracle_policy="auto"`` runs the oracle on the rows with n <= 2, k <= 4.
+AUTO_ORACLE_MAX_N = 2
+AUTO_ORACLE_MAX_K = 4
+
+
 def _oracle_wanted(policy: str, n: int, k: int) -> bool:
     if policy == "on":
         return True
     if policy == "off":
         return False
-    return n <= 2 and k <= 4
+    return n <= AUTO_ORACLE_MAX_N and k <= AUTO_ORACLE_MAX_K
+
+
+def largest_oracle_k(policy: str, n: int, k_max: int) -> Optional[int]:
+    """The largest k of a sweep up to k_max whose rows run the oracle, if any."""
+    k = min(k_max, AUTO_ORACLE_MAX_K) if policy == "auto" else k_max
+    return k if _oracle_wanted(policy, n, k) else None
 
 
 def evaluate_row(w: Weights, k: int, t: Optional[tuple[int, ...]],

@@ -1,0 +1,66 @@
+"""The program names the benchmark's tracer binds must keep existing.
+
+``perfbench/tracing.py`` rebinds functions of ``sl2cohom`` by name and its
+hooks read some of their arguments and results; a refactor that renames
+one of them would break ``python3 perfbench/run.py --trace 1``.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import json
+from fractions import Fraction
+from pathlib import Path
+
+from sl2cohom import reduced, sweep
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    tracing = _tracing()
+    for modname, attr in tracing.SPAN_TARGETS:
+        assert callable(getattr(importlib.import_module(f"sl2cohom.{modname}"), attr))
+    for modname, clsname, attr in tracing.COUNTED_METHODS:
+        cls = getattr(importlib.import_module(f"sl2cohom.{modname}"), clsname)
+        assert attr in cls.__dict__
+    # argument names the hooks read
+    for modname, attr, params in (("linalg", "rank", {"matrix"}),
+                                  ("linalg", "sparse_rank", {"vectors"}),
+                                  ("cecomplex", "block_matrix", {"p", "tr", "w", "source"})):
+        fn = getattr(importlib.import_module(f"sl2cohom.{modname}"), attr)
+        assert params <= set(inspect.signature(fn).parameters), (modname, attr)
+
+
+def test_build_system_matrix_keeps_the_fields_the_hook_reads():
+    system = reduced.build_system(3, 3, (Fraction(0), Fraction(-1, 2), Fraction(-1)))
+    matrix = system.matrix
+    assert (matrix.rows, matrix.cols) == (len(system.row_index), len(system.col_index))
+    assert sum(1 for row in matrix.entries for v in row if v) == \
+        sum(len(equation) for equation in system.equations)
+
+
+def test_a_traced_pass_yields_every_per_layer_metric():
+    tracing = _tracing()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    configs = sweep.sweep_configurations(2, 2)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for index, (w, k, t) in enumerate(configs):
+            tracer.set_config(index)
+            sweep.evaluate_row(w, k, t, ("system", "closed", "summary", "oracle"), "on")
+            for f in reduced.cocycle_basis(w) if w.natural_delta() is not None else []:
+                reduced.solve_coboundary(f)
+    metrics = tracer.layer_metrics([name for name in names if not name.startswith("trace.")])
+    assert metrics["sweep.evaluate_row.calls"] == len(configs)
+    assert metrics["reduced.build_system.nnz"] > 0
+    assert metrics["cecomplex.block_matrix.columns"] > 0
+    assert metrics["reduced.solve_coboundary.calls"] > 0

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,21 @@ def test_brute_force_matches_rank_deficiency():
         assert result.dim == rank_data(w)[2]
 
 
+def test_brute_force_matches_rank_deficiency_at_n4_k4_and_n3_k5():
+    """The stable oracle equals ell on seeded resonant rows beyond the
+    default sweeps' oracle range, within a 10 s budget."""
+    rng = random.Random(2024)
+    rows = [(4, 4, tuple(rng.randrange(4) for _ in range(4))) for _ in range(12)]
+    rows += [(3, 5, tuple(rng.randrange(5) for _ in range(3))) for _ in range(12)]
+    start = time.perf_counter()
+    for n, k, t in rows:
+        w = weights_for_tvector(n, k, t)
+        result = brute_force_h2(w)
+        assert result.stable, t
+        assert result.dim == rank_data(w)[2], t
+    assert time.perf_counter() - start < 10
+
+
 def test_default_alpha_max():
     assert default_alpha_max(Weights((Fraction(0),), Fraction(2))) == 5
     assert default_alpha_max(Weights((Fraction(1, 3),), Fraction(0))) == 3
@@ -207,7 +223,8 @@ def test_block_dimension_stable_across_truncations():
 
 
 #: (weights, caps, eigenvalue block): n = 1, 2, 3, resonant and not, a
-#: non-integral shift (empty blocks) and a nonzero eigenvalue block.
+#: non-integral shift (empty blocks), a non-half-integral lambda with an
+#: integral shift, and a nonzero eigenvalue block.
 PREFIX_CASES = [
     (weights_for_tvector(1, 2, (0,)), [1, 2, 3, 4], 0),
     (nonresonant_weights(1, 2), [1, 2, 3, 4], 0),
@@ -216,6 +233,7 @@ PREFIX_CASES = [
     (weights_for_tvector(3, 2, (0, 1, 0)), [1, 2, 3], 0),
     (nonresonant_weights(3, 1), [1, 2, 3], 0),
     (Weights((Fraction(1, 3),), Fraction(0)), [1, 2, 3], 0),
+    (Weights((Fraction(1, 3), Fraction(0)), Fraction(7, 3)), [1, 2, 3, 4], 0),
     (Weights((Fraction(0), Fraction(0)), Fraction(1)), [1, 2, 3, 4], 1),
 ]
 
@@ -246,11 +264,20 @@ def test_block_basis_at_a_cap_is_a_prefix_of_a_larger_cap():
 
 
 def test_block_matrix_coordinates_are_exact_fractions():
+    # int where delta and every 2 lambda_i are integers, else Fraction;
+    # never a float or a bool
+    seen = set()
     for w, caps, weight in PREFIX_CASES:
         tr = Truncation(max(caps), weight)
+        integral = all((2 * lam).denominator == 1 for lam in w.lambdas)
         for p in (1, 2):
             for column in block_matrix(p, tr, w):
-                assert all(type(c) is Fraction for c in column.values())
+                assert all(type(c) in (int, Fraction) for c in column.values())
+                if integral:
+                    assert all(type(c) is int for c in column.values())
+                seen.update(type(c) for c in column.values())
+    # lambda_1 = 1/3 with delta = 2 gives a nonempty block with Fraction entries
+    assert seen == {int, Fraction}
 
 
 def _generic_block_matrix(w, source, target):
@@ -284,7 +311,7 @@ def test_block_matrix_equals_generic_coboundary():
             for p in range(3):
                 columns = block_matrix(p, tr, w, bases[p], bases[p + 1])
                 assert columns == _generic_block_matrix(w, bases[p], bases[p + 1])
-                assert all(type(c) is Fraction for col in columns for c in col.values())
+                assert all(type(c) in (int, Fraction) for col in columns for c in col.values())
     # Outside any one eigenvalue block: every monomial degree up to 3, so a
     # non-integral shift (-1/3, 2/5) and half-integral lambda give columns too.
     for w in (SAMPLED_WEIGHTS[1], SAMPLED_WEIGHTS[2], SAMPLED_WEIGHTS[7]):
@@ -294,7 +321,7 @@ def test_block_matrix_equals_generic_coboundary():
             columns = block_matrix(p, Truncation(2), w, source, target)
             assert columns == _generic_block_matrix(w, source, target)
             assert any(columns)
-            assert all(type(c) is Fraction for col in columns for c in col.values())
+            assert all(type(c) in (int, Fraction) for col in columns for c in col.values())
 
 
 def test_block_matrix_refuses_a_target_missing_an_image_coordinate():

@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+from sl2cohom import cli
 from sl2cohom.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, capsys):
@@ -75,6 +83,55 @@ def test_input_too_large_is_usage_error(capsys):
                            capsys)
     assert code == 2
     assert "too large" in err
+
+
+def test_oversized_dim_is_refused_within_seconds():
+    # both used to run without end: k = 10^400 enumerated before any check
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for argv, what in (
+        (["dim", "--n", "1", "--lambdas", "0", "--mu", "1e400", "--methods", "oracle"],
+         "candidate cochains"),
+        (["dim", "--n", "2", "--lambdas", "0,0", "--mu", "1e400", "--methods", "system"],
+         "equations"),
+    ):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "sl2cohom"] + argv, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 10, argv
+        assert proc.returncode == 2, argv
+        assert proc.stdout == "", argv
+        assert what in proc.stderr and "above the ceiling" in proc.stderr, argv
+
+
+def test_instances_above_a_ceiling_are_usage_errors(capsys):
+    for argv, what in (
+        (["dim", "--n", "2", "--lambdas", "0,0", "--mu", "1", "--methods", "oracle",
+          "--alpha-max", "300"], "candidate cochains"),
+        (["table", "--n", "2", "--k-max", "100000", "--oracle", "off"], "equations"),
+        (["verify", "--n", "4", "--k-max", "20", "--oracle", "on"], "candidate cochains"),
+        (["table", "--n", "3", "--k-max", "3", "--alpha-max", "60", "--oracle", "on"],
+         "candidate cochains"),
+        (["basis", "--n", "2", "--lambdas", "0,0", "--mu", "2000"], "cells"),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert out == "", argv
+        assert what in err and "above the ceiling" in err, argv
+    # the oracle ceiling only applies where blocks can be nonempty or the
+    # oracle runs: a non-integral shift, and auto beyond n <= 2
+    code, out, _ = run_cli(["dim", "--n", "1", "--lambdas", "1/3", "--mu", "0",
+                            "--methods", "oracle", "--alpha-max", "300"], capsys)
+    assert code == 0 and json.loads(out)[0]["dim"] == 0
+    cli._check_sweep_size(3, 9, cli.ALL_METHODS, "auto", 300)
+
+
+def test_ceilings_accept_every_documented_instance():
+    # the largest table, verify and benchmark sweeps of README, the tests
+    # and the benchmark, with and without the oracle
+    for n, k_max, policy in ((5, 5, "auto"), (5, 5, "on"), (4, 6, "off"),
+                             (4, 5, "off"), (4, 4, "on"), (3, 5, "on"), (2, 8, "on")):
+        cli._check_sweep_size(n, k_max, cli.ALL_METHODS, policy, None)
 
 
 def test_missing_subcommand_is_usage_error(capsys):

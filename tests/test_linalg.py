@@ -200,6 +200,96 @@ def test_csv_roundtrip():
     assert RationalMatrix.from_csv(text, labeled=True) == m
 
 
+@pytest.mark.parametrize("call", [
+    lambda: RationalMatrix([[1, 2]]).mat_vec([0.5, 1]),
+    lambda: RationalMatrix([[1, 2]]).scale_row(0, 0.5),
+    lambda: RationalMatrix([[1, 2]]).with_entry(0, 1, 0.5),
+    # used to return 3602879701896397/36028797018963968
+    lambda: solve(RationalMatrix([[1]]), [0.1]),
+    lambda: sparse_rank([{0: 1, 1: 0.5}]),
+    lambda: sparse_prefix_ranks([{0: Fraction(1, 3)}, {1: 0.5}], [2]),
+    lambda: sparse_echelon([{0: 0.0}]),
+], ids=["mat_vec", "scale_row", "with_entry", "solve_rhs", "sparse_rank",
+        "sparse_prefix_ranks", "sparse_echelon"])
+def test_float_is_refused_at_every_arithmetic_entry_point(call):
+    with pytest.raises(TypeError, match="float"):
+        call()
+
+
+def gauss_jordan(rows, ncols):
+    """Textbook Gauss-Jordan on dense Fraction rows: (reduced rows, pivot columns)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def dense(vectors, ncols):
+    return [[vec.get(j, 0) for j in range(ncols)] for vec in vectors]
+
+
+# mixed denominators; about a third zeros so zero vectors and deficiency are common
+mixed_entries = st.one_of(
+    st.just(0), st.just(0),
+    st.sampled_from([Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4), 2, -1, 3]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_engine_agrees_with_textbook_gauss_jordan(data):
+    ncols = data.draw(st.integers(1, 6))
+    vectors = data.draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), mixed_entries, max_size=ncols)
+        .map(lambda d: {i: v for i, v in d.items() if v}),
+        max_size=7))
+    m = RationalMatrix(dense(vectors, ncols), cols=ncols)
+    reduced, pivots = gauss_jordan(m.entries, ncols)
+
+    assert rank(m) == sparse_rank(vectors) == len(pivots)
+    cuts = data.draw(st.lists(st.integers(0, len(vectors)), max_size=6))
+    assert sparse_prefix_ranks(vectors, cuts) == [
+        len(gauss_jordan(dense(vectors[:cut], ncols), ncols)[1]) for cut in cuts]
+    echelon = sparse_echelon(vectors)
+    assert [min(row) for row in echelon] == pivots
+    assert all(row[min(row)] == 1 for row in echelon)
+
+    expected_kernel = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, lead in zip(reduced, pivots):
+            vec[lead] = -row[free]
+        expected_kernel.append(vec)
+    assert kernel_basis(m) == expected_kernel
+
+    rhs = data.draw(st.lists(mixed_entries, min_size=m.rows, max_size=m.rows))
+    augmented = [row + [Fraction(v)] for row, v in zip(m.entries, rhs)]
+    reduced, pivots = gauss_jordan(augmented, ncols + 1)
+    x = solve(m, rhs)
+    if ncols in pivots:
+        assert x is None
+    else:
+        expected = [Fraction(0)] * ncols
+        for row, lead in zip(reduced, pivots):
+            expected[lead] = row[ncols]
+        assert x == expected
+        assert all(type(v) is Fraction for v in x)
+
+
 def test_float_entries_are_refused():
     with pytest.raises(TypeError, match="float"):
         RationalMatrix([[1, 0.5], [0, 1]])

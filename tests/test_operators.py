@@ -150,3 +150,14 @@ def test_zero_terms_never_stored():
     assert list(op.terms) == [(1, 0)]
     diff = op - op
     assert diff.is_zero() and not diff.terms
+
+
+def test_float_scale_is_refused():
+    w = Weights((Fraction(0),), Fraction(1))
+    op = DiffOperator.elementary(w, (1,), Polynomial([1, 1]))
+    with pytest.raises(TypeError, match="float"):
+        op.scale(0.1)
+    with pytest.raises(TypeError, match="float"):
+        0.5 * op
+    assert op.scale(Fraction(1, 2)) == DiffOperator.elementary(
+        w, (1,), Polynomial([Fraction(1, 2), Fraction(1, 2)]))

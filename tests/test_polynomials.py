@@ -63,6 +63,17 @@ def test_float_coefficients_are_refused():
     assert Polynomial(["1/10", 2]).coeffs == (Fraction(1, 10), Fraction(2))
 
 
+def test_float_scale_is_refused():
+    # 0.1 used to become 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="float"):
+        Polynomial([1]).scale(0.1)
+    with pytest.raises(TypeError, match="float"):
+        0.5 * Polynomial([1, 2])
+    with pytest.raises(TypeError, match="float"):
+        Polynomial([1, 2]) * 0.5
+    assert Polynomial([1]).scale(Fraction(1, 10)).coeffs == (Fraction(1, 10),)
+
+
 def test_trailing_zeros_are_stripped():
     assert Polynomial((1, 0, 0)).coeffs == (Fraction(1),)
     assert Polynomial((0, 0)).is_zero()

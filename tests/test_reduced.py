@@ -165,6 +165,18 @@ def test_build_system_shape_and_entries():
     assert system.rank() == 3
 
 
+def test_build_system_rows_are_sparse_and_exact():
+    # the dense matrix is derived from the sparse rows; entries are int
+    # when 2 lambda_i is an integer, a Fraction otherwise, never a float
+    system = build_system(2, 2, (Fraction(-1, 2), Fraction(0)))
+    for equation, dense_row in zip(system.equations, system.matrix.entries):
+        assert equation == {j: v for j, v in enumerate(dense_row) if v}
+        assert all(type(v) is int for v in equation.values())
+    assert build_system(1, 2, (Fraction(1, 3),)).equations == ({0: Fraction(10, 3)},)
+    with pytest.raises(TypeError, match="float"):
+        build_system(1, 2, (0.1,))
+
+
 def test_system_csv_labels():
     system = build_system(2, 1, (Fraction(0), Fraction(0)))
     text = system.to_csv()
