@@ -47,9 +47,18 @@ MAX_SYSTEM_EQUATIONS = 5_000
 #: cap = alpha_max + 2: 17,955 took 2.1 s (n = 4, k = 12) and 25,704 took
 #: 8.9 s and 118 MiB (n = 5, k = 8).
 MAX_ORACLE_BLOCK = 25_000
-#: Cells C(n + k - 2, k - 1) C(n + k - 1, k) of the dense constraint matrix
-#: ``basis`` derives: 10^6 cells took 2.1 s and 80 MiB (n = 2, k = 1000).
+#: Cells C(n + k - 2, k - 1) C(n + k - 1, k) of the constraint system
+#: ``basis`` solves.  It builds no dense matrix (it runs on the sparse rows),
+#: so the cell count bounds the size of the system it echelonises: at
+#: 999,000 cells it took 0.2 s and 20 MiB (n = 2, k = 999), and the slowest
+#: case measured, 365,904 cells, 1.7 s and 35 MiB (n = 6, k = 7,
+#: t = (3, ..., 3)).
 MAX_BASIS_CELLS = 1_000_000
+#: Rows sum_{k=1}^{k_max} k^n + (k_max + 1) of a ``table`` or ``verify``
+#: sweep: 19,701 rows took 1.7 s (n = 1, k_max = 197, oracle off) and 15,343
+#: rows 26 s (n = 4, k_max = 9); 501,501 rows took 48 s and 571 MiB
+#: (n = 1, k_max = 1000).
+MAX_SWEEP_ROWS = 20_000
 
 ALL_METHODS = ("system", "closed", "summary", "oracle")
 
@@ -60,9 +69,16 @@ class UsageError(Exception):
 
 def _parse_rational_arg(text: str, what: str) -> Fraction:
     try:
-        return parse_rational(text)
+        value = parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed rational for {what}: {text!r} ({exc})") from exc
+    # Every weight is printed in the output, and Python refuses to print an
+    # integer of more than this many digits.
+    digits = sys.get_int_max_str_digits()
+    if digits and max(abs(value.numerator), value.denominator) >= 10 ** digits:
+        raise UsageError(f"rational for {what} is too large: "
+                         f"more than {digits} digits in numerator or denominator")
+    return value
 
 
 def _parse_weights(args: argparse.Namespace) -> Weights:
@@ -123,14 +139,30 @@ def _check_oracle_size(n: int, alpha_max: int) -> None:
                    MAX_ORACLE_BLOCK)
 
 
+def _sweep_rows(n: int, k_max: int) -> int:
+    """Rows of a sweep: k^n resonant rows plus one non-resonant row per k <= k_max.
+
+    For n = 1 the sum is k_max (k_max + 1) / 2; for n >= 2 the system ceiling,
+    checked first, keeps k_max small enough to add the powers directly.
+    """
+    if n == 1:
+        resonant = k_max * (k_max + 1) // 2
+    else:
+        resonant = sum(k ** n for k in range(1, k_max + 1))
+    return resonant + k_max + 1
+
+
 def _check_sweep_size(n: int, k_max: int, methods: Sequence[str], policy: str,
                       alpha_max: Optional[int]) -> None:
-    """The ceilings at the sweep's largest row; every row runs the system method."""
+    """The ceilings on the sweep's row count and at its largest row; every
+    row runs the system method."""
     _check_system_size(n, k_max)
     k = largest_oracle_k(policy, n, k_max) if "oracle" in methods else None
     if k is not None:
         _check_oracle_size(n, alpha_max if alpha_max is not None
                            else default_alpha_max(nonresonant_weights(n, k)))
+    _check_ceiling(f"the sweep at n = {n}, k_max = {k_max}", _sweep_rows(n, k_max),
+                   "rows", MAX_SWEEP_ROWS)
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -218,7 +250,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         _write_output(json.dumps([], indent=2) + "\n", args.out)
         return 0
     k = w.natural_delta()
-    _check_ceiling(f"the dense constraint matrix at n = {w.n}, k = {k}",
+    _check_ceiling(f"the constraint system at n = {w.n}, k = {k}",
                    multiset_coeff(w.n, k - 1) * multiset_coeff(w.n, k), "cells",
                    MAX_BASIS_CELLS)
     basis = cocycle_basis(w)

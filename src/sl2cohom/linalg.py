@@ -12,20 +12,25 @@ the elimination.  ``kernel_basis`` and ``solve`` back-substitute the same
 integer echelon to the reduced row echelon form, which is unique up to the
 scale of each row, so their results do not depend on the order of
 elimination; only when reading results off do they divide by the leading
-entry and return ``Fraction`` values.  The dense ``RationalMatrix`` holds
-the systems that need a dense view and hands its nonzero entries to the
-engine; sparse rows, such as the block matrices of the truncated cochain
-complex, go to it directly, and one pass can report the rank of every
-leading prefix.  There is one engine; no other elimination routine exists.
+entry and return ``Fraction`` values.
+
+``kernel_basis``, ``solve`` and ``column_space_echelon`` take a matrix as
+its sparse rows plus its column count, the form in which
+:func:`sl2cohom.reduced.build_system` and the block matrices of the
+truncated cochain complex are built; one pass can also report the rank of
+every leading prefix.  The dense ``RationalMatrix`` remains for the views
+that need cells (``rank`` of a perturbed system, CSV export) and hands its
+nonzero entries to the engine.  There is one engine; no other elimination
+routine exists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .polynomials import Scalar, exact, format_rational, parse_rational
+from .polynomials import Scalar, exact, format_rational
 
 
 class RationalMatrix:
@@ -48,14 +53,6 @@ class RationalMatrix:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RationalMatrix is immutable")
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix([[0] * cols for _ in range(rows)], cols=cols)
-
-    @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return self.entries[i][j]
@@ -69,23 +66,12 @@ class RationalMatrix:
     def row(self, i: int) -> list[Fraction]:
         return list(self.entries[i])
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows)
-
     def mat_vec(self, vec: Sequence[Scalar]) -> list[Fraction]:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
         vec = [exact(v) for v in vec]
         return [sum((a * b for a, b in zip(row, vec)), Fraction(0))
                 for row in self.entries]
-
-    def scale_row(self, i: int, c: Scalar) -> "RationalMatrix":
-        out = [list(r) for r in self.entries]
-        c = exact(c)
-        out[i] = [c * v for v in out[i]]
-        return RationalMatrix(out, cols=self.cols)
 
     def with_entry(self, i: int, j: int, value: Scalar) -> "RationalMatrix":
         out = [list(r) for r in self.entries]
@@ -105,19 +91,6 @@ class RationalMatrix:
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def from_csv(text: str, labeled: bool = False) -> "RationalMatrix":
-        rows = []
-        lines = [line for line in text.strip().splitlines() if line.strip()]
-        if labeled and lines:
-            lines = lines[1:]
-        for line in lines:
-            cells = line.split(",")
-            if labeled:
-                cells = cells[1:]
-            rows.append([parse_rational(c) for c in cells])
-        return RationalMatrix(rows)
-
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
@@ -127,7 +100,7 @@ def _sparse_rows(matrix: RationalMatrix) -> list[dict[int, Fraction]]:
     return [{j: v for j, v in enumerate(row) if v} for row in matrix.entries]
 
 
-def _reduced_echelon(vectors: list[dict[int, Scalar]]) -> dict[int, dict[int, int]]:
+def _reduced_echelon(vectors: Sequence[Mapping[int, Scalar]]) -> dict[int, dict[int, int]]:
     """Reduced row echelon form of the span, keyed by leading index.
 
     Echelonise, then back-substitute from the largest leading index down, so
@@ -149,18 +122,18 @@ def rank(matrix: RationalMatrix) -> int:
     return sparse_rank(_sparse_rows(matrix))
 
 
-def kernel_basis(matrix: RationalMatrix) -> list[list[Fraction]]:
-    """Basis of the null space; exactly cols - rank vectors with M v = 0.
+def kernel_basis(rows: Sequence[Mapping[int, Scalar]], cols: int) -> list[list[Fraction]]:
+    """Basis of the null space of the sparse rows; exactly cols - rank vectors.
 
     Free columns are parametrised in ascending column order, each vector
     read off the reduced row echelon form, so the result is deterministic.
     """
-    echelon = _reduced_echelon(_sparse_rows(matrix))
+    echelon = _reduced_echelon(rows)
     basis = []
-    for free in range(matrix.cols):
+    for free in range(cols):
         if free in echelon:
             continue
-        vec = [Fraction(0)] * matrix.cols
+        vec = [Fraction(0)] * cols
         vec[free] = Fraction(1)
         for lead, row in echelon.items():
             vec[lead] = Fraction(-row.get(free, 0), row[lead])
@@ -168,37 +141,38 @@ def kernel_basis(matrix: RationalMatrix) -> list[list[Fraction]]:
     return basis
 
 
-def solve(matrix: RationalMatrix, rhs: Sequence[Scalar]) -> Optional[list[Fraction]]:
-    """One exact solution of M x = rhs, or None when the system is infeasible.
+def solve(rows: Sequence[Mapping[int, Scalar]], cols: int,
+          rhs: Sequence[Scalar]) -> Optional[list[Fraction]]:
+    """One exact solution of M x = rhs for the sparse rows of M, or None
+    when the system is infeasible.
 
     The right-hand side is column ``cols`` of the augmented rows; a leading
     entry there means 0 = nonzero.  Free coordinates of the solution are 0.
     """
-    if len(rhs) != matrix.rows:
+    if len(rhs) != len(rows):
         raise ValueError("dimension mismatch")
-    rows = _sparse_rows(matrix)
+    augmented = []
     for row, v in zip(rows, rhs):
         v = exact(v)
-        if v:
-            row[matrix.cols] = v
-    echelon = _reduced_echelon(rows)
-    if matrix.cols in echelon:
+        augmented.append({**row, cols: v} if v else row)
+    echelon = _reduced_echelon(augmented)
+    if cols in echelon:
         return None
-    x = [Fraction(0)] * matrix.cols
+    x = [Fraction(0)] * cols
     for lead, row in echelon.items():
-        x[lead] = Fraction(row.get(matrix.cols, 0), row[lead])
+        x[lead] = Fraction(row.get(cols, 0), row[lead])
     return x
 
 
-def column_space_echelon(matrix: RationalMatrix) -> list[dict[int, Fraction]]:
-    """Echelonised spanning set of the column space as sparse vectors."""
-    cols = []
-    for j in range(matrix.cols):
-        col = {i: matrix.entries[i][j] for i in range(matrix.rows)
-               if matrix.entries[i][j] != 0}
-        if col:
-            cols.append(col)
-    return sparse_echelon(cols)
+def column_space_echelon(rows: Sequence[Mapping[int, Scalar]],
+                         cols: int) -> list[dict[int, Fraction]]:
+    """Echelonised spanning set of the column space of the sparse rows, as
+    sparse vectors indexed by row; columns are inserted in ascending order."""
+    columns: list[dict[int, Scalar]] = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            columns[j][i] = c
+    return sparse_echelon([col for col in columns if col])
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,12 @@ multi-index of weight k.  The rank-based dimension method reports
 
     dim = (number of weight-k indices over n-1 slots) + 3 * ell,
 
-where ell is the rank deficiency of that system.
+where ell is the rank deficiency of that system.  The system is built as
+sparse rows, and its rank, the kernel and column complement behind
+:func:`cocycle_basis` and the solve behind :func:`solve_coboundary` all
+run on those rows (``linalg.kernel_basis``, ``column_space_echelon`` and
+``solve`` take sparse rows plus a column count); no dense matrix is
+formed on these paths.
 """
 
 from __future__ import annotations
@@ -98,9 +103,21 @@ def _coefficient(family: FamilyMap, alpha: MultiIndex) -> Polynomial:
     return family.get(alpha, Polynomial.zero())
 
 
-def _pair_factor(alpha: MultiIndex, i: int, lambdas: tuple[Fraction, ...]) -> Fraction:
-    """(a_i + 1)(a_i + 2 lambda_i), the coefficient tying level |a| to |a| + 1."""
-    return (alpha[i] + 1) * (alpha[i] + 2 * lambdas[i])
+def _pair_factor(alpha: MultiIndex, i: int, twice_lambdas: tuple[Scalar, ...]) -> Scalar:
+    """(a_i + 1)(a_i + 2 lambda_i), the coefficient tying level |a| to |a| + 1;
+    an ``int`` whenever 2 lambda_i is one."""
+    return (alpha[i] + 1) * (alpha[i] + twice_lambdas[i])
+
+
+def _lowered(family: FamilyMap) -> set[MultiIndex]:
+    """The indices beta - e_i, for beta in the family's support and beta_i > 0."""
+    return {beta[:i] + (b_i - 1,) + beta[i + 1:]
+            for beta in family for i, b_i in enumerate(beta) if b_i > 0}
+
+
+def _half(c: Scalar) -> Fraction:
+    """c / 2 as an exact rational."""
+    return Fraction(c, 2) if type(c) is int else c / 2
 
 
 @dataclass(frozen=True)
@@ -188,13 +205,13 @@ class ReducedTwoCochain:
                                  _family_add(self.C, other.C))
 
     def __sub__(self, other: "ReducedTwoCochain") -> "ReducedTwoCochain":
-        return self + other.scale(-1)
+        return self + -other
 
-    def scale(self, c) -> "ReducedTwoCochain":
+    def __neg__(self) -> "ReducedTwoCochain":
         return ReducedTwoCochain(self.weights,
-                                 {a: p.scale(c) for a, p in self.A.items()},
-                                 {a: p.scale(c) for a, p in self.B.items()},
-                                 {a: p.scale(c) for a, p in self.C.items()})
+                                 {a: -p for a, p in self.A.items()},
+                                 {a: -p for a, p in self.B.items()},
+                                 {a: -p for a, p in self.C.items()})
 
     def to_cochain(self) -> Cochain:
         """Evaluate the three antisymmetric brackets on the basis pairs.
@@ -275,19 +292,18 @@ def cocycle_residual(f: ReducedTwoCochain) -> FamilyMap:
     """
     w = f.weights
     delta = w.delta()
-    support: set[MultiIndex] = set(f.B) | set(f.C)
-    for beta in f.A:
-        for i, b_i in enumerate(beta):
-            if b_i > 0:
-                support.add(beta[:i] + (b_i - 1,) + beta[i + 1:])
     out: FamilyMap = {}
-    for alpha in support:
+    for alpha in set(f.B) | set(f.C) | _lowered(f.A):
         res = _coefficient(f.C, alpha).derivative()
-        res = res + (index_weight(alpha) + 1 - delta) * _coefficient(f.B, alpha)
+        b_poly = f.B.get(alpha)
+        if b_poly is not None:
+            res = res + b_poly.scale(index_weight(alpha) + 1 - delta)
         for i in range(w.n):
-            coeff = _pair_factor(alpha, i, w.lambdas)
+            coeff = _pair_factor(alpha, i, w.twice_lambdas)
             if coeff != 0:
-                res = res - Fraction(1, 2) * coeff * _coefficient(f.A, add_unit(alpha, i))
+                a_poly = f.A.get(add_unit(alpha, i))
+                if a_poly is not None:
+                    res = res + a_poly.scale(-_half(coeff))
         if not res.is_zero():
             out[alpha] = res
     return out
@@ -321,14 +337,14 @@ def coboundary_reduced(b: ReducedOneCochain) -> ReducedTwoCochain:
             if a_i > 0:
                 lower = alpha[:i] + (a_i - 1,) + alpha[i + 1:]
                 add_to(b_fam, lower,
-                       Fraction(1, 2) * _pair_factor(lower, i, w.lambdas) * u)
+                       u.scale(_half(_pair_factor(lower, i, w.twice_lambdas))))
     for alpha, v in b.V.items():
         add_to(a_fam, alpha, v.derivative())
         for i, a_i in enumerate(alpha):
             if a_i > 0:
                 lower = alpha[:i] + (a_i - 1,) + alpha[i + 1:]
                 add_to(c_fam, lower,
-                       Fraction(1, 2) * _pair_factor(lower, i, w.lambdas) * v)
+                       v.scale(_half(_pair_factor(lower, i, w.twice_lambdas))))
     for alpha, w_poly in b.W.items():
         add_to(b_fam, alpha, w_poly.derivative())
         add_to(c_fam, alpha, (delta - index_weight(alpha) - 1) * w_poly)
@@ -349,7 +365,9 @@ class LinearSystem:
     order.  The row for a has entry (a_i + 1)(a_i + 2 lambda_i) in the
     column of a + e_i and zero elsewhere.  ``equations`` holds each row as
     a sparse vector {column: entry} of its nonzero entries, ``int`` when
-    2 lambda_i is an integer; the dense ``matrix`` is derived on demand.
+    2 lambda_i is an integer; rank, kernel and solves run on these rows.
+    The dense ``matrix`` is derived on demand, for the views that need
+    cells: CSV export and the perturbed rank of ``verify``'s self-test.
     """
 
     n: int
@@ -371,7 +389,7 @@ class LinearSystem:
         return linalg.sparse_rank(list(self.equations))
 
     def kernel_basis(self) -> list[list[Fraction]]:
-        return linalg.kernel_basis(self.matrix)
+        return linalg.kernel_basis(self.equations, len(self.col_index))
 
     def rank_deficiency(self) -> int:
         """Row count minus rank; each unit contributes 3 to the dimension."""
@@ -480,11 +498,11 @@ def dim_h2_via_system(w: Weights) -> CohomResult:
 # ---------------------------------------------------------------------------
 
 
-def _column_complement(matrix: RationalMatrix) -> list[int]:
+def _column_complement(system: LinearSystem) -> list[int]:
     """Row coordinates completing the column space to the full row space."""
-    echelon = linalg.column_space_echelon(matrix)
+    echelon = linalg.column_space_echelon(system.equations, len(system.col_index))
     covered = {min(row) for row in echelon}
-    return [i for i in range(matrix.rows) if i not in covered]
+    return [i for i in range(len(system.row_index)) if i not in covered]
 
 
 def cocycle_basis(w: Weights) -> list[ReducedTwoCochain]:
@@ -512,7 +530,7 @@ def cocycle_basis(w: Weights) -> list[ReducedTwoCochain]:
         fam = {alpha: Polynomial.constant(c)
                for alpha, c in zip(system.col_index, vec) if c != 0}
         out.append(ReducedTwoCochain(w, fam, {}, {}))
-    complement = _column_complement(system.matrix)
+    complement = _column_complement(system)
     for family_name in ("B", "C"):
         for idx in complement:
             alpha = system.row_index[idx]
@@ -525,14 +543,22 @@ def cocycle_basis(w: Weights) -> list[ReducedTwoCochain]:
 
 
 def _half_system_image(w: Weights, family: FamilyMap, k: int) -> FamilyMap:
-    """1/2 sum_i (a_i + 1)(a_i + 2 lambda_i) fam_(a + e_i) over |a| = k - 1."""
+    """1/2 sum_i (a_i + 1)(a_i + 2 lambda_i) fam_(a + e_i) over |a| = k - 1.
+
+    Only the indices beta - e_i, for beta of weight k in the family's
+    support, can be nonzero, so only those are visited.
+    """
     out: FamilyMap = {}
-    for alpha in enumerate_multiindices(w.n, k - 1):
+    for alpha in _lowered(family):
+        if index_weight(alpha) != k - 1:
+            continue
         total = Polynomial.zero()
         for i in range(w.n):
-            coeff = _pair_factor(alpha, i, w.lambdas)
+            coeff = _pair_factor(alpha, i, w.twice_lambdas)
             if coeff != 0:
-                total = total + Fraction(1, 2) * coeff * _coefficient(family, add_unit(alpha, i))
+                poly = family.get(add_unit(alpha, i))
+                if poly is not None:
+                    total = total + poly.scale(_half(coeff))
         if not total.is_zero():
             out[alpha] = total
     return out
@@ -554,7 +580,8 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
        bottom family C die together iff the constant vector
        C - (image of the antiderivative of A under the half-system map)
        lies in the image of the half-system on constants.  The certificate
-       is a plain exact linear solve.
+       is a plain exact linear solve on the system's sparse rows, needed
+       only when that vector is nonzero.
 
     Every returned witness is verified by recomputing its coboundary.
     """
@@ -603,16 +630,20 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
         if not poly.derivative().is_zero():
             raise AssertionError("coboundary obstruction is not constant")
 
-    system = build_system(w.n, k, w.lambdas)
-    rhs = [2 * _coefficient(obstruction, alpha).coefficient(0)
-           for alpha in system.row_index]
-    solution = linalg.solve(system.matrix, rhs)
-    if solution is None:
-        return None
+    # A zero obstruction is met by v0 itself: the solve would return 0.
     v_fam = dict(v0)
-    for alpha, c in zip(system.col_index, solution):
-        if c != 0:
-            v_fam[alpha] = _coefficient(v_fam, alpha) + Polynomial.constant(c)
+    if obstruction:
+        system = build_system(w.n, k, w.lambdas)
+        row_pos = {alpha: i for i, alpha in enumerate(system.row_index)}
+        rhs = [0] * len(system.row_index)
+        for alpha, poly in obstruction.items():
+            rhs[row_pos[alpha]] = 2 * poly.coefficient(0)
+        solution = linalg.solve(system.equations, len(system.col_index), rhs)
+        if solution is None:
+            return None
+        for alpha, c in zip(system.col_index, solution):
+            if c != 0:
+                v_fam[alpha] = _coefficient(v_fam, alpha) + Polynomial.constant(c)
     b3 = ReducedOneCochain(w, {}, v_fam, {})
     witness = b1 + b2 + b3
     _verify_witness(witness, f)
@@ -620,6 +651,6 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
 
 
 def _verify_witness(b: ReducedOneCochain, f: ReducedTwoCochain) -> None:
-    if (coboundary_reduced(b) - f).is_zero():
+    if coboundary_reduced(b) == f:
         return
     raise AssertionError("coboundary witness failed verification")

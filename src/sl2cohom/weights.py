@@ -15,11 +15,20 @@ controls everything.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
-from .polynomials import ONE, Polynomial, X, exact, format_rational, parse_rational
+from .polynomials import (
+    ONE,
+    Polynomial,
+    Scalar,
+    X,
+    exact,
+    format_rational,
+    parse_rational,
+)
 
 
 class SL2Generator(enum.IntEnum):
@@ -91,18 +100,34 @@ def lie_derivative_density(g: SL2Generator, f: Polynomial, mu: Fraction) -> Poly
     return h * f.derivative() + mu * (h.derivative() * f)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weights:
-    """Argument weights (lambda_1, ..., lambda_n) and target weight mu."""
+    """Argument weights (lambda_1, ..., lambda_n) and target weight mu.
+
+    The shift and ``twice_lambdas`` (each 2 lambda_i, an ``int`` when it is
+    integral) are computed once, at construction.
+    """
 
     lambdas: tuple[Fraction, ...]
     mu: Fraction
+    twice_lambdas: tuple[Scalar, ...] = field(init=False, repr=False, compare=False)
+    _delta: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambdas", tuple(exact(v) for v in self.lambdas))
         object.__setattr__(self, "mu", exact(self.mu))
         if not self.lambdas:
             raise ValueError("at least one argument weight is required")
+        # Integer arithmetic on numerators and denominators: a sweep builds
+        # thousands of weights, and Fraction operators cost microseconds each.
+        object.__setattr__(self, "twice_lambdas", tuple(
+            2 * v.numerator if v.denominator == 1 else
+            v.numerator if v.denominator == 2 else 2 * v for v in self.lambdas))
+        mu = self.mu
+        den = lcm(mu.denominator, *(v.denominator for v in self.lambdas))
+        num = mu.numerator * (den // mu.denominator) - sum(
+            v.numerator * (den // v.denominator) for v in self.lambdas)
+        object.__setattr__(self, "_delta", Fraction(num, den))
 
     @property
     def n(self) -> int:
@@ -110,7 +135,7 @@ class Weights:
 
     def delta(self) -> Fraction:
         """The shift mu - sum(lambda_i)."""
-        return self.mu - sum(self.lambdas, Fraction(0))
+        return self._delta
 
     def natural_delta(self) -> Optional[int]:
         """delta as a nonnegative integer, or None when delta is not one."""

@@ -85,6 +85,16 @@ def test_input_too_large_is_usage_error(capsys):
     assert "too large" in err
 
 
+def test_input_with_more_digits_than_python_prints_is_usage_error(capsys):
+    # 10^5000 used to pass parsing and die printing the weights, with exit 1
+    for argv in (["dim", "--n", "1", "--lambdas", "1e5000", "--mu", "0"],
+                 ["dim", "--n", "1", "--lambdas", "0", "--mu", "1e5000"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert out == "", argv
+        assert "too large" in err, argv
+
+
 def test_oversized_dim_is_refused_within_seconds():
     # both used to run without end: k = 10^400 enumerated before any check
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -102,6 +112,21 @@ def test_oversized_dim_is_refused_within_seconds():
         assert proc.returncode == 2, argv
         assert proc.stdout == "", argv
         assert what in proc.stderr and "above the ceiling" in proc.stderr, argv
+
+
+def test_oversized_sweep_is_refused_within_seconds():
+    # n = 1 has one equation per row, so only the row count stops this sweep
+    # of about 5 * 10^15 rows; it used to run with no output
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    argv = ["table", "--n", "1", "--k-max", "100000000", "--oracle", "off"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sl2cohom"] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "rows" in proc.stderr and "above the ceiling" in proc.stderr
 
 
 def test_instances_above_a_ceiling_are_usage_errors(capsys):

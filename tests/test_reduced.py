@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from sl2cohom.multiindices import index_weight, multiset_coeff
 from sl2cohom.operators import DiffOperator
 from sl2cohom.polynomials import Polynomial
 from sl2cohom.reduced import (
+    LinearSystem,
     ReducedOneCochain,
     ReducedTwoCochain,
     build_system,
@@ -20,6 +22,7 @@ from sl2cohom.reduced import (
     split_systems,
     two_cochain_from_cochain,
 )
+from sl2cohom.sweep import nonresonant_weights, weights_for_tvector
 from sl2cohom.weights import GENERATORS, Weights
 
 X1, XX, XX2 = GENERATORS
@@ -368,3 +371,49 @@ def test_exactness_split_of_basis_elements():
         assert survivors == ell
         oracle = brute_force_h2(w)
         assert oracle.stable and oracle.dim == ell
+
+
+def _certify(w):
+    """(representative, witness) for every element of the cocycle basis."""
+    return [(f, solve_coboundary(f)) for f in cocycle_basis(w)]
+
+
+def test_certify_path_never_derives_the_dense_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense constraint matrix was derived")
+
+    monkeypatch.setattr(LinearSystem, "matrix", property(refuse))
+    weights = [weights_for_tvector(n, k, t)
+               for n, k_max in ((2, 4), (3, 3)) for k in range(1, k_max + 1)
+               for t in itertools.product(range(k), repeat=n)]
+    weights += [nonresonant_weights(n, k) for n in range(1, 5) for k in range(6)]
+    for w in weights:
+        pairs = _certify(w)
+        assert len(pairs) == dim_h2_via_system(w).dim
+        assert sum(witness is None for _, witness in pairs) == rank_data(w)[2]
+    with pytest.raises(AssertionError, match="dense"):
+        build_system(2, 1, (Fraction(0), Fraction(0))).matrix
+
+
+@pytest.mark.parametrize("lambdas, mu", [
+    ((Fraction(1, 3), Fraction(-1, 3)), Fraction(4)),
+    ((Fraction(-1, 2), Fraction(-1), Fraction(1, 3)), Fraction(11, 6)),
+    ((Fraction(2, 5), Fraction(-3, 5), Fraction(-1, 2)), Fraction(13, 10)),
+    ((Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 3)), Fraction(7, 3)),
+])
+def test_certify_path_with_fraction_pair_factors(lambdas, mu):
+    # 2 lambda_i is not an integer in some slot, so the pair factors
+    # (a_i + 1)(a_i + 2 lambda_i) there are Fractions; the shift is natural
+    w = Weights(lambdas, mu)
+    assert w.natural_delta() is not None
+    assert any(type(v) is Fraction for v in w.twice_lambdas)
+    bottom = 0
+    for f, witness in _certify(w):
+        assert cocycle_residual(f) == {}
+        if f.A or f.B:
+            assert witness is not None
+            assert coboundary(witness.to_cochain()) == f.to_cochain()
+        else:
+            assert witness is None
+            bottom += 1
+    assert bottom == rank_data(w)[2]

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2cohom.polynomials import Polynomial, parse_rational
 from sl2cohom.weights import (
@@ -48,6 +50,23 @@ def test_lie_derivative_examples():
         # field x^2 d/dx on the density 1 dx^mu
         assert lie_derivative_density(XX2, Polynomial.one(), mu) == \
             Polynomial((0, 2 * mu))
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@given(st.lists(rationals, min_size=1, max_size=5), rationals)
+@settings(max_examples=100, deadline=None)
+def test_shift_and_twice_lambdas_computed_at_construction(lambdas, mu):
+    w = Weights(tuple(lambdas), mu)
+    assert type(w.delta()) is Fraction
+    assert w.delta() == mu - sum(lambdas)
+    assert w.twice_lambdas == tuple(2 * v for v in lambdas)
+    for v, twice in zip(lambdas, w.twice_lambdas):
+        assert type(twice) is (int if (2 * v).denominator == 1 else Fraction)
+    # neither value takes part in equality or the text forms
+    assert w == Weights(tuple(lambdas), mu)
+    assert "twice" not in repr(w)
 
 
 def test_weights_delta_and_t_vector():
