@@ -26,7 +26,7 @@ from .cecomplex import (
 from .closedform import CaseKind, CaseTag, classify, dim_h2_closed_form, dim_h2_summary_table
 from .linalg import RationalMatrix, kernel_basis, rank
 from .multiindices import enumerate_multiindices, multiset_coeff
-from .operators import DiffOperator, act_on_operator, apply_operator
+from .operators import DiffOperator, act_on_operator
 from .polynomials import Polynomial, Rational, format_rational, parse_rational
 from .reduced import (
     LinearSystem,
@@ -49,7 +49,7 @@ __all__ = [
     "CaseKind", "CaseTag", "Cochain", "CohomResult", "DiffOperator",
     "GENERATORS", "LinearSystem", "Polynomial", "Rational", "RationalMatrix",
     "ReducedOneCochain", "ReducedTwoCochain", "SL2Generator", "Truncation",
-    "Weights", "act_on_operator", "apply_operator", "brute_force_h2",
+    "Weights", "act_on_operator", "brute_force_h2",
     "build_system", "classify", "coboundary", "coboundary_reduced",
     "cocycle_basis", "cocycle_residual", "default_alpha_max",
     "dim_h2_closed_form", "dim_h2_summary_table", "dim_h2_via_system",

@@ -54,7 +54,7 @@ from .closedform import classify
 from .linalg import sparse_prefix_ranks, sparse_rank
 from .multiindices import MultiIndex, enumerate_up_to, index_weight, sub_unit
 from .operators import DiffOperator, act_on_operator
-from .polynomials import Polynomial, Scalar, as_int
+from .polynomials import Polynomial, Scalar, scalar
 from .weights import GENERATORS, SL2Generator, Weights, bracket
 
 ArgTuple = tuple[SL2Generator, ...]
@@ -283,7 +283,7 @@ def _differential_table(p: int) -> dict[ArgTuple, tuple[DifferentialTerm, ...]]:
             source, sigma = sorted_sign
             entry = terms[source].setdefault(target, [None, 0, Fraction(0)])
             entry[2] += (-1) ** (i + j) * coeff * sigma
-    return {source: tuple((t, j, sign, as_int(c)) for t, (j, sign, c) in by_target.items()
+    return {source: tuple((t, j, sign, scalar(c)) for t, (j, sign, c) in by_target.items()
                           if j is not None or c)
             for source, by_target in terms.items()}
 
@@ -320,8 +320,7 @@ def block_matrix(p: int, tr: Truncation, w: Weights,
         target = weight_block_basis(p + 1, tr, w)
     index = {elem: i for i, elem in enumerate(target)}
     table = _DIFFERENTIAL_TABLES[p]
-    delta = as_int(w.delta())
-    twice_lambdas = [as_int(2 * lam) for lam in w.lambdas]
+    delta = scalar(w.delta())
     lowering: dict[tuple[int, int], Scalar] = {}
     columns = []
     for m, alpha, args in source:
@@ -345,7 +344,7 @@ def block_matrix(p: int, tr: Truncation, w: Weights,
                     continue
                 factor = lowering.get((i, a))
                 if factor is None:
-                    factor = lowering[(i, a)] = a * (a + twice_lambdas[i] - 1)
+                    factor = lowering[(i, a)] = a * (a + w.twice_lambdas[i] - 1)
                 key = (m, sub_unit(alpha, i), tup)
                 prev = image.get(key)
                 image[key] = -sign * factor if prev is None else prev - sign * factor

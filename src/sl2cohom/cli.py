@@ -47,12 +47,13 @@ MAX_SYSTEM_EQUATIONS = 5_000
 #: cap = alpha_max + 2: 17,955 took 2.1 s (n = 4, k = 12) and 25,704 took
 #: 8.9 s and 118 MiB (n = 5, k = 8).
 MAX_ORACLE_BLOCK = 25_000
-#: Cells C(n + k - 2, k - 1) C(n + k - 1, k) of the constraint system
-#: ``basis`` solves.  It builds no dense matrix (it runs on the sparse rows),
-#: so the cell count bounds the size of the system it echelonises: at
-#: 999,000 cells it took 0.2 s and 20 MiB (n = 2, k = 999), and the slowest
-#: case measured, 365,904 cells, 1.7 s and 35 MiB (n = 6, k = 7,
-#: t = (3, ..., 3)).
+#: Cells C(n + k - 1, k)^2 of the dense kernel ``basis`` returns:
+#: ``kernel_basis`` gives up to cols - rank vectors of cols entries each,
+#: with cols = C(n + k - 1, k) >= rows, so the count also bounds the rows
+#: times cols of the sparse system it echelonises.  10^6 cells took 0.2 s
+#: and 20 MiB at n = 2, k = 999 (one kernel vector) and 3.3 s and 182 MiB
+#: at n = 1000, k = 1 (999 kernel vectors, 13 MB of JSON); 627,264 cells
+#: took 1.4 s and 33 MiB at n = 6, k = 7, t = (3, ..., 3).
 MAX_BASIS_CELLS = 1_000_000
 #: Rows sum_{k=1}^{k_max} k^n + (k_max + 1) of a ``table`` or ``verify``
 #: sweep: 19,701 rows took 1.7 s (n = 1, k_max = 197, oracle off) and 15,343
@@ -130,6 +131,12 @@ def _check_ceiling(what: str, size: int, unit: str, ceiling: int) -> None:
 def _check_system_size(n: int, k: int) -> None:
     _check_ceiling(f"the constraint system at n = {n}, k = {k}",
                    multiset_coeff(n, k - 1), "equations", MAX_SYSTEM_EQUATIONS)
+
+
+def _check_basis_size(n: int, k: int) -> None:
+    # the dense kernel basis returns: up to C(n + k - 1, k) vectors of that length
+    _check_ceiling(f"the kernel of the constraint system at n = {n}, k = {k}",
+                   multiset_coeff(n, k) ** 2, "cells", MAX_BASIS_CELLS)
 
 
 def _check_oracle_size(n: int, alpha_max: int) -> None:
@@ -249,10 +256,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         print("H^2 = 0, empty basis")
         _write_output(json.dumps([], indent=2) + "\n", args.out)
         return 0
-    k = w.natural_delta()
-    _check_ceiling(f"the constraint system at n = {w.n}, k = {k}",
-                   multiset_coeff(w.n, k - 1) * multiset_coeff(w.n, k), "cells",
-                   MAX_BASIS_CELLS)
+    _check_basis_size(w.n, w.natural_delta())
     basis = cocycle_basis(w)
     for element in basis:
         if cocycle_residual(element):

@@ -12,7 +12,9 @@ bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
+from operator import sub
 from typing import Iterator
 
 MultiIndex = tuple[int, ...]
@@ -56,19 +58,20 @@ def multiset_coeff(m: int, k: int) -> int:
 
 
 def iter_multiindices(n: int, weight: int) -> Iterator[MultiIndex]:
-    """Yield all alpha in N^n with |alpha| = weight, lexicographically ascending."""
+    """Yield all alpha in N^n with |alpha| = weight, lexicographically ascending.
+
+    Iterative, so any arity works: the partial sums a_1 + ... + a_i for
+    i < n form a non-decreasing tuple in [0, weight], and the ascending
+    walk over those tuples is the ascending walk over alpha.
+    """
     if weight < 0:
         return
     if n == 0:
         if weight == 0:
             yield ()
         return
-    if n == 1:
-        yield (weight,)
-        return
-    for first in range(weight + 1):
-        for rest in iter_multiindices(n - 1, weight - first):
-            yield (first,) + rest
+    for sums in itertools.combinations_with_replacement(range(weight + 1), n - 1):
+        yield tuple(map(sub, sums + (weight,), (0,) + sums))
 
 
 def enumerate_multiindices(n: int, weight: int) -> list[MultiIndex]:

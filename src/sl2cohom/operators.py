@@ -21,7 +21,6 @@ formula is kept alongside as an independent evaluation oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .multiindices import (
@@ -32,7 +31,7 @@ from .multiindices import (
     parse_multiindex,
     sub_unit,
 )
-from .polynomials import Polynomial, Scalar, exact
+from .polynomials import Polynomial, Scalar, divide, scalar
 from .weights import SL2Generator, Weights, lie_derivative_density
 
 
@@ -120,7 +119,7 @@ class DiffOperator:
         return self + (-other)
 
     def scale(self, c: Scalar) -> "DiffOperator":
-        c = exact(c)
+        c = scalar(c)
         return DiffOperator(self.weights,
                             {a: p.scale(c) for a, p in self.terms.items()})
 
@@ -173,10 +172,6 @@ class DiffOperator:
         return DiffOperator(weights, terms)
 
 
-def apply_operator(op: DiffOperator, densities: Sequence[Polynomial]) -> Polynomial:
-    return op.apply(densities)
-
-
 def act_on_operator(g: SL2Generator, op: DiffOperator) -> DiffOperator:
     """Action of a basis generator on an operator, term by term.
 
@@ -184,7 +179,7 @@ def act_on_operator(g: SL2Generator, op: DiffOperator) -> DiffOperator:
     alpha_i, never by clamping indices.
     """
     w = op.weights
-    delta = w.delta()
+    delta = scalar(w.delta())
     h = g.h
     dh = h.derivative()
     d2h = dh.derivative()
@@ -207,7 +202,7 @@ def act_on_operator(g: SL2Generator, op: DiffOperator) -> DiffOperator:
             for i, a_i in enumerate(alpha):
                 if a_i == 0:
                     continue
-                factor = Fraction(-a_i * (a_i + 2 * w.lambdas[i] - 1), 2)
+                factor = divide(-a_i * (a_i + w.twice_lambdas[i] - 1), 2)
                 if factor == 0:
                     continue
                 accumulate(sub_unit(alpha, i), factor * (coeff * d2h))

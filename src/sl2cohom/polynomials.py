@@ -2,8 +2,19 @@
 
 Coefficients are stored ascending by power of x with trailing zeros
 stripped, so the zero polynomial has an empty coefficient tuple and the
-leading coefficient of a nonzero polynomial is never zero.  All arithmetic
-is exact; there is no floating point anywhere in this package.
+leading coefficient of a nonzero polynomial is never zero.
+
+Coefficients are int-first: the constructor, :meth:`Polynomial.scale` and
+:meth:`Polynomial.antiderivative` store an ``int`` wherever a coefficient
+is integral and a ``Fraction`` only where it has a denominator
+(:func:`scalar`).  Most operands of the package are integers, and ``int``
+arithmetic is far cheaper than ``Fraction`` arithmetic.  Sums and products
+of ``Fraction`` coefficients are not normalised back and may leave an
+integral ``Fraction``; ``1 == Fraction(1)``, their hashes agree and
+:func:`format_rational` prints both as ``1``, so the type never shows in
+comparisons or output.  All arithmetic is exact; there is no floating
+point anywhere in this package, and scalars are divided only through
+:func:`divide` (``int / int`` would give a float).
 """
 
 from __future__ import annotations
@@ -33,9 +44,23 @@ def exact(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
-def as_int(value: Scalar) -> Scalar:
-    """value as an int when it is integral, else the Fraction unchanged."""
-    return value.numerator if value.denominator == 1 else value
+def scalar(value: Scalar) -> Scalar:
+    """value as an int when it is integral, else as a Fraction; a float is
+    refused through :func:`exact`."""
+    if type(value) is not int:
+        value = exact(value)
+        if value.denominator == 1:
+            return value.numerator
+    return value
+
+
+def divide(value: Scalar, divisor: Scalar) -> Scalar:
+    """value / divisor exactly: an int when the quotient is integral, a
+    Fraction otherwise."""
+    if type(value) is int and type(divisor) is int:
+        quotient, remainder = divmod(value, divisor)
+        return Fraction(value, divisor) if remainder else quotient
+    return scalar(exact(value) / exact(divisor))
 
 
 def format_rational(value: Scalar) -> str:
@@ -49,7 +74,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [exact(c) for c in coeffs]
+        cs = [scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -61,7 +86,9 @@ class Polynomial:
 
     @classmethod
     def _raw(cls, cs: list) -> "Polynomial":
-        """Internal fast path: cs must already hold Fraction values."""
+        """Internal fast path: cs must hold int or Fraction values, an int
+        wherever the caller can give one cheaply, and never a float (any
+        quotient in cs comes from :func:`divide`)."""
         while cs and cs[-1] == 0:
             cs.pop()
         p = object.__new__(cls)
@@ -102,10 +129,10 @@ class Polynomial:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coefficient(self, power: int) -> Fraction:
+    def coefficient(self, power: int) -> Scalar:
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
-        return Fraction(0)
+        return 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -135,31 +162,25 @@ class Polynomial:
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        if not self.coeffs or not other.coeffs:
-            return Polynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        sparse = [(j, b) for j, b in enumerate(other.coeffs) if b != 0]
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in sparse:
-                out[i + j] += a * b
+        left, right = self.coeffs, other.coeffs
+        if not left or not right:
+            return Polynomial._raw([])
+        out = [0] * (len(left) + len(right) - 1)
+        sparse = [(j, b) for j, b in enumerate(right) if b]
+        for i, a in enumerate(left):
+            if a:
+                for j, b in sparse:
+                    out[i + j] += a * b
         return Polynomial._raw(out)
 
     def __rmul__(self, other: Scalar) -> "Polynomial":
         return self.scale(other)
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = exact(c)
+        c = scalar(c)
         if c == 0:
             return Polynomial(())
-        return Polynomial._raw([c * a for a in self.coeffs])
-
-    def shift(self, power: int) -> "Polynomial":
-        """Multiply by x**power."""
-        if self.is_zero():
-            return self
-        return Polynomial._raw([Fraction(0)] * power + list(self.coeffs))
+        return Polynomial._raw([scalar(c * a) for a in self.coeffs])
 
     def derivative(self) -> "Polynomial":
         return Polynomial._raw([i * c for i, c in enumerate(self.coeffs) if i])
@@ -171,12 +192,11 @@ class Polynomial:
 
     def antiderivative(self) -> "Polynomial":
         """The primitive with zero constant term."""
-        return Polynomial._raw([Fraction(0)] + [
-            c / (i + 1) for i, c in enumerate(self.coeffs)])
+        return Polynomial._raw([0] + [divide(c, i + 1) for i, c in enumerate(self.coeffs)])
 
-    def __call__(self, point: Scalar) -> Fraction:
-        point = Fraction(point)
-        acc = Fraction(0)
+    def __call__(self, point: Scalar) -> Scalar:
+        point = scalar(point)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
@@ -215,7 +235,7 @@ class Polynomial:
 
 
 @lru_cache(maxsize=4096)
-def _nth_derivative_coeffs(coeffs: tuple[Fraction, ...], order: int) -> tuple[Fraction, ...]:
+def _nth_derivative_coeffs(coeffs: tuple[Scalar, ...], order: int) -> tuple[Scalar, ...]:
     if order >= len(coeffs):
         return ()
     out = []
@@ -227,6 +247,5 @@ def _nth_derivative_coeffs(coeffs: tuple[Fraction, ...], order: int) -> tuple[Fr
     return tuple(out)
 
 
-ZERO = Polynomial.zero()
 ONE = Polynomial.one()
 X = Polynomial.x()

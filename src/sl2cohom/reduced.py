@@ -67,7 +67,7 @@ from .multiindices import (
     multiset_coeff,
 )
 from .operators import DiffOperator
-from .polynomials import Polynomial, Scalar, X, as_int, exact
+from .polynomials import Polynomial, Scalar, X, divide, exact, scalar
 from .weights import SL2Generator, Weights
 
 FamilyMap = dict[MultiIndex, Polynomial]
@@ -113,11 +113,6 @@ def _lowered(family: FamilyMap) -> set[MultiIndex]:
     """The indices beta - e_i, for beta in the family's support and beta_i > 0."""
     return {beta[:i] + (b_i - 1,) + beta[i + 1:]
             for beta in family for i, b_i in enumerate(beta) if b_i > 0}
-
-
-def _half(c: Scalar) -> Fraction:
-    """c / 2 as an exact rational."""
-    return Fraction(c, 2) if type(c) is int else c / 2
 
 
 @dataclass(frozen=True)
@@ -257,30 +252,6 @@ class ReducedTwoCochain:
         return ReducedTwoCochain(w, fams["A"], fams["B"], fams["C"])
 
 
-def two_cochain_from_cochain(f: Cochain) -> ReducedTwoCochain:
-    """Invert :meth:`ReducedTwoCochain.to_cochain` (the system is triangular)."""
-    if f.degree != 2:
-        raise ValueError("expected a 2-cochain")
-    w = f.weights
-    g12 = f.component((SL2Generator.X1, SL2Generator.XX))
-    g13 = f.component((SL2Generator.X1, SL2Generator.XX2))
-    g23 = f.component((SL2Generator.XX, SL2Generator.XX2))
-    x_poly = X
-    a_fam = dict(g12.terms)
-    b_fam: FamilyMap = {}
-    c_fam: FamilyMap = {}
-    for alpha in set(g12.terms) | set(g13.terms) | set(g23.terms):
-        a = g12.coefficient(alpha)
-        b = (g13.coefficient(alpha) - (2 * x_poly) * a).scale(Fraction(1, 2))
-        c = (g23.coefficient(alpha) - (x_poly * x_poly) * a - (2 * x_poly) * b)
-        c = c.scale(Fraction(1, 2))
-        if not b.is_zero():
-            b_fam[alpha] = b
-        if not c.is_zero():
-            c_fam[alpha] = c
-    return ReducedTwoCochain(w, a_fam, b_fam, c_fam)
-
-
 def cocycle_residual(f: ReducedTwoCochain) -> FamilyMap:
     """Per-index obstruction to closedness; f is a cocycle iff all zero.
 
@@ -303,7 +274,7 @@ def cocycle_residual(f: ReducedTwoCochain) -> FamilyMap:
             if coeff != 0:
                 a_poly = f.A.get(add_unit(alpha, i))
                 if a_poly is not None:
-                    res = res + a_poly.scale(-_half(coeff))
+                    res = res + a_poly.scale(-divide(coeff, 2))
         if not res.is_zero():
             out[alpha] = res
     return out
@@ -337,14 +308,14 @@ def coboundary_reduced(b: ReducedOneCochain) -> ReducedTwoCochain:
             if a_i > 0:
                 lower = alpha[:i] + (a_i - 1,) + alpha[i + 1:]
                 add_to(b_fam, lower,
-                       u.scale(_half(_pair_factor(lower, i, w.twice_lambdas))))
+                       u.scale(divide(_pair_factor(lower, i, w.twice_lambdas), 2)))
     for alpha, v in b.V.items():
         add_to(a_fam, alpha, v.derivative())
         for i, a_i in enumerate(alpha):
             if a_i > 0:
                 lower = alpha[:i] + (a_i - 1,) + alpha[i + 1:]
                 add_to(c_fam, lower,
-                       v.scale(_half(_pair_factor(lower, i, w.twice_lambdas))))
+                       v.scale(divide(_pair_factor(lower, i, w.twice_lambdas), 2)))
     for alpha, w_poly in b.W.items():
         add_to(b_fam, alpha, w_poly.derivative())
         add_to(c_fam, alpha, (delta - index_weight(alpha) - 1) * w_poly)
@@ -413,7 +384,7 @@ def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
     if len(lambdas) != n:
         raise ValueError("lambda tuple length must equal n")
     lambdas = tuple(exact(v) for v in lambdas)
-    twice_lambdas = [as_int(2 * lam) for lam in lambdas]
+    twice_lambdas = [scalar(2 * lam) for lam in lambdas]
     rows = tuple(enumerate_multiindices(n, k - 1))
     cols = tuple(enumerate_multiindices(n, k))
     col_pos = {c: j for j, c in enumerate(cols)}
@@ -558,7 +529,7 @@ def _half_system_image(w: Weights, family: FamilyMap, k: int) -> FamilyMap:
             if coeff != 0:
                 poly = family.get(add_unit(alpha, i))
                 if poly is not None:
-                    total = total + poly.scale(_half(coeff))
+                    total = total + poly.scale(divide(coeff, 2))
         if not total.is_zero():
             out[alpha] = total
     return out
@@ -596,13 +567,14 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
     for alpha, a_poly in f.A.items():
         level = index_weight(alpha)
         if k is None or level != k:
-            u_fam[alpha] = a_poly.scale(Fraction(1) / (level - delta))
+            u_fam[alpha] = a_poly.scale(divide(1, level - delta))
     for alpha, c_poly in f.C.items():
         level = index_weight(alpha)
         if k is None or level != k - 1:
-            w_fam[alpha] = c_poly.scale(Fraction(1) / (delta - level - 1))
+            w_fam[alpha] = c_poly.scale(divide(1, delta - level - 1))
     b1 = ReducedOneCochain(w, u_fam, {}, w_fam)
-    f1 = f - coboundary_reduced(b1)
+    # A zero gauge has a zero coboundary: skip computing and subtracting it.
+    f1 = f if b1.is_zero() else f - coboundary_reduced(b1)
 
     if k is None:
         residue = f1
@@ -615,7 +587,7 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
     if any(index_weight(a) != k - 1 for a in f1.B):
         raise AssertionError("closed cochain kept a middle family off-level")
     b2 = ReducedOneCochain(w, {}, {}, {a: p.antiderivative() for a, p in f1.B.items()})
-    f2 = f1 - coboundary_reduced(b2)
+    f2 = f1 if b2.is_zero() else f1 - coboundary_reduced(b2)
 
     # Remaining data: top family at level k, bottom family at level k - 1,
     # coupled through the V gauge slot.

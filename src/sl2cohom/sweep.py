@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,19 +51,8 @@ def nonresonant_weights(n: int, k: int) -> Weights:
 
 
 def _t_grid(n: int, k: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    if k < 1:
-        return out
-
-    def rec(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for v in range(k):
-            rec(prefix + (v,))
-
-    rec(())
-    return out
+    """Every t in {0, ..., k-1}^n, lexicographically ascending."""
+    return list(itertools.product(range(k), repeat=n))
 
 
 @dataclass(frozen=True)

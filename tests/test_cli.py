@@ -159,6 +159,38 @@ def test_ceilings_accept_every_documented_instance():
         cli._check_sweep_size(n, k_max, cli.ALL_METHODS, policy, None)
 
 
+def test_basis_is_bounded_by_the_dense_kernel_it_returns(capsys):
+    # k = 1 has one equation and n unknowns, but n - 1 kernel vectors of n
+    # entries: 1,001 arguments used to pass with 1,001 cells
+    zeros = ",".join(["0"] * 1001)
+    code, out, err = run_cli(["basis", "--mu", "1", "--lambdas", zeros], capsys)
+    assert code == 2
+    assert out == ""
+    assert "1002001 cells" in err and "above the ceiling" in err
+    # accepted: exactly 10^6 cells at n = 2, k = 999 and n = 1000, k = 1;
+    # 627,264 at n = 6, k = 7
+    cli._check_basis_size(2, 999)
+    cli._check_basis_size(1000, 1)
+    cli._check_basis_size(6, 7)
+
+
+def test_a_thousand_arguments_run_without_recursion():
+    # the enumerations used to recurse once per slot: RecursionError, exit 1
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    zeros = ",".join(["0"] * 1000)
+    outputs = []
+    for argv in (["dim", "--methods", "system", "--mu", "1", "--lambdas", zeros],
+                 ["table", "--n", "1000", "--k-max", "1", "--oracle", "off"]):
+        proc = subprocess.run([sys.executable, "-m", "sl2cohom"] + argv, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (argv[0], proc.stderr[-300:])
+        outputs.append(proc.stdout)
+    # k = 1, lambda = 0: one equation whose entries all vanish, so ell = 1
+    assert json.loads(outputs[0])[0]["dim"] == 999 + 3
+    assert outputs[1].splitlines()[2] == "1000,1,,,,,999,999,,,,"
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert run_cli([], capsys)[0] == 2
 

@@ -13,6 +13,7 @@ from sl2cohom.multiindices import (
     parse_multiindex,
     sub_unit,
 )
+from sl2cohom.sweep import _t_grid
 
 
 def test_multiset_coeff_base_cases():
@@ -56,6 +57,33 @@ def test_enumeration_order_is_graded_lex():
     assert elems == sorted(elems)
     up = enumerate_up_to(2, 3)
     assert up == sorted(up, key=graded_lex_key)
+
+
+def recursive_multiindices(n, weight):
+    """Reference enumeration: first entry ascending, then the rest."""
+    if weight < 0:
+        return []
+    if n == 0:
+        return [()] if weight == 0 else []
+    return [(first,) + rest for first in range(weight + 1)
+            for rest in recursive_multiindices(n - 1, weight - first)]
+
+
+def recursive_grid(n, k):
+    """Reference {0, ..., k-1}^n, first entry ascending, then the rest."""
+    if n == 0:
+        return [()]
+    return [(v,) + rest for v in range(k) for rest in recursive_grid(n - 1, k)]
+
+
+def test_iterative_enumerations_equal_recursive_references():
+    for n in range(6):
+        for weight in range(-1, 7):
+            assert enumerate_multiindices(n, weight) == recursive_multiindices(n, weight), \
+                (n, weight)
+    for n in range(1, 6):
+        for k in range(5):
+            assert _t_grid(n, k) == recursive_grid(n, k), (n, k)
 
 
 def test_unit_vectors():

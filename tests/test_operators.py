@@ -9,7 +9,6 @@ from sl2cohom.operators import (
     DiffOperator,
     act_on_operator,
     act_via_conjugation,
-    apply_operator,
 )
 from sl2cohom.polynomials import Polynomial
 from sl2cohom.weights import GENERATORS, Weights, bracket
@@ -26,13 +25,13 @@ def test_apply_examples():
     # identity-product operator
     op = DiffOperator.elementary(w, (0, 0))
     f1, f2 = Polynomial((0, 0, 1)), Polynomial((0, 1))
-    assert apply_operator(op, (f1, f2)) == f1 * f2
+    assert op.apply((f1, f2)) == f1 * f2
     # differentiate the first slot once
     op = DiffOperator.elementary(w, (1, 0))
-    assert apply_operator(op, (f1, f2)) == Polynomial((0, 0, 2))
+    assert op.apply((f1, f2)) == Polynomial((0, 0, 2))
     # polynomial coefficient times derivative of the second slot
     op = DiffOperator.elementary(w, (0, 1), Polynomial.x())
-    assert apply_operator(op, (Polynomial.one(), Polynomial((0, 0, 0, 1)))) == \
+    assert op.apply((Polynomial.one(), Polynomial((0, 0, 0, 1)))) == \
         Polynomial((0, 0, 0, 3))
 
 

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from sl2cohom.polynomials import (
     Polynomial,
+    divide,
     format_rational,
     parse_rational,
+    scalar,
 )
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=6)
@@ -60,6 +62,10 @@ def test_float_coefficients_are_refused():
         Polynomial([0.1])
     with pytest.raises(TypeError, match="float"):
         Polynomial((1, 0.5))
+    for call in (lambda: scalar(0.5), lambda: divide(0.5, 2), lambda: divide(1, 2.0),
+                 lambda: divide(Fraction(1, 2), 0.5)):
+        with pytest.raises(TypeError, match="float"):
+            call()
     assert Polynomial(["1/10", 2]).coeffs == (Fraction(1, 10), Fraction(2))
 
 
@@ -123,8 +129,7 @@ def test_rational_text_format():
         parse_rational("1/0")
 
 
-def test_evaluation_and_shift():
+def test_evaluation_and_str():
     p = Polynomial((1, 2, 1))
     assert p(Fraction(1, 2)) == Fraction(9, 4)
-    assert p.shift(2) == Polynomial((0, 0, 1, 2, 1))
     assert str(Polynomial((0, -1, 0, Fraction(1, 3)))) == "-x + 1/3*x^3"

@@ -20,7 +20,6 @@ from sl2cohom.reduced import (
     rank_data,
     solve_coboundary,
     split_systems,
-    two_cochain_from_cochain,
 )
 from sl2cohom.sweep import nonresonant_weights, weights_for_tvector
 from sl2cohom.weights import GENERATORS, Weights
@@ -119,6 +118,22 @@ def test_coboundary_reduced_agrees_with_generic():
             assert coboundary_reduced(b).to_cochain() == coboundary(b.to_cochain())
             checked += 1
     assert checked >= 25
+
+
+def two_cochain_from_cochain(f):
+    """Invert ReducedTwoCochain.to_cochain; the conversion is triangular."""
+    x = Polynomial.x()
+    g12 = f.component((X1, XX))
+    g13 = f.component((X1, XX2))
+    g23 = f.component((XX, XX2))
+    a_fam, b_fam, c_fam = dict(g12.terms), {}, {}
+    for alpha in set(g12.terms) | set(g13.terms) | set(g23.terms):
+        a = g12.coefficient(alpha)
+        b = (g13.coefficient(alpha) - (2 * x) * a).scale(Fraction(1, 2))
+        c = (g23.coefficient(alpha) - (x * x) * a - (2 * x) * b).scale(Fraction(1, 2))
+        b_fam[alpha] = b
+        c_fam[alpha] = c
+    return ReducedTwoCochain(f.weights, a_fam, b_fam, c_fam)
 
 
 def test_reduced_coordinates_roundtrip():
