@@ -39,11 +39,24 @@ by entry without building any operator:
 The (S, T, sign, c) tables are derived once from the structure constants.
 The generic ``coboundary`` on operator-valued cochains stays as the
 independent route the tests compare the block matrices against.
+
+Only the lowering factor a_l (a_l + 2 lambda_l - 1) depends on lambda.
+The block bases, the action and bracket entries and the position of every
+entry depend on (p, n, delta, cap, eigenvalue) alone, so they form a
+`BlockFrame` built once per key and kept in a ``functools.lru_cache`` of
+at most ``FRAME_CACHE_SIZE`` frames; ``block_matrix`` fills the lowering
+factors of one lambda into a copy of the frame's columns.  A sweep
+evaluates many lambda per key (a ``table`` row set shares one key per k),
+so its oracle time goes into the echelon.  Frames are built on first use,
+never at import.  The 10 frames of ``table --n 4 --k-max 4 --oracle on``
+hold about 4.3 MiB; the two frames of a block at the command line's
+``MAX_ORACLE_BLOCK`` ceiling hold 13-14 MiB (n = 3..5).
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import sys
 from dataclasses import dataclass
@@ -51,8 +64,8 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .closedform import classify
-from .linalg import sparse_prefix_ranks, sparse_rank
-from .multiindices import MultiIndex, enumerate_up_to, index_weight, sub_unit
+from .linalg import sparse_prefix_ranks
+from .multiindices import MultiIndex, enumerate_up_to, index_weight
 from .operators import DiffOperator, act_on_operator
 from .polynomials import Polynomial, Scalar, scalar
 from .weights import GENERATORS, SL2Generator, Weights, bracket
@@ -231,12 +244,17 @@ def weight_block_basis(p: int, tr: Truncation, w: Weights) -> list[BlockElement]
     shift = tr.weight - w.delta()
     if shift.denominator != 1:
         return []
-    if shift + 1 + tr.alpha_max > sys.maxsize:
+    return _block_basis(p, w.n, int(shift), tr.alpha_max)
+
+
+def _block_basis(p: int, n: int, shift: int, alpha_max: int) -> list[BlockElement]:
+    """The block basis of `weight_block_basis` for an integral shift."""
+    if shift + 1 + alpha_max > sys.maxsize:
         raise OverflowError("monomial degree of the block exceeds an index-sized integer")
-    offsets = [(args, int(shift) - sum(g.weight_contribution for g in args))
+    offsets = [(args, shift - sum(g.weight_contribution for g in args))
                for args in BASIS_TUPLES[p]]
     out: list[BlockElement] = []
-    for alpha in enumerate_up_to(w.n, tr.alpha_max):
+    for alpha in enumerate_up_to(n, alpha_max):
         level = index_weight(alpha)
         for args, offset in offsets:
             if offset + level >= 0:
@@ -291,6 +309,138 @@ def _differential_table(p: int) -> dict[ArgTuple, tuple[DifferentialTerm, ...]]:
 _DIFFERENTIAL_TABLES = {p: _differential_table(p) for p in range(3)}
 
 
+#: Bound on the cached block frames.  The oracle reads two frames (degrees
+#: 1 and 2) per (n, delta, cap, eigenvalue) block, so 16 blocks stay warm:
+#: rows visited in any order over up to 16 such blocks rebuild none.
+FRAME_CACHE_SIZE = 32
+
+
+@dataclass(frozen=True)
+class BlockFrame:
+    """The lambda-independent part of d: block_p -> block_{p+1}.
+
+    ``columns`` holds, per source basis cochain, its fixed entries
+    {target position: value} (action and bracket terms, cancelled entries
+    dropped), its lowering slots (target position, slot) and its lowering
+    slots whose coordinate the target basis lacks (coordinate, slot).  Slot
+    2 (i width + a) + (sign < 0) names the entry -sign a (a + 2 lambda_i - 1)
+    of `_lowering_values`.  ``levels`` is |alpha| per source cochain, from
+    which the prefix of each smaller cap is read.
+    """
+
+    width: int
+    levels: tuple[int, ...]
+    columns: tuple[tuple[dict[int, Scalar], tuple[tuple[int, int], ...],
+                         tuple[tuple[BlockElement, int], ...]], ...]
+
+    def cap_lengths(self, caps: Sequence[int]) -> list[int]:
+        """Length of the prefix of the source basis with |alpha| <= cap, per cap."""
+        return [bisect.bisect_right(self.levels, cap) for cap in caps]
+
+
+_EMPTY_FRAME = BlockFrame(1, (), ())
+
+
+def _build_frame(p: int, delta: Scalar, source: Sequence[BlockElement],
+                 target: Sequence[BlockElement]) -> BlockFrame:
+    """Frame of d on the source cochains, in coordinates of the target basis.
+
+    Within one column the bracket term of T and the action term of T meet
+    only when j = 1 (both at (m, alpha, T)), and the lowering coordinates
+    (|alpha| - 1, only on the one T with j = 2) meet nothing, so every
+    entry is written once.  A fixed entry outside the target basis is an
+    error here; a lowering coordinate outside it is an error only where its
+    factor is nonzero, which `_fill` decides per configuration.
+    """
+    index = {elem: i for i, elem in enumerate(target)}
+    table = _DIFFERENTIAL_TABLES[p]
+    width = 1 + max((a for _, alpha, _ in source for a in alpha), default=0)
+    columns = []
+    for m, alpha, args in source:
+        order_shift = delta - index_weight(alpha)
+        fixed: dict[int, Scalar] = {}
+        slots = []
+        missing = []
+        for tup, j, sign, c in table[args]:
+            if j is None:
+                _put(fixed, index, (m, alpha, tup), c)
+                continue
+            value = sign * (m + j * order_shift)
+            if j == 1:
+                _put(fixed, index, (m, alpha, tup), c + value)
+                continue
+            _put(fixed, index, (m, alpha, tup), c)
+            _put(fixed, index, (m + j - 1, alpha, tup), value)
+            if j != 2:
+                continue
+            for i, a in enumerate(alpha):
+                if a:
+                    key = (m, alpha[:i] + (a - 1,) + alpha[i + 1:], tup)
+                    slot = 2 * (i * width + a) + (sign < 0)
+                    pos = index.get(key)
+                    if pos is None:
+                        missing.append((key, slot))
+                    else:
+                        slots.append((pos, slot))
+        columns.append((fixed, tuple(slots), tuple(missing)))
+    return BlockFrame(width, tuple(index_weight(alpha) for _, alpha, _ in source),
+                      tuple(columns))
+
+
+def _put(column: dict[int, Scalar], index: dict[BlockElement, int],
+         key: BlockElement, value: Scalar) -> None:
+    """Write a nonzero entry at the target position of key."""
+    if value:
+        pos = index.get(key)
+        if pos is None:
+            raise ValueError(f"image coordinate {key} falls outside the block basis")
+        column[pos] = value
+
+
+@functools.lru_cache(maxsize=FRAME_CACHE_SIZE)
+def _cached_frame(p: int, n: int, delta: int, alpha_max: int, weight: int) -> BlockFrame:
+    shift = weight - delta
+    return _build_frame(p, delta, _block_basis(p, n, shift, alpha_max),
+                        _block_basis(p + 1, n, shift, alpha_max))
+
+
+def _block_frame(p: int, tr: Truncation, w: Weights) -> BlockFrame:
+    """The cached frame of the block of d selected by tr; it reads only
+    n and delta off w, so every lambda with the same n and delta shares it."""
+    delta = w.delta()
+    if (tr.weight - delta).denominator != 1:
+        return _EMPTY_FRAME
+    return _cached_frame(p, w.n, int(delta), tr.alpha_max, tr.weight)
+
+
+def _lowering_values(w: Weights, width: int) -> list[Scalar]:
+    """-a (a + 2 lambda_i - 1) and a (a + 2 lambda_i - 1) for each slot i
+    and each a < width, in the order of `BlockFrame` slots."""
+    values: list[Scalar] = []
+    for twice in w.twice_lambdas:
+        for a in range(width):
+            factor = a * (a + twice - 1)
+            values += (-factor, factor)
+    return values
+
+
+def _fill(frame: BlockFrame, w: Weights) -> list[dict[int, Scalar]]:
+    """The columns of the frame at the weights w."""
+    values = _lowering_values(w, frame.width)
+    columns = []
+    for fixed, slots, missing in frame.columns:
+        column = fixed.copy()
+        for pos, slot in slots:
+            value = values[slot]
+            if value:
+                column[pos] = value
+        for key, slot in missing:
+            if values[slot]:
+                raise ValueError(f"image coordinate {key} falls outside the block basis")
+        columns.append(column)
+    return columns
+
+
 def block_matrix(p: int, tr: Truncation, w: Weights,
                  source: Optional[list[BlockElement]] = None,
                  target: Optional[list[BlockElement]] = None,
@@ -306,58 +456,28 @@ def block_matrix(p: int, tr: Truncation, w: Weights,
                                                   for j = 2 and each a_i > 0,
         c                                         at (m, alpha, T).
 
+    Only the second line depends on lambda.  The rest, and the position of
+    every entry, is the block's `BlockFrame`, cached per (p, n, delta,
+    cap, eigenvalue); this call fills the lowering factors in.  Explicit
+    ``source``/``target`` lists build an uncached frame the same way.
+
     Entries are exact: ``int`` where delta and every 2 lambda_i are
     integers (delta always is on a nonempty eigenvalue block), else
     ``Fraction``, which the echelon's intake clears.  Coordinates whose
     terms cancel are dropped.  Raising the degree preserves the eigenvalue
     and never increases |alpha|, so every image coordinate must land in the
-    target basis; a coordinate falling outside it is a hard error, not a
+    target basis; a nonzero entry falling outside it is a hard error, not a
     truncation.
     """
-    if source is None:
-        source = weight_block_basis(p, tr, w)
-    if target is None:
-        target = weight_block_basis(p + 1, tr, w)
-    index = {elem: i for i, elem in enumerate(target)}
-    table = _DIFFERENTIAL_TABLES[p]
-    delta = scalar(w.delta())
-    lowering: dict[tuple[int, int], Scalar] = {}
-    columns = []
-    for m, alpha, args in source:
-        order_shift = delta - index_weight(alpha)
-        image: dict[BlockElement, Scalar] = {}
-        for tup, j, sign, c in table[args]:
-            if c:
-                key = (m, alpha, tup)
-                prev = image.get(key)
-                image[key] = c if prev is None else prev + c
-            if j is None:
-                continue
-            value = m + j * order_shift
-            key = (m + j - 1, alpha, tup)
-            prev = image.get(key)
-            image[key] = sign * value if prev is None else prev + sign * value
-            if j != 2:
-                continue
-            for i, a in enumerate(alpha):
-                if not a:
-                    continue
-                factor = lowering.get((i, a))
-                if factor is None:
-                    factor = lowering[(i, a)] = a * (a + w.twice_lambdas[i] - 1)
-                key = (m, sub_unit(alpha, i), tup)
-                prev = image.get(key)
-                image[key] = -sign * factor if prev is None else prev - sign * factor
-        column: dict[int, Scalar] = {}
-        for key, value in image.items():
-            if value:
-                pos = index.get(key)
-                if pos is None:
-                    raise ValueError(
-                        f"image coordinate {key} falls outside the block basis")
-                column[pos] = value
-        columns.append(column)
-    return columns
+    if source is None and target is None:
+        frame = _block_frame(p, tr, w)
+    else:
+        if source is None:
+            source = weight_block_basis(p, tr, w)
+        if target is None:
+            target = weight_block_basis(p + 1, tr, w)
+        frame = _build_frame(p, scalar(w.delta()), source, target)
+    return _fill(frame, w)
 
 
 @dataclass(frozen=True)
@@ -388,12 +508,6 @@ def default_alpha_max(w: Weights) -> int:
     return k + 3 if k is not None else 3
 
 
-def _cap_lengths(basis: list[BlockElement], caps: Sequence[int]) -> list[int]:
-    """Length of the prefix of a block basis with |alpha| <= cap, per cap."""
-    levels = [index_weight(alpha) for _, alpha, _ in basis]
-    return [bisect.bisect_right(levels, cap) for cap in caps]
-
-
 def h2_block_dimensions(w: Weights, caps: Sequence[int], weight: int = 0) -> list[int]:
     """dim ker(d: C2 -> C3) - rank(d: C1 -> C2) on the block truncated at each cap.
 
@@ -406,11 +520,10 @@ def h2_block_dimensions(w: Weights, caps: Sequence[int], weight: int = 0) -> lis
     if not caps or min(caps) < 0:
         raise ValueError("caps must be a nonempty list of nonnegative integers")
     tr = Truncation(max(caps), weight)
-    b1, b2, b3 = (weight_block_basis(p, tr, w) for p in (1, 2, 3))
-    cuts1 = _cap_lengths(b1, caps)
-    cuts2 = _cap_lengths(b2, caps)
-    ranks1 = sparse_prefix_ranks(block_matrix(1, tr, w, b1, b2), cuts1)
-    ranks2 = sparse_prefix_ranks(block_matrix(2, tr, w, b2, b3), cuts2)
+    cuts1 = _block_frame(1, tr, w).cap_lengths(caps)
+    cuts2 = _block_frame(2, tr, w).cap_lengths(caps)
+    ranks1 = sparse_prefix_ranks(block_matrix(1, tr, w), cuts1)
+    ranks2 = sparse_prefix_ranks(block_matrix(2, tr, w), cuts2)
     return [n2 - r2 - r1 for n2, r1, r2 in zip(cuts2, ranks1, ranks2)]
 
 
@@ -435,39 +548,3 @@ def brute_force_h2(w: Weights, alpha_max: Optional[int] = None) -> CohomResult:
         stable=(dims[0] == dims[1] == dims[2]),
         case=classify(w).describe(),
     )
-
-
-def weight_block_report(w: Weights, alpha_max: int, weight: int = 0) -> dict:
-    """Dimensions and differential ranks of one block, degree by degree."""
-    tr = Truncation(alpha_max, weight)
-    bases = {p: weight_block_basis(p, tr, w) for p in range(4)}
-    ranks = {
-        p: sparse_rank(block_matrix(p, tr, w, bases[p], bases[p + 1]))
-        for p in range(3)
-    }
-    dims = {p: len(bases[p]) for p in range(4)}
-    kernels = {p: dims[p] - ranks[p] for p in range(3)}
-    return {"dims": dims, "ranks": ranks, "kernels": kernels}
-
-
-def cochain_weight_components(f: Cochain) -> dict[Fraction, Cochain]:
-    """Split a cochain into its diagonal eigenvalue components."""
-    buckets: dict[Fraction, dict[ArgTuple, dict[MultiIndex, list]]] = {}
-    for args, op in f.components.items():
-        for alpha, poly in op.terms.items():
-            for m, coeff in enumerate(poly.coeffs):
-                if coeff == 0:
-                    continue
-                wt = weight_of(m, alpha, args, f.weights)
-                comp = buckets.setdefault(wt, {}).setdefault(args, {})
-                coeffs = comp.setdefault(alpha, [])
-                while len(coeffs) <= m:
-                    coeffs.append(Fraction(0))
-                coeffs[m] = coeff
-    out = {}
-    for wt, comps in buckets.items():
-        out[wt] = Cochain(f.weights, f.degree, {
-            args: DiffOperator(f.weights, {a: Polynomial(cs) for a, cs in terms.items()})
-            for args, terms in comps.items()
-        })
-    return out

@@ -72,9 +72,9 @@ def classify(w: Weights) -> CaseTag:
     k = w.natural_delta()
     if k is None:
         return CaseTag(CaseKind.NON_INTEGER_DELTA)
-    ts = w.minus_two_lambdas()
-    if all(t.denominator == 1 and 0 <= t <= k - 1 for t in ts):
-        t = tuple(int(v) for v in ts)
+    # -2 lambda_i from the stored 2 lambda_i, an int exactly when integral
+    t = tuple(-v for v in w.twice_lambdas)
+    if all(type(v) is int and 0 <= v < k for v in t):
         sigma = sum(t)
         return CaseTag(CaseKind.SINGULAR, k=k, t=t, sigma=sigma, m=sigma - k)
     return CaseTag(CaseKind.NON_RESONANT, k=k)

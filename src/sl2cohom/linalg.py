@@ -18,8 +18,8 @@ entry and return ``Fraction`` values.
 its sparse rows plus its column count, the form in which
 :func:`sl2cohom.reduced.build_system` and the block matrices of the
 truncated cochain complex are built; one pass can also report the rank of
-every leading prefix.  The dense ``RationalMatrix`` remains for the views
-that need cells (``rank`` of a perturbed system, CSV export) and hands its
+every leading prefix.  The dense ``RationalMatrix`` remains for the one
+view that needs cells, the ``rank`` of a perturbed system, and hands its
 nonzero entries to the engine.  There is one engine; no other elimination
 routine exists.
 """
@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
-from .polynomials import Scalar, exact, format_rational
+from .polynomials import Scalar, exact
 
 
 class RationalMatrix:
@@ -77,19 +77,6 @@ class RationalMatrix:
         out = [list(r) for r in self.entries]
         out[i][j] = exact(value)
         return RationalMatrix(out, cols=self.cols)
-
-    def to_csv(self, row_labels: Optional[Sequence[str]] = None,
-               col_labels: Optional[Sequence[str]] = None) -> str:
-        lines = []
-        if col_labels is not None:
-            head = [""] if row_labels is not None else []
-            lines.append(",".join(head + [str(c) for c in col_labels]))
-        for i, row in enumerate(self.entries):
-            cells = [format_rational(v) for v in row]
-            if row_labels is not None:
-                cells = [str(row_labels[i])] + cells
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional
 
 from . import linalg
@@ -337,8 +337,8 @@ class LinearSystem:
     column of a + e_i and zero elsewhere.  ``equations`` holds each row as
     a sparse vector {column: entry} of its nonzero entries, ``int`` when
     2 lambda_i is an integer; rank, kernel and solves run on these rows.
-    The dense ``matrix`` is derived on demand, for the views that need
-    cells: CSV export and the perturbed rank of ``verify``'s self-test.
+    The dense ``matrix`` is derived on demand, for the one view that needs
+    cells: the perturbed rank of ``verify``'s self-test.
     """
 
     n: int
@@ -366,11 +366,6 @@ class LinearSystem:
         """Row count minus rank; each unit contributes 3 to the dimension."""
         return len(self.row_index) - self.rank()
 
-    def to_csv(self) -> str:
-        return self.matrix.to_csv(
-            row_labels=[format_multiindex(a) for a in self.row_index],
-            col_labels=[format_multiindex(b) for b in self.col_index])
-
     def with_rows(self, keep: list[int]) -> "LinearSystem":
         return LinearSystem(
             self.n, self.k, self.lambdas,
@@ -379,24 +374,44 @@ class LinearSystem:
             tuple(self.equations[i] for i in keep))
 
 
-def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
-    """The constraint system; empty (zero rows) when k = 0."""
-    if len(lambdas) != n:
-        raise ValueError("lambda tuple length must equal n")
-    lambdas = tuple(exact(v) for v in lambdas)
-    twice_lambdas = [scalar(2 * lam) for lam in lambdas]
+#: Bound on the cached (n, k) system frames: rows visited in any order
+#: over up to 32 (n, k) pairs rebuild none.
+SYSTEM_FRAME_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=SYSTEM_FRAME_CACHE_SIZE)
+def _system_frame(n: int, k: int) -> tuple[tuple[MultiIndex, ...], tuple[MultiIndex, ...],
+                                           tuple[tuple[tuple[int, int], ...], ...]]:
+    """row_index, col_index and, per row alpha, the (column of alpha + e_i,
+    slot i k + a_i) pairs whose factor `build_system` fills in."""
     rows = tuple(enumerate_multiindices(n, k - 1))
     cols = tuple(enumerate_multiindices(n, k))
     col_pos = {c: j for j, c in enumerate(cols)}
-    equations = []
-    for alpha in rows:
-        equation = {}
-        for i, a in enumerate(alpha):
-            factor = (a + 1) * (a + twice_lambdas[i])
-            if factor:
-                equation[col_pos[add_unit(alpha, i)]] = factor
-        equations.append(equation)
-    return LinearSystem(n, k, lambdas, rows, cols, tuple(equations))
+    patterns = tuple(tuple((col_pos[add_unit(alpha, i)], i * k + a) for i, a in enumerate(alpha))
+                     for alpha in rows)
+    return rows, cols, patterns
+
+
+def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
+    """The constraint system; empty (zero rows) when k = 0.
+
+    Only the factors (a_i + 1)(a_i + 2 lambda_i), for each slot i and each
+    a_i < k, depend on lambda.  The index tuples and each row's sparsity
+    pattern are an (n, k) frame cached by ``_system_frame``, so a sweep
+    evaluating many lambda at one (n, k) computes just the n k factors per
+    configuration.  The cache keeps at most ``SYSTEM_FRAME_CACHE_SIZE``
+    frames; the 6 of n = 4, k <= 5 hold 23 KiB, and one at the command
+    line's 5,000-equation ceiling about 2.3 MiB.
+    """
+    if len(lambdas) != n:
+        raise ValueError("lambda tuple length must equal n")
+    lambdas = tuple(exact(v) for v in lambdas)
+    rows, cols, patterns = _system_frame(n, k)
+    twice_lambdas = [scalar(2 * lam) for lam in lambdas]
+    factors = [(a + 1) * (a + twice) for twice in twice_lambdas for a in range(k)]
+    equations = tuple({j: f for j, slot in pattern if (f := factors[slot])}
+                      for pattern in patterns)
+    return LinearSystem(n, k, lambdas, rows, cols, equations)
 
 
 def split_systems(sys: LinearSystem, t1: int) -> tuple[LinearSystem, LinearSystem, LinearSystem]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sl2cohom import cecomplex
 from sl2cohom.cecomplex import (
     BASIS_TUPLES,
     Cochain,
@@ -11,12 +12,10 @@ from sl2cohom.cecomplex import (
     basis_cochain,
     brute_force_h2,
     coboundary,
-    cochain_weight_components,
     block_matrix,
     default_alpha_max,
     h2_block_dimensions,
     weight_block_basis,
-    weight_block_report,
     weight_of,
 )
 from sl2cohom.linalg import sparse_rank
@@ -54,6 +53,42 @@ def random_cochain(rng, w, degree, level=2, deg=2):
         if not op.is_zero():
             comps[args] = op
     return Cochain(w, degree, comps)
+
+
+def weight_block_report(w, alpha_max, weight=0):
+    """Dimensions and differential ranks of one block, degree by degree."""
+    tr = Truncation(alpha_max, weight)
+    bases = {p: weight_block_basis(p, tr, w) for p in range(4)}
+    ranks = {
+        p: sparse_rank(block_matrix(p, tr, w, bases[p], bases[p + 1]))
+        for p in range(3)
+    }
+    dims = {p: len(bases[p]) for p in range(4)}
+    kernels = {p: dims[p] - ranks[p] for p in range(3)}
+    return {"dims": dims, "ranks": ranks, "kernels": kernels}
+
+
+def cochain_weight_components(f):
+    """Split a cochain into its diagonal eigenvalue components."""
+    buckets = {}
+    for args, op in f.components.items():
+        for alpha, poly in op.terms.items():
+            for m, coeff in enumerate(poly.coeffs):
+                if coeff == 0:
+                    continue
+                wt = weight_of(m, alpha, args, f.weights)
+                comp = buckets.setdefault(wt, {}).setdefault(args, {})
+                coeffs = comp.setdefault(alpha, [])
+                while len(coeffs) <= m:
+                    coeffs.append(Fraction(0))
+                coeffs[m] = coeff
+    out = {}
+    for wt, comps in buckets.items():
+        out[wt] = Cochain(f.weights, f.degree, {
+            args: DiffOperator(f.weights, {a: Polynomial(cs) for a, cs in terms.items()})
+            for args, terms in comps.items()
+        })
+    return out
 
 
 def test_zero_cochain_has_zero_coboundary():
@@ -332,6 +367,49 @@ def test_block_matrix_refuses_a_target_missing_an_image_coordinate():
     for hit in sorted({i for col in block_matrix(1, tr, w, source, target) for i in col})[:5]:
         with pytest.raises(ValueError, match="outside the block basis"):
             block_matrix(1, tr, w, source, target[:hit] + target[hit + 1:])
+    # A lowering coordinate whose factor a_1 (a_1 + 2 lambda_1 - 1) is 0 at
+    # lambda_1 = 0, a_1 = 1 carries no entry, so its absence is no error;
+    # at lambda_1 = 1/3 (same delta, same block) the entry is 2/3 and it is.
+    w_third = Weights((Fraction(1, 3), Fraction(0)), Fraction(4, 3))
+    lowering_sources = [elem for elem in source if elem[1] == (1, 0) and XX2 not in elem[2]]
+    assert lowering_sources
+    for elem in lowering_sources:
+        m, _, args = elem
+        short = [e for e in target if e != (m, (0, 0), args + (XX2,))]
+        assert len(short) == len(target) - 1
+        assert block_matrix(1, tr, w, [elem], short) == _generic_block_matrix(w, [elem], short)
+        with pytest.raises(ValueError, match="outside the block basis"):
+            block_matrix(1, tr, w_third, [elem], short)
+
+
+#: Weights sharing n = 2 and delta = 2, so one frame per degree and cap:
+#: lambda_1 = 1/3 gives Fraction entries, and the resonant rows make the
+#: lowering factor a_i (a_i + 2 lambda_i - 1) vanish at a_1 = 1 (lambda_1 = 0)
+#: and at a_2 = 2 (lambda_2 = -1/2), where the first weight's factors do not.
+SHARED_FRAME_WEIGHTS = [
+    Weights((Fraction(1), Fraction(1)), Fraction(4)),
+    Weights((Fraction(1, 3), Fraction(2)), Fraction(13, 3)),
+    Weights((Fraction(0), Fraction(-1, 2)), Fraction(3, 2)),
+    weights_for_tvector(2, 2, (1, 0)),
+    Weights((Fraction(-1, 2), Fraction(1, 3)), Fraction(11, 6)),
+]
+
+
+def test_block_frames_carry_no_lambda():
+    assert {w.delta() for w in SHARED_FRAME_WEIGHTS} == {2}
+    tr = Truncation(4)
+    for p in range(3):
+        bases = (weight_block_basis(p, tr, SHARED_FRAME_WEIGHTS[0]),
+                 weight_block_basis(p + 1, tr, SHARED_FRAME_WEIGHTS[0]))
+        hits = cecomplex._cached_frame.cache_info().hits
+        for w in SHARED_FRAME_WEIGHTS:
+            assert block_matrix(p, tr, w) == _generic_block_matrix(w, *bases), (p, w)
+        # every weight after the first read a frame already built
+        assert cecomplex._cached_frame.cache_info().hits - hits >= len(SHARED_FRAME_WEIGHTS) - 1
+    # and the cochain dimensions read off the shared frames are per-lambda
+    for w in SHARED_FRAME_WEIGHTS:
+        assert h2_block_dimensions(w, [3, 4]) == [
+            _h2_block_dimension_reference(w, cap, 0) for cap in (3, 4)]
 
 
 def test_truncation_refuses_a_non_integer_eigenvalue():

@@ -203,15 +203,6 @@ def test_sparse_echelon_leads_are_distinct():
         assert r[min(r)] == 1
 
 
-def test_csv_roundtrip():
-    m = RationalMatrix([[Fraction(1, 2), -2], [0, 3]])
-    text = m.to_csv(row_labels=["[0]", "[1]"], col_labels=["[0,1]", "[1,0]"])
-    assert text.splitlines()[0] == ",[0,1],[1,0]"
-    parsed = [[Fraction(c) for c in line.split(",")[1:]]
-              for line in text.splitlines()[1:]]
-    assert RationalMatrix(parsed) == m
-
-
 @pytest.mark.parametrize("call", [
     lambda: RationalMatrix([[1, 2]]).mat_vec([0.5, 1]),
     lambda: RationalMatrix([[1, 2]]).with_entry(0, 1, 0.5),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sl2cohom.cecomplex import coboundary
-from sl2cohom.multiindices import index_weight, multiset_coeff
+from sl2cohom.multiindices import add_unit, enumerate_multiindices, index_weight, multiset_coeff
 from sl2cohom.operators import DiffOperator
 from sl2cohom.polynomials import Polynomial
 from sl2cohom.reduced import (
@@ -195,12 +195,37 @@ def test_build_system_rows_are_sparse_and_exact():
         build_system(1, 2, (0.1,))
 
 
-def test_system_csv_labels():
-    system = build_system(2, 1, (Fraction(0), Fraction(0)))
-    text = system.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == ",[0,1],[1,0]"
-    assert lines[1] == "[0,0],0,0"
+def test_system_frames_carry_no_lambda():
+    # lambda sharing (n, k) = (3, 3), evaluated back to back on one cached
+    # frame: the first has no zero factor, the resonant ones vanish at
+    # a_i = -2 lambda_i, and 1/3, -1/5, 2/7 give Fraction entries
+    n, k = 3, 3
+    lambda_sets = [
+        (Fraction(1), Fraction(1), Fraction(1)),
+        (Fraction(0), Fraction(-1), Fraction(-1, 2)),
+        (Fraction(1, 3), Fraction(-1, 2), Fraction(0)),
+        (Fraction(-1, 5), Fraction(2, 7), Fraction(-1)),
+    ]
+    rows = enumerate_multiindices(n, k - 1)
+    cols = enumerate_multiindices(n, k)
+    for lambdas in lambda_sets:
+        system = build_system(n, k, lambdas)
+        assert system.row_index == tuple(rows) and system.col_index == tuple(cols)
+        expected = []
+        for alpha in rows:
+            equation = {}
+            for i, a in enumerate(alpha):
+                twice = 2 * lambdas[i]
+                factor = (a + 1) * (a + (int(twice) if twice.denominator == 1 else twice))
+                if factor:
+                    equation[cols.index(add_unit(alpha, i))] = factor
+            expected.append(equation)
+        assert list(system.equations) == expected, lambdas
+        # int exactly where 2 lambda_i is an integer
+        assert [{j: type(v) for j, v in eq.items()} for eq in system.equations] == \
+            [{j: type(v) for j, v in eq.items()} for eq in expected]
+    assert sum(1 for eq in build_system(n, k, lambda_sets[1]).equations for _ in eq) < \
+        sum(1 for eq in build_system(n, k, lambda_sets[0]).equations for _ in eq)
 
 
 def test_kernel_dimension_identity():
