@@ -41,16 +41,50 @@ The generic ``coboundary`` on operator-valued cochains stays as the
 independent route the tests compare the block matrices against.
 
 Only the lowering factor a_l (a_l + 2 lambda_l - 1) depends on lambda.
-The block bases, the action and bracket entries and the position of every
-entry depend on (p, n, delta, cap, eigenvalue) alone, so they form a
-`BlockFrame` built once per key and kept in a ``functools.lru_cache`` of
-at most ``FRAME_CACHE_SIZE`` frames; ``block_matrix`` fills the lowering
-factors of one lambda into a copy of the frame's columns.  A sweep
-evaluates many lambda per key (a ``table`` row set shares one key per k),
-so its oracle time goes into the echelon.  Frames are built on first use,
-never at import.  The 10 frames of ``table --n 4 --k-max 4 --oracle on``
-hold about 4.3 MiB; the two frames of a block at the command line's
-``MAX_ORACLE_BLOCK`` ceiling hold 13-14 MiB (n = 3..5).
+The action and bracket entries and the position of every entry form a
+`BlockFrame`; a column is the frame's column with the lowering factors of
+one lambda filled in.
+
+The oracle does not rank the two full blocks of d.  X1 = d/dx acts on
+x^m by differentiation, so it pairs off cochains one degree apart.  Call
+a block cochain (m, alpha, T) with X1 in T paired, P_p the paired
+cochains of degree p, and (m + 1, alpha, T - {X1}) its partner: it has
+the same eigenvalue and the same |alpha|, and the j = 0 action term puts
+the entry m + 1 of d(partner), which does not depend on lambda, at the
+paired cochain.  Let C_p be the block at a cap c; since d never raises
+|alpha|, partners of cochains in C_p lie in C_{p-1}.  At every cap:
+
+1. rank d1 = rank of d1 on the columns C1 - P1.  d0 has no bracket term,
+   and its only entry on a P1 row is the action of X1, so the partner z
+   of e = (m, alpha, (X1,)) has d0 z = (m + 1) e + y with y supported on
+   C1 - P1.  From d1 d0 = 0, d1 e = -d1 y / (m + 1): every P1 column of d1
+   lies in the span of the other columns at the same cap.
+2. rank d2 = |C3|.  Every 3-cochain is on (X1, Xx, Xx2), so paired, and
+   the column of d2 at its partner (m + 1, alpha, (Xx, Xx2)) has no
+   bracket or lowering term: its one entry is m + 1 at the cochain.  These
+   columns form a diagonal minor of full row rank.
+
+So dim H^2 = |C2| - |C3| - rank(d1 on C1 - P1).  This is the contracting
+homotopy of X1 (G. Hochschild and J.-P. Serre, Ann. of Math. 57, 1953),
+in the algebraic Morse theory form of E. Skoldberg (Trans. AMS 358, 2006).
+What each proof reads off d, that every partner is in the basis and that
+the partner columns are diagonal, with a nonzero and lambda-independent
+diagonal, on the paired rows, is checked from the frame's own entries
+when a block is first built (`_certify_pairing`), never assumed.
+
+The block bases, d1 on the X1-free columns and the sizes of C2 and C3
+depend on (n, delta, cap, eigenvalue) alone.  They form an `H2Frame`,
+built on first use (never at import), once per key, and kept in a
+``functools.lru_cache`` of at most ``FRAME_CACHE_SIZE`` frames.  Its rows
+put the X1-containing 2-cochains first, so each X1-free column with m >= 1
+has its partner row as leading index and lands on a fresh pivot, unless
+an m = 0 column of the same |alpha| took that row first: on ``table --n 4
+--k-max 4 --oracle on`` 2.5% of these columns and all m = 0 columns are
+reduced.  A sweep evaluates many lambda per key (a ``table`` row set
+shares one key per k), so its oracle time goes into the echelon.  The 5
+frames of that table hold about 1.8 MiB; the frame of a block near the
+command line's ``MAX_ORACLE_BLOCK`` ceiling 4.5 MiB (n = 4, k = 12) to
+7.7 MiB (n = 5, k = 8).
 """
 
 from __future__ import annotations
@@ -309,9 +343,9 @@ def _differential_table(p: int) -> dict[ArgTuple, tuple[DifferentialTerm, ...]]:
 _DIFFERENTIAL_TABLES = {p: _differential_table(p) for p in range(3)}
 
 
-#: Bound on the cached block frames.  The oracle reads two frames (degrees
-#: 1 and 2) per (n, delta, cap, eigenvalue) block, so 16 blocks stay warm:
-#: rows visited in any order over up to 16 such blocks rebuild none.
+#: Bound on the cached frames.  The oracle reads one `H2Frame` per (n,
+#: delta, cap, eigenvalue) block, so 32 blocks stay warm: rows visited in
+#: any order over up to 32 such blocks rebuild none.
 FRAME_CACHE_SIZE = 32
 
 
@@ -333,12 +367,15 @@ class BlockFrame:
     columns: tuple[tuple[dict[int, Scalar], tuple[tuple[int, int], ...],
                          tuple[tuple[BlockElement, int], ...]], ...]
 
-    def cap_lengths(self, caps: Sequence[int]) -> list[int]:
-        """Length of the prefix of the source basis with |alpha| <= cap, per cap."""
-        return [bisect.bisect_right(self.levels, cap) for cap in caps]
+
+def _levels(basis: Sequence[BlockElement]) -> tuple[int, ...]:
+    """|alpha| per basis cochain; nondecreasing along a block basis."""
+    return tuple(index_weight(alpha) for _, alpha, _ in basis)
 
 
-_EMPTY_FRAME = BlockFrame(1, (), ())
+def _cap_lengths(levels: Sequence[int], caps: Sequence[int]) -> list[int]:
+    """Length of the prefix of a block basis with |alpha| <= cap, per cap."""
+    return [bisect.bisect_right(levels, cap) for cap in caps]
 
 
 def _build_frame(p: int, delta: Scalar, source: Sequence[BlockElement],
@@ -383,8 +420,7 @@ def _build_frame(p: int, delta: Scalar, source: Sequence[BlockElement],
                     else:
                         slots.append((pos, slot))
         columns.append((fixed, tuple(slots), tuple(missing)))
-    return BlockFrame(width, tuple(index_weight(alpha) for _, alpha, _ in source),
-                      tuple(columns))
+    return BlockFrame(width, _levels(source), tuple(columns))
 
 
 def _put(column: dict[int, Scalar], index: dict[BlockElement, int],
@@ -395,22 +431,6 @@ def _put(column: dict[int, Scalar], index: dict[BlockElement, int],
         if pos is None:
             raise ValueError(f"image coordinate {key} falls outside the block basis")
         column[pos] = value
-
-
-@functools.lru_cache(maxsize=FRAME_CACHE_SIZE)
-def _cached_frame(p: int, n: int, delta: int, alpha_max: int, weight: int) -> BlockFrame:
-    shift = weight - delta
-    return _build_frame(p, delta, _block_basis(p, n, shift, alpha_max),
-                        _block_basis(p + 1, n, shift, alpha_max))
-
-
-def _block_frame(p: int, tr: Truncation, w: Weights) -> BlockFrame:
-    """The cached frame of the block of d selected by tr; it reads only
-    n and delta off w, so every lambda with the same n and delta shares it."""
-    delta = w.delta()
-    if (tr.weight - delta).denominator != 1:
-        return _EMPTY_FRAME
-    return _cached_frame(p, w.n, int(delta), tr.alpha_max, tr.weight)
 
 
 def _lowering_values(w: Weights, width: int) -> list[Scalar]:
@@ -457,9 +477,10 @@ def block_matrix(p: int, tr: Truncation, w: Weights,
         c                                         at (m, alpha, T).
 
     Only the second line depends on lambda.  The rest, and the position of
-    every entry, is the block's `BlockFrame`, cached per (p, n, delta,
-    cap, eigenvalue); this call fills the lowering factors in.  Explicit
-    ``source``/``target`` lists build an uncached frame the same way.
+    every entry, is a `BlockFrame` of the source and target bases (by
+    default the whole blocks of degrees p and p + 1); this call builds it
+    and fills the lowering factors in.  The oracle does not call it: this
+    is the full matrix of d that the tests compare the oracle against.
 
     Entries are exact: ``int`` where delta and every 2 lambda_i are
     integers (delta always is on a nonempty eigenvalue block), else
@@ -469,15 +490,83 @@ def block_matrix(p: int, tr: Truncation, w: Weights,
     target basis; a nonzero entry falling outside it is a hard error, not a
     truncation.
     """
-    if source is None and target is None:
-        frame = _block_frame(p, tr, w)
-    else:
-        if source is None:
-            source = weight_block_basis(p, tr, w)
-        if target is None:
-            target = weight_block_basis(p + 1, tr, w)
-        frame = _build_frame(p, scalar(w.delta()), source, target)
-    return _fill(frame, w)
+    if source is None:
+        source = weight_block_basis(p, tr, w)
+    if target is None:
+        target = weight_block_basis(p + 1, tr, w)
+    return _fill(_build_frame(p, scalar(w.delta()), source, target), w)
+
+
+@dataclass(frozen=True)
+class H2Frame:
+    """The lambda-independent data from which H^2 of one block is read.
+
+    ``d1`` is the frame of d: C1 -> C2 on the X1-free source cochains, with
+    the target rows on X1-containing tuples first, each group in basis
+    order.  ``levels2`` and ``levels3`` are |alpha| along the bases of C2
+    and C3, from which each cap's sizes are read.
+    """
+
+    d1: BlockFrame
+    levels2: tuple[int, ...]
+    levels3: tuple[int, ...]
+
+
+_EMPTY_H2_FRAME = H2Frame(BlockFrame(1, (), ()), (), ())
+
+
+def _has_x1(element: BlockElement) -> bool:
+    """Whether X1 is an argument; being the least generator, it is the
+    first one when present."""
+    return SL2Generator.X1 in element[2]
+
+
+def _certify_pairing(p: int, delta: int, source: Sequence[BlockElement],
+                     target: Sequence[BlockElement]) -> None:
+    """Check that d: C_p -> C_{p+1} pairs every X1-containing target cochain
+    (m, alpha, T) with its partner (m + 1, alpha, T - {X1}) in the source.
+
+    The check reads the frame of d on the partner columns: every partner
+    must be in the source basis, and on the X1-containing rows the partner
+    columns must form a diagonal minor with a nonzero diagonal (nonzero
+    because a frame never stores a zero entry) and no lambda-dependent
+    entry.  Raises RuntimeError otherwise.
+    """
+    rows = [i for i, elem in enumerate(target) if _has_x1(elem)]
+    basis = set(source)
+    partners = []
+    for i in rows:
+        m, alpha, args = target[i]
+        partner = (m + 1, alpha, args[1:])
+        if partner not in basis:
+            raise RuntimeError(f"the partner {partner} of {target[i]} is not in the block basis")
+        partners.append(partner)
+    paired = set(rows)
+    frame = _build_frame(p, delta, partners, target)
+    for i, partner, (fixed, slots, _) in zip(rows, partners, frame.columns):
+        if [pos for pos in fixed if pos in paired] != [i] or \
+                any(pos in paired for pos, _ in slots):
+            raise RuntimeError(f"d on {partner} is not diagonal on the X1 rows at {target[i]}")
+
+
+@functools.lru_cache(maxsize=FRAME_CACHE_SIZE)
+def _cached_h2_frame(n: int, delta: int, alpha_max: int, weight: int) -> H2Frame:
+    shift = weight - delta
+    c0, c1, c2, c3 = (_block_basis(p, n, shift, alpha_max) for p in range(4))
+    _certify_pairing(0, delta, c0, c1)
+    _certify_pairing(2, delta, c2, c3)
+    rows = sorted(c2, key=lambda e: not _has_x1(e))
+    d1 = _build_frame(1, delta, [e for e in c1 if not _has_x1(e)], rows)
+    return H2Frame(d1, _levels(c2), _levels(c3))
+
+
+def _h2_frame(tr: Truncation, w: Weights) -> H2Frame:
+    """The cached `H2Frame` of the block selected by tr; it reads only n and
+    delta off w, so every lambda with the same n and delta shares it."""
+    delta = w.delta()
+    if (tr.weight - delta).denominator != 1:
+        return _EMPTY_H2_FRAME
+    return _cached_h2_frame(w.n, int(delta), tr.alpha_max, tr.weight)
 
 
 @dataclass(frozen=True)
@@ -511,20 +600,19 @@ def default_alpha_max(w: Weights) -> int:
 def h2_block_dimensions(w: Weights, caps: Sequence[int], weight: int = 0) -> list[int]:
     """dim ker(d: C2 -> C3) - rank(d: C1 -> C2) on the block truncated at each cap.
 
-    Bases and differentials are built once, at the largest cap.  A smaller
-    cap's basis is a prefix of the largest (the basis is ordered by
-    |alpha|), and since d never raises |alpha| its matrix is the leading
-    columns of the largest, on the same row indices; one incremental
-    echelon pass per degree yields every cap's rank.
+    By the two identities of the module docstring this is |C2| - |C3| -
+    rank of d1 on the X1-free columns of C1, all read off the block's
+    `H2Frame` at the largest cap.  A smaller cap's basis is a prefix of
+    the largest (the basis is ordered by |alpha|), and since d never raises
+    |alpha| its matrix is the leading columns of the largest, on the same
+    row indices; one incremental echelon pass yields every cap's rank.
     """
     if not caps or min(caps) < 0:
         raise ValueError("caps must be a nonempty list of nonnegative integers")
-    tr = Truncation(max(caps), weight)
-    cuts1 = _block_frame(1, tr, w).cap_lengths(caps)
-    cuts2 = _block_frame(2, tr, w).cap_lengths(caps)
-    ranks1 = sparse_prefix_ranks(block_matrix(1, tr, w), cuts1)
-    ranks2 = sparse_prefix_ranks(block_matrix(2, tr, w), cuts2)
-    return [n2 - r2 - r1 for n2, r1, r2 in zip(cuts2, ranks1, ranks2)]
+    frame = _h2_frame(Truncation(max(caps), weight), w)
+    ranks1 = sparse_prefix_ranks(_fill(frame.d1, w), _cap_lengths(frame.d1.levels, caps))
+    return [n2 - n3 - r1 for n2, n3, r1 in zip(_cap_lengths(frame.levels2, caps),
+                                                _cap_lengths(frame.levels3, caps), ranks1)]
 
 
 def brute_force_h2(w: Weights, alpha_max: Optional[int] = None) -> CohomResult:

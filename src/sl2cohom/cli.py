@@ -44,8 +44,9 @@ IO_EXIT = 3
 #: 9,880 took 27 s (n = 4, k = 38).
 MAX_SYSTEM_EQUATIONS = 5_000
 #: Candidate cochains 3 C(cap + n, n) of the oracle's largest block, at
-#: cap = alpha_max + 2: 17,955 took 2.1 s (n = 4, k = 12) and 25,704 took
-#: 8.9 s and 118 MiB (n = 5, k = 8).
+#: cap = alpha_max + 2: 17,955 took 0.22 s and 27 MiB (n = 4, k = 12) and
+#: 25,704 took 0.45 s and 35 MiB (n = 5, k = 8), the slowest of the
+#: non-resonant row and 42 sampled t, each in a fresh process.
 MAX_ORACLE_BLOCK = 25_000
 #: Cells C(n + k - 1, k)^2 of the dense kernel ``basis`` returns:
 #: ``kernel_basis`` gives up to cols - rank vectors of cols entries each,

@@ -216,21 +216,34 @@ def _echelon(vectors: list[dict[int, Scalar]]) -> dict[int, dict[int, int]]:
 
 
 def _insert(vec: dict[int, Scalar], echelon: dict[int, dict[int, int]]) -> None:
-    """Reduce vec against echelon and keep the remainder, if any, as a new row."""
+    """Reduce vec against echelon and keep the remainder, if any, as a new row.
+
+    vec itself is never changed.  `_intake` may hand it back as it is, so it
+    is copied when it becomes a row or is first reduced in place; a vector
+    stored without any elimination is already primitive.
+    """
     v = _intake(vec)
+    owned = v is not vec
+    reduced = False
     while v:
         lead = min(v)
         row = echelon.get(lead)
         if row is None:
-            echelon[lead] = _primitive(v)
+            if reduced:
+                v = _primitive(v)
+            elif not owned:
+                v = dict(v)
+            echelon[lead] = v
             return
-        v = _eliminate(v, lead, row)
+        v = _eliminate(v, lead, row, owned)
+        owned = reduced = True
 
 
 def _intake(vec: dict[int, Scalar]) -> dict[int, int]:
     """vec as a primitive integer vector of its nonzero entries.
 
-    Denominators are cleared once, by their lcm; a float is refused.
+    Denominators are cleared once, by their lcm; a float is refused.  A
+    primitive integer vector without zero entries is returned as it is.
     """
     try:
         g = gcd(*vec.values())
@@ -241,7 +254,9 @@ def _intake(vec: dict[int, Scalar]) -> dict[int, int]:
                            for i, c in q.items() if c})
     if g > 1:
         return {i: c // g for i, c in vec.items() if c}
-    return {i: c for i, c in vec.items() if c}
+    if 0 in vec.values():
+        return {i: c for i, c in vec.items() if c}
+    return vec
 
 
 def _primitive(v: dict[int, int]) -> dict[int, int]:
@@ -252,17 +267,20 @@ def _primitive(v: dict[int, int]) -> dict[int, int]:
     return v
 
 
-def _eliminate(v: dict[int, int], at: int, row: dict[int, int]) -> dict[int, int]:
+def _eliminate(v: dict[int, int], at: int, row: dict[int, int],
+               in_place: bool = True) -> dict[int, int]:
     """a v - b row, which vanishes at ``at``; entries that cancel are dropped.
 
-    a and b are row[at] and v[at] divided by their gcd.  v may be updated in
-    place; row is not.
+    a and b are row[at] and v[at] divided by their gcd.  v is updated in
+    place only when in_place is set; row never is.
     """
     b, a = v[at], row[at]
     g = gcd(a, b)
     a, b = a // g, b // g
     if a != 1:
         v = {i: a * c for i, c in v.items()}
+    elif not in_place:
+        v = dict(v)
     for i, c in row.items():
         new = v.get(i, 0) - b * c
         if new:

@@ -23,7 +23,7 @@ from sl2cohom.multiindices import enumerate_up_to, index_weight
 from sl2cohom.operators import DiffOperator, act_on_operator
 from sl2cohom.polynomials import Polynomial
 from sl2cohom.reduced import rank_data
-from sl2cohom.sweep import nonresonant_weights, weights_for_tvector
+from sl2cohom.sweep import nonresonant_weights, sweep_configurations, weights_for_tvector
 from sl2cohom.weights import GENERATORS, Weights
 
 X1, XX, XX2 = GENERATORS
@@ -233,10 +233,13 @@ def test_brute_force_matches_rank_deficiency():
 
 def test_brute_force_matches_rank_deficiency_at_n4_k4_and_n3_k5():
     """The stable oracle equals ell on seeded resonant rows beyond the
-    default sweeps' oracle range, within a 10 s budget."""
+    default sweeps' oracle range (n = 4, k = 4 and 6; n = 3, k = 5; n = 5,
+    k = 4), within a 10 s budget."""
     rng = random.Random(2024)
     rows = [(4, 4, tuple(rng.randrange(4) for _ in range(4))) for _ in range(12)]
     rows += [(3, 5, tuple(rng.randrange(5) for _ in range(3))) for _ in range(12)]
+    rows += [(4, 6, tuple(rng.randrange(6) for _ in range(4))) for _ in range(6)]
+    rows += [(5, 4, tuple(rng.randrange(4) for _ in range(5))) for _ in range(6)]
     start = time.perf_counter()
     for n, k, t in rows:
         w = weights_for_tvector(n, k, t)
@@ -282,10 +285,109 @@ def _h2_block_dimension_reference(w, cap, weight):
 
 
 def test_block_dimensions_equal_per_cap_reference():
-    for w, caps, weight in PREFIX_CASES:
+    # Also every sweep row with n <= 3, k <= 4, below, at and above the cap
+    # where H^2 settles; nonzero eigenvalue blocks; and lambda = 1/3.
+    cases = PREFIX_CASES + [(w, [0, k + 1, k + 3], 0)
+                            for n in (1, 2, 3) for w, k, _ in sweep_configurations(n, 4)]
+    for w in (weights_for_tvector(1, 2, (0,)), weights_for_tvector(2, 2, (1, 0)),
+              weights_for_tvector(3, 2, (0, 1, 0)), nonresonant_weights(2, 3)):
+        cases += [(w, [1, 3, 4], eigenvalue) for eigenvalue in (1, -1, 2, -2)]
+    cases += [(Weights((Fraction(1, 3),), Fraction(7, 3)), [1, 3, 5], 0),
+              (Weights((Fraction(1, 3), Fraction(1, 3)), Fraction(8, 3)), [1, 2, 4], 0),
+              (Weights((Fraction(1, 3), Fraction(-1, 2)), Fraction(11, 6)), [2, 4], -1)]
+    for w, caps, weight in cases:
         expected = [_h2_block_dimension_reference(w, cap, weight) for cap in caps]
         assert h2_block_dimensions(w, caps, weight) == expected
         assert h2_block_dimensions(w, caps[::-1], weight) == expected[::-1]
+
+
+def test_brute_force_never_builds_a_block_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("block_matrix called")
+    monkeypatch.setattr(cecomplex, "block_matrix", refuse)
+    cecomplex._cached_h2_frame.cache_clear()
+    for w in (weights_for_tvector(2, 3, (1, 2)), weights_for_tvector(2, 3, (0, 2))):
+        assert brute_force_h2(w).dim == rank_data(w)[2]
+
+
+def test_a_cold_oracle_call_enumerates_each_degree_once(monkeypatch):
+    calls = []
+    block_basis = cecomplex._block_basis
+
+    def counting(p, *args):
+        calls.append(p)
+        return block_basis(p, *args)
+    monkeypatch.setattr(cecomplex, "_block_basis", counting)
+    cecomplex._cached_h2_frame.cache_clear()
+    w = weights_for_tvector(3, 3, (1, 0, 2))
+    brute_force_h2(w)
+    assert sorted(calls) == [0, 1, 2, 3]
+    brute_force_h2(weights_for_tvector(3, 3, (2, 2, 1)))
+    assert len(calls) == 4
+
+
+def test_the_oracle_frame_keeps_the_x1_free_columns_and_puts_x1_rows_first():
+    # An X1-free column x^m Omega^alpha on T with m >= 1 is the partner of
+    # the row (m - 1, alpha, X1 + T).  With the X1-containing rows first,
+    # that row is the column's leading index, distinct for each column, so
+    # every matched column lands on a fresh pivot.
+    matched = 0
+    for w, caps, weight in PREFIX_CASES:
+        tr = Truncation(max(caps), weight)
+        sources = [e for e in weight_block_basis(1, tr, w) if X1 not in e[2]]
+        x1_rows = sum(X1 in args for _, _, args in weight_block_basis(2, tr, w))
+        columns = cecomplex._fill(cecomplex._h2_frame(tr, w).d1, w)
+        assert len(columns) == len(sources)
+        leads = [min(column) for (m, _, _), column in zip(sources, columns) if m > 0]
+        assert all(lead < x1_rows for lead in leads)
+        assert len(set(leads)) == len(leads)
+        matched += len(leads)
+    assert matched > 0
+
+
+def _block_bases(w, cap):
+    tr = Truncation(cap)
+    return [weight_block_basis(p, tr, w) for p in range(4)]
+
+
+def test_the_pairing_certificate_refuses_a_missing_partner():
+    w = weights_for_tvector(2, 2, (1, 0))
+    delta = int(w.delta())
+    c0, c1, c2, c3 = _block_bases(w, 4)
+    cecomplex._certify_pairing(0, delta, c0, c1)
+    cecomplex._certify_pairing(2, delta, c2, c3)
+    with pytest.raises(RuntimeError, match="partner"):
+        cecomplex._certify_pairing(0, delta, [e for e in c0 if e[0] != 2], c1)
+    with pytest.raises(RuntimeError, match="partner"):
+        cecomplex._certify_pairing(2, delta, c2[:-1], c3)
+
+
+def test_the_pairing_certificate_refuses_a_minor_that_is_not_diagonal(monkeypatch):
+    w = weights_for_tvector(2, 2, (1, 0))
+    delta = int(w.delta())
+    c0, c1, _, _ = _block_bases(w, 4)
+    paired = [i for i, (_, _, args) in enumerate(c1) if X1 in args]
+    build_frame = cecomplex._build_frame
+
+    def skewed(p, delta, source, target):
+        frame = build_frame(p, delta, source, target)
+        frame.columns[0][0][paired[1]] = 1
+        return frame
+    monkeypatch.setattr(cecomplex, "_build_frame", skewed)
+    with pytest.raises(RuntimeError, match="not diagonal"):
+        cecomplex._certify_pairing(0, delta, c0, c1)
+    monkeypatch.undo()
+    # X1 acting with coefficient 0: the partner's diagonal entry vanishes,
+    # and the oracle refuses the block instead of dropping its X1 columns.
+    table = {source: tuple((t, j, 0 if t[0] is X1 else sign, c) for t, j, sign, c in terms)
+             for source, terms in cecomplex._DIFFERENTIAL_TABLES[0].items()}
+    monkeypatch.setitem(cecomplex._DIFFERENTIAL_TABLES, 0, table)
+    cecomplex._cached_h2_frame.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="not diagonal"):
+            brute_force_h2(w)
+    finally:
+        cecomplex._cached_h2_frame.cache_clear()
 
 
 def test_block_basis_at_a_cap_is_a_prefix_of_a_larger_cap():
@@ -382,7 +484,7 @@ def test_block_matrix_refuses_a_target_missing_an_image_coordinate():
             block_matrix(1, tr, w_third, [elem], short)
 
 
-#: Weights sharing n = 2 and delta = 2, so one frame per degree and cap:
+#: Weights sharing n = 2 and delta = 2, so one oracle frame per cap:
 #: lambda_1 = 1/3 gives Fraction entries, and the resonant rows make the
 #: lowering factor a_i (a_i + 2 lambda_i - 1) vanish at a_1 = 1 (lambda_1 = 0)
 #: and at a_2 = 2 (lambda_2 = -1/2), where the first weight's factors do not.
@@ -401,15 +503,15 @@ def test_block_frames_carry_no_lambda():
     for p in range(3):
         bases = (weight_block_basis(p, tr, SHARED_FRAME_WEIGHTS[0]),
                  weight_block_basis(p + 1, tr, SHARED_FRAME_WEIGHTS[0]))
-        hits = cecomplex._cached_frame.cache_info().hits
         for w in SHARED_FRAME_WEIGHTS:
             assert block_matrix(p, tr, w) == _generic_block_matrix(w, *bases), (p, w)
-        # every weight after the first read a frame already built
-        assert cecomplex._cached_frame.cache_info().hits - hits >= len(SHARED_FRAME_WEIGHTS) - 1
-    # and the cochain dimensions read off the shared frames are per-lambda
+    # and the cochain dimensions read off the shared oracle frame are
+    # per-lambda; every weight after the first read the frame already built
+    hits = cecomplex._cached_h2_frame.cache_info().hits
     for w in SHARED_FRAME_WEIGHTS:
         assert h2_block_dimensions(w, [3, 4]) == [
             _h2_block_dimension_reference(w, cap, 0) for cap in (3, 4)]
+    assert cecomplex._cached_h2_frame.cache_info().hits - hits >= len(SHARED_FRAME_WEIGHTS) - 1
 
 
 def test_truncation_refuses_a_non_integer_eigenvalue():

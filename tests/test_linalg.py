@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -16,6 +17,7 @@ from sl2cohom.linalg import (
     sparse_prefix_ranks,
     sparse_rank,
 )
+from sl2cohom.reduced import build_system
 
 entries = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 # about half zeros, so rank deficiency and infeasible systems are common
@@ -216,6 +218,33 @@ def test_sparse_echelon_leads_are_distinct():
 def test_float_is_refused_at_every_arithmetic_entry_point(call):
     with pytest.raises(TypeError, match="float"):
         call()
+
+
+def _snapshot(rows):
+    return [[(i, type(c), c) for i, c in row.items()] for row in rows]
+
+
+def test_the_engine_never_changes_the_rows_it_is_given():
+    # Primitive integer rows without zero entries enter the echelon as they
+    # are; rows 0/1 and 2/3 meet with a = 1, the case reduced in place, and
+    # kernel_basis back-substitutes the rows stored at leads 1 and 2.
+    rows = [{0: 1, 2: -1}, {0: 1, 1: 3}, {1: 1, 2: 1}, {2: 1, 3: 1}, {1: 2, 3: 0, 4: 6},
+            {3: Fraction(1, 2), 4: 1}, {}, {0: 1, 2: -1}]
+    system = build_system(3, 3, (Fraction(0), Fraction(-1, 2), Fraction(-1)))
+    for matrix, cols in ((rows, 5), (system.equations, len(system.col_index))):
+        rhs = [1] + [0] * (len(matrix) - 1)
+        calls = (lambda: sparse_rank(matrix),
+                 lambda: sparse_prefix_ranks(matrix, [3, len(matrix), 1]),
+                 lambda: kernel_basis(matrix, cols),
+                 lambda: solve(matrix, cols, rhs),
+                 lambda: column_space_echelon(matrix, cols),
+                 lambda: sparse_echelon(matrix))
+        before = copy.deepcopy(matrix)
+        for call in calls:
+            call()
+            assert _snapshot(matrix) == _snapshot(before)
+    with pytest.raises(TypeError, match="float"):
+        sparse_rank([{0: 1, 1: 1.0}])
 
 
 def gauss_jordan(rows, ncols):
