@@ -17,11 +17,42 @@ the differential preserves this eigenvalue and never increases |alpha|, so
 each (eigenvalue, |alpha| <= cap) block is a finite subcomplex over the
 rationals.  Brute-force dimensions are computed on the eigenvalue-0 block;
 blocks of nonzero eigenvalue are exact (the contraction against x d/dx is
-a homotopy), which the tests assert rather than assume.  A result is
-reported stable only when three consecutive caps agree.  The three caps
-are read off one build of the largest: its block basis is ordered by
-|alpha|, so each smaller cap's basis is a prefix of it, and each smaller
-cap's differential is the matching block of leading columns.
+a homotopy), which the tests assert rather than assume.
+
+The truncation loses nothing once the cap reaches the shift.  Filter the
+eigenvalue-0 block by |alpha|: F_c is spanned by the cochains with
+|alpha| <= c, a subcomplex because d never raises |alpha|.  The graded
+piece gr_c = F_c / F_{c-1} keeps the action and bracket terms of d and
+drops the lowering terms, which land at level c - 1.  Those terms see alpha
+only through |alpha| and the monomial degree, so gr_c is a direct sum, over
+the alpha with |alpha| = c, of copies of one 8-cochain complex K(nu) with
+nu = delta - c.  In degree p, K(nu) has one cochain per ascending p-tuple T
+whose monomial degree m = -nu - (#X1 in T) + (#Xx2 in T) is nonnegative.
+So K(nu) is empty for nu >= 2, and for nu = -s <= -1 it has dimensions 1,
+3, 3, 1 and, in basis order,
+
+    d0 = (s, 0, -s)^T,  d1 = [[0, s, 0], [s+1, -2, s+1], [0, s, 0]],
+    d2 = (-(s+1), 0, s+1),
+
+of ranks 1, 2, 1 (pivots s and s + 1): K(nu) is acyclic.  The long exact
+sequence of 0 -> F_{c-1} -> F_c -> gr_c -> 0 gives H^p(F_{c-1}) = H^p(F_c)
+whenever delta - c <= -1, and cohomology commutes with the filtered colimit
+over c (C. Weibel, An Introduction to Homological Algebra, 1994, 2.6 and
+5.4).  So for a natural shift k, H^2(F_c) is the H^2 of the whole block
+for every cap c >= k, and F_c = 0 for c <= k - 2.  When delta is a
+negative integer every level has nu <= -1, and when delta is not an
+integer the block is empty; either way H^2 = 0 at every cap.  The oracle
+computes the one cap max(k, 1), or 1 without a natural shift.  A cap below
+k cuts the levels k - 1 and k (nu = 1 and 0), which carry cohomology.
+
+The proof reads d only on one level, where its entries are affine in nu.
+`_certify_graded_acyclicity` builds K(nu) from the differential tables at
+nu = -1 and nu = -2 and compares it with the matrices above, which pins
+them for every nu <= -1, and checks from the basis offsets that K(2), and
+so every K(nu) with nu >= 2, is empty.  It runs once per process, on first
+use (never at import), and raises RuntimeError on a mismatch.  A result is
+reported ``stable``, meaning certified, when its cap is at least k and
+both this check and the pairing check below passed.
 
 On a basis cochain f = x^m Omega^alpha on the ascending tuple S the
 differential has a closed form, so the block matrices are written entry
@@ -78,18 +109,19 @@ built on first use (never at import), once per key, and kept in a
 ``functools.lru_cache`` of at most ``FRAME_CACHE_SIZE`` frames.  Its rows
 put the X1-containing 2-cochains first, so each X1-free column with m >= 1
 has its partner row as leading index and lands on a fresh pivot, unless
-an m = 0 column of the same |alpha| took that row first: on ``table --n 4
---k-max 4 --oracle on`` 2.5% of these columns and all m = 0 columns are
-reduced.  A sweep evaluates many lambda per key (a ``table`` row set
-shares one key per k), so its oracle time goes into the echelon.  The 5
-frames of that table hold about 1.8 MiB; the frame of a block near the
-command line's ``MAX_ORACLE_BLOCK`` ceiling 4.5 MiB (n = 4, k = 12) to
-7.7 MiB (n = 5, k = 8).
+an m = 0 column of the same alpha took that row first.  At cap k that is
+the rule: each alpha of level k has an m = 0 column on (Xx,) just before
+its matched column on (Xx2,), and on ``table --n 4 --k-max 4 --oracle on``
+10,814 of the 10,822 matched columns are reduced against it, while the
+6,030 columns of level k - 1 are zero.  A sweep evaluates many lambda per
+key (a ``table`` row set shares one key per k), so its oracle time goes
+into the echelon.  The 5 frames of that table hold about 0.1 MiB; the
+frame of a block near the command line's ``MAX_ORACLE_BLOCK`` ceiling
+1.5 MiB (n = 4, k = 18) to 3.2 MiB (n = 6, k = 10).
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import sys
@@ -98,7 +130,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .closedform import classify
-from .linalg import sparse_prefix_ranks
+from .linalg import sparse_rank
 from .multiindices import MultiIndex, enumerate_up_to, index_weight
 from .operators import DiffOperator, act_on_operator
 from .polynomials import Polynomial, Scalar, scalar
@@ -282,7 +314,11 @@ def weight_block_basis(p: int, tr: Truncation, w: Weights) -> list[BlockElement]
 
 
 def _block_basis(p: int, n: int, shift: int, alpha_max: int) -> list[BlockElement]:
-    """The block basis of `weight_block_basis` for an integral shift."""
+    """The block basis of `weight_block_basis` for an integral shift.
+
+    The cochain on the tuple args at level |alpha| has monomial degree
+    offset + |alpha|, with the offset shift - (#X1 in args) + (#Xx2 in args).
+    """
     if shift + 1 + alpha_max > sys.maxsize:
         raise OverflowError("monomial degree of the block exceeds an index-sized integer")
     offsets = [(args, shift - sum(g.weight_contribution for g in args))
@@ -358,24 +394,12 @@ class BlockFrame:
     dropped), its lowering slots (target position, slot) and its lowering
     slots whose coordinate the target basis lacks (coordinate, slot).  Slot
     2 (i width + a) + (sign < 0) names the entry -sign a (a + 2 lambda_i - 1)
-    of `_lowering_values`.  ``levels`` is |alpha| per source cochain, from
-    which the prefix of each smaller cap is read.
+    of `_lowering_values`.
     """
 
     width: int
-    levels: tuple[int, ...]
     columns: tuple[tuple[dict[int, Scalar], tuple[tuple[int, int], ...],
                          tuple[tuple[BlockElement, int], ...]], ...]
-
-
-def _levels(basis: Sequence[BlockElement]) -> tuple[int, ...]:
-    """|alpha| per basis cochain; nondecreasing along a block basis."""
-    return tuple(index_weight(alpha) for _, alpha, _ in basis)
-
-
-def _cap_lengths(levels: Sequence[int], caps: Sequence[int]) -> list[int]:
-    """Length of the prefix of a block basis with |alpha| <= cap, per cap."""
-    return [bisect.bisect_right(levels, cap) for cap in caps]
 
 
 def _build_frame(p: int, delta: Scalar, source: Sequence[BlockElement],
@@ -420,7 +444,7 @@ def _build_frame(p: int, delta: Scalar, source: Sequence[BlockElement],
                     else:
                         slots.append((pos, slot))
         columns.append((fixed, tuple(slots), tuple(missing)))
-    return BlockFrame(width, _levels(source), tuple(columns))
+    return BlockFrame(width, tuple(columns))
 
 
 def _put(column: dict[int, Scalar], index: dict[BlockElement, int],
@@ -503,16 +527,15 @@ class H2Frame:
 
     ``d1`` is the frame of d: C1 -> C2 on the X1-free source cochains, with
     the target rows on X1-containing tuples first, each group in basis
-    order.  ``levels2`` and ``levels3`` are |alpha| along the bases of C2
-    and C3, from which each cap's sizes are read.
+    order.  ``size2`` and ``size3`` are |C2| and |C3|.
     """
 
     d1: BlockFrame
-    levels2: tuple[int, ...]
-    levels3: tuple[int, ...]
+    size2: int
+    size3: int
 
 
-_EMPTY_H2_FRAME = H2Frame(BlockFrame(1, (), ()), (), ())
+_EMPTY_H2_FRAME = H2Frame(BlockFrame(1, ()), 0, 0)
 
 
 def _has_x1(element: BlockElement) -> bool:
@@ -549,6 +572,42 @@ def _certify_pairing(p: int, delta: int, source: Sequence[BlockElement],
             raise RuntimeError(f"d on {partner} is not diagonal on the X1 rows at {target[i]}")
 
 
+@functools.cache
+def _certify_graded_acyclicity() -> bool:
+    """Check the graded pieces K(nu) of the module docstring against the
+    differential tables; raise RuntimeError on a mismatch.
+
+    K(nu) is the block of n = 1 at delta = nu truncated at cap 0: its one
+    index alpha = (0,) has the basis offsets of every level with this nu,
+    and its frame holds the action and bracket entries alone, since no
+    lowering term acts at alpha = 0.  An offset grows with -nu, so K(2)
+    being empty makes every K(nu) with nu >= 2 empty, and K(-1) having
+    all 1, 3, 3, 1 cochains gives every K(nu) with nu <= -1 all of them.
+    Each entry is affine in nu, so the matrices at nu = -1 and -2 pin them
+    for every nu <= -1.
+    """
+    if any(_block_basis(p, 1, -2, 0) for p in range(4)):
+        raise RuntimeError("the graded piece K(2) is not empty")
+    for s in (1, 2):
+        bases = [_block_basis(p, 1, s, 0) for p in range(4)]
+        if [len(basis) for basis in bases] != [1, 3, 3, 1]:
+            raise RuntimeError(f"the graded piece K({-s}) does not have dimensions 1, 3, 3, 1")
+        # d0, d1 and d2 of the module docstring, as row lists
+        matrices = ([[s], [0], [-s]],
+                    [[0, s, 0], [s + 1, -2, s + 1], [0, s, 0]],
+                    [[-(s + 1), 0, s + 1]])
+        for p, expected in enumerate(matrices):
+            try:
+                frame = _build_frame(p, -s, bases[p], bases[p + 1])
+            except ValueError as exc:
+                raise RuntimeError(f"d{p} of the graded piece K({-s}) leaves it") from exc
+            got = [[fixed.get(i, 0) for fixed, _, _ in frame.columns]
+                   for i in range(len(bases[p + 1]))]
+            if got != expected:
+                raise RuntimeError(f"d{p} of the graded piece K({-s}) is {got}, not {expected}")
+    return True
+
+
 @functools.lru_cache(maxsize=FRAME_CACHE_SIZE)
 def _cached_h2_frame(n: int, delta: int, alpha_max: int, weight: int) -> H2Frame:
     shift = weight - delta
@@ -557,7 +616,7 @@ def _cached_h2_frame(n: int, delta: int, alpha_max: int, weight: int) -> H2Frame
     _certify_pairing(2, delta, c2, c3)
     rows = sorted(c2, key=lambda e: not _has_x1(e))
     d1 = _build_frame(1, delta, [e for e in c1 if not _has_x1(e)], rows)
-    return H2Frame(d1, _levels(c2), _levels(c3))
+    return H2Frame(d1, len(c2), len(c3))
 
 
 def _h2_frame(tr: Truncation, w: Weights) -> H2Frame:
@@ -571,7 +630,11 @@ def _h2_frame(tr: Truncation, w: Weights) -> H2Frame:
 
 @dataclass(frozen=True)
 class CohomResult:
-    """A computed dimension with its method and provenance flags."""
+    """A computed dimension with its method and provenance flags.
+
+    ``stable`` marks a certified value: for the oracle, a cap at least the
+    natural shift k with both block certificates passed.
+    """
 
     dim: int
     method: str
@@ -592,47 +655,44 @@ class CohomResult:
 
 
 def default_alpha_max(w: Weights) -> int:
-    """Cap k + 3 when the shift is a natural number k, else 3."""
+    """Cap max(k, 1) when the shift is a natural number k, else 1: the
+    smallest cap at which the oracle is certified."""
     k = w.natural_delta()
-    return k + 3 if k is not None else 3
+    return max(k, 1) if k is not None else 1
 
 
-def h2_block_dimensions(w: Weights, caps: Sequence[int], weight: int = 0) -> list[int]:
-    """dim ker(d: C2 -> C3) - rank(d: C1 -> C2) on the block truncated at each cap.
+def h2_block_dimensions(w: Weights, cap: int, weight: int = 0) -> int:
+    """dim ker(d: C2 -> C3) - rank(d: C1 -> C2) on the block truncated at cap.
 
     By the two identities of the module docstring this is |C2| - |C3| -
     rank of d1 on the X1-free columns of C1, all read off the block's
-    `H2Frame` at the largest cap.  A smaller cap's basis is a prefix of
-    the largest (the basis is ordered by |alpha|), and since d never raises
-    |alpha| its matrix is the leading columns of the largest, on the same
-    row indices; one incremental echelon pass yields every cap's rank.
+    `H2Frame`.
     """
-    if not caps or min(caps) < 0:
-        raise ValueError("caps must be a nonempty list of nonnegative integers")
-    frame = _h2_frame(Truncation(max(caps), weight), w)
-    ranks1 = sparse_prefix_ranks(_fill(frame.d1, w), _cap_lengths(frame.d1.levels, caps))
-    return [n2 - n3 - r1 for n2, n3, r1 in zip(_cap_lengths(frame.levels2, caps),
-                                                _cap_lengths(frame.levels3, caps), ranks1)]
+    frame = _h2_frame(Truncation(cap, weight), w)
+    return frame.size2 - frame.size3 - sparse_rank(_fill(frame.d1, w))
 
 
 def brute_force_h2(w: Weights, alpha_max: Optional[int] = None) -> CohomResult:
     """Brute-force dimension of the degree-2 cohomology on the weight-0 block.
 
-    Also computes the dimension at alpha_max + 1 and alpha_max + 2, reading
-    all three off one build of the block at alpha_max + 2; the result is
-    flagged stable only when the three truncations agree, and an unstable
-    number is never reported silently (callers must consult the flag).
+    Computed at the one cap alpha_max, by default `default_alpha_max`.  The
+    result is flagged stable (certified) when the cap is at least the
+    natural shift k, or for any cap when the shift is not a natural number:
+    then, by the filtration of the module docstring, checked by
+    `_certify_graded_acyclicity`, it is the H^2 of the whole block.  A cap
+    below k is flagged not stable, and callers must consult the flag.
     """
     if alpha_max is None:
         alpha_max = default_alpha_max(w)
     if alpha_max < 1:
         raise ValueError("alpha_max must be at least 1")
-    dims = h2_block_dimensions(w, [alpha_max + extra for extra in range(3)])
+    _certify_graded_acyclicity()
+    k = w.natural_delta()
     return CohomResult(
-        dim=dims[0],
+        dim=h2_block_dimensions(w, alpha_max),
         method="oracle",
         weights=w,
         alpha_max=alpha_max,
-        stable=(dims[0] == dims[1] == dims[2]),
+        stable=k is None or alpha_max >= k,
         case=classify(w).describe(),
     )

@@ -43,10 +43,12 @@ IO_EXIT = 3
 #: method ranks: 4,960 took 4.5 s (n = 4, k = 30, t = (15, 15, 15, 15));
 #: 9,880 took 27 s (n = 4, k = 38).
 MAX_SYSTEM_EQUATIONS = 5_000
-#: Candidate cochains 3 C(cap + n, n) of the oracle's largest block, at
-#: cap = alpha_max + 2: 17,955 took 0.22 s and 27 MiB (n = 4, k = 12) and
-#: 25,704 took 0.45 s and 35 MiB (n = 5, k = 8), the slowest of the
-#: non-resonant row and 42 sampled t, each in a fresh process.
+#: Candidate cochains 3 C(cap + n, n) of the oracle's block at its one cap,
+#: cap = alpha_max (by default k): near the ceiling, the slowest of the
+#: non-resonant row and 12 sampled t, each ``dim --methods oracle`` in a
+#: fresh process, took 0.79 s and 24 MiB at 24,024 (n = 6, k = 10), 0.44 s
+#: at 21,945 (n = 4, k = 18) and 3.6 s at 24,999 (n = 1, k = 8332, nearly
+#: all of it enumerating the multi-indices).
 MAX_ORACLE_BLOCK = 25_000
 #: Cells C(n + k - 1, k)^2 of the dense kernel ``basis`` returns:
 #: ``kernel_basis`` gives up to cols - rank vectors of cols entries each,
@@ -141,9 +143,9 @@ def _check_basis_size(n: int, k: int) -> None:
 
 
 def _check_oracle_size(n: int, alpha_max: int) -> None:
-    # 3 tuples times #{alpha : |alpha| <= alpha_max + 2}: what the oracle enumerates
-    _check_ceiling(f"the oracle's largest block at n = {n}, alpha_max = {alpha_max}",
-                   3 * multiset_coeff(n + 1, alpha_max + 2), "candidate cochains",
+    # 3 tuples times #{alpha : |alpha| <= alpha_max}: what the oracle enumerates
+    _check_ceiling(f"the oracle's block at n = {n}, alpha_max = {alpha_max}",
+                   3 * multiset_coeff(n + 1, alpha_max), "candidate cochains",
                    MAX_ORACLE_BLOCK)
 
 
@@ -267,6 +269,10 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     return 0
 
 
+ALPHA_MAX_HELP = ("the oracle's cap on |alpha| (default max(k, 1)); a value is "
+                  "stable, meaning certified, only at a cap of at least k")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sl2cohom",
@@ -285,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_weight_args(p_dim)
     p_dim.add_argument("--methods", type=str, default=None,
                        help="comma list from: system,closed,summary,oracle")
-    p_dim.add_argument("--alpha-max", type=_positive_int, default=None)
+    p_dim.add_argument("--alpha-max", type=_positive_int, default=None,
+                       help=ALPHA_MAX_HELP)
     p_dim.add_argument("--out", type=str, default=None)
     p_dim.add_argument("--format", choices=("json",), default="json")
     p_dim.set_defaults(func=_cmd_dim)
@@ -295,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--k-max", type=_nonnegative_int, required=True)
     p_table.add_argument("--methods", type=str, default=None)
     p_table.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
-    p_table.add_argument("--alpha-max", type=_positive_int, default=None)
+    p_table.add_argument("--alpha-max", type=_positive_int, default=None,
+                         help=ALPHA_MAX_HELP)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", type=str, default=None)
     p_table.set_defaults(func=_cmd_table)
@@ -304,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=_positive_int, required=True)
     p_verify.add_argument("--k-max", type=_nonnegative_int, required=True)
     p_verify.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
-    p_verify.add_argument("--alpha-max", type=_positive_int, default=None)
+    p_verify.add_argument("--alpha-max", type=_positive_int, default=None,
+                          help=ALPHA_MAX_HELP)
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.add_argument("--self-test-perturb", action="store_true",
                           help="corrupt one matrix entry to prove the gate trips")

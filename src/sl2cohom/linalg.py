@@ -17,11 +17,10 @@ entry and return ``Fraction`` values.
 ``kernel_basis``, ``solve`` and ``column_space_echelon`` take a matrix as
 its sparse rows plus its column count, the form in which
 :func:`sl2cohom.reduced.build_system` and the block matrices of the
-truncated cochain complex are built; one pass can also report the rank of
-every leading prefix.  The dense ``RationalMatrix`` remains for the one
-view that needs cells, the ``rank`` of a perturbed system, and hands its
-nonzero entries to the engine.  There is one engine; no other elimination
-routine exists.
+truncated cochain complex are built.  The dense ``RationalMatrix``
+remains for the one view that needs cells, the ``rank`` of a perturbed
+system, and hands its nonzero entries to the engine.  There is one
+engine; no other elimination routine exists.
 """
 
 from __future__ import annotations
@@ -185,26 +184,6 @@ def sparse_echelon(vectors: list[dict[int, Scalar]]) -> list[dict[int, Fraction]
 def sparse_rank(vectors: list[dict[int, Scalar]]) -> int:
     """Rank of the span of sparse vectors, by incremental echelon reduction."""
     return len(_echelon(vectors))
-
-
-def sparse_prefix_ranks(vectors: list[dict[int, Scalar]],
-                        cuts: Sequence[int]) -> list[int]:
-    """Rank of vectors[:cut] for each cut, from one incremental echelon pass.
-
-    The vectors are inserted once, in order; the rank is read off whenever
-    the pass reaches a cut.  Cuts may come in any order.
-    """
-    if any(cut < 0 for cut in cuts):
-        raise ValueError("prefix lengths must be nonnegative")
-    echelon: dict[int, dict[int, int]] = {}
-    rank_at: dict[int, int] = {}
-    done = 0
-    for cut in sorted(set(cuts)):
-        for vec in vectors[done:cut]:
-            _insert(vec, echelon)
-        done = cut
-        rank_at[cut] = len(echelon)
-    return [rank_at[cut] for cut in cuts]
 
 
 def _echelon(vectors: list[dict[int, Scalar]]) -> dict[int, dict[int, int]]:

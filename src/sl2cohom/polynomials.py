@@ -29,7 +29,12 @@ Scalar = Union[Fraction, int]
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical text form "p/q" or "p" of an exact rational."""
+    """Parse the canonical text form "p/q" or "p" of an exact rational.
+
+    Digit-group underscores are refused: ``Fraction`` reads "1_0" as 10.
+    """
+    if "_" in text:
+        raise ValueError(f"underscore in rational {text!r}")
     return Fraction(text.strip())
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import linalg
-from .cecomplex import brute_force_h2, default_alpha_max
+from .cecomplex import brute_force_h2
 from .closedform import (
     CaseTag,
     classify,
@@ -82,7 +82,7 @@ class SweepRow:
 
     @property
     def agree(self) -> Optional[bool]:
-        """System-versus-oracle agreement; None without a stable oracle value."""
+        """System-versus-oracle agreement; None without a certified oracle value."""
         if self.dim_oracle is None or not self.stable:
             return None
         return self.dim_oracle == self.dim_system
@@ -170,8 +170,7 @@ def evaluate_row(w: Weights, k: int, t: Optional[tuple[int, ...]],
     dim_oracle = None
     stable = None
     if "oracle" in methods and _oracle_wanted(oracle_policy, w.n, k):
-        result = brute_force_h2(w, alpha_max if alpha_max is not None
-                                else default_alpha_max(w))
+        result = brute_force_h2(w, alpha_max)
         dim_oracle = result.dim
         stable = result.stable
     return SweepRow(weights=w, tag=tag, k=k, t=t, dim_system=dim_system,
@@ -216,10 +215,11 @@ def rows_to_json(rows: Sequence[SweepRow]) -> str:
 class VerifyReport:
     """Pairwise method comparison over a sweep.
 
-    The gate is system-versus-oracle equality on every row with a stable
-    oracle value; closed-form and summary-table mismatches are recorded but
-    are not fatal (the predictors exist to be compared, not trusted).
-    Unstable oracle rows are excluded from the gate and counted.
+    The gate is system-versus-oracle equality on every row with a stable,
+    that is certified, oracle value; closed-form and summary-table
+    mismatches are recorded but are not fatal (the predictors exist to be
+    compared, not trusted).  Oracle rows that are not certified are
+    excluded from the gate and counted.
     """
 
     rows: list[SweepRow]
@@ -255,6 +255,13 @@ class VerifyReport:
 
 
 def verify_rows(rows: Sequence[SweepRow]) -> VerifyReport:
+    """Compare the methods over the rows.
+
+    An oracle row enters the gate only when it is stable, which means
+    certified: its cap is at least the row's k (the default cap is) and
+    the oracle's block certificates passed.  An explicit cap below k cuts
+    levels that carry cohomology, so such a row is counted as unstable.
+    """
     gate_failures = [r for r in rows if r.agree is False]
     unstable = [r for r in rows if r.dim_oracle is not None and r.stable is False]
     closed_mismatch = [r for r in rows if r.dim_closed is not None

@@ -6,7 +6,7 @@ promised by the ``system`` and ``closed`` methods are checked in
 criterion 3, the system half of criterion 2, the closed-versus-system
 report of criterion 4 and the basis size of criterion 6.  The cochain
 complex itself is checked against ``ell``, the rank deficiency of the
-constraint system: the stabilised oracle in criteria 2 and 4, and in
+constraint system: the certified oracle in criteria 2 and 4, and in
 criterion 6 the verified coboundary witnesses of the top and middle
 representatives and the infeasibility of the ``ell`` bottom ones.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.

@@ -68,4 +68,7 @@ def test_a_traced_pass_yields_every_per_layer_metric():
     assert metrics["cecomplex.block_matrix.calls"] == 0
     assert metrics["reduced.build_system.nnz"] > 0
     assert metrics["cecomplex.block_matrix.columns"] == 0
+    # One echelon per oracle row (its d1 columns) and one per system rank:
+    # the oracle's elimination is booked under linalg.sparse_rank.
+    assert metrics["linalg.sparse_rank.calls"] == 2 * len(configs)
     assert metrics["reduced.solve_coboundary.calls"] > 0

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sl2cohom import cecomplex
+from sl2cohom import weights as weights_module
 from sl2cohom.cecomplex import (
     BASIS_TUPLES,
     Cochain,
@@ -211,11 +216,11 @@ def test_brute_force_empty_block_when_shift_not_integral():
     w = Weights((Fraction(1, 3),), Fraction(0))
     result = brute_force_h2(w)
     assert result.dim == 0 and result.stable
-    assert result.alpha_max == 3 and result.method == "oracle"
+    assert result.alpha_max == 1 and result.method == "oracle"
 
 
 def test_brute_force_matches_rank_deficiency():
-    """Verified behaviour: the stabilised block dimension equals the rank
+    """Verified behaviour: the certified block dimension equals the rank
     deficiency of the coefficient system whenever the shift is natural."""
     cases = [
         Weights((Fraction(0),), Fraction(0)),
@@ -250,14 +255,99 @@ def test_brute_force_matches_rank_deficiency_at_n4_k4_and_n3_k5():
 
 
 def test_default_alpha_max():
-    assert default_alpha_max(Weights((Fraction(0),), Fraction(2))) == 5
-    assert default_alpha_max(Weights((Fraction(1, 3),), Fraction(0))) == 3
+    assert default_alpha_max(Weights((Fraction(0),), Fraction(2))) == 2
+    assert default_alpha_max(Weights((Fraction(1, 3),), Fraction(0))) == 1
+    assert default_alpha_max(Weights((Fraction(0),), Fraction(0))) == 1
+    assert default_alpha_max(Weights((Fraction(1),), Fraction(-2))) == 1
 
 
 def test_block_dimension_stable_across_truncations():
     w = Weights((Fraction(0), Fraction(0)), Fraction(1))
-    dims = h2_block_dimensions(w, [2, 3, 4, 5, 6])
+    dims = [h2_block_dimensions(w, cap) for cap in (2, 3, 4, 5, 6)]
     assert len(set(dims)) == 1
+
+
+def test_a_cap_below_the_shift_is_not_certified():
+    # k = 5 and ell = 1: caps 1 to 3 cut every level (all give 0) and cap 4
+    # keeps only level 4, so none of them is the H^2 of the block
+    w = weights_for_tvector(2, 5, (2, 3))
+    assert rank_data(w)[2] == 1
+    low = brute_force_h2(w, 1)
+    assert (low.dim, low.stable, low.alpha_max) == (0, False, 1)
+    for cap in (2, 3, 4):
+        assert brute_force_h2(w, cap).stable is False
+    for cap in (5, 6, 7):
+        result = brute_force_h2(w, cap)
+        assert (result.dim, result.stable) == (1, True)
+    assert brute_force_h2(w).alpha_max == 5
+
+
+def test_cap_k_equals_cap_k_plus_2_and_ell_on_seeded_rows():
+    rng = random.Random(11)
+    rows = [weights_for_tvector(n, k, tuple(rng.randrange(k) for _ in range(n)))
+            for n, k in ((1, 5), (2, 5), (3, 4), (3, 5), (4, 3), (4, 4)) for _ in range(3)]
+    rows += [nonresonant_weights(4, 4),
+             Weights((Fraction(1, 3), Fraction(0)), Fraction(7, 3)),
+             Weights((Fraction(1, 3), Fraction(-1, 2), Fraction(0)), Fraction(23, 6)),
+             Weights((Fraction(0),), Fraction(0))]
+    for w in rows:
+        k = w.natural_delta()
+        result = brute_force_h2(w)
+        assert result.stable and result.alpha_max == max(k, 1), w
+        assert result.dim == h2_block_dimensions(w, max(k, 1) + 2) == rank_data(w)[2], w
+    # a negative integral shift: nonempty blocks, acyclic at every cap
+    w = Weights((Fraction(1),), Fraction(-2))
+    assert w.delta() == -3 and weight_block_basis(2, Truncation(3), w)
+    assert brute_force_h2(w).stable
+    assert [h2_block_dimensions(w, cap) for cap in (1, 3)] == [0, 0]
+
+
+def test_the_graded_acyclicity_certificate_refuses_a_corrupted_table(monkeypatch):
+    assert cecomplex._certify_graded_acyclicity()
+    # flip the sign of the bracket entry of d1 from Xx to (X1, Xx2)
+    table = dict(cecomplex._DIFFERENTIAL_TABLES[1])
+    table[(XX,)] = tuple((t, j, sign, -c if t == (X1, XX2) else c)
+                         for t, j, sign, c in table[(XX,)])
+    assert table[(XX,)] != cecomplex._DIFFERENTIAL_TABLES[1][(XX,)]
+    monkeypatch.setitem(cecomplex._DIFFERENTIAL_TABLES, 1, table)
+    cecomplex._certify_graded_acyclicity.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="d1 of the graded piece"):
+            cecomplex._certify_graded_acyclicity()
+        with pytest.raises(RuntimeError, match="graded piece"):
+            brute_force_h2(weights_for_tvector(2, 2, (1, 0)))
+    finally:
+        monkeypatch.undo()
+        cecomplex._certify_graded_acyclicity.cache_clear()
+        cecomplex._cached_h2_frame.cache_clear()
+    # Xx2 lowering the eigenvalue by 2: the cochain on (Xx2,) would exist
+    # in K(2), so the levels below k - 1 would not all be empty
+    monkeypatch.setitem(weights_module._WEIGHT_CONTRIB, XX2, -2)
+    cecomplex._certify_graded_acyclicity.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="not empty"):
+            cecomplex._certify_graded_acyclicity()
+    finally:
+        monkeypatch.undo()
+        cecomplex._certify_graded_acyclicity.cache_clear()
+
+
+def test_the_graded_acyclicity_certificate_runs_once_and_not_at_import():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    script = "\n".join([
+        "import sl2cohom",
+        "from sl2cohom import cecomplex, sweep",
+        "info = cecomplex._certify_graded_acyclicity.cache_info",
+        "assert info().misses == 0, info()",
+        "for t in ((1, 0), (1, 1), (0, 2)):",
+        "    cecomplex.brute_force_h2(sweep.weights_for_tvector(2, 3, t))",
+        "assert (info().misses, info().hits) == (1, 2), info()",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 #: (weights, caps, eigenvalue block): n = 1, 2, 3, resonant and not, a
@@ -287,7 +377,7 @@ def _h2_block_dimension_reference(w, cap, weight):
 def test_block_dimensions_equal_per_cap_reference():
     # Also every sweep row with n <= 3, k <= 4, below, at and above the cap
     # where H^2 settles; nonzero eigenvalue blocks; and lambda = 1/3.
-    cases = PREFIX_CASES + [(w, [0, k + 1, k + 3], 0)
+    cases = PREFIX_CASES + [(w, [0, k, k + 1, k + 3], 0)
                             for n in (1, 2, 3) for w, k, _ in sweep_configurations(n, 4)]
     for w in (weights_for_tvector(1, 2, (0,)), weights_for_tvector(2, 2, (1, 0)),
               weights_for_tvector(3, 2, (0, 1, 0)), nonresonant_weights(2, 3)):
@@ -296,9 +386,9 @@ def test_block_dimensions_equal_per_cap_reference():
               (Weights((Fraction(1, 3), Fraction(1, 3)), Fraction(8, 3)), [1, 2, 4], 0),
               (Weights((Fraction(1, 3), Fraction(-1, 2)), Fraction(11, 6)), [2, 4], -1)]
     for w, caps, weight in cases:
-        expected = [_h2_block_dimension_reference(w, cap, weight) for cap in caps]
-        assert h2_block_dimensions(w, caps, weight) == expected
-        assert h2_block_dimensions(w, caps[::-1], weight) == expected[::-1]
+        for cap in caps:
+            assert h2_block_dimensions(w, cap, weight) == \
+                _h2_block_dimension_reference(w, cap, weight), (w, cap, weight)
 
 
 def test_brute_force_never_builds_a_block_matrix(monkeypatch):
@@ -379,13 +469,17 @@ def test_the_pairing_certificate_refuses_a_minor_that_is_not_diagonal(monkeypatc
     monkeypatch.undo()
     # X1 acting with coefficient 0: the partner's diagonal entry vanishes,
     # and the oracle refuses the block instead of dropping its X1 columns.
+    # Cap 4 has X1-containing 1-cochains (from level 3 on); the graded
+    # certificate has run on the intact tables, so the pairing check is
+    # what trips.
+    assert cecomplex._certify_graded_acyclicity()
     table = {source: tuple((t, j, 0 if t[0] is X1 else sign, c) for t, j, sign, c in terms)
              for source, terms in cecomplex._DIFFERENTIAL_TABLES[0].items()}
     monkeypatch.setitem(cecomplex._DIFFERENTIAL_TABLES, 0, table)
     cecomplex._cached_h2_frame.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="not diagonal"):
-            brute_force_h2(w)
+            brute_force_h2(w, 4)
     finally:
         cecomplex._cached_h2_frame.cache_clear()
 
@@ -509,9 +603,10 @@ def test_block_frames_carry_no_lambda():
     # per-lambda; every weight after the first read the frame already built
     hits = cecomplex._cached_h2_frame.cache_info().hits
     for w in SHARED_FRAME_WEIGHTS:
-        assert h2_block_dimensions(w, [3, 4]) == [
-            _h2_block_dimension_reference(w, cap, 0) for cap in (3, 4)]
-    assert cecomplex._cached_h2_frame.cache_info().hits - hits >= len(SHARED_FRAME_WEIGHTS) - 1
+        for cap in (3, 4):
+            assert h2_block_dimensions(w, cap) == _h2_block_dimension_reference(w, cap, 0)
+    assert cecomplex._cached_h2_frame.cache_info().hits - hits >= \
+        2 * (len(SHARED_FRAME_WEIGHTS) - 1)
 
 
 def test_truncation_refuses_a_non_integer_eigenvalue():

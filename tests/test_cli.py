@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -53,6 +55,42 @@ def test_malformed_rational_is_usage_error(capsys):
                            capsys)
     assert code == 2
     assert "malformed rational" in err
+
+
+def test_underscore_in_a_rational_is_usage_error(capsys):
+    # Fraction("1_0") is 10; the command line refuses digit-group underscores
+    for argv in (["dim", "--lambdas", "0", "--mu", "1_0", "--methods", "system"],
+                 ["dim", "--lambdas", "0,1_0", "--mu", "1", "--methods", "system"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert out == "", argv
+        assert "malformed rational" in err and "underscore" in err, argv
+
+
+def test_an_oracle_cap_below_k_is_reported_not_stable(capsys):
+    # at cap 1 every row with k >= 2 loses the levels k - 1 and k; t = (2, 3)
+    # at k = 5 has ell = 1 but gives 0 at cap 1, and is not certified
+    code, out, _ = run_cli(["table", "--n", "2", "--k-max", "5", "--alpha-max", "1",
+                            "--oracle", "on", "--methods", "system,oracle"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert {(int(row["k"]) <= 1, row["stable"]) for row in rows} == \
+        {(True, "true"), (False, "false")}
+    row = next(row for row in rows if row["k"] == "5" and row["t"] == "[2,3]")
+    assert (row["dim_oracle"], row["stable"], row["agree"]) == ("0", "false", "")
+    # verify leaves those rows out of its gate: (4 + 1) + (9 + 1) at k = 2, 3
+    code, out, _ = run_cli(["verify", "--n", "2", "--k-max", "3", "--alpha-max", "1",
+                            "--oracle", "on"], capsys)
+    assert "unstable oracle rows (excluded from gate): 15" in out
+    code, out, _ = run_cli(["dim", "--lambdas=-1,-3/2", "--mu", "5/2", "--methods",
+                            "oracle", "--alpha-max", "1"], capsys)
+    assert code == 0
+    assert {key: json.loads(out)[0][key] for key in ("dim", "stable", "alpha_max")} == \
+        {"dim": 0, "stable": False, "alpha_max": 1}
+    code, out, _ = run_cli(["dim", "--lambdas=-1,-3/2", "--mu", "5/2", "--methods",
+                            "oracle"], capsys)
+    assert {key: json.loads(out)[0][key] for key in ("dim", "stable", "alpha_max")} == \
+        {"dim": 1, "stable": True, "alpha_max": 5}
 
 
 def test_out_of_range_count_or_cap_is_usage_error(capsys):

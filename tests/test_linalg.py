@@ -14,7 +14,6 @@ from sl2cohom.linalg import (
     rank,
     solve,
     sparse_echelon,
-    sparse_prefix_ranks,
     sparse_rank,
 )
 from sl2cohom.reduced import build_system
@@ -138,15 +137,9 @@ def test_sparse_rank_agrees_with_dense(m):
         col = {i: m[i, j] for i in range(m.rows) if m[i, j] != 0}
         cols.append(col)
     assert sparse_rank(cols) == expected
-    # every leading-column prefix, cuts given out of order
-    cuts = list(range(m.cols, -1, -1))
-    leading = [reference_rank(leading_columns(m, j), j) for j in cuts]
-    assert sparse_prefix_ranks(cols, cuts) == leading
-
-
-def test_sparse_prefix_ranks_rejects_negative_cut():
-    with pytest.raises(ValueError):
-        sparse_prefix_ranks([{0: Fraction(1)}], [1, -1])
+    # every leading-column prefix
+    for j in range(m.cols + 1):
+        assert sparse_rank(cols[:j]) == reference_rank(leading_columns(m, j), j)
 
 
 @given(st.data())
@@ -211,10 +204,8 @@ def test_sparse_echelon_leads_are_distinct():
     # used to return 3602879701896397/36028797018963968
     lambda: solve([{0: 1}], 1, [0.1]),
     lambda: sparse_rank([{0: 1, 1: 0.5}]),
-    lambda: sparse_prefix_ranks([{0: Fraction(1, 3)}, {1: 0.5}], [2]),
     lambda: sparse_echelon([{0: 0.0}]),
-], ids=["mat_vec", "with_entry", "solve_rhs", "sparse_rank",
-        "sparse_prefix_ranks", "sparse_echelon"])
+], ids=["mat_vec", "with_entry", "solve_rhs", "sparse_rank", "sparse_echelon"])
 def test_float_is_refused_at_every_arithmetic_entry_point(call):
     with pytest.raises(TypeError, match="float"):
         call()
@@ -234,7 +225,6 @@ def test_the_engine_never_changes_the_rows_it_is_given():
     for matrix, cols in ((rows, 5), (system.equations, len(system.col_index))):
         rhs = [1] + [0] * (len(matrix) - 1)
         calls = (lambda: sparse_rank(matrix),
-                 lambda: sparse_prefix_ranks(matrix, [3, len(matrix), 1]),
                  lambda: kernel_basis(matrix, cols),
                  lambda: solve(matrix, cols, rhs),
                  lambda: column_space_echelon(matrix, cols),
@@ -290,7 +280,7 @@ def test_engine_agrees_with_textbook_gauss_jordan(data):
 
     assert rank(m) == sparse_rank(vectors) == len(pivots)
     cuts = data.draw(st.lists(st.integers(0, len(vectors)), max_size=6))
-    assert sparse_prefix_ranks(vectors, cuts) == [
+    assert [sparse_rank(vectors[:cut]) for cut in cuts] == [
         len(gauss_jordan(dense(vectors[:cut], ncols), ncols)[1]) for cut in cuts]
     echelon = sparse_echelon(vectors)
     assert [min(row) for row in echelon] == pivots
