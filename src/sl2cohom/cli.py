@@ -47,8 +47,7 @@ MAX_SYSTEM_EQUATIONS = 5_000
 #: cap = alpha_max (by default k): near the ceiling, the slowest of the
 #: non-resonant row and 12 sampled t, each ``dim --methods oracle`` in a
 #: fresh process, took 0.79 s and 24 MiB at 24,024 (n = 6, k = 10), 0.44 s
-#: at 21,945 (n = 4, k = 18) and 3.6 s at 24,999 (n = 1, k = 8332, nearly
-#: all of it enumerating the multi-indices).
+#: at 21,945 (n = 4, k = 18) and 0.15 s at 24,999 (n = 1, k = 8332).
 MAX_ORACLE_BLOCK = 25_000
 #: Cells C(n + k - 1, k)^2 of the dense kernel ``basis`` returns:
 #: ``kernel_basis`` gives up to cols - rank vectors of cols entries each,
@@ -56,7 +55,7 @@ MAX_ORACLE_BLOCK = 25_000
 #: times cols of the sparse system it echelonises.  10^6 cells took 0.2 s
 #: and 20 MiB at n = 2, k = 999 (one kernel vector) and 3.3 s and 182 MiB
 #: at n = 1000, k = 1 (999 kernel vectors, 13 MB of JSON); 627,264 cells
-#: took 1.4 s and 33 MiB at n = 6, k = 7, t = (3, ..., 3).
+#: took 1.0 s and 34 MiB at n = 6, k = 7, t = (3, ..., 3).
 MAX_BASIS_CELLS = 1_000_000
 #: Rows sum_{k=1}^{k_max} k^n + (k_max + 1) of a ``table`` or ``verify``
 #: sweep: 19,701 rows took 1.7 s (n = 1, k_max = 197, oracle off) and 15,343

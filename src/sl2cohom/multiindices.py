@@ -62,9 +62,15 @@ def iter_multiindices(n: int, weight: int) -> Iterator[MultiIndex]:
 
     Iterative, so any arity works: the partial sums a_1 + ... + a_i for
     i < n form a non-decreasing tuple in [0, weight], and the ascending
-    walk over those tuples is the ascending walk over alpha.
+    walk over those tuples is the ascending walk over alpha.  For n = 1
+    there are no partial sums and the one index is yielded directly:
+    ``combinations_with_replacement`` would copy its whole pool, O(weight),
+    to yield one empty tuple.
     """
     if weight < 0:
+        return
+    if n == 1:
+        yield (weight,)
         return
     if n == 0:
         if weight == 0:

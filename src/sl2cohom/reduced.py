@@ -11,39 +11,44 @@ and every 1-cochain uniquely of the shape
 
     b(X_h) = sum_a (U_a h + V_a h' + W_a h'') Omega^a,
 
-with polynomial families A, B, C / U, V, W.  In these coordinates the
-coboundary of a 1-cochain expands to
+with polynomial families A, B, C / U, V, W.  One map ties level |a| + 1 to
+level |a|, the lowering map
+
+    Lambda(F)_a = 1/2 sum_i (a_i + 1)(a_i + 2 lambda_i) F_(a + e_i).
+
+In these coordinates the coboundary of a 1-cochain expands to
 
     A-part_a = (|a| - delta) U_a + V_a'
-    B-part_a = W_a' + 1/2 sum_i (a_i + 1)(a_i + 2 lambda_i) U_(a + e_i)
-    C-part_a = (delta - |a| - 1) W_a + 1/2 sum_i (a_i + 1)(a_i + 2 lambda_i) V_(a + e_i)
+    B-part_a = W_a' + Lambda(U)_a
+    C-part_a = (delta - |a| - 1) W_a + Lambda(V)_a
 
 and a 2-cochain is closed iff for every a
 
-    C_a' + (|a| + 1 - delta) B_a
-        - 1/2 sum_i (a_i + 1)(a_i + 2 lambda_i) A_(a + e_i) = 0.
+    C_a' + (|a| + 1 - delta) B_a - Lambda(A)_a = 0.
 
 All four formulas are normalised against the generic coboundary of the
 cochain complex: converting to a :class:`~sl2cohom.cecomplex.Cochain` and
 applying :func:`~sl2cohom.cecomplex.coboundary` agrees exactly, which the
-test suite asserts symbolically.
+test suite asserts symbolically.  Every lowering runs through one integer
+kernel, :func:`_lower`.
 
 For delta = k a natural number, the closed-coefficient constraint at top
 order is the linear system
 
     sum_i (a_i + 1)(a_i + 2 lambda_i) A_(a + e_i) = 0,   |a| = k - 1,
 
-with one equation per multi-index of weight k - 1 and one unknown per
-multi-index of weight k.  The rank-based dimension method reports
+that is 2 Lambda(A) = 0 on constants, with one equation per multi-index of
+weight k - 1 and one unknown per multi-index of weight k.  The rank-based
+dimension method reports
 
     dim = (number of weight-k indices over n-1 slots) + 3 * ell,
 
 where ell is the rank deficiency of that system.  The system is built as
-sparse rows, and its rank, the kernel and column complement behind
-:func:`cocycle_basis` and the solve behind :func:`solve_coboundary` all
-run on those rows (``linalg.kernel_basis``, ``column_space_echelon`` and
-``solve`` take sparse rows plus a column count); no dense matrix is
-formed on these paths.
+sparse rows and no dense matrix is formed on these paths: its rank
+(``linalg.sparse_rank``), the kernel (``linalg.kernel_basis``) and column
+complement (``linalg.column_space_echelon``) behind :func:`cocycle_basis`,
+and the solve behind :func:`solve_coboundary` (``linalg.solve``) all take
+those rows.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import Mapping, Optional
 
 from . import linalg
@@ -103,16 +109,48 @@ def _coefficient(family: FamilyMap, alpha: MultiIndex) -> Polynomial:
     return family.get(alpha, Polynomial.zero())
 
 
-def _pair_factor(alpha: MultiIndex, i: int, twice_lambdas: tuple[Scalar, ...]) -> Scalar:
-    """(a_i + 1)(a_i + 2 lambda_i), the coefficient tying level |a| to |a| + 1;
-    an ``int`` whenever 2 lambda_i is one."""
-    return (alpha[i] + 1) * (alpha[i] + twice_lambdas[i])
+def _lower(weights: Weights, family: FamilyMap) -> FamilyMap:
+    """Lambda(F), the lowering map of the module docstring, on its nonzero entries.
 
-
-def _lowered(family: FamilyMap) -> set[MultiIndex]:
-    """The indices beta - e_i, for beta in the family's support and beta_i > 0."""
-    return {beta[:i] + (b_i - 1,) + beta[i + 1:]
-            for beta in family for i, b_i in enumerate(beta) if b_i > 0}
+    One integer pass: the denominators of 2 lambda_i and of the family's
+    coefficients are cleared once, by their lcms, each target's coefficients
+    are summed as ``int``, and only a nonzero sum is divided back, through
+    :func:`divide`.  A target whose sums all vanish creates no ``Fraction``.
+    """
+    if not family:
+        return {}
+    lam_den = coeff_den = 1
+    for t in weights.twice_lambdas:
+        if type(t) is not int:
+            lam_den = lcm(lam_den, t.denominator)
+    for poly in family.values():
+        for c in poly.coeffs:
+            if type(c) is not int:
+                coeff_den = lcm(coeff_den, c.denominator)
+    twice = [t * lam_den if type(t) is int else t.numerator * (lam_den // t.denominator)
+             for t in weights.twice_lambdas]
+    sums: dict[MultiIndex, list[int]] = {}
+    for beta, poly in family.items():
+        cs = poly.coeffs if coeff_den == 1 else [
+            c * coeff_den if type(c) is int else c.numerator * (coeff_den // c.denominator)
+            for c in poly.coeffs]
+        for i, b_i in enumerate(beta):
+            # (a_i + 1)(a_i + 2 lambda_i) times lam_den, at a = beta - e_i
+            factor = b_i * ((b_i - 1) * lam_den + twice[i])
+            if not factor:
+                continue
+            target = beta[:i] + (b_i - 1,) + beta[i + 1:]
+            acc = sums.get(target)
+            if acc is None:
+                sums[target] = [factor * c for c in cs]
+                continue
+            if len(acc) < len(cs):
+                acc.extend([0] * (len(cs) - len(acc)))
+            for j, c in enumerate(cs):
+                acc[j] += factor * c
+    den = 2 * lam_den * coeff_den
+    return {target: Polynomial._raw([divide(s, den) if s else 0 for s in acc])
+            for target, acc in sums.items() if any(acc)}
 
 
 @dataclass(frozen=True)
@@ -255,26 +293,23 @@ class ReducedTwoCochain:
 def cocycle_residual(f: ReducedTwoCochain) -> FamilyMap:
     """Per-index obstruction to closedness; f is a cocycle iff all zero.
 
-    The value at a is C_a' + (|a| + 1 - delta) B_a
-    - 1/2 sum_i (a_i + 1)(a_i + 2 lambda_i) A_(a + e_i); only nonzero
-    residuals are returned.  Scaled so that the generic coboundary of the
-    converted cochain, evaluated on (X1, Xx, Xx2), equals twice the residual
-    family (asserted in the tests).
+    The value at a is C_a' + (|a| + 1 - delta) B_a - Lambda(A)_a; only
+    nonzero residuals are returned.  Scaled so that the generic coboundary
+    of the converted cochain, evaluated on (X1, Xx, Xx2), equals twice the
+    residual family (asserted in the tests).
     """
     w = f.weights
     delta = w.delta()
+    lowered = _lower(w, f.A)
     out: FamilyMap = {}
-    for alpha in set(f.B) | set(f.C) | _lowered(f.A):
+    for alpha in set(f.B) | set(f.C) | set(lowered):
         res = _coefficient(f.C, alpha).derivative()
         b_poly = f.B.get(alpha)
         if b_poly is not None:
             res = res + b_poly.scale(index_weight(alpha) + 1 - delta)
-        for i in range(w.n):
-            coeff = _pair_factor(alpha, i, w.twice_lambdas)
-            if coeff != 0:
-                a_poly = f.A.get(add_unit(alpha, i))
-                if a_poly is not None:
-                    res = res + a_poly.scale(-divide(coeff, 2))
+        a_poly = lowered.get(alpha)
+        if a_poly is not None:
+            res = res - a_poly
         if not res.is_zero():
             out[alpha] = res
     return out
@@ -289,36 +324,11 @@ def coboundary_reduced(b: ReducedOneCochain) -> ReducedTwoCochain:
     """
     w = b.weights
     delta = w.delta()
-    a_fam: FamilyMap = {}
-    b_fam: FamilyMap = {}
-    c_fam: FamilyMap = {}
-
-    def add_to(fam: FamilyMap, alpha: MultiIndex, poly: Polynomial) -> None:
-        if poly.is_zero():
-            return
-        merged = fam.get(alpha, Polynomial.zero()) + poly
-        if merged.is_zero():
-            fam.pop(alpha, None)
-        else:
-            fam[alpha] = merged
-
-    for alpha, u in b.U.items():
-        add_to(a_fam, alpha, (index_weight(alpha) - delta) * u)
-        for i, a_i in enumerate(alpha):
-            if a_i > 0:
-                lower = alpha[:i] + (a_i - 1,) + alpha[i + 1:]
-                add_to(b_fam, lower,
-                       u.scale(divide(_pair_factor(lower, i, w.twice_lambdas), 2)))
-    for alpha, v in b.V.items():
-        add_to(a_fam, alpha, v.derivative())
-        for i, a_i in enumerate(alpha):
-            if a_i > 0:
-                lower = alpha[:i] + (a_i - 1,) + alpha[i + 1:]
-                add_to(c_fam, lower,
-                       v.scale(divide(_pair_factor(lower, i, w.twice_lambdas), 2)))
-    for alpha, w_poly in b.W.items():
-        add_to(b_fam, alpha, w_poly.derivative())
-        add_to(c_fam, alpha, (delta - index_weight(alpha) - 1) * w_poly)
+    a_fam = _family_add({a: (index_weight(a) - delta) * u for a, u in b.U.items()},
+                        {a: v.derivative() for a, v in b.V.items()})
+    b_fam = _family_add(_lower(w, b.U), {a: p.derivative() for a, p in b.W.items()})
+    c_fam = _family_add(_lower(w, b.V), {a: (delta - index_weight(a) - 1) * p
+                                         for a, p in b.W.items()})
     return ReducedTwoCochain(w, a_fam, b_fam, c_fam)
 
 
@@ -528,28 +538,6 @@ def cocycle_basis(w: Weights) -> list[ReducedTwoCochain]:
     return out
 
 
-def _half_system_image(w: Weights, family: FamilyMap, k: int) -> FamilyMap:
-    """1/2 sum_i (a_i + 1)(a_i + 2 lambda_i) fam_(a + e_i) over |a| = k - 1.
-
-    Only the indices beta - e_i, for beta of weight k in the family's
-    support, can be nonzero, so only those are visited.
-    """
-    out: FamilyMap = {}
-    for alpha in _lowered(family):
-        if index_weight(alpha) != k - 1:
-            continue
-        total = Polynomial.zero()
-        for i in range(w.n):
-            coeff = _pair_factor(alpha, i, w.twice_lambdas)
-            if coeff != 0:
-                poly = family.get(add_unit(alpha, i))
-                if poly is not None:
-                    total = total + poly.scale(divide(coeff, 2))
-        if not total.is_zero():
-            out[alpha] = total
-    return out
-
-
 def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
     """Exact solution b of (coboundary of b) = f, or None when none exists.
 
@@ -564,10 +552,10 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
     3. at the critical levels the middle family is a derivative of a
        bottom-slot gauge W, so it always dies, while the top family A and
        bottom family C die together iff the constant vector
-       C - (image of the antiderivative of A under the half-system map)
-       lies in the image of the half-system on constants.  The certificate
-       is a plain exact linear solve on the system's sparse rows, needed
-       only when that vector is nonzero.
+       C - Lambda(antiderivative of A) lies in the image of Lambda on
+       constants at level k.  The certificate is a plain exact linear
+       solve on the system's sparse rows, needed only when that vector is
+       nonzero.
 
     Every returned witness is verified by recomputing its coboundary.
     """
@@ -607,7 +595,7 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
     # Remaining data: top family at level k, bottom family at level k - 1,
     # coupled through the V gauge slot.
     v0 = {a: p.antiderivative() for a, p in f2.A.items()}
-    reach = _half_system_image(w, v0, k)
+    reach = {a: p for a, p in _lower(w, v0).items() if index_weight(a) == k - 1}
     obstruction: FamilyMap = {}
     for alpha in set(f2.C) | set(reach):
         d_poly = _coefficient(f2.C, alpha) - _coefficient(reach, alpha)
@@ -631,8 +619,8 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
         for alpha, c in zip(system.col_index, solution):
             if c != 0:
                 v_fam[alpha] = _coefficient(v_fam, alpha) + Polynomial.constant(c)
-    b3 = ReducedOneCochain(w, {}, v_fam, {})
-    witness = b1 + b2 + b3
+    # The gauge parts fill U (b1), W (b1, b2) and V (here): assemble once, not summed.
+    witness = ReducedOneCochain(w, b1.U, v_fam, _family_add(b1.W, b2.W))
     _verify_witness(witness, f)
     return witness
 

@@ -84,6 +84,9 @@ def test_iterative_enumerations_equal_recursive_references():
     for n in range(1, 6):
         for k in range(5):
             assert _t_grid(n, k) == recursive_grid(n, k), (n, k)
+    # n = 1 at the oracle ceiling's weight takes its own branch
+    assert enumerate_multiindices(1, 8332) == recursive_multiindices(1, 8332) == [(8332,)]
+    assert enumerate_up_to(1, 8332) == [(w,) for w in range(8333)]
 
 
 def test_unit_vectors():

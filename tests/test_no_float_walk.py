@@ -16,7 +16,15 @@ from sl2cohom.linalg import kernel_basis, solve
 from sl2cohom.multiindices import enumerate_up_to
 from sl2cohom.operators import DiffOperator, act_on_operator
 from sl2cohom.polynomials import Polynomial, divide, scalar
-from sl2cohom.reduced import build_system, cocycle_basis, solve_coboundary
+from sl2cohom.reduced import (
+    ReducedOneCochain,
+    ReducedTwoCochain,
+    build_system,
+    coboundary_reduced,
+    cocycle_basis,
+    cocycle_residual,
+    solve_coboundary,
+)
 from sl2cohom.sweep import nonresonant_weights, weights_for_tvector
 from sl2cohom.weights import GENERATORS, Weights
 
@@ -115,6 +123,26 @@ def test_cocycle_bases_and_witnesses_are_exact():
                 walk_families(witness, "UVW", str(w))
                 witnesses += 1
     assert families > witnesses > 0
+
+
+def test_residuals_and_coboundaries_of_fraction_cochains_are_exact():
+    rng = random.Random(9)
+    entries = [0, 1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)]
+
+    def family(n):
+        return {tuple(rng.randint(0, 3) for _ in range(n)):
+                Polynomial([rng.choice(entries) for _ in range(3)]) for _ in range(4)}
+
+    residuals = 0
+    for w in FRACTION_PAIR_WEIGHTS:
+        for _ in range(6):
+            f = ReducedTwoCochain(w, family(w.n), family(w.n), family(w.n))
+            for alpha, p in cocycle_residual(f).items():
+                walk_polynomial(p, (str(w), "residual", alpha))
+                residuals += 1
+            b = ReducedOneCochain(w, family(w.n), family(w.n), family(w.n))
+            walk_families(coboundary_reduced(b), "ABC", (str(w), "coboundary"))
+    assert residuals
 
 
 def test_block_matrix_cells_and_linalg_outputs_are_exact():

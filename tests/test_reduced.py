@@ -28,10 +28,13 @@ X1, XX, XX2 = GENERATORS
 
 
 def rand_family(rng, n, max_level=3, max_deg=2, count=3):
+    """Coefficients p/q with q in {1, 2, 3}, so the lowering kernel clears
+    denominators as well as summing integers."""
     fam = {}
     for _ in range(count):
         alpha = tuple(rng.randint(0, max_level) for _ in range(n))
-        fam[alpha] = Polynomial([rng.randint(-3, 3) for _ in range(max_deg + 1)])
+        fam[alpha] = Polynomial([Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                                 for _ in range(max_deg + 1)])
     return fam
 
 
@@ -80,7 +83,9 @@ def test_residual_matches_generic_coboundary_on_top_tuple():
     rng = random.Random(21)
     for w in [Weights((Fraction(0),), Fraction(1)),
               Weights((Fraction(0), Fraction(-1, 2)), Fraction(2)),
-              Weights((Fraction(1, 3), Fraction(1)), Fraction(1, 2))]:
+              Weights((Fraction(1, 3), Fraction(1)), Fraction(1, 2)),
+              # 2 lambda = (2/3, 4/5): two slots with different denominators
+              Weights((Fraction(1, 3), Fraction(2, 5)), Fraction(3))]:
         for _ in range(5):
             f = rand_two_cochain(rng, w)
             res = cocycle_residual(f)
@@ -110,14 +115,15 @@ def test_coboundary_reduced_agrees_with_generic():
     rng = random.Random(23)
     weights = [Weights((Fraction(0),), Fraction(1)),
                Weights((Fraction(0), Fraction(0)), Fraction(1)),
-               Weights((Fraction(-1, 2), Fraction(1, 3)), Fraction(2))]
+               Weights((Fraction(-1, 2), Fraction(1, 3)), Fraction(2)),
+               Weights((Fraction(1, 3), Fraction(2, 5)), Fraction(3))]
     checked = 0
     for w in weights:
         for _ in range(9):
             b = rand_one_cochain(rng, w)
             assert coboundary_reduced(b).to_cochain() == coboundary(b.to_cochain())
             checked += 1
-    assert checked >= 25
+    assert checked >= 34
 
 
 def two_cochain_from_cochain(f):
