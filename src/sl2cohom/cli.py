@@ -40,8 +40,11 @@ IO_EXIT = 3
 # Size ceilings, each set where one evaluation takes seconds, not minutes
 # (timings: 2 vCPU, Python 3.11.7, slowest resonant t found).
 #: Equations C(n + k - 2, k - 1) of the constraint system the ``system``
-#: method ranks: 4,960 took 4.5 s (n = 4, k = 30, t = (15, 15, 15, 15));
-#: 9,880 took 27 s (n = 4, k = 38).
+#: method ranks.  Only the box rows a <= t are echelonised, and symmetric
+#: middle resonance puts most rows there: 4,845 took 5.7 s (n = 5, k = 17,
+#: t = (7, 7, 7, 7, 6)) and 4,960 took 5.2 s (n = 4, k = 30,
+#: t = (15, 15, 15, 15)), medians of 3 ``dim`` runs; 9,880 took 27 s
+#: (n = 4, k = 38).
 MAX_SYSTEM_EQUATIONS = 5_000
 #: Candidate cochains 3 C(cap + n, n) of the oracle's block at its one cap,
 #: cap = alpha_max (by default k): near the ceiling, the slowest of the
@@ -198,7 +201,7 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     results = []
     for method in methods:
         if method == "system":
-            results.append(dim_h2_via_system(w).to_json_dict())
+            results.append(dim_h2_via_system(w, tag).to_json_dict())
         elif method == "closed":
             value = dim_h2_closed_form(tag, w.n)
             results.append({

@@ -44,24 +44,49 @@ dimension method reports
     dim = (number of weight-k indices over n-1 slots) + 3 * ell,
 
 where ell is the rank deficiency of that system.  The system is built as
-sparse rows and no dense matrix is formed on these paths: its rank
-(``linalg.sparse_rank``), the kernel (``linalg.kernel_basis``) and column
-complement (``linalg.column_space_echelon``) behind :func:`cocycle_basis`,
-and the solve behind :func:`solve_coboundary` (``linalg.solve``) all take
-those rows.
+sparse rows and no dense matrix is formed on these paths: the kernel
+(``linalg.kernel_basis``) and column complement
+(``linalg.column_space_echelon``) behind :func:`cocycle_basis`, and the
+solve behind :func:`solve_coboundary` (``linalg.solve``) take those rows.
+
+The rank needs only some of them.  Put t_i = -2 lambda_i, so row a has
+entry f_i(a_i) = (a_i + 1)(a_i - t_i) in column a + e_i, and call slot i
+*free* unless t_i is an integer in {0, ..., k - 1}; a free slot has no
+zero factor on any row.  Let S(a) = {free slots} | {i : a_i > t_i}, for
+rows and columns alike.  Row a meets column a + e_i only when
+a_i != t_i, and then S(a + e_i) = S(a), so the matrix is block-diagonal
+over S.  In a block with S nonempty, fix j in S: every row a has
+f_j(a_j) != 0 in column a + e_j, and any other row meeting that column
+has j-th entry a_j + 1, so a + e_j leads row a in the lex order led by
+x_j.  In a vanishing combination of the block's rows, a row a of maximal
+a_j among those used would leave c_a f_j(a_j) != 0 in column a + e_j:
+none is used, and the block has full row rank.  What is left is the box
+B = {a <= t}, which exists only when no slot is free (the singular case
+of :func:`~sl2cohom.closedform.classify`) and whose entries are
+(a_i + 1)(a_i - t_i) for a_i < t_i.  Hence
+
+    rank = N_(k-1) - |B| + rank(B),
+
+with N_(k-1) the number of rows, and :func:`rank_data` echelonises only
+the box rows (``linalg.sparse_rank``); off the singular case the system
+has full row rank and no row is built.  The box is
+Q[x_1..x_n]/(x_i^(t_i + 1)) in degrees k - 1 to k, the ring whose strong
+Lefschetz property (R. Stanley 1980; J. Watanabe 1987) makes ell the
+count max(0, h_(k-1) - h_k) of its Hilbert function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import lcm
+from operator import or_
 from typing import Mapping, Optional
 
 from . import linalg
 from .cecomplex import Cochain, CohomResult
-from .closedform import classify
+from .closedform import CaseKind, CaseTag, classify
 from .linalg import RationalMatrix
 from .multiindices import (
     MultiIndex,
@@ -346,7 +371,7 @@ class LinearSystem:
     order.  The row for a has entry (a_i + 1)(a_i + 2 lambda_i) in the
     column of a + e_i and zero elsewhere.  ``equations`` holds each row as
     a sparse vector {column: entry} of its nonzero entries, ``int`` when
-    2 lambda_i is an integer; rank, kernel and solves run on these rows.
+    2 lambda_i is an integer; kernel and solves run on these rows.
     The dense ``matrix`` is derived on demand, for the one view that needs
     cells: the perturbed rank of ``verify``'s self-test.
     """
@@ -366,15 +391,8 @@ class LinearSystem:
                 row[j] = c
         return RationalMatrix(dense, cols=len(self.col_index))
 
-    def rank(self) -> int:
-        return linalg.sparse_rank(list(self.equations))
-
     def kernel_basis(self) -> list[list[Fraction]]:
         return linalg.kernel_basis(self.equations, len(self.col_index))
-
-    def rank_deficiency(self) -> int:
-        """Row count minus rank; each unit contributes 3 to the dimension."""
-        return len(self.row_index) - self.rank()
 
     def with_rows(self, keep: list[int]) -> "LinearSystem":
         return LinearSystem(
@@ -391,15 +409,25 @@ SYSTEM_FRAME_CACHE_SIZE = 32
 
 @lru_cache(maxsize=SYSTEM_FRAME_CACHE_SIZE)
 def _system_frame(n: int, k: int) -> tuple[tuple[MultiIndex, ...], tuple[MultiIndex, ...],
-                                           tuple[tuple[tuple[int, int], ...], ...]]:
-    """row_index, col_index and, per row alpha, the (column of alpha + e_i,
-    slot i k + a_i) pairs whose factor `build_system` fills in."""
+                                           tuple[tuple[tuple[int, int], ...], ...],
+                                           tuple[tuple[int, ...], ...]]:
+    """row_index, col_index, per row alpha the (column of alpha + e_i,
+    slot i k + a_i) pairs whose factor `build_system` fills in, and
+    above[i][v], the bitset of the rows r (bit r) with a_i > v."""
     rows = tuple(enumerate_multiindices(n, k - 1))
     cols = tuple(enumerate_multiindices(n, k))
     col_pos = {c: j for j, c in enumerate(cols)}
     patterns = tuple(tuple((col_pos[add_unit(alpha, i)], i * k + a) for i, a in enumerate(alpha))
                      for alpha in rows)
-    return rows, cols, patterns
+    above = [[0] * k for _ in range(n)]
+    for r, alpha in enumerate(rows):
+        for i, a in enumerate(alpha):
+            if a:  # a_i > v at v = a - 1; the sweep below adds every v < a - 1
+                above[i][a - 1] |= 1 << r
+    for above_i in above:
+        for v in range(k - 2, -1, -1):
+            above_i[v] |= above_i[v + 1]
+    return rows, cols, patterns, tuple(map(tuple, above))
 
 
 def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
@@ -409,14 +437,16 @@ def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
     a_i < k, depend on lambda.  The index tuples and each row's sparsity
     pattern are an (n, k) frame cached by ``_system_frame``, so a sweep
     evaluating many lambda at one (n, k) computes just the n k factors per
-    configuration.  The cache keeps at most ``SYSTEM_FRAME_CACHE_SIZE``
-    frames; the 6 of n = 4, k <= 5 hold 23 KiB, and one at the command
-    line's 5,000-equation ceiling about 2.3 MiB.
+    configuration.  The frame also holds the row masks that
+    :func:`rank_data` selects the box with.  The cache keeps at most
+    ``SYSTEM_FRAME_CACHE_SIZE`` frames; the 6 of n = 4, k <= 5 hold
+    24 KiB, and one at the command line's 5,000-equation ceiling 2.1 to
+    2.8 MiB for n = 3 to 5 and 7.4 MiB for n = 2, k = 5,000.
     """
     if len(lambdas) != n:
         raise ValueError("lambda tuple length must equal n")
     lambdas = tuple(exact(v) for v in lambdas)
-    rows, cols, patterns = _system_frame(n, k)
+    rows, cols, patterns, _ = _system_frame(n, k)
     twice_lambdas = [scalar(2 * lam) for lam in lambdas]
     factors = [(a + 1) * (a + twice) for twice in twice_lambdas for a in range(k)]
     equations = tuple({j: f for j, slot in pattern if (f := factors[slot])}
@@ -457,17 +487,33 @@ def split_systems(sys: LinearSystem, t1: int) -> tuple[LinearSystem, LinearSyste
     return s1, s2, s1prime
 
 
-def rank_data(w: Weights) -> Optional[tuple[int, int, int]]:
-    """(k, rank, ell) for a natural shift, None otherwise."""
-    k = w.natural_delta()
-    if k is None:
+def rank_data(w: Weights, tag: Optional[CaseTag] = None) -> Optional[tuple[int, int, int]]:
+    """(k, rank, ell) of the constraint system for a natural shift, None otherwise.
+
+    ``tag`` is ``classify(w)``, computed here when not given.  The system
+    is block-diagonal over S(a) = {free slots} | {i : a_i > t_i}, and every
+    block with S nonempty has full row rank (proof in the module
+    docstring).  So the rank is N_(k-1) off the singular case and
+    N_(k-1) - |B| + rank(B) on it, where only the rows of the box
+    B = {a <= t}, those in none of the frame's masks above[i][t_i], are
+    built and echelonised.
+    """
+    tag = classify(w) if tag is None else tag
+    if tag.kind is CaseKind.NON_INTEGER_DELTA:
         return None
-    system = build_system(w.n, k, w.lambdas)
-    rho = system.rank()
-    return (k, rho, multiset_coeff(w.n, k - 1) - rho)
+    k, n_rows = tag.k, multiset_coeff(w.n, tag.k - 1)
+    if tag.kind is CaseKind.NON_RESONANT:
+        return (k, n_rows, 0)
+    _, _, patterns, above = _system_frame(w.n, k)
+    off_box = reduce(or_, (above_i[t_i] for above_i, t_i in zip(above, tag.t)))
+    factors = [(a + 1) * (a - t_i) for t_i in tag.t for a in range(k)]
+    box = [{j: f for j, slot in patterns[r] if (f := factors[slot])}
+           for r, bit in enumerate(reversed(f"{off_box:0{n_rows}b}")) if bit == "0"]
+    rho = n_rows - len(box) + linalg.sparse_rank(box)
+    return (k, rho, n_rows - rho)
 
 
-def dim_h2_via_system(w: Weights) -> CohomResult:
+def dim_h2_via_system(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
     """Rank-based dimension: 0 unless the shift is natural, else base + 3*ell.
 
     The base is the count of weight-k indices over n - 1 slots; ell is the
@@ -476,10 +522,11 @@ def dim_h2_via_system(w: Weights) -> CohomResult:
     The value counts the representatives of :func:`cocycle_basis`, not
     cohomology classes: base + 2*ell of them (the top and middle families)
     are coboundaries, and only the ell bottom-family ones are nontrivial
-    classes, which is the value the brute-force complex gives.
+    classes, which is the value the brute-force complex gives.  ``tag`` is
+    ``classify(w)``, computed here when not given.
     """
-    tag = classify(w)
-    data = rank_data(w)
+    tag = classify(w) if tag is None else tag
+    data = rank_data(w, tag)
     if data is None:
         return CohomResult(dim=0, method="system", weights=w, stable=True,
                            case=tag.describe())

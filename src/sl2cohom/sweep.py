@@ -159,7 +159,7 @@ def evaluate_row(w: Weights, k: int, t: Optional[tuple[int, ...]],
     """
     tag = classify(w)
     if perturb is None:
-        dim_system = dim_h2_via_system(w).dim
+        dim_system = dim_h2_via_system(w, tag).dim
     else:
         system = build_system(w.n, k, w.lambdas)
         matrix = perturb(system.matrix)

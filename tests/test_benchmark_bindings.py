@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from sl2cohom import reduced, sweep
+from sl2cohom.closedform import CaseKind, classify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,7 +69,10 @@ def test_a_traced_pass_yields_every_per_layer_metric():
     assert metrics["cecomplex.block_matrix.calls"] == 0
     assert metrics["reduced.build_system.nnz"] > 0
     assert metrics["cecomplex.block_matrix.columns"] == 0
-    # One echelon per oracle row (its d1 columns) and one per system rank:
-    # the oracle's elimination is booked under linalg.sparse_rank.
-    assert metrics["linalg.sparse_rank.calls"] == 2 * len(configs)
+    # One echelon per oracle row (its d1 columns) and one per singular row
+    # (the system rank echelonises only the box a <= t, which off the
+    # singular case is empty): both are booked under linalg.sparse_rank.
+    singular = sum(classify(w).kind is CaseKind.SINGULAR for w, _, _ in configs)
+    assert singular == 5
+    assert metrics["linalg.sparse_rank.calls"] == len(configs) + singular
     assert metrics["reduced.solve_coboundary.calls"] > 0

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from sl2cohom import linalg
 from sl2cohom.cecomplex import coboundary
+from sl2cohom.closedform import CaseKind, classify
 from sl2cohom.multiindices import add_unit, enumerate_multiindices, index_weight, multiset_coeff
 from sl2cohom.operators import DiffOperator
 from sl2cohom.polynomials import Polynomial
@@ -21,7 +23,7 @@ from sl2cohom.reduced import (
     solve_coboundary,
     split_systems,
 )
-from sl2cohom.sweep import nonresonant_weights, weights_for_tvector
+from sl2cohom.sweep import nonresonant_weights, sweep_configurations, weights_for_tvector
 from sl2cohom.weights import GENERATORS, Weights
 
 X1, XX, XX2 = GENERATORS
@@ -48,6 +50,11 @@ def rand_two_cochain(rng, w, **kw):
     return ReducedTwoCochain(w, rand_family(rng, w.n, **kw),
                              rand_family(rng, w.n, **kw),
                              rand_family(rng, w.n, **kw))
+
+
+def full_rank(system):
+    """The reference rank: one echelon of every row of the system."""
+    return linalg.sparse_rank(list(system.equations))
 
 
 # -- residuals ---------------------------------------------------------
@@ -173,7 +180,7 @@ def test_build_system_examples():
     s2 = build_system(2, 1, (Fraction(0), Fraction(0)))
     assert s2.matrix.entries == [[Fraction(0), Fraction(0)]]
     s0 = build_system(3, 0, (Fraction(1), Fraction(1), Fraction(1)))
-    assert s0.matrix.rows == 0 and s0.rank() == 0
+    assert s0.matrix.rows == 0 and full_rank(s0) == 0
     assert s0.matrix.cols == 1  # single weight-0 unknown
 
 
@@ -186,7 +193,7 @@ def test_build_system_shape_and_entries():
     row = system.matrix.row(system.row_index.index((0, 0, 1)))
     cols = {c: v for c, v in zip(system.col_index, row) if v != 0}
     assert cols == {(1, 0, 1): 2, (0, 1, 1): 2, (0, 0, 2): 6}
-    assert system.rank() == 3
+    assert full_rank(system) == 3
 
 
 def test_build_system_rows_are_sparse_and_exact():
@@ -236,7 +243,7 @@ def test_system_frames_carry_no_lambda():
 
 def test_kernel_dimension_identity():
     system = build_system(2, 2, (Fraction(-1, 2), Fraction(0)))
-    rho = system.rank()
+    rho = full_rank(system)
     kern = system.kernel_basis()
     assert len(kern) == system.matrix.cols - rho
     ell = multiset_coeff(2, 1) - rho
@@ -275,7 +282,7 @@ def test_split_rank_subadditivity():
         lambdas = tuple(Fraction(-v, 2) for v in t)
         system = build_system(3, k, lambdas)
         s1, s2, _ = split_systems(system, t[0])
-        assert s1.rank() + s2.rank() >= system.rank()
+        assert full_rank(s1) + full_rank(s2) >= full_rank(system)
 
 
 # -- dimensions ---------------------------------------------------------
@@ -310,7 +317,76 @@ def test_nonresonant_systems_have_maximal_rank():
         for k in range(6):
             lambdas = (Fraction(1),) * n
             system = build_system(n, k, lambdas)
-            assert system.rank() == multiset_coeff(n, k - 1)
+            assert full_rank(system) == multiset_coeff(n, k - 1)
+
+
+def _assert_rank_data_is_the_full_rank(w):
+    k = w.natural_delta()
+    system = build_system(w.n, k, w.lambdas)
+    rho = full_rank(system)
+    assert rank_data(w) == (k, rho, len(system.row_index) - rho), w
+
+
+def test_rank_data_equals_the_full_echelon_on_sweep_rows():
+    # rank_data echelonises only the box a <= t; the reference ranks every row
+    count = 0
+    for n, k_max in ((1, 9), (2, 8), (3, 6), (4, 5)):
+        for w, _, _ in sweep_configurations(n, k_max):
+            _assert_rank_data_is_the_full_rank(w)
+            count += 1
+    assert count == 55 + 213 + 448 + 985
+
+
+def _seeded_lambda(rng, k):
+    kind = rng.choice(("box", "half", "third", "positive", "beyond"))
+    if kind == "box" and k > 0:  # t_i in {0, ..., k - 1}: a resonant slot
+        return Fraction(-rng.randrange(k), 2)
+    if kind == "half":
+        return Fraction(2 * rng.randint(-k - 2, k + 2) + 1, 2)
+    if kind == "third":
+        return Fraction(rng.choice((1, 2, 4, 5)) + 3 * rng.randint(-k - 1, 1), 3)
+    if kind == "positive":
+        return Fraction(rng.randint(1, 9), rng.randint(1, 4))
+    return Fraction(-rng.randint(k, 2 * k + 3), 2)  # t_i >= k
+
+
+def test_rank_data_equals_the_full_echelon_on_seeded_lambdas():
+    rng = random.Random(1301)
+    kinds = set()
+    for _ in range(400):
+        n, k = rng.randint(1, 4), rng.randint(0, 6)
+        if rng.random() < 0.25 and k > 0:  # every slot resonant: the box is there
+            lambdas = tuple(Fraction(-rng.randrange(k), 2) for _ in range(n))
+        else:
+            lambdas = tuple(_seeded_lambda(rng, k) for _ in range(n))
+        w = Weights(lambdas, k + sum(lambdas))
+        kinds.add(classify(w).kind)
+        _assert_rank_data_is_the_full_rank(w)
+    assert kinds == {CaseKind.SINGULAR, CaseKind.NON_RESONANT}
+
+
+def _hilbert_function(t):
+    """Coefficients h_j of prod_i (1 + q + ... + q^(t_i)), the Hilbert
+    function of Q[x_1..x_n]/(x_i^(t_i + 1))."""
+    h = [1]
+    for t_i in t:
+        h = [sum(h[max(0, j - t_i):j + 1]) for j in range(len(h) + t_i)]
+    return h
+
+
+def test_ell_is_the_lefschetz_count_on_singular_rows():
+    # ell = max(0, h_(k-1) - h_k): multiplication by x_1 + ... + x_n on
+    # the box ring has maximal rank (strong Lefschetz property)
+    assert _hilbert_function((1, 2)) == [1, 2, 2, 1]
+    count = 0
+    for n, k_max in ((1, 9), (2, 8), (3, 6), (4, 5)):
+        for w, k, t in sweep_configurations(n, k_max):
+            if classify(w).kind is not CaseKind.SINGULAR:
+                continue
+            h = _hilbert_function(t) + [0] * k  # h_j = 0 beyond sum(t)
+            assert rank_data(w)[2] == max(0, h[k - 1] - h[k]), (n, k, t)
+            count += 1
+    assert count == 45 + 204 + 441 + 979
 
 
 # -- normal form and gauge reduction ------------------------------------
