@@ -38,7 +38,6 @@ from .reduced import (
     cocycle_residual,
     dim_h2_via_system,
     solve_coboundary,
-    split_systems,
 )
 from .sweep import run_sweep, verify_rows
 from .weights import GENERATORS, SL2Generator, Weights, lie_derivative_density
@@ -55,6 +54,6 @@ __all__ = [
     "dim_h2_closed_form", "dim_h2_summary_table", "dim_h2_via_system",
     "enumerate_multiindices", "format_rational", "kernel_basis",
     "lie_derivative_density", "multiset_coeff", "parse_rational", "rank",
-    "run_sweep", "solve_coboundary", "split_systems", "verify_rows",
+    "run_sweep", "solve_coboundary", "verify_rows",
     "weight_block_basis", "weight_of",
 ]

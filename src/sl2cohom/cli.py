@@ -44,7 +44,8 @@ IO_EXIT = 3
 #: middle resonance puts most rows there: 4,845 took 5.7 s (n = 5, k = 17,
 #: t = (7, 7, 7, 7, 6)) and 4,960 took 5.2 s (n = 4, k = 30,
 #: t = (15, 15, 15, 15)), medians of 3 ``dim`` runs; 9,880 took 27 s
-#: (n = 4, k = 38).
+#: (n = 4, k = 38).  It bounds k as well: the system's frame holds k
+#: factors per slot, which at n = 1 outnumber the one equation.
 MAX_SYSTEM_EQUATIONS = 5_000
 #: Candidate cochains 3 C(cap + n, n) of the oracle's block at its one cap,
 #: cap = alpha_max (by default k): near the ceiling, the slowest of the
@@ -133,9 +134,16 @@ def _check_ceiling(what: str, size: int, unit: str, ceiling: int) -> None:
         raise UsageError(f"{what} has {size} {unit}, above the ceiling of {ceiling}")
 
 
-def _check_system_size(n: int, k: int) -> None:
+def _check_system_equations(n: int, k: int) -> None:
     _check_ceiling(f"the constraint system at n = {n}, k = {k}",
                    multiset_coeff(n, k - 1), "equations", MAX_SYSTEM_EQUATIONS)
+
+
+def _check_system_size(n: int, k: int) -> None:
+    _check_system_equations(n, k)
+    # n >= 2 has at least k equations, so this binds only at n = 1
+    _check_ceiling(f"the constraint system at n = {n}, k = {k}", k,
+                   "lowering factors per slot", MAX_SYSTEM_EQUATIONS)
 
 
 def _check_basis_size(n: int, k: int) -> None:
@@ -167,8 +175,9 @@ def _sweep_rows(n: int, k_max: int) -> int:
 def _check_sweep_size(n: int, k_max: int, methods: Sequence[str], policy: str,
                       alpha_max: Optional[int]) -> None:
     """The ceilings on the sweep's row count and at its largest row; every
-    row runs the system method."""
-    _check_system_size(n, k_max)
+    row runs the system method.  At n = 1 the row ceiling holds k_max below
+    200, so the system's k factors per slot need no check of their own."""
+    _check_system_equations(n, k_max)
     k = largest_oracle_k(policy, n, k_max) if "oracle" in methods else None
     if k is not None:
         _check_oracle_size(n, alpha_max if alpha_max is not None
@@ -232,20 +241,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _perturb_first_entry(matrix):
-    """Negative-control hook: corrupt one entry of the constraint system."""
-    if matrix.rows == 0 or matrix.cols == 0:
-        return matrix
-    return matrix.with_entry(0, 0, matrix[0, 0] + 1)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    perturb = _perturb_first_entry if args.self_test_perturb else None
     methods = ("system", "closed", "summary", "oracle")
     _check_sweep_size(args.n, args.k_max, methods, args.oracle, args.alpha_max)
     rows = run_sweep(args.n, args.k_max, methods,
                      oracle_policy=args.oracle, alpha_max=args.alpha_max,
-                     perturb=perturb)
+                     perturb=args.self_test_perturb)
     report = verify_rows(rows)
     if args.out is not None:
         _write_output(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
@@ -262,6 +263,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         _write_output(json.dumps([], indent=2) + "\n", args.out)
         return 0
     _check_basis_size(w.n, w.natural_delta())
+    _check_system_size(w.n, w.natural_delta())
     basis = cocycle_basis(w)
     for element in basis:
         if cocycle_residual(element):

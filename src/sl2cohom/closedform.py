@@ -102,42 +102,21 @@ def singular_counts(tag: CaseTag) -> tuple[Optional[int], Optional[int]]:
     return (sum(1 for v in t if v > m), None)
 
 
-def dim_h2_closed_form(tag: CaseTag, n: int) -> Optional[int]:
-    """Closed-form dimension prediction; None signals an unmatched case.
-
-    None is a classification gap marker, never a wrong number; it cannot
-    occur for tags produced by :func:`classify`.
-    """
-    base = multiset_coeff(n - 1, tag.k) if tag.k is not None else None
+def dim_h2_closed_form(tag: CaseTag, n: int) -> int:
+    """Closed-form dimension prediction, with s and r from :func:`singular_counts`."""
     if tag.kind is CaseKind.NON_INTEGER_DELTA:
         return 0
-    if tag.kind is CaseKind.NON_RESONANT:
-        assert base is not None
+    base = multiset_coeff(n - 1, tag.k)
+    if tag.kind is CaseKind.NON_RESONANT or tag.sigma < tag.k - 1:
         return base
-    t, k, sigma = tag.t, tag.k, tag.sigma
-    if t is None or k is None or sigma is None or base is None:
-        return None
-    if sigma < k - 1:
-        return base
-    if sigma == k - 1:
+    if tag.sigma == tag.k - 1:
         return base + 3
-    if sigma == k:
-        s = sum(1 for v in t if v >= 1)
+    s, r = singular_counts(tag)
+    if tag.sigma == tag.k:
         return base + 3 * (s - 1)
-    if sigma == k + 1:
-        if max(t) >= 2:
-            s = sum(1 for v in t if v >= 1)
-            r = sum(1 for v in t if v == 1)
-            value = Fraction(3, 2) * s * (s - 1) - 3 * r
-            return base + int(value)
-        if max(t) == 1:
-            return base
-        return None
-    m = sigma - k
-    if m >= 2:
-        s = sum(1 for v in t if v > m)
-        return base + int(Fraction(3, 2) * s * (s - 1))
-    return None
+    if tag.sigma == tag.k + 1:
+        return base if max(tag.t) == 1 else base + 3 * (s * (s - 1) // 2) - 3 * r
+    return base + 3 * (s * (s - 1) // 2)
 
 
 def dim_h2_summary_table(tag: CaseTag, n: int) -> Optional[Fraction]:

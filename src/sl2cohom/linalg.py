@@ -17,10 +17,10 @@ entry and return ``Fraction`` values.
 ``kernel_basis``, ``solve`` and ``column_space_echelon`` take a matrix as
 its sparse rows plus its column count, the form in which
 :func:`sl2cohom.reduced.build_system` and the block matrices of the
-truncated cochain complex are built.  The dense ``RationalMatrix``
-remains for the one view that needs cells, the ``rank`` of a perturbed
-system, and hands its nonzero entries to the engine.  There is one
-engine; no other elimination routine exists.
+truncated cochain complex are built.  The dense ``RationalMatrix`` and
+its ``rank`` remain because the benchmark's tracer binds both and the
+tests use them as references; ``rank`` hands the nonzero entries to the
+engine.  There is one engine; no other elimination routine exists.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class RationalMatrix:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RationalMatrix is immutable")
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return self.entries[i][j]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
@@ -71,11 +67,6 @@ class RationalMatrix:
         vec = [exact(v) for v in vec]
         return [sum((a * b for a, b in zip(row, vec)), Fraction(0))
                 for row in self.entries]
-
-    def with_entry(self, i: int, j: int, value: Scalar) -> "RationalMatrix":
-        out = [list(r) for r in self.entries]
-        out[i][j] = exact(value)
-        return RationalMatrix(out, cols=self.cols)
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"

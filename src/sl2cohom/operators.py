@@ -92,10 +92,6 @@ class DiffOperator:
         return hash((self.weights, tuple(sorted(self.terms.items(),
                                                 key=lambda kv: graded_lex_key(kv[0])))))
 
-    def max_order(self) -> int:
-        """Largest |alpha| appearing; -1 for the zero operator."""
-        return max((index_weight(a) for a in self.terms), default=-1)
-
     def coefficient(self, alpha: MultiIndex) -> Polynomial:
         return self.terms.get(tuple(alpha), Polynomial.zero())
 

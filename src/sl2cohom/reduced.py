@@ -303,17 +303,6 @@ class ReducedTwoCochain:
                           for a, p in sorted(fam.items(), key=lambda kv: graded_lex_key(kv[0]))}
         return data
 
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "ReducedTwoCochain":
-        from .multiindices import parse_multiindex
-
-        w = Weights.from_json_dict(data)
-        fams = {}
-        for name in ("A", "B", "C"):
-            fams[name] = {parse_multiindex(k): Polynomial.from_json(v)
-                          for k, v in data.get(name, {}).items()}
-        return ReducedTwoCochain(w, fams["A"], fams["B"], fams["C"])
-
 
 def cocycle_residual(f: ReducedTwoCochain) -> FamilyMap:
     """Per-index obstruction to closedness; f is a cocycle iff all zero.
@@ -371,14 +360,12 @@ class LinearSystem:
     order.  The row for a has entry (a_i + 1)(a_i + 2 lambda_i) in the
     column of a + e_i and zero elsewhere.  ``equations`` holds each row as
     a sparse vector {column: entry} of its nonzero entries, ``int`` when
-    2 lambda_i is an integer; kernel and solves run on these rows.
-    The dense ``matrix`` is derived on demand, for the one view that needs
-    cells: the perturbed rank of ``verify``'s self-test.
+    2 lambda_i is an integer; every rank, kernel and solve runs on these
+    rows.  The dense ``matrix`` is derived on demand only because the
+    benchmark's tracer counts its cells and the tests use it as a
+    reference.
     """
 
-    n: int
-    k: int
-    lambdas: tuple[Fraction, ...]
     row_index: tuple[MultiIndex, ...]
     col_index: tuple[MultiIndex, ...]
     equations: tuple[dict[int, Scalar], ...]
@@ -390,16 +377,6 @@ class LinearSystem:
             for j, c in equation.items():
                 row[j] = c
         return RationalMatrix(dense, cols=len(self.col_index))
-
-    def kernel_basis(self) -> list[list[Fraction]]:
-        return linalg.kernel_basis(self.equations, len(self.col_index))
-
-    def with_rows(self, keep: list[int]) -> "LinearSystem":
-        return LinearSystem(
-            self.n, self.k, self.lambdas,
-            tuple(self.row_index[i] for i in keep),
-            self.col_index,
-            tuple(self.equations[i] for i in keep))
 
 
 #: Bound on the cached (n, k) system frames: rows visited in any order
@@ -451,40 +428,7 @@ def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
     factors = [(a + 1) * (a + twice) for twice in twice_lambdas for a in range(k)]
     equations = tuple({j: f for j, slot in pattern if (f := factors[slot])}
                       for pattern in patterns)
-    return LinearSystem(n, k, lambdas, rows, cols, equations)
-
-
-def split_systems(sys: LinearSystem, t1: int) -> tuple[LinearSystem, LinearSystem, LinearSystem]:
-    """Row partition by the first entry of the equation index.
-
-    Returns (S1, S2, S1prime): S1 keeps rows with a_1 != t1, S2 the rows
-    with a_1 = t1, and S1prime the rows with a_1 = t1 - 1 where additionally
-    the i = 1 column term is dropped (only the slots i >= 2 remain).
-    Rejects systems whose weights do not have a natural t-vector, or whose
-    first entry disagrees with t1.
-    """
-    minus2 = tuple(-2 * lam for lam in sys.lambdas)
-    for v in minus2:
-        if v.denominator != 1 or v < 0:
-            raise ValueError(f"-2*lambda = {v} is not a natural number")
-    if minus2[0] != t1:
-        raise ValueError(f"t1 = {t1} does not match -2*lambda_1 = {minus2[0]}")
-    s1_rows = [i for i, a in enumerate(sys.row_index) if a[0] != t1]
-    s2_rows = [i for i, a in enumerate(sys.row_index) if a[0] == t1]
-    s1 = sys.with_rows(s1_rows)
-    s2 = sys.with_rows(s2_rows)
-    prime_rows = [i for i, a in enumerate(sys.row_index) if a[0] == t1 - 1]
-    col_pos = {c: j for j, c in enumerate(sys.col_index)}
-    equations = []
-    for i in prime_rows:
-        dropped = col_pos[add_unit(sys.row_index[i], 0)]
-        equations.append({j: c for j, c in sys.equations[i].items() if j != dropped})
-    s1prime = LinearSystem(
-        sys.n, sys.k, sys.lambdas,
-        tuple(sys.row_index[i] for i in prime_rows),
-        sys.col_index,
-        tuple(equations))
-    return s1, s2, s1prime
+    return LinearSystem(rows, cols, equations)
 
 
 def rank_data(w: Weights, tag: Optional[CaseTag] = None) -> Optional[tuple[int, int, int]]:
@@ -569,7 +513,7 @@ def cocycle_basis(w: Weights) -> list[ReducedTwoCochain]:
         raise ValueError("cocycle basis requires a natural shift")
     system = build_system(w.n, k, w.lambdas)
     out: list[ReducedTwoCochain] = []
-    for vec in system.kernel_basis():
+    for vec in linalg.kernel_basis(system.equations, len(system.col_index)):
         fam = {alpha: Polynomial.constant(c)
                for alpha, c in zip(system.col_index, vec) if c != 0}
         out.append(ReducedTwoCochain(w, fam, {}, {}))

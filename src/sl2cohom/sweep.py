@@ -17,7 +17,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import linalg
 from .cecomplex import brute_force_h2
@@ -149,21 +149,21 @@ def largest_oracle_k(policy: str, n: int, k_max: int) -> Optional[int]:
 
 def evaluate_row(w: Weights, k: int, t: Optional[tuple[int, ...]],
                  methods: Sequence[str], oracle_policy: str = "auto",
-                 alpha_max: Optional[int] = None,
-                 perturb: Optional[Callable] = None) -> SweepRow:
+                 alpha_max: Optional[int] = None, perturb: bool = False) -> SweepRow:
     """Evaluate one configuration with the requested methods.
 
-    ``perturb`` is a self-test hook receiving the constraint system matrix
-    and returning a corrupted copy; it exists so the verification gate can
-    prove it detects an injected error.
+    ``perturb`` is the self-test of ``verify``: it adds 1 to entry (0, 0)
+    of the constraint system's sparse rows and ranks all of them, so the
+    verification gate can prove it detects an injected error.
     """
     tag = classify(w)
-    if perturb is None:
+    if not perturb:
         dim_system = dim_h2_via_system(w, tag).dim
     else:
-        system = build_system(w.n, k, w.lambdas)
-        matrix = perturb(system.matrix)
-        ell = multiset_coeff(w.n, k - 1) - linalg.rank(matrix)
+        equations = list(build_system(w.n, k, w.lambdas).equations)
+        if equations:
+            equations[0] = {**equations[0], 0: equations[0].get(0, 0) + 1}
+        ell = multiset_coeff(w.n, k - 1) - linalg.sparse_rank(equations)
         dim_system = multiset_coeff(w.n - 1, k) + 3 * ell
     dim_closed = dim_h2_closed_form(tag, w.n) if "closed" in methods else None
     dim_summary = dim_h2_summary_table(tag, w.n) if "summary" in methods else None
@@ -190,7 +190,7 @@ def sweep_configurations(n: int, k_max: int) -> list[tuple[Weights, int, Optiona
 
 def run_sweep(n: int, k_max: int, methods: Sequence[str],
               oracle_policy: str = "auto", alpha_max: Optional[int] = None,
-              perturb: Optional[Callable] = None) -> list[SweepRow]:
+              perturb: bool = False) -> list[SweepRow]:
     """Evaluate a full sweep; rows come back in row-key order."""
     rows = [evaluate_row(w, k, t, methods, oracle_policy, alpha_max, perturb)
             for (w, k, t) in sweep_configurations(n, k_max)]

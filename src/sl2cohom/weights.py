@@ -144,26 +144,6 @@ class Weights:
             return int(d)
         return None
 
-    def minus_two_lambdas(self) -> tuple[Fraction, ...]:
-        return tuple(-2 * v for v in self.lambdas)
-
-    def t_vector(self) -> tuple[int, ...]:
-        """The tuple (-2 lambda_1, ..., -2 lambda_n), defined only when every
-        entry is a nonnegative integer."""
-        out = []
-        for v in self.minus_two_lambdas():
-            if v.denominator != 1 or v < 0:
-                raise ValueError(
-                    f"-2*lambda = {v} is not a natural number; no t-vector")
-            out.append(int(v))
-        return tuple(out)
-
-    def has_t_vector(self) -> bool:
-        return all(v.denominator == 1 and v >= 0 for v in self.minus_two_lambdas())
-
-    def sigma(self) -> int:
-        return sum(self.t_vector())
-
     # -- serialisation ------------------------------------------------
 
     def to_json_dict(self) -> dict:

@@ -7,6 +7,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from sl2cohom import cli
 from sl2cohom.cli import main
 
@@ -142,6 +144,12 @@ def test_oversized_dim_is_refused_within_seconds():
          "candidate cochains"),
         (["dim", "--n", "2", "--lambdas", "0,0", "--mu", "1e400", "--methods", "system"],
          "equations"),
+        # n = 1 has one equation, but the system's frame holds k factors per
+        # slot: these two used to exit 0 after allocating 120+ MiB
+        (["dim", "--n", "1", "--lambdas", "0", "--mu", "2000000", "--methods", "system"],
+         "2000000 lowering factors per slot"),
+        (["basis", "--n", "1", "--lambdas", "0", "--mu", "1000000"],
+         "1000000 lowering factors per slot"),
     ):
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "sl2cohom"] + argv, env=env,
@@ -187,13 +195,21 @@ def test_instances_above_a_ceiling_are_usage_errors(capsys):
                             "--methods", "oracle", "--alpha-max", "300"], capsys)
     assert code == 0 and json.loads(out)[0]["dim"] == 0
     cli._check_sweep_size(3, 9, cli.ALL_METHODS, "auto", 300)
+    # the system's ceiling on k binds where the system runs, and is checked
+    # without building anything
+    code, out, _ = run_cli(["dim", "--n", "1", "--lambdas", "0", "--mu", "8332",
+                            "--methods", "oracle"], capsys)
+    assert code == 0 and json.loads(out)[0]["dim"] == 0
+    with pytest.raises(cli.UsageError, match="100000000 lowering factors per slot"):
+        cli._check_system_size(1, 10 ** 8)
 
 
 def test_ceilings_accept_every_documented_instance():
     # the largest table, verify and benchmark sweeps of README, the tests
     # and the benchmark, with and without the oracle
     for n, k_max, policy in ((5, 5, "auto"), (5, 5, "on"), (4, 6, "off"),
-                             (4, 5, "off"), (4, 4, "on"), (3, 5, "on"), (2, 8, "on")):
+                             (4, 5, "off"), (4, 4, "on"), (3, 5, "on"), (2, 8, "on"),
+                             (1, 197, "off")):
         cli._check_sweep_size(n, k_max, cli.ALL_METHODS, policy, None)
 
 

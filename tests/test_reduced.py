@@ -21,7 +21,6 @@ from sl2cohom.reduced import (
     dim_h2_via_system,
     rank_data,
     solve_coboundary,
-    split_systems,
 )
 from sl2cohom.sweep import nonresonant_weights, sweep_configurations, weights_for_tvector
 from sl2cohom.weights import GENERATORS, Weights
@@ -69,7 +68,7 @@ def test_residual_of_kernel_family_vanishes():
     # constant top-order family solving the coefficient system
     w = Weights((Fraction(0), Fraction(0)), Fraction(1))
     system = build_system(2, 1, w.lambdas)
-    for vec in system.kernel_basis():
+    for vec in linalg.kernel_basis(system.equations, len(system.col_index)):
         fam = {alpha: Polynomial.constant(c)
                for alpha, c in zip(system.col_index, vec) if c != 0}
         assert cocycle_residual(ReducedTwoCochain(w, fam, {}, {})) == {}
@@ -244,45 +243,12 @@ def test_system_frames_carry_no_lambda():
 def test_kernel_dimension_identity():
     system = build_system(2, 2, (Fraction(-1, 2), Fraction(0)))
     rho = full_rank(system)
-    kern = system.kernel_basis()
+    kern = linalg.kernel_basis(system.equations, len(system.col_index))
     assert len(kern) == system.matrix.cols - rho
     ell = multiset_coeff(2, 1) - rho
     assert len(kern) == multiset_coeff(1, 2) + ell
     for v in kern:
         assert all(x == 0 for x in system.matrix.mat_vec(v))
-
-
-def test_split_systems():
-    lambdas = (Fraction(-1, 2), Fraction(-1, 2))
-    system = build_system(2, 3, lambdas)
-    s1, s2, s1p = split_systems(system, 1)
-    assert all(a[0] != 1 for a in s1.row_index)
-    assert all(a[0] == 1 for a in s2.row_index)
-    assert all(a[0] == 0 for a in s1p.row_index)
-    # the first-slot column term is dropped in the primed system
-    col_pos = {c: j for j, c in enumerate(system.col_index)}
-    for i, alpha in enumerate(s1p.row_index):
-        lifted = (alpha[0] + 1,) + alpha[1:]
-        assert s1p.matrix[i, col_pos[lifted]] == 0
-    # t1 = 0 leaves no primed rows
-    sys0 = build_system(2, 2, (Fraction(0), Fraction(0)))
-    _, _, empty = split_systems(sys0, 0)
-    assert empty.matrix.rows == 0
-    with pytest.raises(ValueError):
-        split_systems(build_system(1, 2, (Fraction(1, 3),)), 0)
-    with pytest.raises(ValueError):
-        split_systems(sys0, 1)
-
-
-def test_split_rank_subadditivity():
-    rng = random.Random(31)
-    for _ in range(8):
-        k = rng.randint(1, 4)
-        t = tuple(rng.randint(0, max(k - 1, 0)) for _ in range(3))
-        lambdas = tuple(Fraction(-v, 2) for v in t)
-        system = build_system(3, k, lambdas)
-        s1, s2, _ = split_systems(system, t[0])
-        assert full_rank(s1) + full_rank(s2) >= full_rank(system)
 
 
 # -- dimensions ---------------------------------------------------------

@@ -1,8 +1,13 @@
 from fractions import Fraction
 
+from sl2cohom import linalg
 from sl2cohom.closedform import CaseKind, classify
+from sl2cohom.linalg import RationalMatrix
+from sl2cohom.multiindices import multiset_coeff
+from sl2cohom.reduced import build_system
 from sl2cohom.sweep import (
     CSV_COLUMNS,
+    evaluate_row,
     nonresonant_weights,
     rows_to_csv,
     rows_to_json,
@@ -16,9 +21,9 @@ from sl2cohom.sweep import (
 def test_weights_for_tvector():
     w = weights_for_tvector(2, 1, (0, 0))
     assert w.lambdas == (Fraction(0), Fraction(0)) and w.mu == 1
-    assert w.delta() == 1 and w.t_vector() == (0, 0)
+    assert w.delta() == 1 and classify(w).t == (0, 0)
     w2 = weights_for_tvector(3, 4, (1, 2, 3))
-    assert w2.delta() == 4 and w2.t_vector() == (1, 2, 3)
+    assert w2.delta() == 4 and (classify(w2).t, classify(w2).sigma) == ((1, 2, 3), 6)
 
 
 def test_nonresonant_weights_classify_nonresonant():
@@ -77,3 +82,18 @@ def test_verify_gate_passes_without_oracle_rows():
     report = verify_rows(rows)
     assert report.passed  # nothing to gate on
     assert report.closed_mismatches == []
+
+
+def test_the_sparse_negative_control_equals_the_dense_one():
+    # verify --self-test-perturb raises cell (0, 0) of the constraint system
+    # by 1; the reference does so on the dense matrix and ranks every row
+    for n, k_max in ((2, 4), (3, 3)):
+        for w, k, t in sweep_configurations(n, k_max):
+            cells = [list(row) for row in build_system(n, k, w.lambdas).matrix.entries]
+            if cells:
+                cells[0][0] += 1
+            n_rows = multiset_coeff(n, k - 1)
+            expected = multiset_coeff(n - 1, k) + \
+                3 * (n_rows - linalg.rank(RationalMatrix(cells, cols=multiset_coeff(n, k))))
+            row = evaluate_row(w, k, t, ("system",), "off", perturb=True)
+            assert row.dim_system == expected, (n, k, t)

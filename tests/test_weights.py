@@ -73,15 +73,9 @@ def test_weights_delta_and_t_vector():
     w = Weights((Fraction(0), Fraction(-1, 2)), Fraction(2))
     assert w.delta() == Fraction(5, 2)
     assert w.natural_delta() is None
-    assert w.has_t_vector()
-    assert w.t_vector() == (0, 1)
-    assert w.sigma() == 1
 
     w2 = Weights((Fraction(1, 3),), Fraction(0))
     assert w2.delta() == Fraction(-1, 3)
-    assert not w2.has_t_vector()
-    with pytest.raises(ValueError):
-        w2.t_vector()
 
     w3 = Weights((Fraction(1),), Fraction(-2))
     assert w3.delta() == Fraction(-3)
