@@ -214,24 +214,6 @@ class Cochain:
             return DiffOperator.zero(self.weights)
         return op if sign == 1 else -op
 
-    def __add__(self, other: "Cochain") -> "Cochain":
-        if (self.weights, self.degree) != (other.weights, other.degree):
-            raise ValueError("cochains are not compatible")
-        out = dict(self.components)
-        for key, op in other.components.items():
-            out[key] = out.get(key, DiffOperator.zero(self.weights)) + op
-        return Cochain(self.weights, self.degree, out)
-
-    def __neg__(self) -> "Cochain":
-        return self.scale(-1)
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
-
-    def scale(self, c) -> "Cochain":
-        return Cochain(self.weights, self.degree,
-                       {k: op.scale(c) for k, op in self.components.items()})
-
     def __repr__(self) -> str:
         body = ", ".join(
             f"({','.join(map(str, k))}): {op!r}" for k, op in sorted(self.components.items()))

@@ -259,7 +259,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_basis(args: argparse.Namespace) -> int:
     w = _parse_weights(args)
     if w.natural_delta() is None:
-        print("H^2 = 0, empty basis")
+        print("H^2 = 0, empty basis", file=sys.stderr)
         _write_output(json.dumps([], indent=2) + "\n", args.out)
         return 0
     _check_basis_size(w.n, w.natural_delta())

@@ -43,8 +43,8 @@ class CaseKind(enum.Enum):
 class CaseTag:
     """Classification of a weight configuration.
 
-    ``k`` is present unless the kind is NON_INTEGER_DELTA; ``t``, ``sigma``
-    and ``m`` (= sigma - k) only for SINGULAR tags.  The counts s and r are
+    ``k`` is present unless the kind is NON_INTEGER_DELTA; ``t`` and
+    ``sigma`` only for SINGULAR tags.  The counts s and r are
     recomputed per formula branch, see :func:`singular_counts`.
     """
 
@@ -52,7 +52,6 @@ class CaseTag:
     k: Optional[int] = None
     t: Optional[tuple[int, ...]] = None
     sigma: Optional[int] = None
-    m: Optional[int] = None
 
     def describe(self) -> str:
         if self.kind is CaseKind.NON_INTEGER_DELTA:
@@ -75,8 +74,7 @@ def classify(w: Weights) -> CaseTag:
     # -2 lambda_i from the stored 2 lambda_i, an int exactly when integral
     t = tuple(-v for v in w.twice_lambdas)
     if all(type(v) is int and 0 <= v < k for v in t):
-        sigma = sum(t)
-        return CaseTag(CaseKind.SINGULAR, k=k, t=t, sigma=sigma, m=sigma - k)
+        return CaseTag(CaseKind.SINGULAR, k=k, t=t, sigma=sum(t))
     return CaseTag(CaseKind.NON_RESONANT, k=k)
 
 

@@ -12,7 +12,8 @@ the elimination.  ``kernel_basis`` and ``solve`` back-substitute the same
 integer echelon to the reduced row echelon form, which is unique up to the
 scale of each row, so their results do not depend on the order of
 elimination; only when reading results off do they divide by the leading
-entry and return ``Fraction`` values.
+entry and return ``Fraction`` values.  ``column_space_echelon`` returns the
+echelon's primitive ``int`` rows as they are, with no normalisation.
 
 ``kernel_basis``, ``solve`` and ``column_space_echelon`` take a matrix as
 its sparse rows plus its column count, the form in which
@@ -51,15 +52,6 @@ class RationalMatrix:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RationalMatrix is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and \
-            self.entries == other.entries
-
-    def row(self, i: int) -> list[Fraction]:
-        return list(self.entries[i])
 
     def mat_vec(self, vec: Sequence[Scalar]) -> list[Fraction]:
         if len(vec) != self.cols:
@@ -142,34 +134,22 @@ def solve(rows: Sequence[Mapping[int, Scalar]], cols: int,
 
 
 def column_space_echelon(rows: Sequence[Mapping[int, Scalar]],
-                         cols: int) -> list[dict[int, Fraction]]:
-    """Echelonised spanning set of the column space of the sparse rows, as
-    sparse vectors indexed by row; columns are inserted in ascending order."""
+                         cols: int) -> list[dict[int, int]]:
+    """Echelon basis of the column space of the sparse rows, as primitive
+    ``int`` vectors indexed by row, in ascending order of leading (minimal)
+    index; the leading indices are distinct.  Columns are inserted in
+    ascending order."""
     columns: list[dict[int, Scalar]] = [{} for _ in range(cols)]
     for i, row in enumerate(rows):
         for j, c in row.items():
             columns[j][i] = c
-    return sparse_echelon([col for col in columns if col])
+    echelon = _echelon([col for col in columns if col])
+    return [echelon[lead] for lead in sorted(echelon)]
 
 
 # ---------------------------------------------------------------------------
 # The engine: a fraction-free echelon of sparse vectors {index: value}.
 # ---------------------------------------------------------------------------
-
-
-def sparse_echelon(vectors: list[dict[int, Scalar]]) -> list[dict[int, Fraction]]:
-    """Reduce a list of sparse vectors to an independent echelon set.
-
-    Each returned vector is normalised to leading coefficient 1 at its
-    minimal index, and the leading indices are pairwise distinct.
-    """
-    echelon = _echelon(vectors)
-    out = []
-    for lead in sorted(echelon):
-        row = echelon[lead]
-        pivot = row[lead]
-        out.append({i: Fraction(c, pivot) for i, c in row.items()})
-    return out
 
 
 def sparse_rank(vectors: list[dict[int, Scalar]]) -> int:

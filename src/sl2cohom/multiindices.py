@@ -99,14 +99,3 @@ def enumerate_up_to(n: int, max_weight: int) -> list[MultiIndex]:
 def format_multiindex(alpha: MultiIndex) -> str:
     """Render as "[a1,...,an]" (no spaces), the label used in CSV/JSON."""
     return "[" + ",".join(str(a) for a in alpha) + "]"
-
-
-def parse_multiindex(text: str) -> MultiIndex:
-    """Inverse of :func:`format_multiindex`."""
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"malformed multi-index label: {text!r}")
-    body = body[1:-1]
-    if not body:
-        return ()
-    return tuple(int(part) for part in body.split(","))

@@ -28,7 +28,6 @@ from .multiindices import (
     format_multiindex,
     graded_lex_key,
     index_weight,
-    parse_multiindex,
     sub_unit,
 )
 from .polynomials import Polynomial, Scalar, divide, scalar
@@ -147,25 +146,6 @@ class DiffOperator:
     def __repr__(self) -> str:
         body = ", ".join(f"{format_multiindex(a)}: {p}" for a, p in self.sorted_terms())
         return f"DiffOperator({{{body}}})"
-
-    # -- serialisation ------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        data = self.weights.to_json_dict()
-        data["terms"] = {
-            format_multiindex(alpha): poly.to_json()
-            for alpha, poly in self.sorted_terms()
-        }
-        return data
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "DiffOperator":
-        weights = Weights.from_json_dict(data)
-        terms = {
-            parse_multiindex(key): Polynomial.from_json(value)
-            for key, value in data.get("terms", {}).items()
-        }
-        return DiffOperator(weights, terms)
 
 
 def act_on_operator(g: SL2Generator, op: DiffOperator) -> DiffOperator:

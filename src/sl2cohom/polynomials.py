@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Rational = Fraction
 
@@ -211,10 +211,6 @@ class Polynomial:
     def to_json(self) -> list[str]:
         """Ascending coefficient array of canonical rational strings."""
         return [format_rational(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_json(data: Sequence[str]) -> "Polynomial":
-        return Polynomial(parse_rational(str(c)) for c in data)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"

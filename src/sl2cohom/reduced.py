@@ -126,10 +126,6 @@ def _family_add(a: FamilyMap, b: FamilyMap) -> FamilyMap:
     return out
 
 
-def _family_to_operator(weights: Weights, family: FamilyMap) -> DiffOperator:
-    return DiffOperator(weights, family)
-
-
 def _coefficient(family: FamilyMap, alpha: MultiIndex) -> Polynomial:
     return family.get(alpha, Polynomial.zero())
 
@@ -192,30 +188,15 @@ class ReducedOneCochain:
         object.__setattr__(self, "V", _normalized(self.weights, self.V))
         object.__setattr__(self, "W", _normalized(self.weights, self.W))
 
-    @staticmethod
-    def zero(weights: Weights) -> "ReducedOneCochain":
-        return ReducedOneCochain(weights, {}, {}, {})
-
     def is_zero(self) -> bool:
         return not (self.U or self.V or self.W)
-
-    def __add__(self, other: "ReducedOneCochain") -> "ReducedOneCochain":
-        if other.weights != self.weights:
-            raise ValueError("weight mismatch")
-        return ReducedOneCochain(self.weights,
-                                 _family_add(self.U, other.U),
-                                 _family_add(self.V, other.V),
-                                 _family_add(self.W, other.W))
 
     def to_cochain(self) -> Cochain:
         """Values on the basis fields: U at X1, xU + V at Xx, x^2 U + 2xV + 2W at Xx2."""
         w = self.weights
-        u_op = _family_to_operator(w, self.U)
-        v_op = _family_to_operator(w, self.V)
-        w_op = _family_to_operator(w, self.W)
         x_poly = X
         comps = {
-            (SL2Generator.X1,): u_op,
+            (SL2Generator.X1,): DiffOperator(w, self.U),
             (SL2Generator.XX,): DiffOperator(
                 w, _family_add({a: x_poly * p for a, p in self.U.items()}, self.V)),
             (SL2Generator.XX2,): DiffOperator(w, _family_add(
@@ -224,13 +205,6 @@ class ReducedOneCochain:
                 {a: p.scale(2) for a, p in self.W.items()})),
         }
         return Cochain(w, 1, {k: op for k, op in comps.items() if not op.is_zero()})
-
-    def to_json_dict(self) -> dict:
-        data = self.weights.to_json_dict()
-        for name, fam in (("U", self.U), ("V", self.V), ("W", self.W)):
-            data[name] = {format_multiindex(a): p.to_json()
-                          for a, p in sorted(fam.items(), key=lambda kv: graded_lex_key(kv[0]))}
-        return data
 
 
 @dataclass(frozen=True)
@@ -246,10 +220,6 @@ class ReducedTwoCochain:
         object.__setattr__(self, "A", _normalized(self.weights, self.A))
         object.__setattr__(self, "B", _normalized(self.weights, self.B))
         object.__setattr__(self, "C", _normalized(self.weights, self.C))
-
-    @staticmethod
-    def zero(weights: Weights) -> "ReducedTwoCochain":
-        return ReducedTwoCochain(weights, {}, {}, {})
 
     def is_zero(self) -> bool:
         return not (self.A or self.B or self.C)
@@ -281,7 +251,7 @@ class ReducedTwoCochain:
         w = self.weights
         x_poly = X
         x2 = x_poly * x_poly
-        comp_12 = _family_to_operator(w, self.A)
+        comp_12 = DiffOperator(w, self.A)
         comp_13 = DiffOperator(w, _family_add(
             {a: (2 * x_poly) * p for a, p in self.A.items()},
             {a: p.scale(2) for a, p in self.B.items()}))

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional
+from typing import Optional
 
 from .polynomials import (
     ONE,
@@ -27,7 +27,6 @@ from .polynomials import (
     X,
     exact,
     format_rational,
-    parse_rational,
 )
 
 
@@ -152,14 +151,6 @@ class Weights:
             "lambdas": [format_rational(v) for v in self.lambdas],
             "mu": format_rational(self.mu),
         }
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "Weights":
-        lambdas = tuple(parse_rational(str(v)) for v in data["lambdas"])
-        w = Weights(lambdas, parse_rational(str(data["mu"])))
-        if "n" in data and int(data["n"]) != w.n:
-            raise ValueError("inconsistent arity in weights")
-        return w
 
     def __str__(self) -> str:
         lams = ",".join(format_rational(v) for v in self.lambdas)

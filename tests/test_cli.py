@@ -290,11 +290,24 @@ def test_basis_command(tmp_path, capsys):
 
 
 def test_basis_command_empty_for_nonnatural_shift(capsys):
-    code, out, _ = run_cli(["basis", "--n", "1", "--lambdas", "1/2", "--mu", "0"],
-                           capsys)
+    code, out, err = run_cli(["basis", "--n", "1", "--lambdas", "1/2", "--mu", "0"],
+                             capsys)
     assert code == 0
-    assert "H^2 = 0, empty basis" in out
-    assert json.loads(out.splitlines()[-1]) == []
+    assert json.loads(out) == []
+    assert "H^2 = 0, empty basis" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lambdas=-1/2,-1/2", "--mu", "2"],  # natural shift k = 3
+    ["--lambdas", "0", "--mu", "0"],  # k = 0
+    ["--lambdas", "0", "--mu", "3"],  # n = 1
+    ["--lambdas", "1/3", "--mu", "1/2"],  # non-natural shift
+], ids=["natural", "k0", "n1", "nonnatural"])
+@pytest.mark.parametrize("command", ["dim", "basis"])
+def test_dim_and_basis_stdout_is_pure_json(command, argv, capsys):
+    code, out, _ = run_cli([command] + argv, capsys)
+    assert code == 0
+    assert isinstance(json.loads(out), list)
 
 
 def test_verify_exit_codes(tmp_path, capsys):

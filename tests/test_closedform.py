@@ -19,7 +19,7 @@ def test_classify_examples():
 
     tag = classify(Weights((Fraction(0), Fraction(0)), Fraction(1)))
     assert tag.kind is CaseKind.SINGULAR
-    assert (tag.k, tag.t, tag.sigma, tag.m) == (1, (0, 0), 0, -1)
+    assert (tag.k, tag.t, tag.sigma) == (1, (0, 0), 0)
 
     tag = classify(Weights((Fraction(1), Fraction(1)), Fraction(5)))
     assert tag.kind is CaseKind.NON_RESONANT and tag.k == 3

@@ -2,6 +2,7 @@ import copy
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from sl2cohom.linalg import (
     kernel_basis,
     rank,
     solve,
-    sparse_echelon,
     sparse_rank,
 )
 from sl2cohom.reduced import build_system
@@ -121,7 +121,7 @@ def test_rank_invariant_under_row_ops(m, row, c):
     # swap two rows
     order = list(range(m.rows))
     order[0], order[row] = order[row], order[0]
-    swapped = RationalMatrix([m.row(i) for i in order], cols=m.cols)
+    swapped = RationalMatrix([m.entries[i] for i in order], cols=m.cols)
     assert rank(swapped) == rank(m)
 
 
@@ -184,18 +184,28 @@ def test_column_space_membership():
     assert sparse_rank(ech + [{1: Fraction(1)}]) == 2
 
 
-def test_sparse_echelon_leads_are_distinct():
+def with_columns(vectors, nrows):
+    """Sparse rows of the nrows-row matrix whose columns are the vectors."""
+    return [{j: vec[i] for j, vec in enumerate(vectors) if i in vec} for i in range(nrows)]
+
+
+def is_primitive_int_row(row):
+    return bool(row) and all(type(c) is int and c for c in row.values()) \
+        and gcd(*row.values()) == 1
+
+
+def test_column_space_echelon_leads_are_distinct():
     rng = random.Random(2)
     vecs = []
     for _ in range(12):
         vecs.append({rng.randint(0, 5): Fraction(rng.randint(-3, 3))
                      for _ in range(3)})
     vecs = [{k: v for k, v in d.items() if v != 0} for d in vecs]
-    ech = sparse_echelon(vecs)
+    ech = column_space_echelon(with_columns(vecs, 6), len(vecs))
     leads = [min(r) for r in ech]
-    assert len(set(leads)) == len(leads)
-    for r in ech:
-        assert r[min(r)] == 1
+    assert leads == sorted(set(leads))
+    assert len(ech) == sparse_rank(vecs)
+    assert all(is_primitive_int_row(r) for r in ech)
 
 
 @pytest.mark.parametrize("call", [
@@ -203,8 +213,8 @@ def test_sparse_echelon_leads_are_distinct():
     # used to return 3602879701896397/36028797018963968
     lambda: solve([{0: 1}], 1, [0.1]),
     lambda: sparse_rank([{0: 1, 1: 0.5}]),
-    lambda: sparse_echelon([{0: 0.0}]),
-], ids=["mat_vec", "solve_rhs", "sparse_rank", "sparse_echelon"])
+    lambda: column_space_echelon([{0: 0.0}], 1),
+], ids=["mat_vec", "solve_rhs", "sparse_rank", "column_space_echelon"])
 def test_float_is_refused_at_every_arithmetic_entry_point(call):
     with pytest.raises(TypeError, match="float"):
         call()
@@ -223,15 +233,17 @@ def test_the_engine_never_changes_the_rows_it_is_given():
     system = build_system(3, 3, (Fraction(0), Fraction(-1, 2), Fraction(-1)))
     for matrix, cols in ((rows, 5), (system.equations, len(system.col_index))):
         rhs = [1] + [0] * (len(matrix) - 1)
+        transposed = with_columns(matrix, cols)
         calls = (lambda: sparse_rank(matrix),
                  lambda: kernel_basis(matrix, cols),
                  lambda: solve(matrix, cols, rhs),
                  lambda: column_space_echelon(matrix, cols),
-                 lambda: sparse_echelon(matrix))
-        before = copy.deepcopy(matrix)
+                 lambda: column_space_echelon(transposed, len(matrix)))
+        before = copy.deepcopy((matrix, transposed))
         for call in calls:
             call()
-            assert _snapshot(matrix) == _snapshot(before)
+            assert _snapshot(matrix) == _snapshot(before[0])
+            assert _snapshot(transposed) == _snapshot(before[1])
     with pytest.raises(TypeError, match="float"):
         sparse_rank([{0: 1, 1: 1.0}])
 
@@ -281,9 +293,9 @@ def test_engine_agrees_with_textbook_gauss_jordan(data):
     cuts = data.draw(st.lists(st.integers(0, len(vectors)), max_size=6))
     assert [sparse_rank(vectors[:cut]) for cut in cuts] == [
         len(gauss_jordan(dense(vectors[:cut], ncols), ncols)[1]) for cut in cuts]
-    echelon = sparse_echelon(vectors)
+    echelon = column_space_echelon(with_columns(vectors, ncols), len(vectors))
     assert [min(row) for row in echelon] == pivots
-    assert all(row[min(row)] == 1 for row in echelon)
+    assert all(is_primitive_int_row(row) for row in echelon)
 
     expected_kernel = []
     for free in range(ncols):

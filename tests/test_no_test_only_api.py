@@ -2,14 +2,22 @@
 
 Every public module-level function and class, and every public method, in
 ``src/sl2cohom`` (``__init__`` and ``__main__`` aside) must be used by the
-program or the benchmark.  A name counts as used when it appears as a
-name or an attribute in a package module other than ``__init__``, or as a
-name, an attribute or a string constant in ``perfbench``, whose tracer
-binds functions by their names.  The scan matches names only, so a method
-shares its use with any other name it equals.
+program or the benchmark.  A use is a name or an attribute in a package
+module other than ``__init__``, or a name, an attribute or a string
+constant in ``perfbench``, whose tracer binds functions by their names.
+
+A use in the package counts only outside the body of the definition it
+names, so a function that only calls itself is unused, and only outside
+the body of every definition already found unused, so a chain of calls
+that nothing enters is unused as a whole.  The unused set is grown until
+it stops changing.  The allow-listed reference routes stay roots: their
+bodies still count as uses.  The scan matches names only, so a method
+that shares its name with a name used elsewhere (any ``to_json_dict``
+beside the ones the commands call, say) still passes.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import sl2cohom
@@ -29,53 +37,71 @@ ALLOWED = {
     "RationalMatrix.mat_vec": "checks kernel vectors against the dense reference matrix",
 }
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
 
 def _public(name):
     return not name.startswith("_")
 
 
 def definitions(source):
-    """Public module-level functions and classes, and their public methods."""
+    """Public module-level functions and classes, and their public methods,
+    as (qualified name, name, first line, last line)."""
     out = []
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _public(node.name):
-            out.append((node.name, node.name))
-        elif isinstance(node, ast.ClassDef) and _public(node.name):
-            out.append((node.name, node.name))
-            out += [(f"{node.name}.{item.name}", item.name) for item in node.body
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and _public(item.name)]
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)) and _public(node.name):
+            out.append((node.name, node.name, node.lineno, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                out += [(f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno)
+                        for item in node.body
+                        if isinstance(item, FUNCTIONS) and _public(item.name)]
     return out
 
 
 def used_names(source, strings=False):
-    names = set()
+    """(name, line) of every name and attribute, and with ``strings`` of
+    every string constant."""
+    out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            out.append((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            out.append((node.attr, node.lineno))
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-    return names
+            out.append((node.value, node.lineno))
+    return out
 
 
-def unused(package_sources, perfbench_sources):
+def unused(package_sources, perfbench_sources, roots=()):
     """Qualified names defined in ``package_sources`` that nothing uses.
 
-    Both arguments map a module name to its source; the package's
+    Both source arguments map a module name to its source; the package's
     ``__init__`` and ``__main__`` define nothing that is scanned, and
-    ``__init__`` uses nothing.
+    ``__init__`` uses nothing.  ``roots`` are qualified names whose bodies
+    count as uses even when nothing uses them.
     """
-    used = set()
+    defs = {(module, *d) for module, source in package_sources.items()
+            if module not in ("__init__", "__main__") for d in definitions(source)}
+    uses = defaultdict(list)
     for module, source in package_sources.items():
         if module != "__init__":
-            used |= used_names(source)
-    for source in perfbench_sources.values():
-        used |= used_names(source, strings=True)
-    return sorted(qualified for module, source in package_sources.items()
-                  if module not in ("__init__", "__main__")
-                  for qualified, name in definitions(source) if name not in used)
+            for name, line in used_names(source):
+                uses[name].append((module, line))
+    benched = {name for source in perfbench_sources.values()
+               for name, _ in used_names(source, strings=True)}
+
+    def inside(definition, module, line):
+        return definition[0] == module and definition[3] <= line <= definition[4]
+
+    dead = set()
+    while True:
+        walls = [d for d in dead if d[1] not in roots]
+        found = {d for d in defs if d[2] not in benched and not any(
+            not inside(d, module, line) and not any(inside(w, module, line) for w in walls)
+            for module, line in uses[d[2]])}
+        if found == dead:
+            return sorted(d[1] for d in dead)
+        dead = found
 
 
 def _sources(directory):
@@ -85,7 +111,7 @@ def _sources(directory):
 def test_every_public_name_has_a_caller_outside_the_tests():
     package = _sources(PACKAGE)
     assert len(package) >= 10, sorted(package)
-    assert unused(package, _sources(PERFBENCH)) == sorted(ALLOWED)
+    assert unused(package, _sources(PERFBENCH), ALLOWED) == sorted(ALLOWED)
 
 
 def test_the_scan_flags_a_planted_unused_function():
@@ -114,8 +140,32 @@ class Kept:
 
     def _private(self):
         return 2
+
+class Lonely:
+    def again(self):
+        return Lonely()
+
+def recursive(n):
+    return recursive(n - 1) if n else 0
+
+def entry():
+    return step()
+
+def step():
+    return 4
+
+def route():
+    return route_helper()
+
+def route_helper():
+    return 5
 ''',
     }
     perfbench = {"tracing": 'TARGETS = (("mod", "traced"),)\n'}
-    assert unused(package, perfbench) == ["Kept.unread", "planted"]
-    assert unused(package, {}) == ["Kept.unread", "planted", "traced"]
+    chains = ["Lonely", "Lonely.again", "entry", "recursive", "step"]
+    assert unused(package, perfbench, {"route"}) == sorted(
+        ["Kept.unread", "planted", "route"] + chains)
+    assert unused(package, perfbench) == sorted(
+        ["Kept.unread", "planted", "route", "route_helper"] + chains)
+    assert unused(package, {}, {"route"}) == sorted(
+        ["Kept.unread", "planted", "route", "traced"] + chains)

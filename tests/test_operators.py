@@ -134,15 +134,6 @@ def test_action_is_a_lie_algebra_homomorphism():
             assert lhs == act_on_operator(gen, op).scale(coeff)
 
 
-def test_operator_json_roundtrip():
-    w = w2("0", "-1/2", "1")
-    op = DiffOperator(w, {(1, 0): Polynomial((0, Fraction(1, 2))),
-                          (0, 2): Polynomial.constant(-3)})
-    data = op.to_json_dict()
-    assert data["terms"] == {"[0,2]": ["-3"], "[1,0]": ["0", "1/2"]}
-    assert DiffOperator.from_json_dict(data) == op
-
-
 def test_zero_terms_never_stored():
     w = w2()
     op = DiffOperator(w, {(0, 0): Polynomial.zero(), (1, 0): Polynomial.one()})

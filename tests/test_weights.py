@@ -86,9 +86,6 @@ def test_weights_json_roundtrip():
     w = Weights((Fraction(0), Fraction(-1, 2)), Fraction(1))
     data = w.to_json_dict()
     assert data == {"n": 2, "lambdas": ["0", "-1/2"], "mu": "1"}
-    assert Weights.from_json_dict(data) == w
-    with pytest.raises(ValueError):
-        Weights.from_json_dict({"n": 3, "lambdas": ["0"], "mu": "1"})
 
 
 def test_weights_requires_an_argument():
