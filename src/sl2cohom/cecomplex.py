@@ -41,18 +41,21 @@ over c (C. Weibel, An Introduction to Homological Algebra, 1994, 2.6 and
 5.4).  So for a natural shift k, H^2(F_c) is the H^2 of the whole block
 for every cap c >= k, and F_c = 0 for c <= k - 2.  When delta is a
 negative integer every level has nu <= -1, and when delta is not an
-integer the block is empty; either way H^2 = 0 at every cap.  The oracle
-computes the one cap max(k, 1), or 1 without a natural shift.  A cap below
-k cuts the levels k - 1 and k (nu = 1 and 0), which carry cohomology.
+integer the block is empty; either way H^2 = 0 at every cap.  So the
+oracle computes the one cap max(k, 1), or 1 without a natural shift, and
+takes no cap from its caller: a smaller cap cuts the levels k - 1 and k
+(nu = 1 and 0), which carry cohomology, and a larger one gives the same
+value more slowly.
 
 The proof reads d only on one level, where its entries are affine in nu.
 `_certify_graded_acyclicity` builds K(nu) from the differential tables at
 nu = -1 and nu = -2 and compares it with the matrices above, which pins
 them for every nu <= -1, and checks from the basis offsets that K(2), and
 so every K(nu) with nu >= 2, is empty.  It runs once per process, on first
-use (never at import), and raises RuntimeError on a mismatch.  A result is
-reported ``stable``, meaning certified, when its cap is at least k and
-both this check and the pairing check below passed.
+use (never at import), and raises RuntimeError on a mismatch.  An oracle
+result is reported ``stable``, meaning certified: its cap is at least k,
+and both this check and the pairing check below passed, since either one
+raises rather than let a value through.
 
 On a basis cochain f = x^m Omega^alpha on the ascending tuple S the
 differential has a closed form, so the block matrices are written entry
@@ -614,8 +617,9 @@ def _h2_frame(tr: Truncation, w: Weights) -> H2Frame:
 class CohomResult:
     """A computed dimension with its method and provenance flags.
 
-    ``stable`` marks a certified value: for the oracle, a cap at least the
-    natural shift k with both block certificates passed.
+    ``stable`` marks a certified value: for the oracle, computed at a cap
+    of at least the natural shift k with both block certificates passed,
+    which every oracle result is.
     """
 
     dim: int
@@ -654,27 +658,22 @@ def h2_block_dimensions(w: Weights, cap: int, weight: int = 0) -> int:
     return frame.size2 - frame.size3 - sparse_rank(_fill(frame.d1, w))
 
 
-def brute_force_h2(w: Weights, alpha_max: Optional[int] = None) -> CohomResult:
+def brute_force_h2(w: Weights) -> CohomResult:
     """Brute-force dimension of the degree-2 cohomology on the weight-0 block.
 
-    Computed at the one cap alpha_max, by default `default_alpha_max`.  The
-    result is flagged stable (certified) when the cap is at least the
-    natural shift k, or for any cap when the shift is not a natural number:
-    then, by the filtration of the module docstring, checked by
-    `_certify_graded_acyclicity`, it is the H^2 of the whole block.  A cap
-    below k is flagged not stable, and callers must consult the flag.
+    Computed at the one cap `default_alpha_max`, max(k, 1) for a natural
+    shift k and 1 otherwise.  By the filtration of the module docstring,
+    checked by `_certify_graded_acyclicity`, that is the H^2 of the whole
+    block, so the result is always flagged stable (certified); a failed
+    certificate raises instead.
     """
-    if alpha_max is None:
-        alpha_max = default_alpha_max(w)
-    if alpha_max < 1:
-        raise ValueError("alpha_max must be at least 1")
     _certify_graded_acyclicity()
-    k = w.natural_delta()
+    alpha_max = default_alpha_max(w)
     return CohomResult(
         dim=h2_block_dimensions(w, alpha_max),
         method="oracle",
         weights=w,
         alpha_max=alpha_max,
-        stable=k is None or alpha_max >= k,
+        stable=True,
         case=classify(w).describe(),
     )

@@ -26,7 +26,6 @@ from .polynomials import format_rational, parse_rational
 from .reduced import cocycle_basis, cocycle_residual, dim_h2_via_system
 from .sweep import (
     largest_oracle_k,
-    nonresonant_weights,
     rows_to_csv,
     rows_to_json,
     run_sweep,
@@ -47,11 +46,21 @@ IO_EXIT = 3
 #: (n = 4, k = 38).  It bounds k as well: the system's frame holds k
 #: factors per slot, which at n = 1 outnumber the one equation.
 MAX_SYSTEM_EQUATIONS = 5_000
+#: Index entries n (C(n + k - 2, k - 1) + C(n + k - 1, k)) of the frame the
+#: ``system`` method builds on a singular row: its row and column
+#: multi-indices, n entries each.  The equation count misses it at large n
+#: and small k (one equation at k = 1, but n^2 entries).  Zero weights at
+#: k = 1 took 0.26 s and 24 MiB at 1,001,000 entries (n = 1,000), 1.5 s and
+#: 94 MiB at 9,988,760 (n = 3,160), and 8.9 s and 509 MiB at 64,008,000
+#: (n = 8,000); near the ceiling, 9,410,150 (n = 265, k = 2) took 1.8 s and
+#: 9,320,250 (n = 85, k = 3, t = (2, ..., 2)) 2.7 s and 144 MiB.
+MAX_SYSTEM_FRAME_ENTRIES = 10_000_000
 #: Candidate cochains 3 C(cap + n, n) of the oracle's block at its one cap,
-#: cap = alpha_max (by default k): near the ceiling, the slowest of the
-#: non-resonant row and 12 sampled t, each ``dim --methods oracle`` in a
-#: fresh process, took 0.79 s and 24 MiB at 24,024 (n = 6, k = 10), 0.44 s
-#: at 21,945 (n = 4, k = 18) and 0.15 s at 24,999 (n = 1, k = 8332).
+#: cap = max(k, 1) (1 without a natural shift): near the ceiling, the
+#: slowest of the non-resonant row and 12 sampled t, each ``dim --methods
+#: oracle`` in a fresh process, took 0.79 s and 24 MiB at 24,024 (n = 6,
+#: k = 10), 0.44 s at 21,945 (n = 4, k = 18) and 0.15 s at 24,999 (n = 1,
+#: k = 8332).
 MAX_ORACLE_BLOCK = 25_000
 #: Cells C(n + k - 1, k)^2 of the dense kernel ``basis`` returns:
 #: ``kernel_basis`` gives up to cols - rank vectors of cols entries each,
@@ -135,8 +144,11 @@ def _check_ceiling(what: str, size: int, unit: str, ceiling: int) -> None:
 
 
 def _check_system_equations(n: int, k: int) -> None:
-    _check_ceiling(f"the constraint system at n = {n}, k = {k}",
-                   multiset_coeff(n, k - 1), "equations", MAX_SYSTEM_EQUATIONS)
+    what = f"the constraint system at n = {n}, k = {k}"
+    rows = multiset_coeff(n, k - 1)
+    _check_ceiling(what, rows, "equations", MAX_SYSTEM_EQUATIONS)
+    _check_ceiling(what, n * (rows + multiset_coeff(n, k)), "index entries",
+                   MAX_SYSTEM_FRAME_ENTRIES)
 
 
 def _check_system_size(n: int, k: int) -> None:
@@ -152,10 +164,10 @@ def _check_basis_size(n: int, k: int) -> None:
                    multiset_coeff(n, k) ** 2, "cells", MAX_BASIS_CELLS)
 
 
-def _check_oracle_size(n: int, alpha_max: int) -> None:
-    # 3 tuples times #{alpha : |alpha| <= alpha_max}: what the oracle enumerates
-    _check_ceiling(f"the oracle's block at n = {n}, alpha_max = {alpha_max}",
-                   3 * multiset_coeff(n + 1, alpha_max), "candidate cochains",
+def _check_oracle_size(n: int, cap: int) -> None:
+    # 3 tuples times #{alpha : |alpha| <= cap}: what the oracle enumerates
+    _check_ceiling(f"the oracle's block at n = {n}, alpha_max = {cap}",
+                   3 * multiset_coeff(n + 1, cap), "candidate cochains",
                    MAX_ORACLE_BLOCK)
 
 
@@ -172,16 +184,14 @@ def _sweep_rows(n: int, k_max: int) -> int:
     return resonant + k_max + 1
 
 
-def _check_sweep_size(n: int, k_max: int, methods: Sequence[str], policy: str,
-                      alpha_max: Optional[int]) -> None:
+def _check_sweep_size(n: int, k_max: int, methods: Sequence[str], policy: str) -> None:
     """The ceilings on the sweep's row count and at its largest row; every
     row runs the system method.  At n = 1 the row ceiling holds k_max below
     200, so the system's k factors per slot need no check of their own."""
     _check_system_equations(n, k_max)
     k = largest_oracle_k(policy, n, k_max) if "oracle" in methods else None
     if k is not None:
-        _check_oracle_size(n, alpha_max if alpha_max is not None
-                           else default_alpha_max(nonresonant_weights(n, k)))
+        _check_oracle_size(n, max(k, 1))
     _check_ceiling(f"the sweep at n = {n}, k_max = {k_max}", _sweep_rows(n, k_max),
                    "rows", MAX_SWEEP_ROWS)
 
@@ -201,11 +211,10 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     w = _parse_weights(args)
     methods = _parse_methods(args.methods, ("system", "closed", "oracle"))
     k = w.natural_delta()
-    amax = args.alpha_max if args.alpha_max is not None else default_alpha_max(w)
     if "system" in methods and k is not None:
         _check_system_size(w.n, k)
     if "oracle" in methods and w.delta().denominator == 1:
-        _check_oracle_size(w.n, amax)  # otherwise every block is empty
+        _check_oracle_size(w.n, default_alpha_max(w))  # otherwise every block is empty
     tag = classify(w)
     results = []
     for method in methods:
@@ -226,16 +235,15 @@ def _cmd_dim(args: argparse.Namespace) -> int:
                 "weights": w.to_json_dict(), "case": tag.describe(),
             })
         else:
-            results.append(brute_force_h2(w, amax).to_json_dict())
+            results.append(brute_force_h2(w).to_json_dict())
     _write_output(json.dumps(results, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     methods = _parse_methods(args.methods, ("system", "closed", "summary", "oracle"))
-    _check_sweep_size(args.n, args.k_max, methods, args.oracle, args.alpha_max)
-    rows = run_sweep(args.n, args.k_max, methods, oracle_policy=args.oracle,
-                     alpha_max=args.alpha_max)
+    _check_sweep_size(args.n, args.k_max, methods, args.oracle)
+    rows = run_sweep(args.n, args.k_max, methods, oracle_policy=args.oracle)
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     _write_output(text, args.out)
     return 0
@@ -243,9 +251,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     methods = ("system", "closed", "summary", "oracle")
-    _check_sweep_size(args.n, args.k_max, methods, args.oracle, args.alpha_max)
-    rows = run_sweep(args.n, args.k_max, methods,
-                     oracle_policy=args.oracle, alpha_max=args.alpha_max,
+    _check_sweep_size(args.n, args.k_max, methods, args.oracle)
+    rows = run_sweep(args.n, args.k_max, methods, oracle_policy=args.oracle,
                      perturb=args.self_test_perturb)
     report = verify_rows(rows)
     if args.out is not None:
@@ -273,10 +280,6 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     return 0
 
 
-ALPHA_MAX_HELP = ("the oracle's cap on |alpha| (default max(k, 1)); a value is "
-                  "stable, meaning certified, only at a cap of at least k")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sl2cohom",
@@ -295,10 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_weight_args(p_dim)
     p_dim.add_argument("--methods", type=str, default=None,
                        help="comma list from: system,closed,summary,oracle")
-    p_dim.add_argument("--alpha-max", type=_positive_int, default=None,
-                       help=ALPHA_MAX_HELP)
     p_dim.add_argument("--out", type=str, default=None)
-    p_dim.add_argument("--format", choices=("json",), default="json")
     p_dim.set_defaults(func=_cmd_dim)
 
     p_table = sub.add_parser("table", help="parameter sweep report")
@@ -306,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--k-max", type=_nonnegative_int, required=True)
     p_table.add_argument("--methods", type=str, default=None)
     p_table.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
-    p_table.add_argument("--alpha-max", type=_positive_int, default=None,
-                         help=ALPHA_MAX_HELP)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", type=str, default=None)
     p_table.set_defaults(func=_cmd_table)
@@ -316,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=_positive_int, required=True)
     p_verify.add_argument("--k-max", type=_nonnegative_int, required=True)
     p_verify.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
-    p_verify.add_argument("--alpha-max", type=_positive_int, default=None,
-                          help=ALPHA_MAX_HELP)
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.add_argument("--self-test-perturb", action="store_true",
                           help="corrupt one matrix entry to prove the gate trips")
@@ -330,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
              "nontrivial classes")
     add_weight_args(p_basis)
     p_basis.add_argument("--out", type=str, default=None)
-    p_basis.add_argument("--format", choices=("json",), default="json")
     p_basis.set_defaults(func=_cmd_basis)
 
     return parser

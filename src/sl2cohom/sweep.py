@@ -149,7 +149,7 @@ def largest_oracle_k(policy: str, n: int, k_max: int) -> Optional[int]:
 
 def evaluate_row(w: Weights, k: int, t: Optional[tuple[int, ...]],
                  methods: Sequence[str], oracle_policy: str = "auto",
-                 alpha_max: Optional[int] = None, perturb: bool = False) -> SweepRow:
+                 *, perturb: bool = False) -> SweepRow:
     """Evaluate one configuration with the requested methods.
 
     ``perturb`` is the self-test of ``verify``: it adds 1 to entry (0, 0)
@@ -170,7 +170,7 @@ def evaluate_row(w: Weights, k: int, t: Optional[tuple[int, ...]],
     dim_oracle = None
     stable = None
     if "oracle" in methods and _oracle_wanted(oracle_policy, w.n, k):
-        result = brute_force_h2(w, alpha_max)
+        result = brute_force_h2(w)
         dim_oracle = result.dim
         stable = result.stable
     return SweepRow(weights=w, tag=tag, k=k, t=t, dim_system=dim_system,
@@ -189,10 +189,9 @@ def sweep_configurations(n: int, k_max: int) -> list[tuple[Weights, int, Optiona
 
 
 def run_sweep(n: int, k_max: int, methods: Sequence[str],
-              oracle_policy: str = "auto", alpha_max: Optional[int] = None,
-              perturb: bool = False) -> list[SweepRow]:
+              oracle_policy: str = "auto", perturb: bool = False) -> list[SweepRow]:
     """Evaluate a full sweep; rows come back in row-key order."""
-    rows = [evaluate_row(w, k, t, methods, oracle_policy, alpha_max, perturb)
+    rows = [evaluate_row(w, k, t, methods, oracle_policy, perturb=perturb)
             for (w, k, t) in sweep_configurations(n, k_max)]
     return sorted(rows, key=lambda row: row.sort_key())
 
@@ -218,8 +217,9 @@ class VerifyReport:
     The gate is system-versus-oracle equality on every row with a stable,
     that is certified, oracle value; closed-form and summary-table
     mismatches are recorded but are not fatal (the predictors exist to be
-    compared, not trusted).  Oracle rows that are not certified are
-    excluded from the gate and counted.
+    compared, not trusted).  Oracle rows that are not certified would be
+    excluded from the gate and counted; the oracle certifies every value
+    it returns, so that count is 0, and it stays in the report's format.
     """
 
     rows: list[SweepRow]
@@ -258,9 +258,9 @@ def verify_rows(rows: Sequence[SweepRow]) -> VerifyReport:
     """Compare the methods over the rows.
 
     An oracle row enters the gate only when it is stable, which means
-    certified: its cap is at least the row's k (the default cap is) and
-    the oracle's block certificates passed.  An explicit cap below k cuts
-    levels that carry cohomology, so such a row is counted as unstable.
+    certified: the oracle computes at the cap max(k, 1) and its block
+    certificates passed.  Every row the oracle returns is, so the unstable
+    list is empty.
     """
     gate_failures = [r for r in rows if r.agree is False]
     unstable = [r for r in rows if r.dim_oracle is not None and r.stable is False]

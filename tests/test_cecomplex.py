@@ -270,17 +270,15 @@ def test_block_dimension_stable_across_truncations():
 
 def test_a_cap_below_the_shift_is_not_certified():
     # k = 5 and ell = 1: caps 1 to 3 cut every level (all give 0) and cap 4
-    # keeps only level 4, so none of them is the H^2 of the block
+    # keeps only level 4, so none of them is the H^2 of the block; from cap
+    # k on, the filtration gives ell, and the oracle computes at cap k
     w = weights_for_tvector(2, 5, (2, 3))
     assert rank_data(w)[2] == 1
-    low = brute_force_h2(w, 1)
-    assert (low.dim, low.stable, low.alpha_max) == (0, False, 1)
-    for cap in (2, 3, 4):
-        assert brute_force_h2(w, cap).stable is False
-    for cap in (5, 6, 7):
-        result = brute_force_h2(w, cap)
-        assert (result.dim, result.stable) == (1, True)
-    assert brute_force_h2(w).alpha_max == 5
+    assert [h2_block_dimensions(w, cap) for cap in range(1, 8)] == [0, 0, 0, 5, 1, 1, 1]
+    result = brute_force_h2(w)
+    assert (result.dim, result.stable, result.alpha_max) == (1, True, 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        Truncation(-1)
 
 
 def test_cap_k_equals_cap_k_plus_2_and_ell_on_seeded_rows():
@@ -480,7 +478,7 @@ def test_the_pairing_certificate_refuses_a_minor_that_is_not_diagonal(monkeypatc
     cecomplex._cached_h2_frame.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="not diagonal"):
-            brute_force_h2(w, 4)
+            h2_block_dimensions(w, 4)
     finally:
         cecomplex._cached_h2_frame.cache_clear()
 
@@ -627,15 +625,9 @@ def test_block_beyond_index_sized_monomial_degrees_overflows():
 
 def test_cohom_result_json():
     w = Weights((Fraction(0),), Fraction(1))
-    result = brute_force_h2(w, 4)
+    result = brute_force_h2(w)
     data = result.to_json_dict()
     assert data["method"] == "oracle"
-    assert data["alpha_max"] == 4
+    assert data["alpha_max"] == 1
     assert data["stable"] is True
     assert data["weights"] == {"n": 1, "lambdas": ["0"], "mu": "1"}
-
-
-def test_brute_force_requires_positive_alpha_max():
-    w = Weights((Fraction(0),), Fraction(1))
-    with pytest.raises(ValueError):
-        brute_force_h2(w, 0)

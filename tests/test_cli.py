@@ -1,7 +1,6 @@
-import csv
-import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -34,6 +33,12 @@ def test_dim_command_reports_each_method(tmp_path, capsys):
     # tool reports both rather than harmonising them
     assert by_method["oracle"]["dim"] == 1
     assert by_method["oracle"]["stable"] is True
+    # the oracle's cap is max(k, 1), here k = 5, and its value ell = 1
+    code, out, _ = run_cli(["dim", "--lambdas=-1,-3/2", "--mu", "5/2", "--methods",
+                            "oracle"], capsys)
+    assert code == 0
+    assert {key: json.loads(out)[0][key] for key in ("dim", "stable", "alpha_max")} == \
+        {"dim": 1, "stable": True, "alpha_max": 5}
 
 
 def test_dim_command_vanishing_shift(capsys):
@@ -69,38 +74,22 @@ def test_underscore_in_a_rational_is_usage_error(capsys):
         assert "malformed rational" in err and "underscore" in err, argv
 
 
-def test_an_oracle_cap_below_k_is_reported_not_stable(capsys):
-    # at cap 1 every row with k >= 2 loses the levels k - 1 and k; t = (2, 3)
-    # at k = 5 has ell = 1 but gives 0 at cap 1, and is not certified
-    code, out, _ = run_cli(["table", "--n", "2", "--k-max", "5", "--alpha-max", "1",
-                            "--oracle", "on", "--methods", "system,oracle"], capsys)
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert {(int(row["k"]) <= 1, row["stable"]) for row in rows} == \
-        {(True, "true"), (False, "false")}
-    row = next(row for row in rows if row["k"] == "5" and row["t"] == "[2,3]")
-    assert (row["dim_oracle"], row["stable"], row["agree"]) == ("0", "false", "")
-    # verify leaves those rows out of its gate: (4 + 1) + (9 + 1) at k = 2, 3
-    code, out, _ = run_cli(["verify", "--n", "2", "--k-max", "3", "--alpha-max", "1",
-                            "--oracle", "on"], capsys)
-    assert "unstable oracle rows (excluded from gate): 15" in out
-    code, out, _ = run_cli(["dim", "--lambdas=-1,-3/2", "--mu", "5/2", "--methods",
-                            "oracle", "--alpha-max", "1"], capsys)
-    assert code == 0
-    assert {key: json.loads(out)[0][key] for key in ("dim", "stable", "alpha_max")} == \
-        {"dim": 0, "stable": False, "alpha_max": 1}
-    code, out, _ = run_cli(["dim", "--lambdas=-1,-3/2", "--mu", "5/2", "--methods",
-                            "oracle"], capsys)
-    assert {key: json.loads(out)[0][key] for key in ("dim", "stable", "alpha_max")} == \
-        {"dim": 1, "stable": True, "alpha_max": 5}
-
-
 def test_out_of_range_count_or_cap_is_usage_error(capsys):
-    # exit 1 is reserved for a verify disagreement
+    # exit 1 is reserved for a verify disagreement; the oracle's cap is
+    # max(k, 1) and the output of dim and basis is JSON, so neither is an
+    # option any more
     for argv in (
-        ["verify", "--n", "2", "--k-max", "1", "--alpha-max", "0"],
-        ["table", "--n", "2", "--k-max", "1", "--oracle", "off", "--alpha-max", "-1"],
-        ["dim", "--n", "1", "--lambdas", "0", "--mu", "1", "--alpha-max", "0"],
+        ["verify", "--n", "2", "--k-max", "1", "--alpha-max", "5"],
+        ["table", "--n", "2", "--k-max", "1", "--oracle", "off", "--alpha-max", "5"],
+        ["dim", "--n", "1", "--lambdas", "0", "--mu", "1", "--alpha-max", "5"],
+        ["dim", "--n", "1", "--lambdas", "0", "--mu", "1", "--format", "json"],
+        ["basis", "--n", "1", "--lambdas", "0", "--mu", "1", "--format", "json"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert out == "", argv
+        assert "unrecognized arguments" in err, argv
+    for argv in (
         ["table", "--n", "0", "--k-max", "1"],
         ["verify", "--n", "-1", "--k-max", "1"],
     ):
@@ -160,6 +149,25 @@ def test_oversized_dim_is_refused_within_seconds():
         assert what in proc.stderr and "above the ceiling" in proc.stderr, argv
 
 
+def test_large_arity_at_small_k_is_refused_within_seconds():
+    # one equation at k = 1, but a frame of n^2 index entries: n = 8,000
+    # took 9 s and 509 MiB, so these used to run out of memory instead
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    zeros = ",".join(["0"] * 30000)
+    for argv in (["table", "--n", "30000", "--k-max", "1", "--oracle", "off"],
+                 ["verify", "--n", "30000", "--k-max", "1"],
+                 ["dim", "--methods", "system", "--mu", "1", "--lambdas", zeros]):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "sl2cohom"] + argv, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 10, argv[0]
+        assert proc.returncode == 2, argv[0]
+        assert proc.stdout == "", argv[0]
+        assert "900030000 index entries" in proc.stderr, argv[0]
+        assert "above the ceiling" in proc.stderr, argv[0]
+
+
 def test_oversized_sweep_is_refused_within_seconds():
     # n = 1 has one equation per row, so only the row count stops this sweep
     # of about 5 * 10^15 rows; it used to run with no output
@@ -177,12 +185,12 @@ def test_oversized_sweep_is_refused_within_seconds():
 
 def test_instances_above_a_ceiling_are_usage_errors(capsys):
     for argv, what in (
-        (["dim", "--n", "2", "--lambdas", "0,0", "--mu", "1", "--methods", "oracle",
-          "--alpha-max", "300"], "candidate cochains"),
+        # k = 300: 3 C(302, 2) = 136,353 at the oracle's cap
+        (["dim", "--n", "2", "--lambdas", "0,0", "--mu", "300", "--methods", "oracle"],
+         "candidate cochains"),
         (["table", "--n", "2", "--k-max", "100000", "--oracle", "off"], "equations"),
         (["verify", "--n", "4", "--k-max", "20", "--oracle", "on"], "candidate cochains"),
-        (["table", "--n", "3", "--k-max", "3", "--alpha-max", "60", "--oracle", "on"],
-         "candidate cochains"),
+        (["table", "--n", "3", "--k-max", "40", "--oracle", "on"], "candidate cochains"),
         (["basis", "--n", "2", "--lambdas", "0,0", "--mu", "2000"], "cells"),
     ):
         code, out, err = run_cli(argv, capsys)
@@ -190,11 +198,16 @@ def test_instances_above_a_ceiling_are_usage_errors(capsys):
         assert out == "", argv
         assert what in err and "above the ceiling" in err, argv
     # the oracle ceiling only applies where blocks can be nonempty or the
-    # oracle runs: a non-integral shift, and auto beyond n <= 2
-    code, out, _ = run_cli(["dim", "--n", "1", "--lambdas", "1/3", "--mu", "0",
-                            "--methods", "oracle", "--alpha-max", "300"], capsys)
+    # oracle runs: a non-integral shift (3 (8,333 + 1) cochains at cap 1),
+    # and auto beyond n <= 2, which reaches the row ceiling instead
+    thirds = ",".join(["1/3"] * 8333)
+    code, out, _ = run_cli(["dim", "--lambdas", thirds, "--mu", "0", "--methods", "oracle"],
+                           capsys)
     assert code == 0 and json.loads(out)[0]["dim"] == 0
-    cli._check_sweep_size(3, 9, cli.ALL_METHODS, "auto", 300)
+    with pytest.raises(cli.UsageError, match="candidate cochains"):
+        cli._check_sweep_size(3, 40, cli.ALL_METHODS, "on")
+    with pytest.raises(cli.UsageError, match="rows"):
+        cli._check_sweep_size(3, 40, cli.ALL_METHODS, "auto")
     # the system's ceiling on k binds where the system runs, and is checked
     # without building anything
     code, out, _ = run_cli(["dim", "--n", "1", "--lambdas", "0", "--mu", "8332",
@@ -210,7 +223,9 @@ def test_ceilings_accept_every_documented_instance():
     for n, k_max, policy in ((5, 5, "auto"), (5, 5, "on"), (4, 6, "off"),
                              (4, 5, "off"), (4, 4, "on"), (3, 5, "on"), (2, 8, "on"),
                              (1, 197, "off")):
-        cli._check_sweep_size(n, k_max, cli.ALL_METHODS, policy, None)
+        cli._check_sweep_size(n, k_max, cli.ALL_METHODS, policy)
+    # the frame of a thousand arguments at k = 1: 1,001,000 index entries
+    cli._check_system_size(1000, 1)
 
 
 def test_basis_is_bounded_by_the_dense_kernel_it_returns(capsys):
@@ -308,6 +323,36 @@ def test_dim_and_basis_stdout_is_pure_json(command, argv, capsys):
     code, out, _ = run_cli([command] + argv, capsys)
     assert code == 0
     assert isinstance(json.loads(out), list)
+
+
+#: Weight strings for the exit-code property test: valid rationals, and
+#: strings that are malformed, exact but written as a decimal or exponent,
+#: digit-grouped or empty.
+VALID_WEIGHTS = ("0", "1", "-1", "1/2", "-1/2", "-3/2", "1/3", "2/5", "5/2", "7")
+ODD_WEIGHTS = ("3/0", "1.5", "1e3", "1_0", "", "x", "1/", "-")
+
+
+def test_dim_and_basis_exit_only_with_0_or_2(capsys):
+    # exit 1 is verify's disagreement code: dim and basis succeed or refuse
+    rng = random.Random(7)
+
+    def weight():
+        return rng.choice(VALID_WEIGHTS if rng.random() < 0.85 else ODD_WEIGHTS)
+    codes = []
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        argv = [rng.choice(["dim", "basis"]),
+                "--lambdas=" + ",".join(weight() for _ in range(n)), "--mu=" + weight()]
+        if rng.random() < 0.5:
+            argv.append(f"--n={rng.choice([n, n, rng.randint(-1, 5)])}")
+        if argv[0] == "dim" and rng.random() < 0.9:
+            methods = rng.sample(cli.ALL_METHODS, rng.randint(1, len(cli.ALL_METHODS)))
+            argv.append("--methods=" + ",".join(methods + rng.choice([[], [], ["bogus"]])))
+        code, _, _ = run_cli(argv, capsys)
+        assert code in (0, 2), argv
+        codes.append(code)
+    # both outcomes are well represented
+    assert min(codes.count(0), codes.count(2)) > 100
 
 
 def test_verify_exit_codes(tmp_path, capsys):
