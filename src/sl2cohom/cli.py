@@ -83,30 +83,43 @@ class UsageError(Exception):
     pass
 
 
-def _parse_rational_arg(text: str, what: str) -> Fraction:
+def _print_bound() -> int:
+    """10^d for d = ``sys.get_int_max_str_digits()``, or 0 when d = 0 (no
+    limit): Python refuses to print an integer at or above it.  The bound
+    has d digits itself, so a command builds it once."""
+    digits = sys.get_int_max_str_digits()
+    return 10 ** digits if digits else 0
+
+
+def _check_printable(value: Fraction | int, what: str, bound: int) -> None:
+    """Refuse a number the output holds that Python cannot print."""
+    if bound and max(abs(value.numerator), value.denominator) >= bound:
+        raise UsageError(f"{what} is too large: more than {sys.get_int_max_str_digits()} "
+                         "digits in numerator or denominator")
+
+
+def _parse_rational_arg(text: str, what: str, bound: int) -> Fraction:
     try:
         value = parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed rational for {what}: {text!r} ({exc})") from exc
-    # Every weight is printed in the output, and Python refuses to print an
-    # integer of more than this many digits.
-    digits = sys.get_int_max_str_digits()
-    if digits and max(abs(value.numerator), value.denominator) >= 10 ** digits:
-        raise UsageError(f"rational for {what} is too large: "
-                         f"more than {digits} digits in numerator or denominator")
+    _check_printable(value, f"rational for {what}", bound)  # every weight is printed
     return value
 
 
-def _parse_weights(args: argparse.Namespace) -> Weights:
+def _parse_weights(args: argparse.Namespace, bound: int) -> Weights:
     if args.lambdas is None or args.mu is None:
         raise UsageError("--lambdas and --mu are required")
     parts = [p for p in args.lambdas.split(",") if p.strip()]
-    lambdas = tuple(_parse_rational_arg(p, "--lambdas") for p in parts)
+    lambdas = tuple(_parse_rational_arg(p, "--lambdas", bound) for p in parts)
     if args.n is not None and args.n != len(lambdas):
         raise UsageError(f"--n {args.n} does not match {len(lambdas)} lambdas")
     if not lambdas:
         raise UsageError("--lambdas must list at least one rational")
-    return Weights(lambdas, _parse_rational_arg(args.mu, "--mu"))
+    w = Weights(lambdas, _parse_rational_arg(args.mu, "--mu", bound))
+    # k is printed in the case, and bounds every t_i there
+    _check_printable(w.natural_delta() or 0, "the shift k = mu - sum(lambdas)", bound)
+    return w
 
 
 def _int_at_least(low: int):
@@ -140,7 +153,9 @@ def _parse_methods(raw: Optional[str], default: Sequence[str]) -> tuple[str, ...
 
 def _check_ceiling(what: str, size: int, unit: str, ceiling: int) -> None:
     if size > ceiling:
-        raise UsageError(f"{what} has {size} {unit}, above the ceiling of {ceiling}")
+        bound = _print_bound()
+        count = f"over 10^{sys.get_int_max_str_digits()}" if bound and size >= bound else size
+        raise UsageError(f"{what} has {count} {unit}, above the ceiling of {ceiling}")
 
 
 def _check_system_equations(n: int, k: int) -> None:
@@ -208,7 +223,8 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 
 def _cmd_dim(args: argparse.Namespace) -> int:
-    w = _parse_weights(args)
+    bound = _print_bound()
+    w = _parse_weights(args, bound)
     methods = _parse_methods(args.methods, ("system", "closed", "oracle"))
     k = w.natural_delta()
     if "system" in methods and k is not None:
@@ -216,26 +232,20 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     if "oracle" in methods and w.delta().denominator == 1:
         _check_oracle_size(w.n, default_alpha_max(w))  # otherwise every block is empty
     tag = classify(w)
+    _check_printable(tag.sigma or 0, "sigma = sum(t)", bound)  # printed in the case
     results = []
     for method in methods:
         if method == "system":
             results.append(dim_h2_via_system(w, tag).to_json_dict())
-        elif method == "closed":
-            value = dim_h2_closed_form(tag, w.n)
-            results.append({
-                "dim": value, "method": "closed", "alpha_max": None,
-                "stable": True, "weights": w.to_json_dict(),
-                "case": tag.describe(),
-            })
-        elif method == "summary":
-            value = dim_h2_summary_table(tag, w.n)
-            results.append({
-                "dim": None if value is None else format_rational(value),
-                "method": "summary", "alpha_max": None, "stable": True,
-                "weights": w.to_json_dict(), "case": tag.describe(),
-            })
-        else:
+        elif method == "oracle":
             results.append(brute_force_h2(w).to_json_dict())
+        else:
+            value = (dim_h2_closed_form if method == "closed" else dim_h2_summary_table)(tag, w.n)
+            if value is not None:
+                _check_printable(value, f"the {method} value", bound)
+                value = value if method == "closed" else format_rational(value)
+            results.append({"dim": value, "method": method, "alpha_max": None, "stable": True,
+                            "weights": w.to_json_dict(), "case": tag.describe()})
     _write_output(json.dumps(results, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -264,7 +274,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
-    w = _parse_weights(args)
+    w = _parse_weights(args, _print_bound())
     if w.natural_delta() is None:
         print("H^2 = 0, empty basis", file=sys.stderr)
         _write_output(json.dumps([], indent=2) + "\n", args.out)

@@ -23,8 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
-Rational = Fraction
-
 Scalar = Union[Fraction, int]
 
 

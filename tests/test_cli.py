@@ -41,6 +41,28 @@ def test_dim_command_reports_each_method(tmp_path, capsys):
         {"dim": 1, "stable": True, "alpha_max": 5}
 
 
+def test_dim_writes_one_record_per_method(capsys):
+    weights = {"lambdas": ["-3/2", "-1", "-1/2"], "mu": "5", "n": 3}
+    case = "singular(k=8, t=(3, 2, 1), sigma=6)"
+    code, out, _ = run_cli(["dim", "--lambdas=-3/2,-1,-1/2", "--mu", "5",
+                            "--methods", "system,closed,summary,oracle"], capsys)
+    assert code == 0
+    assert json.loads(out) == [
+        {"dim": dim, "method": method, "alpha_max": alpha_max, "stable": True,
+         "weights": weights, "case": case}
+        for dim, method, alpha_max in ((9, "system", None), (9, "closed", None),
+                                       ("18", "summary", None), (0, "oracle", 8))]
+    # the summary table covers only singular rows
+    weights = {"lambdas": ["1/3", "2/3"], "mu": "4", "n": 2}
+    code, out, _ = run_cli(["dim", "--lambdas", "1/3,2/3", "--mu", "4",
+                            "--methods", "summary,closed"], capsys)
+    assert code == 0
+    assert json.loads(out) == [
+        {"dim": dim, "method": method, "alpha_max": None, "stable": True,
+         "weights": weights, "case": "non-resonant(k=3)"}
+        for dim, method in ((None, "summary"), (1, "closed"))]
+
+
 def test_dim_command_vanishing_shift(capsys):
     code, out, _ = run_cli(["dim", "--n", "1", "--lambdas", "1/3", "--mu", "0"],
                            capsys)
@@ -116,12 +138,33 @@ def test_input_too_large_is_usage_error(capsys):
 
 def test_input_with_more_digits_than_python_prints_is_usage_error(capsys):
     # 10^5000 used to pass parsing and die printing the weights, with exit 1
+    big = "9" * 4300  # the most digits Python prints by default
     for argv in (["dim", "--n", "1", "--lambdas", "1e5000", "--mu", "0"],
-                 ["dim", "--n", "1", "--lambdas", "0", "--mu", "1e5000"]):
+                 ["dim", "--n", "1", "--lambdas", "0", "--mu", "1e5000"],
+                 # each weight prints, but these used to die printing the
+                 # shift k = 2 big, C(k + 2, k) and the summary value
+                 ["dim", f"--lambdas=-{big}", "--mu", big, "--methods", "closed"],
+                 ["dim", f"--lambdas=-{big},0,0,0", "--mu", "0", "--methods", "closed"],
+                 ["dim", "--lambdas", "0,0,0,0", "--mu", big, "--methods", "summary"],
+                 # sigma = 2 k - 2 > 10^4300 in the case, for k = big
+                 ["dim", f"--lambdas=-{big[:-1]}8/2,-{big[:-1]}8/2", "--mu", "1",
+                  "--methods", "closed"],
+                 ["basis", f"--lambdas=-{big}", "--mu", big]):
         code, out, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert out == "", argv
         assert "too large" in err, argv
+
+
+def test_the_digit_bound_is_built_once_per_command(capsys):
+    # the digit bound, itself a 4,300-digit integer, used to be rebuilt for
+    # each weight: 1.5 s before this refusal of the frame
+    zeros = ",".join(["0"] * 30000)
+    start = time.perf_counter()
+    code = main(["dim", "--methods", "system", "--mu", "1", "--lambdas", zeros])
+    assert time.perf_counter() - start < 0.75
+    assert code == 2
+    assert "index entries" in capsys.readouterr().err
 
 
 def test_oversized_dim_is_refused_within_seconds():
@@ -192,6 +235,13 @@ def test_instances_above_a_ceiling_are_usage_errors(capsys):
         (["verify", "--n", "4", "--k-max", "20", "--oracle", "on"], "candidate cochains"),
         (["table", "--n", "3", "--k-max", "40", "--oracle", "on"], "candidate cochains"),
         (["basis", "--n", "2", "--lambdas", "0,0", "--mu", "2000"], "cells"),
+        # sizes too long to print used to die in their own message, exit 1
+        (["dim", "--lambdas", "0,0,0", "--mu", "1e3000", "--methods", "system"],
+         "over 10^4300 equations"),
+        (["dim", "--lambdas", "0", "--mu", "9" * 4300, "--methods", "oracle"],
+         "over 10^4300 candidate cochains"),
+        (["basis", "--lambdas", "0,0", "--mu", "1e3000"], "over 10^4300 cells"),
+        (["table", "--n", "1", "--k-max", "1" + "0" * 4000], "over 10^4300 rows"),
     ):
         code, out, err = run_cli(argv, capsys)
         assert code == 2, argv

@@ -1,10 +1,11 @@
 """No public API that only tests call: a static scan of the package source.
 
-Every public module-level function and class, and every public method, in
-``src/sl2cohom`` (``__init__`` and ``__main__`` aside) must be used by the
-program or the benchmark.  A use is a name or an attribute in a package
-module other than ``__init__``, or a name, an attribute or a string
-constant in ``perfbench``, whose tracer binds functions by their names.
+Every public module-level function, class, constant and alias, and every
+public method, in ``src/sl2cohom`` (``__init__`` and ``__main__`` aside)
+must be used by the program or the benchmark.  A use is a name or an
+attribute in a package module other than ``__init__``, or a name, an
+attribute or a string constant in ``perfbench``, whose tracer binds
+functions by their names.
 
 A use in the package counts only outside the body of the definition it
 names, so a function that only calls itself is unused, and only outside
@@ -14,6 +15,9 @@ it stops changing.  The allow-listed reference routes stay roots: their
 bodies still count as uses.  The scan matches names only, so a method
 that shares its name with a name used elsewhere (any ``to_json_dict``
 beside the ones the commands call, say) still passes.
+
+The package root imports nothing, so it re-exports nothing: callers
+import the submodules.
 """
 
 import ast
@@ -45,10 +49,14 @@ def _public(name):
 
 
 def definitions(source):
-    """Public module-level functions and classes, and their public methods,
-    as (qualified name, name, first line, last line)."""
+    """Public module-level functions, classes and assignment targets, and the
+    classes' public methods, as (qualified name, name, first line, last line)."""
     out = []
     for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        out += [(t.id, t.id, node.lineno, node.end_lineno) for t in targets
+                if isinstance(t, ast.Name) and _public(t.id)]
         if isinstance(node, FUNCTIONS + (ast.ClassDef,)) and _public(node.name):
             out.append((node.name, node.name, node.lineno, node.end_lineno))
             if isinstance(node, ast.ClassDef):
@@ -104,6 +112,12 @@ def unused(package_sources, perfbench_sources, roots=()):
         dead = found
 
 
+def root_imports(source):
+    """Lines of the import statements in a package root."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
 def _sources(directory):
     return {path.stem: path.read_text() for path in sorted(directory.glob("*.py"))}
 
@@ -114,13 +128,21 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused(package, _sources(PERFBENCH), ALLOWED) == sorted(ALLOWED)
 
 
+def test_the_package_root_imports_nothing():
+    assert root_imports((PACKAGE / "__init__.py").read_text()) == []
+
+
 def test_the_scan_flags_a_planted_unused_function():
     package = {
         "__init__": "from .mod import planted, Kept\n",
         "__main__": "from .mod import main\nmain()\n",
         "mod": '''
+KEPT = 1
+PLANTED = 2
+Alias: type = int
+
 def main():
-    return helper() + Kept().value()
+    return helper() + Kept().value() + KEPT
 
 def helper():
     return 1
@@ -163,9 +185,9 @@ def route_helper():
     }
     perfbench = {"tracing": 'TARGETS = (("mod", "traced"),)\n'}
     chains = ["Lonely", "Lonely.again", "entry", "recursive", "step"]
-    assert unused(package, perfbench, {"route"}) == sorted(
-        ["Kept.unread", "planted", "route"] + chains)
-    assert unused(package, perfbench) == sorted(
-        ["Kept.unread", "planted", "route", "route_helper"] + chains)
-    assert unused(package, {}, {"route"}) == sorted(
-        ["Kept.unread", "planted", "route", "traced"] + chains)
+    planted = ["Alias", "Kept.unread", "PLANTED", "planted", "route"]
+    assert unused(package, perfbench, {"route"}) == sorted(planted + chains)
+    assert unused(package, perfbench) == sorted(planted + ["route_helper"] + chains)
+    assert unused(package, {}, {"route"}) == sorted(planted + ["traced"] + chains)
+    assert root_imports(package["__init__"]) == [1]
+    assert root_imports('"""The package."""\n') == []

@@ -3,8 +3,10 @@
 Every name that a module under ``src/sl2cohom`` imports must be read in
 that module.  A read is a name anywhere in the module, including inside a
 string annotation such as ``-> "Polynomial"``, or an entry of the
-module's ``__all__``, through which ``__init__`` re-exports what it
-imports.  ``from __future__ import ...`` binds no name and is skipped.
+module's ``__all__``, which names what a module exports.  No package
+module has an ``__all__`` (the package root imports nothing), but the
+rule keeps a re-export from reading as an unused import.
+``from __future__ import ...`` binds no name and is skipped.
 """
 
 import ast
