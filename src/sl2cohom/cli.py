@@ -173,6 +173,26 @@ def _check_system_size(n: int, k: int) -> None:
                    "lowering factors per slot", MAX_SYSTEM_EQUATIONS)
 
 
+def _check_closed_size(n: int, k: int) -> None:
+    """Refuse a closed-form base C(n + k - 2, k) that Python cannot print
+    before ``math.comb`` forms it (1,000 zero weights at k = 10^4000 took
+    7.4 s to reach the refusal of the value).  Integers only: with
+    r = min(n - 2, k), C(n + k - 2, r) >= ((n + k - 2) / r)^r >= 2^b for
+    b = r (bitlen((n + k - 2) // r) - 1), and 2^b > 2 * 10^d once
+    1000 b > 3322 d + 1000.  The closed and summary values are at least
+    the base less 3 n, so neither could be printed either; a smaller base
+    is formed and its value checked as before."""
+    digits = sys.get_int_max_str_digits()
+    r = min(n - 2, k)
+    if not digits or r <= 0:
+        return
+    bits = r * (((n + k - 2) // r).bit_length() - 1)
+    if 1000 * bits > 3322 * digits + 1000:
+        raise UsageError(f"the closed-form base C(n + k - 2, k) at n = {n} is too large: "
+                         f"more than {bits * 3 // 10} digits, above the ceiling of "
+                         f"{digits} digits that Python prints")
+
+
 def _check_basis_size(n: int, k: int) -> None:
     # the dense kernel basis returns: up to C(n + k - 1, k) vectors of that length
     _check_ceiling(f"the kernel of the constraint system at n = {n}, k = {k}",
@@ -233,6 +253,10 @@ def _cmd_dim(args: argparse.Namespace) -> int:
         _check_oracle_size(w.n, default_alpha_max(w))  # otherwise every block is empty
     tag = classify(w)
     _check_printable(tag.sigma or 0, "sigma = sum(t)", bound)  # printed in the case
+    # the closed form has a base at every natural shift, the summary table
+    # only on singular rows
+    if ("closed" in methods and k is not None) or ("summary" in methods and tag.t is not None):
+        _check_closed_size(w.n, k)
     results = []
     for method in methods:
         if method == "system":

@@ -69,10 +69,24 @@ of :func:`~sl2cohom.closedform.classify`) and whose entries are
 
 with N_(k-1) the number of rows, and :func:`rank_data` echelonises only
 the box rows (``linalg.sparse_rank``); off the singular case the system
-has full row rank and no row is built.  The box is
-Q[x_1..x_n]/(x_i^(t_i + 1)) in degrees k - 1 to k, the ring whose strong
-Lefschetz property (R. Stanley 1980; J. Watanabe 1987) makes ell the
-count max(0, h_(k-1) - h_k) of its Hilbert function.
+has full row rank and no row is built.
+
+The box deficiency |B| - rank(B) depends on t only through (k, sorted t).
+Permuting the n tensor factors by a slot permutation pi is an sl(2)-module
+isomorphism from D_(lambda, mu) onto D_(pi lambda, mu), and on the system
+it reads as follows.  Put (pi a)_(pi(i)) = a_i.  Row a of the system for t
+has entry (a_i + 1)(a_i - t_i) in column a + e_i; row pi a of the system
+for pi t has entry (a_i + 1)(a_i - (pi t)_(pi(i))) = (a_i + 1)(a_i - t_i)
+in column pi a + e_(pi(i)) = pi(a + e_i).  So pi maps the rows and columns
+of t bijectively onto those of pi t, carries every entry with it, and maps
+the box {a <= t} onto the box {b <= pi t}: the two boxes are the same
+matrix up to a relabelling of rows and columns, of equal size and rank.
+:func:`rank_data` therefore ranks one box per orbit, the one of sorted t,
+through a bounded memo keyed by (k, sorted t); n is the key's length.
+
+The box is Q[x_1..x_n]/(x_i^(t_i + 1)) in degrees k - 1 to k, the ring
+whose strong Lefschetz property (R. Stanley 1980; J. Watanabe 1987) makes
+ell the count max(0, h_(k-1) - h_k) of its Hilbert function.
 """
 
 from __future__ import annotations
@@ -401,6 +415,35 @@ def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
     return LinearSystem(rows, cols, equations)
 
 
+#: Bound on the memoised box deficiencies, one per (k, sorted t) orbit.  A
+#: sweep visits k in ascending order, so it meets an orbit again only
+#: within one k.  The command line's ceilings (``cli.MAX_SWEEP_ROWS`` and
+#: ``cli.MAX_SYSTEM_EQUATIONS``) admit at most C(16 + 2, 3) = 816 orbits
+#: at one k (n = 3, k = 16; 741 at n = 2, k = 38, 495 at n = 4, k = 9), so
+#: every admitted sweep ranks each orbit once.  A whole sweep with n >= 2
+#: has at most C(38 + 2, 3) = 9,880 orbits (n = 2, k <= 38); those need
+#: not fit, since a sweep never returns to a k it has left.
+BOX_DEFICIENCY_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=BOX_DEFICIENCY_CACHE_SIZE)
+def _box_deficiency(k: int, t: tuple[int, ...]) -> int:
+    """|B| - rank(B) of the box B = {a <= t} at shift k, for sorted t.
+
+    The rows of B are those in none of the frame's masks above[i][t_i].
+    Only this value, not the rows, is kept, so every orbit of the module
+    docstring's slot permutations is built and echelonised once.
+    """
+    n = len(t)
+    n_rows = multiset_coeff(n, k - 1)
+    _, _, patterns, above = _system_frame(n, k)
+    off_box = reduce(or_, (above_i[t_i] for above_i, t_i in zip(above, t)))
+    factors = [(a + 1) * (a - t_i) for t_i in t for a in range(k)]
+    box = [{j: f for j, slot in patterns[r] if (f := factors[slot])}
+           for r, bit in enumerate(reversed(f"{off_box:0{n_rows}b}")) if bit == "0"]
+    return len(box) - linalg.sparse_rank(box)
+
+
 def rank_data(w: Weights, tag: Optional[CaseTag] = None) -> Optional[tuple[int, int, int]]:
     """(k, rank, ell) of the constraint system for a natural shift, None otherwise.
 
@@ -409,8 +452,11 @@ def rank_data(w: Weights, tag: Optional[CaseTag] = None) -> Optional[tuple[int, 
     block with S nonempty has full row rank (proof in the module
     docstring).  So the rank is N_(k-1) off the singular case and
     N_(k-1) - |B| + rank(B) on it, where only the rows of the box
-    B = {a <= t}, those in none of the frame's masks above[i][t_i], are
-    built and echelonised.
+    B = {a <= t} are built and echelonised.  A slot permutation carries
+    the box of t onto that of the permuted t with every entry (module
+    docstring), so the deficiency |B| - rank(B) comes from a memo keyed by
+    (k, sorted t), bounded by ``BOX_DEFICIENCY_CACHE_SIZE``: the rows of
+    one orbit share one echelon.
     """
     tag = classify(w) if tag is None else tag
     if tag.kind is CaseKind.NON_INTEGER_DELTA:
@@ -418,13 +464,8 @@ def rank_data(w: Weights, tag: Optional[CaseTag] = None) -> Optional[tuple[int, 
     k, n_rows = tag.k, multiset_coeff(w.n, tag.k - 1)
     if tag.kind is CaseKind.NON_RESONANT:
         return (k, n_rows, 0)
-    _, _, patterns, above = _system_frame(w.n, k)
-    off_box = reduce(or_, (above_i[t_i] for above_i, t_i in zip(above, tag.t)))
-    factors = [(a + 1) * (a - t_i) for t_i in tag.t for a in range(k)]
-    box = [{j: f for j, slot in patterns[r] if (f := factors[slot])}
-           for r, bit in enumerate(reversed(f"{off_box:0{n_rows}b}")) if bit == "0"]
-    rho = n_rows - len(box) + linalg.sparse_rank(box)
-    return (k, rho, n_rows - rho)
+    ell = _box_deficiency(k, tuple(sorted(tag.t)))
+    return (k, n_rows - ell, ell)
 
 
 def dim_h2_via_system(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from sl2cohom import cli
+from sl2cohom import cli, reduced
 from sl2cohom.cli import main
+from sl2cohom.multiindices import multiset_coeff
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -242,8 +243,14 @@ def test_instances_above_a_ceiling_are_usage_errors(capsys):
          "over 10^4300 candidate cochains"),
         (["basis", "--lambdas", "0,0", "--mu", "1e3000"], "over 10^4300 cells"),
         (["table", "--n", "1", "--k-max", "1" + "0" * 4000], "over 10^4300 rows"),
+        # C(k + 998, k) at k = 10^4000 has about 4 * 10^6 digits: math.comb
+        # formed it for 7.4 s before the value was refused
+        (["dim", "--lambdas", ",".join(["0"] * 1000), "--mu", "1e4000", "--methods",
+          "closed,summary"], "C(n + k - 2, k) at n = 1000 is too large"),
     ):
+        start = time.perf_counter()
         code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 2, argv
         assert code == 2, argv
         assert out == "", argv
         assert what in err and "above the ceiling" in err, argv
@@ -276,6 +283,28 @@ def test_ceilings_accept_every_documented_instance():
         cli._check_sweep_size(n, k_max, cli.ALL_METHODS, policy)
     # the frame of a thousand arguments at k = 1: 1,001,000 index entries
     cli._check_system_size(1000, 1)
+
+
+def test_the_box_memo_holds_every_orbit_of_one_k_the_ceilings_admit():
+    # a sweep meets an orbit (k, sorted t) again only within one k, so the
+    # memo ranks each orbit once if it holds the C(k + n - 1, n) multisets
+    # t of the largest k of every admitted sweep; raising a ceiling without
+    # the bound fails here
+    largest, n = 0, 1
+    while True:
+        k_max = 0
+        try:
+            while True:
+                cli._check_sweep_size(n, k_max + 1, ("system",), "off")
+                k_max += 1
+        except cli.UsageError:
+            pass
+        if k_max < 2:  # k = 1 has the one orbit t = 0, and so has every larger n
+            break
+        largest = max(largest, multiset_coeff(k_max, n))
+        n += 1
+    assert largest == 816  # n = 3, k = 16
+    assert reduced._box_deficiency.cache_info().maxsize >= largest
 
 
 def test_basis_is_bounded_by_the_dense_kernel_it_returns(capsys):

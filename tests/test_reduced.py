@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2cohom import linalg
+from sl2cohom import linalg, reduced
 from sl2cohom.cecomplex import coboundary
 from sl2cohom.closedform import CaseKind, classify
 from sl2cohom.multiindices import add_unit, enumerate_multiindices, index_weight, multiset_coeff
@@ -353,6 +353,58 @@ def test_ell_is_the_lefschetz_count_on_singular_rows():
             assert rank_data(w)[2] == max(0, h[k - 1] - h[k]), (n, k, t)
             count += 1
     assert count == 45 + 204 + 441 + 979
+
+
+# -- the box memo, one echelon per slot-permutation orbit ----------------
+
+
+def test_the_box_is_ranked_once_per_orbit(monkeypatch):
+    reduced._box_deficiency.cache_clear()
+    calls = []
+    real = linalg.sparse_rank
+    monkeypatch.setattr(linalg, "sparse_rank", lambda vectors: calls.append(1) or real(vectors))
+    configs = sweep_configurations(4, 5)
+    tags = [classify(w) for w, _, _ in configs]
+    orbits = {(tag.k, tuple(sorted(tag.t))) for tag in tags if tag.kind is CaseKind.SINGULAR}
+    assert len(orbits) == 126  # C(k + 3, 4) multisets t per k, summed over k <= 5
+    for w, _, _ in configs:
+        rank_data(w)
+    assert len(calls) == 126
+    for w, _, _ in configs:
+        rank_data(w)
+    assert len(calls) == 126  # the second pass ranks nothing
+
+
+def test_a_warm_memo_equals_a_cold_one():
+    configs = sweep_configurations(3, 6)
+    random.Random(18).shuffle(configs)
+    cold = []
+    for w, _, _ in configs:
+        reduced._box_deficiency.cache_clear()
+        cold.append(rank_data(w))
+    reduced._box_deficiency.cache_clear()
+    assert [rank_data(w) for w, _, _ in configs] == cold
+    # 441 singular rows in sum_(k <= 6) C(k + 2, 3) = 126 orbits
+    assert reduced._box_deficiency.cache_info().hits == 441 - 126
+
+
+def test_memo_keys_separate_the_shift_and_the_arity():
+    # each pair shares its sorted t up to k, or its entries up to their
+    # multiplicity; every row must read its own orbit's deficiency
+    reduced._box_deficiency.cache_clear()
+    pairs = (((2, 2, (0, 1)), (2, 3, (1, 0))),       # ell 1 at k = 2, 0 at k = 3
+             ((2, 3, (0, 1)), (2, 2, (1, 0))),
+             ((2, 3, (1, 1)), (1, 3, (1,))),         # ell 1 and 0: one set {1}
+             # a slot with t_i = 0 pins a_i = 0 in the box, so these two
+             # share ell = 1, but not the key
+             ((2, 2, (0, 1)), (3, 2, (0, 0, 1))),
+             ((3, 2, (1, 0, 0)), (2, 2, (1, 0))))
+    for (n1, k1, t1), (n2, k2, t2) in pairs:
+        first, second = weights_for_tvector(n1, k1, t1), weights_for_tvector(n2, k2, t2)
+        assert rank_data(first) != rank_data(second)
+        _assert_rank_data_is_the_full_rank(first)
+        _assert_rank_data_is_the_full_rank(second)
+    assert reduced._box_deficiency.cache_info().currsize == 5  # one per orbit named
 
 
 # -- normal form and gauge reduction ------------------------------------

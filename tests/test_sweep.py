@@ -1,10 +1,10 @@
 from fractions import Fraction
 
-from sl2cohom import linalg
+from sl2cohom import linalg, reduced
 from sl2cohom.closedform import CaseKind, classify
 from sl2cohom.linalg import RationalMatrix
 from sl2cohom.multiindices import multiset_coeff
-from sl2cohom.reduced import build_system
+from sl2cohom.reduced import build_system, rank_data
 from sl2cohom.sweep import (
     CSV_COLUMNS,
     evaluate_row,
@@ -97,3 +97,14 @@ def test_the_sparse_negative_control_equals_the_dense_one():
                 3 * (n_rows - linalg.rank(RationalMatrix(cells, cols=multiset_coeff(n, k))))
             row = evaluate_row(w, k, t, ("system",), "off", perturb=True)
             assert row.dim_system == expected, (n, k, t)
+
+
+def test_the_negative_control_never_reads_the_box_memo():
+    # t = (1, 0) warms the orbit of t = (0, 1): unperturbed, both have
+    # dim 4; the perturbed system of (0, 1) has full rank, so dim 1
+    rank_data(weights_for_tvector(2, 2, (1, 0)))
+    before = reduced._box_deficiency.cache_info()
+    w = weights_for_tvector(2, 2, (0, 1))
+    assert evaluate_row(w, 2, (0, 1), ("system",), "off", perturb=True).dim_system == 1
+    assert reduced._box_deficiency.cache_info() == before
+    assert evaluate_row(w, 2, (0, 1), ("system",), "off").dim_system == 4
