@@ -114,13 +114,37 @@ put the X1-containing 2-cochains first, so each X1-free column with m >= 1
 has its partner row as leading index and lands on a fresh pivot, unless
 an m = 0 column of the same alpha took that row first.  At cap k that is
 the rule: each alpha of level k has an m = 0 column on (Xx,) just before
-its matched column on (Xx2,), and on ``table --n 4 --k-max 4 --oracle on``
-10,814 of the 10,822 matched columns are reduced against it, while the
-6,030 columns of level k - 1 are zero.  A sweep evaluates many lambda per
-key (a ``table`` row set shares one key per k), so its oracle time goes
-into the echelon.  The 5 frames of that table hold about 0.1 MiB; the
-frame of a block near the command line's ``MAX_ORACLE_BLOCK`` ceiling
-1.5 MiB (n = 4, k = 18) to 3.2 MiB (n = 6, k = 10).
+its matched column on (Xx2,), and over the rows of ``table --n 4 --k-max 4
+--oracle on``, each echelonised on its own, 10,814 of the 10,822 matched
+columns are reduced against it, while the 6,030 columns of level k - 1
+are zero.  The rows of a ``table`` share one
+frame per k, and the rows of one orbit below share one echelon as well.
+The 5 frames of that table hold about 0.1 MiB; the frame of a block near
+the command line's ``MAX_ORACLE_BLOCK`` ceiling 1.5 MiB (n = 4, k = 18)
+to 3.2 MiB (n = 6, k = 10).
+
+The oracle's value depends on lambda only through the multiset of the
+lambda_i.  Permuting the n tensor factors by a slot permutation pi is an
+sl(2)-module isomorphism from D_(lambda, mu) onto D_(pi lambda, mu), and
+on the block it reads as follows.  Put (pi alpha)_(pi(i)) = alpha_i and
+(pi lambda)_(pi(i)) = lambda_i; delta does not change.  The map
+(m, alpha, T) -> (m, pi alpha, T) keeps m, T and |alpha|, hence the
+eigenvalue and the cap, so it maps every block basis C_p onto itself,
+the X1-free columns and the X1-containing rows of an `H2Frame` onto
+themselves, and leaves |C2| and |C3| alone.  In the closed form of d
+below, the action and bracket entries read alpha only through |alpha|,
+and their position (m', alpha, T') moves to (m', pi alpha, T').  The
+lowering entry of slot i at (m, alpha - e_i, T), of factor
+a_i (a_i + 2 lambda_i - 1), moves to (m, pi alpha - e_(pi(i)), T), where
+the weights pi lambda give slot pi(i) the factor
+(pi alpha)_(pi(i)) ((pi alpha)_(pi(i)) + 2 (pi lambda)_(pi(i)) - 1)
+= a_i (a_i + 2 lambda_i - 1).  So the columns of d1 at pi lambda are
+those at lambda with rows and columns relabelled, entries included: the
+same frame filled at either weights has the same rank, and dim H^2 is
+the same.  `brute_force_h2` therefore reads the value of one orbit from
+a memo keyed by (delta, sorted 2 lambda_i), in which n and the cap
+max(k, 1) are determined, and fills and echelonises the frame once per
+orbit.  The memo holds at most ``ORBIT_CACHE_SIZE`` values.
 """
 
 from __future__ import annotations
@@ -132,7 +156,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .closedform import classify
+from .closedform import CaseTag, classify
 from .linalg import sparse_rank
 from .multiindices import MultiIndex, enumerate_up_to, index_weight
 from .operators import DiffOperator, act_on_operator
@@ -363,6 +387,19 @@ def _differential_table(p: int) -> dict[ArgTuple, tuple[DifferentialTerm, ...]]:
 
 _DIFFERENTIAL_TABLES = {p: _differential_table(p) for p in range(3)}
 
+
+#: Bound on each memo keyed by an orbit of slot permutations: the oracle's
+#: H^2 here, keyed by (delta, sorted 2 lambda_i), and the box deficiency
+#: of `reduced`, keyed by (k, sorted t).  A sweep visits k in ascending
+#: order, so it meets an orbit again only within one k.  The command line's
+#: ceilings (``cli.MAX_SWEEP_ROWS`` and ``cli.MAX_SYSTEM_EQUATIONS``) admit
+#: at most C(16 + 2, 3) = 816 multisets t at one k (n = 3, k = 16; 741 at
+#: n = 2, k = 38, 495 at n = 4, k = 9), and the oracle adds one key for the
+#: non-resonant row, so every admitted sweep computes each orbit once.  A
+#: whole sweep with n >= 2 has at most C(38 + 2, 3) = 9,880 orbits (n = 2,
+#: k <= 38); those need not fit, since a sweep never returns to a k it has
+#: left.
+ORBIT_CACHE_SIZE = 1024
 
 #: Bound on the cached frames.  The oracle reads one `H2Frame` per (n,
 #: delta, cap, eigenvalue) block, so 32 blocks stay warm: rows visited in
@@ -658,22 +695,36 @@ def h2_block_dimensions(w: Weights, cap: int, weight: int = 0) -> int:
     return frame.size2 - frame.size3 - sparse_rank(_fill(frame.d1, w))
 
 
-def brute_force_h2(w: Weights) -> CohomResult:
+@functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)
+def _orbit_h2(delta: Fraction, twice_lambdas: tuple[Scalar, ...]) -> int:
+    """H^2 of the weight-0 block at the cap `default_alpha_max`, for the
+    shift delta and the sorted 2 lambda_i of one orbit (module docstring);
+    computed once per orbit, on the weights of the sorted key."""
+    lambdas = tuple(Fraction(t, 2) for t in twice_lambdas)
+    w = Weights(lambdas, delta + sum(lambdas))
+    return h2_block_dimensions(w, default_alpha_max(w))
+
+
+def brute_force_h2(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
     """Brute-force dimension of the degree-2 cohomology on the weight-0 block.
 
     Computed at the one cap `default_alpha_max`, max(k, 1) for a natural
     shift k and 1 otherwise.  By the filtration of the module docstring,
     checked by `_certify_graded_acyclicity`, that is the H^2 of the whole
     block, so the result is always flagged stable (certified); a failed
-    certificate raises instead.
+    certificate raises instead.  A slot permutation of lambda leaves the
+    value unchanged (module docstring), so it comes from a memo keyed by
+    (delta, sorted 2 lambda_i), bounded by ``ORBIT_CACHE_SIZE``: the rows
+    of one orbit share one echelon.  ``tag`` is ``classify(w)``, computed
+    here when not given; it only names the case.
     """
     _certify_graded_acyclicity()
-    alpha_max = default_alpha_max(w)
+    tag = classify(w) if tag is None else tag
     return CohomResult(
-        dim=h2_block_dimensions(w, alpha_max),
+        dim=_orbit_h2(w.delta(), tuple(sorted(w.twice_lambdas))),
         method="oracle",
         weights=w,
-        alpha_max=alpha_max,
+        alpha_max=default_alpha_max(w),
         stable=True,
-        case=classify(w).describe(),
+        case=tag.describe(),
     )

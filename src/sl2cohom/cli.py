@@ -262,7 +262,7 @@ def _cmd_dim(args: argparse.Namespace) -> int:
         if method == "system":
             results.append(dim_h2_via_system(w, tag).to_json_dict())
         elif method == "oracle":
-            results.append(brute_force_h2(w).to_json_dict())
+            results.append(brute_force_h2(w, tag).to_json_dict())
         else:
             value = (dim_h2_closed_form if method == "closed" else dim_h2_summary_table)(tag, w.n)
             if value is not None:

@@ -18,15 +18,13 @@ sigma = k + m branches).  The second is a literal transcription of a
 summary table whose prefactor and sigma = k row are inconsistent with the
 individual branch formulas; it is kept as a separate predictor so sweep
 reports can record, instance by instance, which table matches the exact
-rank computation.  It may return non-integers and is never used as an
-authority.
+rank computation.  It is never used as an authority.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .multiindices import multiset_coeff
@@ -117,32 +115,30 @@ def dim_h2_closed_form(tag: CaseTag, n: int) -> int:
     return base + 3 * (s * (s - 1) // 2)
 
 
-def dim_h2_summary_table(tag: CaseTag, n: int) -> Optional[Fraction]:
+def dim_h2_summary_table(tag: CaseTag, n: int) -> Optional[int]:
     """Literal transcription of the summary table, kept for comparison only.
 
     Uses the single global definitions s = #{t_i > sigma - k} and
-    r = #{t_i = 1} and keeps the table's leading factor 2; the value can be
-    a non-integer, which by itself shows the table cannot be taken at face
-    value.  Only defined for singular tags.
+    r = #{t_i = 1} and keeps the table's leading factor 2, which clears
+    every half in its rows, so the value is an integer: 2 base, 2 base + 6,
+    2 base + 3 (s - 1), 2 base + 3 (s + r)(s + r - 1) - 6 r or
+    2 base + 3 s (s - 1).  Only defined for singular tags.
     """
     if tag.kind is not CaseKind.SINGULAR:
         return None
     t, k, sigma = tag.t, tag.k, tag.sigma
     assert t is not None and k is not None and sigma is not None
-    base = Fraction(multiset_coeff(n - 1, k))
+    twice_base = 2 * multiset_coeff(n - 1, k)
     s = sum(1 for v in t if v > sigma - k)
     r = sum(1 for v in t if v == 1)
     if sigma < k - 1:
-        inner = base
-    elif sigma == k - 1:
-        inner = base + 3
-    elif sigma == k:
-        inner = base + Fraction(3, 2) * (s - 1)
-    elif sigma == k + 1:
+        return twice_base
+    if sigma == k - 1:
+        return twice_base + 6
+    if sigma == k:
+        return twice_base + 3 * (s - 1)
+    if sigma == k + 1:
         if max(t) >= 2:
-            inner = base + Fraction(3, 2) * (s + r) * (s + r - 1) - 3 * r
-        else:
-            inner = base
-    else:
-        inner = base + Fraction(3, 2) * s * (s - 1)
-    return 2 * inner
+            return twice_base + 3 * (s + r) * (s + r - 1) - 6 * r
+        return twice_base
+    return twice_base + 3 * s * (s - 1)

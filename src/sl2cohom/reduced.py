@@ -99,7 +99,7 @@ from operator import or_
 from typing import Mapping, Optional
 
 from . import linalg
-from .cecomplex import Cochain, CohomResult
+from .cecomplex import ORBIT_CACHE_SIZE, Cochain, CohomResult
 from .closedform import CaseKind, CaseTag, classify
 from .linalg import RationalMatrix
 from .multiindices import (
@@ -415,18 +415,7 @@ def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
     return LinearSystem(rows, cols, equations)
 
 
-#: Bound on the memoised box deficiencies, one per (k, sorted t) orbit.  A
-#: sweep visits k in ascending order, so it meets an orbit again only
-#: within one k.  The command line's ceilings (``cli.MAX_SWEEP_ROWS`` and
-#: ``cli.MAX_SYSTEM_EQUATIONS``) admit at most C(16 + 2, 3) = 816 orbits
-#: at one k (n = 3, k = 16; 741 at n = 2, k = 38, 495 at n = 4, k = 9), so
-#: every admitted sweep ranks each orbit once.  A whole sweep with n >= 2
-#: has at most C(38 + 2, 3) = 9,880 orbits (n = 2, k <= 38); those need
-#: not fit, since a sweep never returns to a k it has left.
-BOX_DEFICIENCY_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=BOX_DEFICIENCY_CACHE_SIZE)
+@lru_cache(maxsize=ORBIT_CACHE_SIZE)
 def _box_deficiency(k: int, t: tuple[int, ...]) -> int:
     """|B| - rank(B) of the box B = {a <= t} at shift k, for sorted t.
 
@@ -455,7 +444,7 @@ def rank_data(w: Weights, tag: Optional[CaseTag] = None) -> Optional[tuple[int, 
     B = {a <= t} are built and echelonised.  A slot permutation carries
     the box of t onto that of the permuted t with every entry (module
     docstring), so the deficiency |B| - rank(B) comes from a memo keyed by
-    (k, sorted t), bounded by ``BOX_DEFICIENCY_CACHE_SIZE``: the rows of
+    (k, sorted t), bounded by ``cecomplex.ORBIT_CACHE_SIZE``: the rows of
     one orbit share one echelon.
     """
     tag = classify(w) if tag is None else tag

@@ -7,6 +7,14 @@ dimension of every requested method side by side; disagreements are never
 suppressed, they are collected into a discrepancy report.  Output order is
 fixed by the row key and no timestamps appear in data files, so identical
 configurations produce byte-identical reports.
+
+Permuting the n tensor factors of F_lambda_1 (x) ... (x) F_lambda_n is an
+sl(2)-module isomorphism from D_(lambda, mu) onto D_(pi lambda, mu), so
+dim H^2 depends only on mu and the multiset of the lambda_i.  The rows of
+a sweep are still evaluated one by one, in ``evaluate_row``; the system
+rank and the oracle each compute one value per orbit (k, sorted t) and
+read the rest from a memo (proofs in the ``reduced`` and ``cecomplex``
+docstrings).
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ class SweepRow:
     t: Optional[tuple[int, ...]]
     dim_system: int
     dim_closed: Optional[int]
-    dim_summary: Optional[Fraction]
+    dim_summary: Optional[int]
     dim_oracle: Optional[int]
     stable: Optional[bool]
 
@@ -170,7 +178,7 @@ def evaluate_row(w: Weights, k: int, t: Optional[tuple[int, ...]],
     dim_oracle = None
     stable = None
     if "oracle" in methods and _oracle_wanted(oracle_policy, w.n, k):
-        result = brute_force_h2(w)
+        result = brute_force_h2(w, tag)
         dim_oracle = result.dim
         stable = result.stable
     return SweepRow(weights=w, tag=tag, k=k, t=t, dim_system=dim_system,

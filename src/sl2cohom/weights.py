@@ -103,14 +103,16 @@ def lie_derivative_density(g: SL2Generator, f: Polynomial, mu: Fraction) -> Poly
 class Weights:
     """Argument weights (lambda_1, ..., lambda_n) and target weight mu.
 
-    The shift and ``twice_lambdas`` (each 2 lambda_i, an ``int`` when it is
-    integral) are computed once, at construction.
+    The shift, its value as a natural number (or None) and
+    ``twice_lambdas`` (each 2 lambda_i, an ``int`` when it is integral) are
+    computed once, at construction.
     """
 
     lambdas: tuple[Fraction, ...]
     mu: Fraction
     twice_lambdas: tuple[Scalar, ...] = field(init=False, repr=False, compare=False)
     _delta: Fraction = field(init=False, repr=False, compare=False)
+    _natural_delta: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambdas", tuple(exact(v) for v in self.lambdas))
@@ -127,6 +129,8 @@ class Weights:
         num = mu.numerator * (den // mu.denominator) - sum(
             v.numerator * (den // v.denominator) for v in self.lambdas)
         object.__setattr__(self, "_delta", Fraction(num, den))
+        object.__setattr__(self, "_natural_delta",
+                           num // den if num >= 0 and num % den == 0 else None)
 
     @property
     def n(self) -> int:
@@ -138,10 +142,7 @@ class Weights:
 
     def natural_delta(self) -> Optional[int]:
         """delta as a nonnegative integer, or None when delta is not one."""
-        d = self.delta()
-        if d.denominator == 1 and d >= 0:
-            return int(d)
-        return None
+        return self._natural_delta
 
     # -- serialisation ------------------------------------------------
 

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from sl2cohom import reduced, sweep
+from sl2cohom import cecomplex, reduced, sweep
 from sl2cohom.closedform import CaseKind, classify
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,9 +53,10 @@ def test_a_traced_pass_yields_every_per_layer_metric():
     tracing = _tracing()
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     configs = sweep.sweep_configurations(2, 2)
-    # the box memo outlives a pass: start it empty, so the count below does
-    # not depend on the tests that ran before
+    # the box and oracle memos outlive a pass: start them empty, so the
+    # count below does not depend on the tests that ran before
     reduced._box_deficiency.cache_clear()
+    cecomplex._orbit_h2.cache_clear()
     tracer = tracing.Tracer()
     with tracer.installed():
         for index, (w, k, t) in enumerate(configs):
@@ -72,13 +73,15 @@ def test_a_traced_pass_yields_every_per_layer_metric():
     assert metrics["cecomplex.block_matrix.calls"] == 0
     assert metrics["reduced.build_system.nnz"] > 0
     assert metrics["cecomplex.block_matrix.columns"] == 0
-    # One echelon per oracle row (its d1 columns) and one per orbit of
-    # singular rows under slot permutations (the system rank echelonises
-    # only the box a <= t, which off the singular case is empty, once per
-    # (k, sorted t)): both are booked under linalg.sparse_rank.
+    # One echelon per orbit of rows under slot permutations for the oracle
+    # (its d1 columns, once per (delta, sorted 2 lambda)) and one per orbit
+    # of singular rows for the system rank (it echelonises only the box
+    # a <= t, which off the singular case is empty, once per (k, sorted t)):
+    # both are booked under linalg.sparse_rank.
+    oracle_orbits = {(w.delta(), tuple(sorted(w.twice_lambdas))) for w, _, _ in configs}
     tags = [classify(w) for w, _, _ in configs]
     singular = [tag for tag in tags if tag.kind is CaseKind.SINGULAR]
-    orbits = {(tag.k, tuple(sorted(tag.t))) for tag in singular}
-    assert (len(singular), len(orbits)) == (5, 4)
-    assert metrics["linalg.sparse_rank.calls"] == len(configs) + len(orbits)
+    box_orbits = {(tag.k, tuple(sorted(tag.t))) for tag in singular}
+    assert (len(configs), len(oracle_orbits), len(singular), len(box_orbits)) == (8, 7, 5, 4)
+    assert metrics["linalg.sparse_rank.calls"] == len(oracle_orbits) + len(box_orbits)
     assert metrics["reduced.solve_coboundary.calls"] > 0

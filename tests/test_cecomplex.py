@@ -28,7 +28,12 @@ from sl2cohom.multiindices import enumerate_up_to, index_weight
 from sl2cohom.operators import DiffOperator, act_on_operator
 from sl2cohom.polynomials import Polynomial
 from sl2cohom.reduced import rank_data
-from sl2cohom.sweep import nonresonant_weights, sweep_configurations, weights_for_tvector
+from sl2cohom.sweep import (
+    nonresonant_weights,
+    run_sweep,
+    sweep_configurations,
+    weights_for_tvector,
+)
 from sl2cohom.weights import GENERATORS, Weights
 
 X1, XX, XX2 = GENERATORS
@@ -408,11 +413,72 @@ def test_a_cold_oracle_call_enumerates_each_degree_once(monkeypatch):
         return block_basis(p, *args)
     monkeypatch.setattr(cecomplex, "_block_basis", counting)
     cecomplex._cached_h2_frame.cache_clear()
+    cecomplex._orbit_h2.cache_clear()
     w = weights_for_tvector(3, 3, (1, 0, 2))
     brute_force_h2(w)
     assert sorted(calls) == [0, 1, 2, 3]
     brute_force_h2(weights_for_tvector(3, 3, (2, 2, 1)))
     assert len(calls) == 4
+
+
+def _cold_h2(w):
+    """The oracle's value without its orbit memo."""
+    return h2_block_dimensions(w, default_alpha_max(w))
+
+
+def test_a_warm_shuffled_orbit_memo_equals_cold_block_dimensions():
+    rows = [w for n, k_max in ((2, 8), (3, 5), (4, 4))
+            for w, _, _ in sweep_configurations(n, k_max)]
+    random.Random(19).shuffle(rows)
+    orbits = {(w.delta(), tuple(sorted(w.twice_lambdas))) for w in rows}
+    cecomplex._orbit_h2.cache_clear()
+    for w in rows:
+        brute_force_h2(w)
+    info = cecomplex._orbit_h2.cache_info()
+    assert (info.misses, info.currsize) == (len(orbits), len(orbits))
+    assert [brute_force_h2(w).dim for w in rows] == [_cold_h2(w) for w in rows]
+    assert cecomplex._orbit_h2.cache_info().hits == info.hits + len(rows)
+
+
+def test_the_orbit_memo_keeps_shift_arity_and_fractional_weights_apart():
+    half, third = Fraction(-1, 2), Fraction(1, 3)
+    rows = [
+        # the same sorted lambda = (-1/2, 0) at shifts 2 and 3: 1 and 0
+        weights_for_tvector(2, 2, (1, 0)), weights_for_tvector(2, 3, (0, 1)),
+        # the same values lambda_i = -1/2 at n = 2 and n = 3, k = 2: 1 and 0
+        weights_for_tvector(2, 2, (1, 1)), weights_for_tvector(3, 2, (1, 1, 1)),
+        # lambda = 1/3: a shift that is not natural, a natural one, and a
+        # natural one beside -1/2 (0; the resonant (0, -1/2) would give 1)
+        Weights((third,), Fraction(0)), Weights((third,), Fraction(7, 3)),
+        Weights((third, half), Fraction(11, 6)),
+    ]
+    assert [w.natural_delta() for w in rows[4:]] == [None, 2, 2]
+    cecomplex._orbit_h2.cache_clear()
+    dims = [brute_force_h2(w).dim for w in rows]
+    assert dims == [_cold_h2(w) for w in rows] == [1, 0, 1, 0, 0, 0, 0]
+    assert cecomplex._orbit_h2.cache_info().currsize == len(rows)
+    # a permuted row is a hit on its orbit
+    assert brute_force_h2(Weights((half, third), Fraction(11, 6))).dim == 0
+    assert brute_force_h2(weights_for_tvector(2, 2, (0, 1))).dim == 1
+    assert cecomplex._orbit_h2.cache_info().currsize == len(rows)
+
+
+def test_a_cold_sweep_computes_the_oracle_once_per_orbit(monkeypatch):
+    calls = []
+    block_dimensions = cecomplex.h2_block_dimensions
+
+    def counting(w, cap, weight=0):
+        calls.append(w)
+        return block_dimensions(w, cap, weight)
+    monkeypatch.setattr(cecomplex, "h2_block_dimensions", counting)
+    configs = sweep_configurations(4, 6)
+    resonant = {(k, tuple(sorted(t))) for _, k, t in configs if t is not None}
+    non_resonant = {k for _, k, t in configs if t is None}
+    assert (len(configs), len(resonant), len(non_resonant)) == (2282, 252, 7)
+    cecomplex._orbit_h2.cache_clear()
+    rows = run_sweep(4, 6, ("system", "oracle"), "on")
+    assert len(calls) == len(resonant) + len(non_resonant)
+    assert all(row.dim_oracle == rank_data(row.weights)[2] for row in rows)
 
 
 def test_the_oracle_frame_keeps_the_x1_free_columns_and_puts_x1_rows_first():

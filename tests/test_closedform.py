@@ -9,7 +9,7 @@ from sl2cohom.closedform import (
     singular_counts,
 )
 from sl2cohom.multiindices import multiset_coeff
-from sl2cohom.sweep import nonresonant_weights, weights_for_tvector
+from sl2cohom.sweep import nonresonant_weights, sweep_configurations, weights_for_tvector
 from sl2cohom.weights import Weights
 
 
@@ -153,10 +153,19 @@ def test_closed_equals_system_on_nonresonant_samples():
         j += 1
 
 
-def test_summary_table_can_be_fractional():
+def test_summary_table_gives_8_and_5_on_two_small_rows():
     tag = classify(weights_for_tvector(2, 1, (0, 0)))
     # sigma = k - 1 row: 2 * (1 + 3) = 8, twice the branch prediction
     assert dim_h2_summary_table(tag, 2) == 8
     tag2 = classify(weights_for_tvector(2, 2, (1, 1)))
     # sigma = k row with s = 2: 2 * (1 + 3/2) = 5, not equal to 4
     assert dim_h2_summary_table(tag2, 2) == 5
+
+
+def test_summary_table_is_an_int_on_every_singular_sweep_row():
+    for n in range(1, 5):
+        for w, k, t in sweep_configurations(n, 5):
+            tag = classify(w)
+            value = dim_h2_summary_table(tag, n)
+            assert (value is None) == (tag.kind is not CaseKind.SINGULAR), (n, k, t)
+            assert value is None or type(value) is int, (n, k, t)

@@ -61,6 +61,9 @@ def test_shift_and_twice_lambdas_computed_at_construction(lambdas, mu):
     w = Weights(tuple(lambdas), mu)
     assert type(w.delta()) is Fraction
     assert w.delta() == mu - sum(lambdas)
+    d = mu - sum(lambdas)
+    assert w.natural_delta() == (int(d) if d.denominator == 1 and d >= 0 else None)
+    assert type(w.natural_delta()) in (int, type(None))
     assert w.twice_lambdas == tuple(2 * v for v in lambdas)
     for v, twice in zip(lambdas, w.twice_lambdas):
         assert type(twice) is (int if (2 * v).denominator == 1 else Fraction)
