@@ -66,9 +66,10 @@ MAX_ORACLE_BLOCK = 25_000
 #: ``kernel_basis`` gives up to cols - rank vectors of cols entries each,
 #: with cols = C(n + k - 1, k) >= rows, so the count also bounds the rows
 #: times cols of the sparse system it echelonises.  10^6 cells took 0.2 s
-#: and 20 MiB at n = 2, k = 999 (one kernel vector) and 3.3 s and 182 MiB
+#: and 21 MiB at n = 2, k = 999 (one kernel vector) and 3.2 s and 182 MiB
 #: at n = 1000, k = 1 (999 kernel vectors, 13 MB of JSON); 627,264 cells
-#: took 1.0 s and 34 MiB at n = 6, k = 7, t = (3, ..., 3).
+#: took 0.7 s and 31 MiB at n = 6, k = 7, t = (3, ..., 3) (medians of 5
+#: ``basis`` runs).
 MAX_BASIS_CELLS = 1_000_000
 #: Rows sum_{k=1}^{k_max} k^n + (k_max + 1) of a ``table`` or ``verify``
 #: sweep: 19,701 rows took 1.7 s (n = 1, k_max = 197, oracle off) and 15,343

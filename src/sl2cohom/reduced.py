@@ -44,10 +44,15 @@ dimension method reports
     dim = (number of weight-k indices over n-1 slots) + 3 * ell,
 
 where ell is the rank deficiency of that system.  The system is built as
-sparse rows and no dense matrix is formed on these paths: the kernel
-(``linalg.kernel_basis``) and column complement
-(``linalg.column_space_echelon``) behind :func:`cocycle_basis`, and the
-solve behind :func:`solve_coboundary` (``linalg.solve``) take those rows.
+sparse rows and no dense matrix is formed on these paths.  The rows are
+echelonised once per system, as ``LinearSystem.factorization`` (a
+:class:`~sl2cohom.linalg.Factorization`), and every read comes off that
+one echelon: the kernel (``linalg.kernel_basis``) and the leads of the
+column space (``linalg.column_space_echelon``) behind
+:func:`cocycle_basis`, and every solve behind :func:`solve_coboundary`
+(``linalg.solve``, a replay of the logged row operations).
+:func:`build_system` keeps the systems of recent weights, so a basis and
+the solves that certify its elements share one echelon.
 
 The rank needs only some of them.  Put t_i = -2 lambda_i, so row a has
 entry f_i(a_i) = (a_i + 1)(a_i - t_i) in column a + e_i, and call slot i
@@ -112,7 +117,7 @@ from .multiindices import (
     multiset_coeff,
 )
 from .operators import DiffOperator
-from .polynomials import Polynomial, Scalar, X, divide, exact, scalar
+from .polynomials import ONE, Polynomial, Scalar, X, divide, exact, scalar
 from .weights import SL2Generator, Weights
 
 FamilyMap = dict[MultiIndex, Polynomial]
@@ -127,6 +132,14 @@ def _normalized(weights: Weights, family: Mapping[MultiIndex, Polynomial]) -> Fa
         if not poly.is_zero():
             out[alpha] = poly
     return out
+
+
+def _nonzero(family: FamilyMap) -> FamilyMap:
+    """family without its zero polynomials, which (|a| - delta) U_a at
+    |a| = delta, a derivative or a cancelling sum can leave."""
+    if all(family.values()):
+        return family
+    return {alpha: poly for alpha, poly in family.items() if poly}
 
 
 def _family_add(a: FamilyMap, b: FamilyMap) -> FamilyMap:
@@ -241,19 +254,19 @@ class ReducedTwoCochain:
     def __add__(self, other: "ReducedTwoCochain") -> "ReducedTwoCochain":
         if other.weights != self.weights:
             raise ValueError("weight mismatch")
-        return ReducedTwoCochain(self.weights,
-                                 _family_add(self.A, other.A),
-                                 _family_add(self.B, other.B),
-                                 _family_add(self.C, other.C))
+        return _two_cochain(self.weights,
+                            _family_add(self.A, other.A),
+                            _family_add(self.B, other.B),
+                            _family_add(self.C, other.C))
 
     def __sub__(self, other: "ReducedTwoCochain") -> "ReducedTwoCochain":
         return self + -other
 
     def __neg__(self) -> "ReducedTwoCochain":
-        return ReducedTwoCochain(self.weights,
-                                 {a: -p for a, p in self.A.items()},
-                                 {a: -p for a, p in self.B.items()},
-                                 {a: -p for a, p in self.C.items()})
+        return _two_cochain(self.weights,
+                            {a: -p for a, p in self.A.items()},
+                            {a: -p for a, p in self.B.items()},
+                            {a: -p for a, p in self.C.items()})
 
     def to_cochain(self) -> Cochain:
         """Evaluate the three antisymmetric brackets on the basis pairs.
@@ -286,6 +299,32 @@ class ReducedTwoCochain:
             data[name] = {format_multiindex(a): p.to_json()
                           for a, p in sorted(fam.items(), key=lambda kv: graded_lex_key(kv[0]))}
         return data
+
+
+def _one_cochain(weights: Weights, U: FamilyMap, V: FamilyMap,
+                 W: FamilyMap) -> ReducedOneCochain:
+    """A 1-cochain from families whose keys are already valid multi-indices
+    for weights: keys of checked cochains or of :func:`_lower`.  It skips
+    the public constructor's check and strips only the zero polynomials."""
+    b = object.__new__(ReducedOneCochain)
+    object.__setattr__(b, "weights", weights)
+    object.__setattr__(b, "U", _nonzero(U))
+    object.__setattr__(b, "V", _nonzero(V))
+    object.__setattr__(b, "W", _nonzero(W))
+    return b
+
+
+def _two_cochain(weights: Weights, A: FamilyMap, B: FamilyMap,
+                 C: FamilyMap) -> ReducedTwoCochain:
+    """A 2-cochain from families whose keys are already valid multi-indices
+    for weights, as :func:`_one_cochain` builds 1-cochains; the system's
+    index tuples also qualify."""
+    f = object.__new__(ReducedTwoCochain)
+    object.__setattr__(f, "weights", weights)
+    object.__setattr__(f, "A", _nonzero(A))
+    object.__setattr__(f, "B", _nonzero(B))
+    object.__setattr__(f, "C", _nonzero(C))
+    return f
 
 
 def cocycle_residual(f: ReducedTwoCochain) -> FamilyMap:
@@ -327,7 +366,7 @@ def coboundary_reduced(b: ReducedOneCochain) -> ReducedTwoCochain:
     b_fam = _family_add(_lower(w, b.U), {a: p.derivative() for a, p in b.W.items()})
     c_fam = _family_add(_lower(w, b.V), {a: (delta - index_weight(a) - 1) * p
                                          for a, p in b.W.items()})
-    return ReducedTwoCochain(w, a_fam, b_fam, c_fam)
+    return _two_cochain(w, a_fam, b_fam, c_fam)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +384,12 @@ class LinearSystem:
     column of a + e_i and zero elsewhere.  ``equations`` holds each row as
     a sparse vector {column: entry} of its nonzero entries, ``int`` when
     2 lambda_i is an integer; every rank, kernel and solve runs on these
-    rows.  The dense ``matrix`` is derived on demand only because the
-    benchmark's tracer counts its cells and the tests use it as a
-    reference.
+    rows.  ``factorization`` echelonises them once, on first use, for the
+    kernel, the column space and every solve.  :func:`build_system` hands
+    the same cached system to every caller, so no caller changes the rows
+    (the perturbed self-test of ``verify`` edits a copy).  The dense
+    ``matrix`` is derived on demand only because the benchmark's tracer
+    counts its cells and the tests use it as a reference.
     """
 
     row_index: tuple[MultiIndex, ...]
@@ -362,9 +404,14 @@ class LinearSystem:
                 row[j] = c
         return RationalMatrix(dense, cols=len(self.col_index))
 
+    @cached_property
+    def factorization(self) -> linalg.Factorization:
+        return linalg.Factorization(self.equations, len(self.col_index))
+
 
 #: Bound on the cached (n, k) system frames: rows visited in any order
-#: over up to 32 (n, k) pairs rebuild none.
+#: over up to 32 (n, k) pairs rebuild none.  It bounds the cached systems
+#: of :func:`build_system` as well.
 SYSTEM_FRAME_CACHE_SIZE = 32
 
 
@@ -403,10 +450,22 @@ def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
     ``SYSTEM_FRAME_CACHE_SIZE`` frames; the 6 of n = 4, k <= 5 hold
     24 KiB, and one at the command line's 5,000-equation ceiling 2.1 to
     2.8 MiB for n = 3 to 5 and 7.4 MiB for n = 2, k = 5,000.
+
+    The systems themselves are kept for the last
+    ``SYSTEM_FRAME_CACHE_SIZE`` (n, k, lambda), with their factorization
+    once it is made: :func:`cocycle_basis` and the :func:`solve_coboundary`
+    calls on its elements echelonise the rows once.  The lambdas are
+    checked before the lookup, so a float is refused even where an equal
+    ``Fraction`` is cached.
     """
     if len(lambdas) != n:
         raise ValueError("lambda tuple length must equal n")
-    lambdas = tuple(exact(v) for v in lambdas)
+    return _system(n, k, tuple(exact(v) for v in lambdas))
+
+
+@lru_cache(maxsize=SYSTEM_FRAME_CACHE_SIZE)
+def _system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
+    """The system of :func:`build_system` for checked lambdas."""
     rows, cols, patterns, _ = _system_frame(n, k)
     twice_lambdas = [scalar(2 * lam) for lam in lambdas]
     factors = [(a + 1) * (a + twice) for twice in twice_lambdas for a in range(k)]
@@ -485,13 +544,6 @@ def dim_h2_via_system(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
 # ---------------------------------------------------------------------------
 
 
-def _column_complement(system: LinearSystem) -> list[int]:
-    """Row coordinates completing the column space to the full row space."""
-    echelon = linalg.column_space_echelon(system.equations, len(system.col_index))
-    covered = {min(row) for row in echelon}
-    return [i for i in range(len(system.row_index)) if i not in covered]
-
-
 def cocycle_basis(w: Weights) -> list[ReducedTwoCochain]:
     """Spanning set of representatives used by the rank-based count.
 
@@ -507,25 +559,25 @@ def cocycle_basis(w: Weights) -> list[ReducedTwoCochain]:
     classes: they sit on coordinates completing the column space, so no
     nonzero combination of them lies in the image that
     :func:`solve_coboundary` solves against.
+
+    The kernel and the column space are read off the system's one
+    factorization, which the solves on these elements reuse.  The
+    coordinates completing the column space are the rows that are
+    combinations of the rows before them (proof in ``linalg``).
     """
     k = w.natural_delta()
     if k is None:
         raise ValueError("cocycle basis requires a natural shift")
     system = build_system(w.n, k, w.lambdas)
+    factorization = system.factorization
     out: list[ReducedTwoCochain] = []
-    for vec in linalg.kernel_basis(system.equations, len(system.col_index)):
-        fam = {alpha: Polynomial.constant(c)
-               for alpha, c in zip(system.col_index, vec) if c != 0}
-        out.append(ReducedTwoCochain(w, fam, {}, {}))
-    complement = _column_complement(system)
-    for family_name in ("B", "C"):
-        for idx in complement:
-            alpha = system.row_index[idx]
-            fam = {alpha: Polynomial.one()}
-            if family_name == "B":
-                out.append(ReducedTwoCochain(w, {}, fam, {}))
-            else:
-                out.append(ReducedTwoCochain(w, {}, {}, fam))
+    for vec in linalg.kernel_basis(factorization):
+        fam = {alpha: Polynomial._raw([c]) for alpha, c in zip(system.col_index, vec) if c}
+        out.append(_two_cochain(w, fam, {}, {}))
+    covered = set(linalg.column_space_echelon(factorization))
+    complement = [alpha for i, alpha in enumerate(system.row_index) if i not in covered]
+    out += [_two_cochain(w, {}, {alpha: ONE}, {}) for alpha in complement]
+    out += [_two_cochain(w, {}, {}, {alpha: ONE}) for alpha in complement]
     return out
 
 
@@ -544,9 +596,9 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
        bottom-slot gauge W, so it always dies, while the top family A and
        bottom family C die together iff the constant vector
        C - Lambda(antiderivative of A) lies in the image of Lambda on
-       constants at level k.  The certificate is a plain exact linear
-       solve on the system's sparse rows, needed only when that vector is
-       nonzero.
+       constants at level k.  The certificate is an exact linear solve,
+       replayed on the system's one factorization, needed only when that
+       vector is nonzero.
 
     Every returned witness is verified by recomputing its coboundary.
     """
@@ -566,7 +618,7 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
         level = index_weight(alpha)
         if k is None or level != k - 1:
             w_fam[alpha] = c_poly.scale(divide(1, delta - level - 1))
-    b1 = ReducedOneCochain(w, u_fam, {}, w_fam)
+    b1 = _one_cochain(w, u_fam, {}, w_fam)
     # A zero gauge has a zero coboundary: skip computing and subtracting it.
     f1 = f if b1.is_zero() else f - coboundary_reduced(b1)
 
@@ -580,7 +632,7 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
     # Middle family: at level k - 1 it is exactly a derivative of a W-slot.
     if any(index_weight(a) != k - 1 for a in f1.B):
         raise AssertionError("closed cochain kept a middle family off-level")
-    b2 = ReducedOneCochain(w, {}, {}, {a: p.antiderivative() for a, p in f1.B.items()})
+    b2 = _one_cochain(w, {}, {}, {a: p.antiderivative() for a, p in f1.B.items()})
     f2 = f1 if b2.is_zero() else f1 - coboundary_reduced(b2)
 
     # Remaining data: top family at level k, bottom family at level k - 1,
@@ -604,14 +656,14 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
         rhs = [0] * len(system.row_index)
         for alpha, poly in obstruction.items():
             rhs[row_pos[alpha]] = 2 * poly.coefficient(0)
-        solution = linalg.solve(system.equations, len(system.col_index), rhs)
+        solution = linalg.solve(system.factorization, rhs)
         if solution is None:
             return None
         for alpha, c in zip(system.col_index, solution):
-            if c != 0:
-                v_fam[alpha] = _coefficient(v_fam, alpha) + Polynomial.constant(c)
+            if c:
+                v_fam[alpha] = _coefficient(v_fam, alpha) + Polynomial._raw([c])
     # The gauge parts fill U (b1), W (b1, b2) and V (here): assemble once, not summed.
-    witness = ReducedOneCochain(w, b1.U, v_fam, _family_add(b1.W, b2.W))
+    witness = _one_cochain(w, b1.U, v_fam, _family_add(b1.W, b2.W))
     _verify_witness(witness, f)
     return witness
 

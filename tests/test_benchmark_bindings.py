@@ -14,6 +14,7 @@ from pathlib import Path
 
 from sl2cohom import cecomplex, reduced, sweep
 from sl2cohom.closedform import CaseKind, classify
+from sl2cohom.multiindices import multiset_coeff
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,4 +85,15 @@ def test_a_traced_pass_yields_every_per_layer_metric():
     box_orbits = {(tag.k, tuple(sorted(tag.t))) for tag in singular}
     assert (len(configs), len(oracle_orbits), len(singular), len(box_orbits)) == (8, 7, 5, 4)
     assert metrics["linalg.sparse_rank.calls"] == len(oracle_orbits) + len(box_orbits)
-    assert metrics["reduced.solve_coboundary.calls"] > 0
+    # Each basis reads its kernel and column space off one factorization,
+    # and only its ell bottom-family elements need a solve, which fails.
+    natural = [w for w, _, _ in configs if w.natural_delta() is not None]
+    ells = [reduced.rank_data(w)[2] for w in natural]
+    assert (len(natural), sum(ells)) == (8, 4)
+    assert metrics["reduced.cocycle_basis.calls"] == len(natural)
+    assert metrics["linalg.kernel_basis.calls"] == len(natural)
+    assert tracer.stats["linalg.column_space_echelon"]["calls"] == len(natural)
+    assert metrics["linalg.solve.calls"] == sum(ells)
+    assert metrics["reduced.solve_coboundary.infeasible"] == sum(ells)
+    assert metrics["reduced.solve_coboundary.calls"] == sum(
+        multiset_coeff(w.n - 1, w.natural_delta()) + 3 * ell for w, ell in zip(natural, ells))

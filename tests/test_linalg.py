@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2cohom.linalg import (
+    Factorization,
     RationalMatrix,
     column_space_echelon,
     kernel_basis,
@@ -62,6 +63,22 @@ def sparse(m):
     return [{j: v for j, v in enumerate(row) if v} for row in m.entries]
 
 
+def kernel(rows, cols):
+    return kernel_basis(Factorization(rows, cols))
+
+
+def solved(rows, cols, rhs):
+    return solve(Factorization(rows, cols), rhs)
+
+
+def column_leads(rows, cols):
+    return column_space_echelon(Factorization(rows, cols))
+
+
+def int_when_integral(values):
+    return all(type(v) is (int if Fraction(v).denominator == 1 else Fraction) for v in values)
+
+
 def identity(n):
     return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
 
@@ -75,11 +92,11 @@ def test_rank_examples():
 
 
 def test_kernel_examples():
-    assert kernel_basis(sparse(identity(3)), 3) == []
-    vecs = kernel_basis([{}], 2)
+    assert kernel(sparse(identity(3)), 3) == []
+    vecs = kernel([{}], 2)
     assert len(vecs) == 2
     m = RationalMatrix([[1, 2, 3], [0, 1, 1]])
-    for v in kernel_basis(sparse(m), m.cols):
+    for v in kernel(sparse(m), m.cols):
         assert m.mat_vec(v) == [0, 0]
 
 
@@ -87,11 +104,13 @@ def test_kernel_basis_is_read_off_the_reduced_echelon_form():
     # third row = first + second; pivots in columns 0 and 2
     m = RationalMatrix([[2, 4, 0, -1, 3], [0, 0, 3, 2, -1], [2, 4, 3, 1, 2]])
     F = Fraction
-    assert kernel_basis(sparse(m), m.cols) == [
+    kern = kernel(sparse(m), m.cols)
+    assert kern == [
         [F(-2), F(1), F(0), F(0), F(0)],
         [F(1, 2), F(0), F(-2, 3), F(1), F(0)],
         [F(-3, 2), F(0), F(1, 3), F(0), F(1)],
     ]
+    assert all(int_when_integral(vec) for vec in kern)
 
 
 @given(matrices())
@@ -103,10 +122,10 @@ def test_rank_equals_transpose_rank(m):
 @given(matrices(cells=sparse_entries))
 @settings(max_examples=60, deadline=None)
 def test_rank_plus_kernel_dim_is_cols(m):
-    kern = kernel_basis(sparse(m), m.cols)
+    kern = kernel(sparse(m), m.cols)
     assert rank(m) + len(kern) == m.cols
     for v in kern:
-        assert all(type(x) is Fraction for x in v)
+        assert int_when_integral(v)
         assert all(x == 0 for x in m.mat_vec(v))
 
 
@@ -153,12 +172,12 @@ def test_solve_matches_reference_feasibility(data):
         rhs = data.draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows))
     augmented = [row + [Fraction(v)] for row, v in zip(m.entries, rhs)]
     feasible = reference_rank(augmented, m.cols + 1) == reference_rank(m.entries, m.cols)
-    x = solve(sparse(m), m.cols, rhs)
+    x = solved(sparse(m), m.cols, rhs)
     if not feasible:
         assert x is None
         return
     assert x is not None
-    assert all(type(v) is Fraction for v in x)
+    assert int_when_integral(x)
     assert m.mat_vec(x) == [Fraction(v) for v in rhs]
     # a column that adds no rank to the ones before it is free, and set to 0
     for j in range(m.cols):
@@ -168,20 +187,23 @@ def test_solve_matches_reference_feasibility(data):
 
 
 def test_solve_feasible_and_infeasible():
-    rows = [{0: 1}, {}]
-    assert solve(rows, 2, [3, 0]) == [Fraction(3), Fraction(0)]
-    assert solve(rows, 2, [3, 1]) is None
+    factorization = Factorization([{0: 1}, {}], 2)
+    assert solve(factorization, [3, 0]) == [Fraction(3), Fraction(0)]
+    assert solve(factorization, [3, 1]) is None
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve(factorization, [3])
     wide = RationalMatrix([[1, 1, 0]])
-    x = wide.mat_vec(solve(sparse(wide), wide.cols, [Fraction(5, 2)]))
+    x = wide.mat_vec(solved(sparse(wide), wide.cols, [Fraction(5, 2)]))
     assert x == [Fraction(5, 2)]
 
 
 def test_column_space_membership():
-    ech = column_space_echelon([{0: 1, 1: 2}, {}, {0: 1, 1: 2}], 2)
-    assert len(ech) == 1
-    # a vector lies in the span exactly when adding it keeps the rank
-    assert sparse_rank(ech + [{0: Fraction(2), 2: Fraction(2)}]) == 1
-    assert sparse_rank(ech + [{1: Fraction(1)}]) == 2
+    # columns (1, 0, 1) and (2, 0, 2): row 2 repeats row 0, row 1 is zero
+    factorization = Factorization([{0: 1, 1: 2}, {}, {0: 1, 1: 2}], 2)
+    assert column_space_echelon(factorization) == [0]
+    # a vector lies in the column space exactly when M x = y is solvable
+    assert solve(factorization, [Fraction(2), 0, Fraction(2)]) is not None
+    assert solve(factorization, [0, Fraction(1), 0]) is None
 
 
 def with_columns(vectors, nrows):
@@ -201,19 +223,19 @@ def test_column_space_echelon_leads_are_distinct():
         vecs.append({rng.randint(0, 5): Fraction(rng.randint(-3, 3))
                      for _ in range(3)})
     vecs = [{k: v for k, v in d.items() if v != 0} for d in vecs]
-    ech = column_space_echelon(with_columns(vecs, 6), len(vecs))
-    leads = [min(r) for r in ech]
+    leads = column_leads(with_columns(vecs, 6), len(vecs))
     assert leads == sorted(set(leads))
-    assert len(ech) == sparse_rank(vecs)
-    assert all(is_primitive_int_row(r) for r in ech)
+    assert len(leads) == sparse_rank(vecs)
+    # the pivots of the columns themselves, echelonised by Gauss-Jordan
+    assert leads == gauss_jordan(dense(vecs, 6), 6)[1]
 
 
 @pytest.mark.parametrize("call", [
     lambda: RationalMatrix([[1, 2]]).mat_vec([0.5, 1]),
     # used to return 3602879701896397/36028797018963968
-    lambda: solve([{0: 1}], 1, [0.1]),
+    lambda: solved([{0: 1}], 1, [0.1]),
     lambda: sparse_rank([{0: 1, 1: 0.5}]),
-    lambda: column_space_echelon([{0: 0.0}], 1),
+    lambda: column_leads([{0: 0.0}], 1),
 ], ids=["mat_vec", "solve_rhs", "sparse_rank", "column_space_echelon"])
 def test_float_is_refused_at_every_arithmetic_entry_point(call):
     with pytest.raises(TypeError, match="float"):
@@ -227,7 +249,7 @@ def _snapshot(rows):
 def test_the_engine_never_changes_the_rows_it_is_given():
     # Primitive integer rows without zero entries enter the echelon as they
     # are; rows 0/1 and 2/3 meet with a = 1, the case reduced in place, and
-    # kernel_basis back-substitutes the rows stored at leads 1 and 2.
+    # the factorization back-substitutes the rows stored at leads 1 and 2.
     rows = [{0: 1, 2: -1}, {0: 1, 1: 3}, {1: 1, 2: 1}, {2: 1, 3: 1}, {1: 2, 3: 0, 4: 6},
             {3: Fraction(1, 2), 4: 1}, {}, {0: 1, 2: -1}]
     system = build_system(3, 3, (Fraction(0), Fraction(-1, 2), Fraction(-1)))
@@ -235,10 +257,10 @@ def test_the_engine_never_changes_the_rows_it_is_given():
         rhs = [1] + [0] * (len(matrix) - 1)
         transposed = with_columns(matrix, cols)
         calls = (lambda: sparse_rank(matrix),
-                 lambda: kernel_basis(matrix, cols),
-                 lambda: solve(matrix, cols, rhs),
-                 lambda: column_space_echelon(matrix, cols),
-                 lambda: column_space_echelon(transposed, len(matrix)))
+                 lambda: kernel(matrix, cols),
+                 lambda: solved(matrix, cols, rhs),
+                 lambda: column_leads(matrix, cols),
+                 lambda: column_leads(transposed, len(matrix)))
         before = copy.deepcopy((matrix, transposed))
         for call in calls:
             call()
@@ -293,9 +315,20 @@ def test_engine_agrees_with_textbook_gauss_jordan(data):
     cuts = data.draw(st.lists(st.integers(0, len(vectors)), max_size=6))
     assert [sparse_rank(vectors[:cut]) for cut in cuts] == [
         len(gauss_jordan(dense(vectors[:cut], ncols), ncols)[1]) for cut in cuts]
-    echelon = column_space_echelon(with_columns(vectors, ncols), len(vectors))
-    assert [min(row) for row in echelon] == pivots
-    assert all(is_primitive_int_row(row) for row in echelon)
+    assert column_leads(with_columns(vectors, ncols), len(vectors)) == pivots
+
+    # One factorization of the vectors serves the column complement, the
+    # kernel and every solve below.
+    factorization = Factorization(vectors, ncols)
+    assert all(is_primitive_int_row(row) for row in factorization.reduced.values())
+    leads = column_space_echelon(factorization)
+    assert leads == gauss_jordan(dense(with_columns(vectors, ncols), len(vectors)),
+                                 len(vectors))[1]
+    # the complement: the vectors that add no rank to the ones before them
+    prefix_ranks = [len(gauss_jordan(dense(vectors[:cut], ncols), ncols)[1])
+                    for cut in range(len(vectors) + 1)]
+    assert [i for i in range(len(vectors)) if i not in leads] == \
+        [i for i in range(len(vectors)) if prefix_ranks[i + 1] == prefix_ranks[i]]
 
     expected_kernel = []
     for free in range(ncols):
@@ -306,20 +339,27 @@ def test_engine_agrees_with_textbook_gauss_jordan(data):
         for row, lead in zip(reduced, pivots):
             vec[lead] = -row[free]
         expected_kernel.append(vec)
-    assert kernel_basis(vectors, ncols) == expected_kernel
+    kern = kernel_basis(factorization)
+    assert kern == expected_kernel
+    assert all(int_when_integral(vec) for vec in kern)
 
-    rhs = data.draw(st.lists(mixed_entries, min_size=m.rows, max_size=m.rows))
-    augmented = [row + [Fraction(v)] for row, v in zip(m.entries, rhs)]
-    reduced, pivots = gauss_jordan(augmented, ncols + 1)
-    x = solve(vectors, ncols, rhs)
-    if ncols in pivots:
-        assert x is None
-    else:
-        expected = [Fraction(0)] * ncols
-        for row, lead in zip(reduced, pivots):
-            expected[lead] = row[ncols]
-        assert x == expected
-        assert all(type(v) is Fraction for v in x)
+    # some right-hand sides in the column space, so feasible solves are common
+    rhss = data.draw(st.lists(st.one_of(
+        st.lists(mixed_entries, min_size=m.rows, max_size=m.rows),
+        st.lists(mixed_entries, min_size=ncols, max_size=ncols).map(m.mat_vec)),
+        min_size=1, max_size=4))
+    for rhs in rhss:
+        augmented = [row + [Fraction(v)] for row, v in zip(m.entries, rhs)]
+        reduced, pivots = gauss_jordan(augmented, ncols + 1)
+        x = solve(factorization, rhs)
+        if ncols in pivots:
+            assert x is None
+        else:
+            expected = [Fraction(0)] * ncols
+            for row, lead in zip(reduced, pivots):
+                expected[lead] = row[ncols]
+            assert x == expected
+            assert int_when_integral(x)
 
 
 def test_float_entries_are_refused():

@@ -68,7 +68,7 @@ def test_residual_of_kernel_family_vanishes():
     # constant top-order family solving the coefficient system
     w = Weights((Fraction(0), Fraction(0)), Fraction(1))
     system = build_system(2, 1, w.lambdas)
-    for vec in linalg.kernel_basis(system.equations, len(system.col_index)):
+    for vec in linalg.kernel_basis(system.factorization):
         fam = {alpha: Polynomial.constant(c)
                for alpha, c in zip(system.col_index, vec) if c != 0}
         assert cocycle_residual(ReducedTwoCochain(w, fam, {}, {})) == {}
@@ -243,7 +243,7 @@ def test_system_frames_carry_no_lambda():
 def test_kernel_dimension_identity():
     system = build_system(2, 2, (Fraction(-1, 2), Fraction(0)))
     rho = full_rank(system)
-    kern = linalg.kernel_basis(system.equations, len(system.col_index))
+    kern = linalg.kernel_basis(system.factorization)
     assert len(kern) == system.matrix.cols - rho
     ell = multiset_coeff(2, 1) - rho
     assert len(kern) == multiset_coeff(1, 2) + ell
@@ -486,6 +486,71 @@ def test_cocycle_basis_pure_top_for_nonresonant_k2():
 def test_cocycle_basis_requires_natural_shift():
     with pytest.raises(ValueError):
         cocycle_basis(Weights((Fraction(0),), Fraction(1, 2)))
+
+
+def test_public_constructors_check_multi_indices_and_strip_zeros():
+    w = Weights((Fraction(0), Fraction(0)), Fraction(1))
+    one = Polynomial.one()
+    for bad in ((1,), (1, 0, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="bad multi-index"):
+            ReducedTwoCochain(w, {}, {bad: one}, {})
+        with pytest.raises(ValueError, match="bad multi-index"):
+            ReducedOneCochain(w, {}, {}, {bad: one})
+    f = ReducedTwoCochain(w, {(1, 0): Polynomial.zero(), (0, 1): one}, {(1, 1): one}, {})
+    assert f.A == {(0, 1): one} and f.B == {(1, 1): one}
+    # the internal constructors skip the check but still strip zeros:
+    # (|a| - delta) U_a vanishes at |a| = delta = 1
+    b = ReducedOneCochain(w, {(1, 0): one, (2, 0): one}, {}, {})
+    assert coboundary_reduced(b).A == {(2, 0): one}
+    assert (f - f).is_zero() and (f - f).A == {}
+
+
+def test_a_basis_and_its_solves_share_one_factorization(monkeypatch):
+    made, solves = [], []
+
+    class Counted(linalg.Factorization):
+        __slots__ = ()
+
+        def __init__(self, rows, cols):
+            made.append(cols)
+            super().__init__(rows, cols)
+
+    def counted_solve(factorization, rhs):
+        solves.append(factorization)
+        return solve(factorization, rhs)
+
+    solve = linalg.solve
+    monkeypatch.setattr(linalg, "Factorization", Counted)
+    monkeypatch.setattr(linalg, "solve", counted_solve)
+    reduced._system.cache_clear()
+    weights = [weights_for_tvector(3, 4, t) for t in itertools.product(range(4), repeat=3)]
+    weights = [w for w in weights if classify(w).kind is CaseKind.SINGULAR]
+    assert len(weights) == 64
+    ells = []
+    for w in weights:
+        before = len(made), len(solves)
+        witnesses = [solve_coboundary(f) for f in cocycle_basis(w)]
+        ells.append(rank_data(w)[2])
+        # one echelon per weights; one solve per bottom-family element, all infeasible
+        assert len(made) - before[0] == 1
+        assert len(solves) - before[1] == witnesses.count(None) == ells[-1]
+        assert all(f is build_system(3, 4, w.lambdas).factorization for f in solves[before[1]:])
+    assert sum(ells) > 0
+
+
+def test_the_row_log_grows_linearly_along_the_two_slot_chain():
+    # n = 2: row (a1, a2) meets columns (a1 + 1, a2) and (a1, a2 + 1), a
+    # bidiagonal chain of 999 rows on 1,000 columns.  Column combinations
+    # would fill in along it; the row log holds one step per row at most.
+    for lambdas in ((0, 0), (Fraction(-3, 2), Fraction(-500)), (Fraction(1, 3), Fraction(2, 5))):
+        system = build_system(2, 999, lambdas)
+        factorization = system.factorization
+        rows = len(system.row_index)
+        steps = sum(len(record[2]) for record in factorization.inserts) + \
+            sum(len(record[1]) for record in factorization.substitutions)
+        assert rows == 999 and len(factorization.inserts) == rows
+        assert steps <= rows
+        assert sum(len(row) for row in factorization.reduced.values()) <= 2 * rows
 
 
 def test_exactness_split_of_basis_elements():
