@@ -72,9 +72,11 @@ MAX_ORACLE_BLOCK = 25_000
 #: ``basis`` runs).
 MAX_BASIS_CELLS = 1_000_000
 #: Rows sum_{k=1}^{k_max} k^n + (k_max + 1) of a ``table`` or ``verify``
-#: sweep: 19,701 rows took 1.7 s (n = 1, k_max = 197, oracle off) and 15,343
-#: rows 26 s (n = 4, k_max = 9); 501,501 rows took 48 s and 571 MiB
-#: (n = 1, k_max = 1000).
+#: sweep.  ``table`` in a fresh process, medians of 3 on 2 vCPUs: 19,701
+#: rows took 1.1 s (n = 1, k_max = 197, oracle off), and 15,343 rows took
+#: 4.4 s with the oracle on and 1.2 s with it off (n = 4, k_max = 9), in
+#: 36 MiB.  Past the ceiling, 501,501 rows took 48 s and 571 MiB (n = 1,
+#: k_max = 1000).
 MAX_SWEEP_ROWS = 20_000
 
 ALL_METHODS = ("system", "closed", "summary", "oracle")

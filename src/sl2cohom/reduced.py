@@ -29,8 +29,29 @@ and a 2-cochain is closed iff for every a
 All four formulas are normalised against the generic coboundary of the
 cochain complex: converting to a :class:`~sl2cohom.cecomplex.Cochain` and
 applying :func:`~sl2cohom.cecomplex.coboundary` agrees exactly, which the
-test suite asserts symbolically.  Every lowering runs through one integer
-kernel, :func:`_lower`.
+test suite asserts symbolically.
+
+Two identities of Lambda carry :func:`solve_coboundary`.
+
+* Lambda commutes with the antiderivative (the primitive with zero
+  constant term, written Int).  The factors (a_i + 1)(a_i + 2 lambda_i)
+  do not depend on x and Int is linear, so
+  Lambda(Int F)_a = 1/2 sum_i (a_i + 1)(a_i + 2 lambda_i) Int F_(a + e_i)
+  = Int(Lambda(F)_a).
+* Lambda respects a scaling by level.  Lambda(F)_a reads F only at level
+  |a| + 1.  So if U_b = F_b / s_|b| for every b whose level lies in a set
+  L, and U is zero elsewhere, then Lambda(U)_a = Lambda(F)_a / s_(|a| + 1)
+  when |a| + 1 lies in L, and 0 otherwise.  For the off-level gauge
+  U_b = A_b / (|b| - delta), |b| != k, this reads
+  Lambda(U)_a = Lambda(A)_a / (|a| + 1 - delta) for |a| != k - 1, and
+  Lambda(U)_a = 0 at |a| = k - 1.
+
+By them a solve lowers f.A once, in its cocycle check, and no gauge step
+lowers anything.  The check of the witness recomputes its coboundary
+independently, from the witness's own U, V and W, and lowers U and V once
+each.  So a solve lowers at most three nonempty families, and on an
+element of :func:`cocycle_basis` at most two: f.A and the witness's V.
+Every lowering runs through one integer kernel, :func:`_lower`.
 
 For delta = k a natural number, the closed-coefficient constraint at top
 order is the linear system
@@ -101,7 +122,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import lcm
 from operator import or_
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from . import linalg
 from .cecomplex import ORBIT_CACHE_SIZE, Cochain, CohomResult
@@ -134,27 +155,28 @@ def _normalized(weights: Weights, family: Mapping[MultiIndex, Polynomial]) -> Fa
     return out
 
 
-def _nonzero(family: FamilyMap) -> FamilyMap:
-    """family without its zero polynomials, which (|a| - delta) U_a at
-    |a| = delta, a derivative or a cancelling sum can leave."""
-    if all(family.values()):
-        return family
-    return {alpha: poly for alpha, poly in family.items() if poly}
+def _add_into(out: FamilyMap, alpha: MultiIndex, poly: Polynomial) -> None:
+    """out[alpha] += poly for a nonzero poly; an entry whose sum vanishes goes."""
+    prev = out.get(alpha)
+    if prev is None:
+        out[alpha] = poly
+    elif merged := prev + poly:
+        out[alpha] = merged
+    else:
+        del out[alpha]
 
 
 def _family_add(a: FamilyMap, b: FamilyMap) -> FamilyMap:
     out = dict(a)
     for alpha, poly in b.items():
-        merged = out.get(alpha, Polynomial.zero()) + poly
-        if merged.is_zero():
-            out.pop(alpha, None)
-        else:
-            out[alpha] = merged
+        _add_into(out, alpha, poly)
     return out
 
 
-def _coefficient(family: FamilyMap, alpha: MultiIndex) -> Polynomial:
-    return family.get(alpha, Polynomial.zero())
+def _shift(weights: Weights) -> Scalar:
+    """delta, as an ``int`` when it is integral."""
+    delta = weights.delta()
+    return delta.numerator if delta.denominator == 1 else delta
 
 
 def _lower(weights: Weights, family: FamilyMap) -> FamilyMap:
@@ -183,6 +205,8 @@ def _lower(weights: Weights, family: FamilyMap) -> FamilyMap:
             c * coeff_den if type(c) is int else c.numerator * (coeff_den // c.denominator)
             for c in poly.coeffs]
         for i, b_i in enumerate(beta):
+            if not b_i:
+                continue
             # (a_i + 1)(a_i + 2 lambda_i) times lam_den, at a = beta - e_i
             factor = b_i * ((b_i - 1) * lam_den + twice[i])
             if not factor:
@@ -304,27 +328,40 @@ class ReducedTwoCochain:
 def _one_cochain(weights: Weights, U: FamilyMap, V: FamilyMap,
                  W: FamilyMap) -> ReducedOneCochain:
     """A 1-cochain from families whose keys are already valid multi-indices
-    for weights: keys of checked cochains or of :func:`_lower`.  It skips
-    the public constructor's check and strips only the zero polynomials."""
+    for weights (keys of checked cochains or of :func:`_lower`) and which
+    hold no zero polynomial.  It skips the public constructor's checks."""
     b = object.__new__(ReducedOneCochain)
     object.__setattr__(b, "weights", weights)
-    object.__setattr__(b, "U", _nonzero(U))
-    object.__setattr__(b, "V", _nonzero(V))
-    object.__setattr__(b, "W", _nonzero(W))
+    object.__setattr__(b, "U", U)
+    object.__setattr__(b, "V", V)
+    object.__setattr__(b, "W", W)
     return b
 
 
 def _two_cochain(weights: Weights, A: FamilyMap, B: FamilyMap,
                  C: FamilyMap) -> ReducedTwoCochain:
-    """A 2-cochain from families whose keys are already valid multi-indices
-    for weights, as :func:`_one_cochain` builds 1-cochains; the system's
-    index tuples also qualify."""
+    """A 2-cochain from families that meet the terms of :func:`_one_cochain`;
+    the system's index tuples also qualify as keys."""
     f = object.__new__(ReducedTwoCochain)
     object.__setattr__(f, "weights", weights)
-    object.__setattr__(f, "A", _nonzero(A))
-    object.__setattr__(f, "B", _nonzero(B))
-    object.__setattr__(f, "C", _nonzero(C))
+    object.__setattr__(f, "A", A)
+    object.__setattr__(f, "B", B)
+    object.__setattr__(f, "C", C)
     return f
+
+
+def _residual(f: ReducedTwoCochain, lowered: FamilyMap, delta: Scalar) -> FamilyMap:
+    """The family of :func:`cocycle_residual`, given lowered = Lambda(f.A)."""
+    out: FamilyMap = {}
+    for alpha, c_poly in f.C.items():
+        if d_poly := c_poly.derivative():
+            out[alpha] = d_poly
+    for alpha, b_poly in f.B.items():
+        if s := index_weight(alpha) + 1 - delta:
+            _add_into(out, alpha, b_poly.scale(s))
+    for alpha, a_poly in lowered.items():
+        _add_into(out, alpha, -a_poly)
+    return out
 
 
 def cocycle_residual(f: ReducedTwoCochain) -> FamilyMap:
@@ -336,20 +373,7 @@ def cocycle_residual(f: ReducedTwoCochain) -> FamilyMap:
     residual family (asserted in the tests).
     """
     w = f.weights
-    delta = w.delta()
-    lowered = _lower(w, f.A)
-    out: FamilyMap = {}
-    for alpha in set(f.B) | set(f.C) | set(lowered):
-        res = _coefficient(f.C, alpha).derivative()
-        b_poly = f.B.get(alpha)
-        if b_poly is not None:
-            res = res + b_poly.scale(index_weight(alpha) + 1 - delta)
-        a_poly = lowered.get(alpha)
-        if a_poly is not None:
-            res = res - a_poly
-        if not res.is_zero():
-            out[alpha] = res
-    return out
+    return _residual(f, _lower(w, f.A), _shift(w))
 
 
 def coboundary_reduced(b: ReducedOneCochain) -> ReducedTwoCochain:
@@ -357,15 +381,26 @@ def coboundary_reduced(b: ReducedOneCochain) -> ReducedTwoCochain:
 
     Agrees exactly with the generic complex differential applied to
     ``b.to_cochain()``; the module docstring lists the three coefficient
-    families.
+    families.  Each family is built in one pass: the shift is an ``int``
+    when it is integral, and a scaling by zero adds no entry.
     """
     w = b.weights
-    delta = w.delta()
-    a_fam = _family_add({a: (index_weight(a) - delta) * u for a, u in b.U.items()},
-                        {a: v.derivative() for a, v in b.V.items()})
-    b_fam = _family_add(_lower(w, b.U), {a: p.derivative() for a, p in b.W.items()})
-    c_fam = _family_add(_lower(w, b.V), {a: (delta - index_weight(a) - 1) * p
-                                         for a, p in b.W.items()})
+    delta = _shift(w)
+    a_fam: FamilyMap = {}
+    for alpha, u_poly in b.U.items():
+        if s := index_weight(alpha) - delta:
+            a_fam[alpha] = u_poly.scale(s)
+    for alpha, v_poly in b.V.items():
+        if d_poly := v_poly.derivative():
+            _add_into(a_fam, alpha, d_poly)
+    b_fam = _lower(w, b.U)
+    for alpha, w_poly in b.W.items():
+        if d_poly := w_poly.derivative():
+            _add_into(b_fam, alpha, d_poly)
+    c_fam = _lower(w, b.V)
+    for alpha, w_poly in b.W.items():
+        if s := delta - index_weight(alpha) - 1:
+            _add_into(c_fam, alpha, w_poly.scale(s))
     return _two_cochain(w, a_fam, b_fam, c_fam)
 
 
@@ -415,13 +450,22 @@ class LinearSystem:
 SYSTEM_FRAME_CACHE_SIZE = 32
 
 
+class _Frame(NamedTuple):
+    """The lambda-free part of the (n, k) constraint system."""
+
+    rows: tuple[MultiIndex, ...]
+    cols: tuple[MultiIndex, ...]
+    #: per row alpha, the (column of alpha + e_i, slot i k + a_i) pairs
+    #: whose factor :func:`build_system` fills in
+    patterns: tuple[tuple[tuple[int, int], ...], ...]
+    #: above[i][v], the bitset of the rows r (bit r) with a_i > v
+    above: tuple[tuple[int, ...], ...]
+    #: the position of each row's multi-index in ``rows``
+    row_pos: dict[MultiIndex, int]
+
+
 @lru_cache(maxsize=SYSTEM_FRAME_CACHE_SIZE)
-def _system_frame(n: int, k: int) -> tuple[tuple[MultiIndex, ...], tuple[MultiIndex, ...],
-                                           tuple[tuple[tuple[int, int], ...], ...],
-                                           tuple[tuple[int, ...], ...]]:
-    """row_index, col_index, per row alpha the (column of alpha + e_i,
-    slot i k + a_i) pairs whose factor `build_system` fills in, and
-    above[i][v], the bitset of the rows r (bit r) with a_i > v."""
+def _system_frame(n: int, k: int) -> _Frame:
     rows = tuple(enumerate_multiindices(n, k - 1))
     cols = tuple(enumerate_multiindices(n, k))
     col_pos = {c: j for j, c in enumerate(cols)}
@@ -435,7 +479,8 @@ def _system_frame(n: int, k: int) -> tuple[tuple[MultiIndex, ...], tuple[MultiIn
     for above_i in above:
         for v in range(k - 2, -1, -1):
             above_i[v] |= above_i[v + 1]
-    return rows, cols, patterns, tuple(map(tuple, above))
+    return _Frame(rows, cols, patterns, tuple(map(tuple, above)),
+                  {alpha: r for r, alpha in enumerate(rows)})
 
 
 def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
@@ -446,10 +491,12 @@ def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
     pattern are an (n, k) frame cached by ``_system_frame``, so a sweep
     evaluating many lambda at one (n, k) computes just the n k factors per
     configuration.  The frame also holds the row masks that
-    :func:`rank_data` selects the box with.  The cache keeps at most
-    ``SYSTEM_FRAME_CACHE_SIZE`` frames; the 6 of n = 4, k <= 5 hold
-    24 KiB, and one at the command line's 5,000-equation ceiling 2.1 to
-    2.8 MiB for n = 3 to 5 and 7.4 MiB for n = 2, k = 5,000.
+    :func:`rank_data` selects the box with, and the row positions that
+    :func:`solve_coboundary` places a right-hand side by.  The cache
+    keeps at most ``SYSTEM_FRAME_CACHE_SIZE`` frames; the 6 of n = 4,
+    k <= 5 hold 27 KiB, and one at the command line's 5,000-equation
+    ceiling 2.3 to 3.0 MiB for n = 3 to 5 and 7.8 MiB for n = 2,
+    k = 5,000 (``tracemalloc``).
 
     The systems themselves are kept for the last
     ``SYSTEM_FRAME_CACHE_SIZE`` (n, k, lambda), with their factorization
@@ -466,12 +513,12 @@ def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
 @lru_cache(maxsize=SYSTEM_FRAME_CACHE_SIZE)
 def _system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
     """The system of :func:`build_system` for checked lambdas."""
-    rows, cols, patterns, _ = _system_frame(n, k)
+    frame = _system_frame(n, k)
     twice_lambdas = [scalar(2 * lam) for lam in lambdas]
     factors = [(a + 1) * (a + twice) for twice in twice_lambdas for a in range(k)]
     equations = tuple({j: f for j, slot in pattern if (f := factors[slot])}
-                      for pattern in patterns)
-    return LinearSystem(rows, cols, equations)
+                      for pattern in frame.patterns)
+    return LinearSystem(frame.rows, frame.cols, equations)
 
 
 @lru_cache(maxsize=ORBIT_CACHE_SIZE)
@@ -484,8 +531,9 @@ def _box_deficiency(k: int, t: tuple[int, ...]) -> int:
     """
     n = len(t)
     n_rows = multiset_coeff(n, k - 1)
-    _, _, patterns, above = _system_frame(n, k)
-    off_box = reduce(or_, (above_i[t_i] for above_i, t_i in zip(above, t)))
+    frame = _system_frame(n, k)
+    patterns = frame.patterns
+    off_box = reduce(or_, (above_i[t_i] for above_i, t_i in zip(frame.above, t)))
     factors = [(a + 1) * (a - t_i) for t_i in t for a in range(k)]
     box = [{j: f for j, slot in patterns[r] if (f := factors[slot])}
            for r, bit in enumerate(reversed(f"{off_box:0{n_rows}b}")) if bit == "0"]
@@ -584,86 +632,89 @@ def cocycle_basis(w: Weights) -> list[ReducedTwoCochain]:
 def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
     """Exact solution b of (coboundary of b) = f, or None when none exists.
 
-    The decision is exact, with no degree or support truncation:
+    The decision is exact, with no degree or support truncation, and uses
+    the two identities of the module docstring:
 
-    1. a non-cocycle is never a coboundary;
-    2. away from the critical levels |a| = k (top family) and |a| = k - 1
-       (middle/bottom families) the gauge freedoms U and W annihilate f, the
-       denominators being the nonzero factors |a| - delta and
-       delta - |a| - 1 (every level is non-critical when delta is not a
-       natural number, which settles that case);
-    3. at the critical levels the middle family is a derivative of a
-       bottom-slot gauge W, so it always dies, while the top family A and
-       bottom family C die together iff the constant vector
-       C - Lambda(antiderivative of A) lies in the image of Lambda on
-       constants at level k.  The certificate is an exact linear solve,
-       replayed on the system's one factorization, needed only when that
-       vector is nonzero.
+    1. f.A is lowered once, and a non-cocycle is never a coboundary.
+    2. Away from the critical levels |a| = k (top family) and |a| = k - 1
+       (middle and bottom families) the gauges U_a = A_a / (|a| - delta)
+       and W_a = C_a / (delta - |a| - 1) remove f, the denominators being
+       nonzero there.  Their coboundary has A-part A and C-part C off those
+       levels, and B-part W' + Lambda(U).  By the scaling of Lambda(U) by
+       level, that is (Lambda(A)_a - C_a') / (|a| + 1 - delta) = B_a off
+       level k - 1, by the cocycle condition, and 0 at level k - 1.  So
+       what is left is the critical part of f, with no lowering.  Every
+       level is off-critical when delta is not a natural number, which
+       settles that case.
+    3. At level k - 1 the middle family is the derivative of the W gauge
+       Int B, whose coboundary has no A-part and no C-part there
+       (delta - |a| - 1 = 0), so it always dies.
+    4. The top family A (level k) and the bottom family C (level k - 1)
+       are coupled through V = Int A + c, with c constant at level k.  Its
+       coboundary has A-part A and C-part Lambda(Int A) + Lambda(c)
+       = Int Lambda(A) + Lambda(c), as Lambda commutes with Int.  The
+       cocycle condition at level k - 1 reads C' = Lambda(A), so
+       C - Int Lambda(A) is the constant C(0), and A and C die together iff
+       Lambda(c) = C(0) on constants.  The certificate is an exact linear
+       solve, replayed on the system's one factorization, needed only when
+       C(0) is nonzero.
 
-    Every returned witness is verified by recomputing its coboundary.
+    Every returned witness is verified by recomputing its coboundary from
+    its own U, V and W through :func:`coboundary_reduced`, which lowers U
+    and V once each and reuses no value the solve derived.
     """
     w = f.weights
-    delta = w.delta()
-    if cocycle_residual(f):
+    delta = _shift(w)
+    if _residual(f, _lower(w, f.A), delta):
         return None
 
+    # Step 2: the off-level gauges; f minus their coboundary is (top, middle, bottom).
     k = w.natural_delta()
+    middle_level = None if k is None else k - 1
+    top: FamilyMap = {}
     u_fam: FamilyMap = {}
-    w_fam: FamilyMap = {}
     for alpha, a_poly in f.A.items():
         level = index_weight(alpha)
-        if k is None or level != k:
+        if level == k:
+            top[alpha] = a_poly
+        else:
             u_fam[alpha] = a_poly.scale(divide(1, level - delta))
+    bottom: FamilyMap = {}
+    w_fam: FamilyMap = {}
     for alpha, c_poly in f.C.items():
         level = index_weight(alpha)
-        if k is None or level != k - 1:
+        if level == middle_level:
+            bottom[alpha] = c_poly
+        else:
             w_fam[alpha] = c_poly.scale(divide(1, delta - level - 1))
-    b1 = _one_cochain(w, u_fam, {}, w_fam)
-    # A zero gauge has a zero coboundary: skip computing and subtracting it.
-    f1 = f if b1.is_zero() else f - coboundary_reduced(b1)
-
     if k is None:
-        residue = f1
-        if not residue.is_zero():
-            raise AssertionError("gauge reduction failed on a non-natural shift")
-        _verify_witness(b1, f)
-        return b1
+        witness = _one_cochain(w, u_fam, {}, w_fam)
+        _verify_witness(witness, f)
+        return witness
 
-    # Middle family: at level k - 1 it is exactly a derivative of a W-slot.
-    if any(index_weight(a) != k - 1 for a in f1.B):
-        raise AssertionError("closed cochain kept a middle family off-level")
-    b2 = _one_cochain(w, {}, {}, {a: p.antiderivative() for a, p in f1.B.items()})
-    f2 = f1 if b2.is_zero() else f1 - coboundary_reduced(b2)
+    # Step 3: the middle family is the derivative of a W gauge.
+    middle = {alpha: p for alpha, p in f.B.items() if index_weight(alpha) == middle_level}
+    f1 = _two_cochain(w, top, middle, bottom)
+    b2 = _one_cochain(w, {}, {}, {alpha: p.antiderivative() for alpha, p in middle.items()})
+    f2 = f1 - coboundary_reduced(b2) if middle else f1
 
-    # Remaining data: top family at level k, bottom family at level k - 1,
-    # coupled through the V gauge slot.
-    v0 = {a: p.antiderivative() for a, p in f2.A.items()}
-    reach = {a: p for a, p in _lower(w, v0).items() if index_weight(a) == k - 1}
-    obstruction: FamilyMap = {}
-    for alpha in set(f2.C) | set(reach):
-        d_poly = _coefficient(f2.C, alpha) - _coefficient(reach, alpha)
-        if not d_poly.is_zero():
-            obstruction[alpha] = d_poly
-    for poly in obstruction.values():
-        if not poly.derivative().is_zero():
-            raise AssertionError("coboundary obstruction is not constant")
-
-    # A zero obstruction is met by v0 itself: the solve would return 0.
-    v_fam = dict(v0)
+    # Step 4: V = Int A + c, with Lambda(c) = C(0); a zero C(0) is met by c = 0.
+    v_fam = {alpha: p.antiderivative() for alpha, p in f2.A.items()}
+    obstruction = {alpha: c for alpha, p in f2.C.items() if (c := p.coefficient(0))}
     if obstruction:
+        row_pos = _system_frame(w.n, k).row_pos
         system = build_system(w.n, k, w.lambdas)
-        row_pos = {alpha: i for i, alpha in enumerate(system.row_index)}
         rhs = [0] * len(system.row_index)
-        for alpha, poly in obstruction.items():
-            rhs[row_pos[alpha]] = 2 * poly.coefficient(0)
+        for alpha, c in obstruction.items():
+            rhs[row_pos[alpha]] = 2 * c
         solution = linalg.solve(system.factorization, rhs)
         if solution is None:
             return None
         for alpha, c in zip(system.col_index, solution):
             if c:
-                v_fam[alpha] = _coefficient(v_fam, alpha) + Polynomial._raw([c])
-    # The gauge parts fill U (b1), W (b1, b2) and V (here): assemble once, not summed.
-    witness = _one_cochain(w, b1.U, v_fam, _family_add(b1.W, b2.W))
+                _add_into(v_fam, alpha, Polynomial._raw([c]))
+    # The W gauges of steps 2 and 3 sit on disjoint levels.
+    witness = _one_cochain(w, u_fam, v_fam, {**w_fam, **b2.W})
     _verify_witness(witness, f)
     return witness
 

@@ -238,6 +238,8 @@ def test_system_frames_carry_no_lambda():
             [{j: type(v) for j, v in eq.items()} for eq in expected]
     assert sum(1 for eq in build_system(n, k, lambda_sets[1]).equations for _ in eq) < \
         sum(1 for eq in build_system(n, k, lambda_sets[0]).equations for _ in eq)
+    # the solves place a right-hand side by the frame's row positions
+    assert reduced._system_frame(n, k).row_pos == {alpha: r for r, alpha in enumerate(rows)}
 
 
 def test_kernel_dimension_identity():
@@ -451,6 +453,83 @@ def test_solve_coboundary_decides_exactly():
     assert solve_coboundary(f_bad) is None
 
 
+#: Natural shifts where some 2 lambda_i is not an integer, so every
+#: lowering in a solve clears a denominator of the pair factors.
+FRACTION_PAIR_WEIGHTS = [Weights((Fraction(1, 3), Fraction(2, 3)), Fraction(2)),
+                         Weights((Fraction(-1, 2), Fraction(1, 5)), Fraction(27, 10))]
+
+
+@pytest.mark.parametrize("w", FRACTION_PAIR_WEIGHTS)
+def test_solve_coboundary_with_fraction_pair_factors_at_a_natural_shift(w):
+    rng = random.Random(44)
+    k = w.natural_delta()
+    assert k is not None and any(type(v) is Fraction for v in w.twice_lambdas)
+    off_level = obstructed = 0
+    for _ in range(5):
+        # Fraction coefficients, and parts on levels other than k and k - 1;
+        # a constant V at level k puts a constant C at level k - 1, which
+        # only the solve on the constraint system removes
+        b = rand_one_cochain(rng, w, max_level=k + 2)
+        top = rng.choice(enumerate_multiindices(w.n, k))
+        b = ReducedOneCochain(w, b.U, {**b.V, top: Polynomial([Fraction(rng.randint(1, 3), 2)])},
+                              b.W)
+        f = coboundary_reduced(b)
+        off_level += any(index_weight(a) not in (k, k - 1) for fam in (f.A, f.B, f.C) for a in fam)
+        obstructed += any(index_weight(a) == k - 1 and p.coefficient(0) for a, p in f.C.items())
+        witness = solve_coboundary(f)
+        assert witness is not None
+        assert coboundary(witness.to_cochain()) == f.to_cochain()
+    assert off_level == 5 and obstructed > 0
+    for _ in range(5):
+        f_bad = rand_two_cochain(rng, w, max_level=k + 1)
+        assert cocycle_residual(f_bad) != {}
+        assert solve_coboundary(f_bad) is None
+
+
+def _record_lowerings(monkeypatch):
+    """Wrap ``reduced._lower``; the returned list collects every nonempty family it lowers."""
+    lowered = []
+    lower = reduced._lower
+
+    def recorded(weights, family):
+        if family:
+            lowered.append(family)
+        return lower(weights, family)
+
+    monkeypatch.setattr(reduced, "_lower", recorded)
+    return lowered
+
+
+def test_a_basis_solve_lowers_the_cochain_once_and_the_witness_once(monkeypatch):
+    lowered = _record_lowerings(monkeypatch)
+    seen = {"A": 0, "B": 0, "C": 0}
+    for t in itertools.product(range(4), repeat=3):
+        for f in cocycle_basis(weights_for_tvector(3, 4, t)):
+            seen["A" if f.A else "B" if f.B else "C"] += 1
+            lowered.clear()
+            witness = solve_coboundary(f)
+            # f.A in the cocycle check, then the witness's V in its check
+            expected = [f.A] if witness is None else [f.A, witness.V]
+            assert list(map(id, lowered)) == [id(fam) for fam in expected if fam]
+    assert min(seen.values()) > 0
+
+
+def test_a_solve_with_off_level_gauges_lowers_at_most_three_families(monkeypatch):
+    rng = random.Random(45)
+    lowered = _record_lowerings(monkeypatch)
+    for w in [Weights((Fraction(0), Fraction(0)), Fraction(1)),
+              weights_for_tvector(3, 2, (0, 1, 1))] + FRACTION_PAIR_WEIGHTS:
+        k = w.natural_delta()
+        for _ in range(4):
+            f = coboundary_reduced(rand_one_cochain(rng, w, max_level=k + 2))
+            assert any(index_weight(a) != k for a in f.A)
+            lowered.clear()
+            witness = solve_coboundary(f)
+            assert witness is not None and witness.U
+            # f.A in the cocycle check, then the witness's U and V in its check
+            assert list(map(id, lowered)) == [id(fam) for fam in (f.A, witness.U, witness.V) if fam]
+
+
 # -- cocycle bases -------------------------------------------------------
 
 
@@ -498,8 +577,8 @@ def test_public_constructors_check_multi_indices_and_strip_zeros():
             ReducedOneCochain(w, {}, {}, {bad: one})
     f = ReducedTwoCochain(w, {(1, 0): Polynomial.zero(), (0, 1): one}, {(1, 1): one}, {})
     assert f.A == {(0, 1): one} and f.B == {(1, 1): one}
-    # the internal constructors skip the check but still strip zeros:
-    # (|a| - delta) U_a vanishes at |a| = delta = 1
+    # coboundary_reduced adds no zero entry: (|a| - delta) U_a vanishes
+    # at |a| = delta = 1
     b = ReducedOneCochain(w, {(1, 0): one, (2, 0): one}, {}, {})
     assert coboundary_reduced(b).A == {(2, 0): one}
     assert (f - f).is_zero() and (f - f).A == {}
