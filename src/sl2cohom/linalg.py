@@ -120,15 +120,9 @@ class Factorization:
         echelon: dict[int, dict[int, int]] = {}
         inserts = []
         for vec in rows:
-            v = _intake(vec)
-            num = den = 1
-            if v is not vec and v:
-                j = next(iter(v))
-                scale = divide(v[j], vec[j])  # v = scale vec
-                num, den = scale.numerator, scale.denominator
+            v, num, den = _intake(vec)
             steps: list[Step] = []
-            # _insert's own intake hands the primitive v back as it is
-            lead, g = _insert(v, echelon, steps)
+            lead, g = _insert(v, v is not vec, echelon, steps)
             inserts.append((num, den, tuple(steps), g, lead))
         substitutions = []
         for lead in sorted(echelon, reverse=True):
@@ -224,23 +218,23 @@ def _echelon(vectors: list[dict[int, Scalar]]) -> dict[int, dict[int, int]]:
     """Echelon of primitive integer rows keyed by leading (minimal) index."""
     echelon: dict[int, dict[int, int]] = {}
     for vec in vectors:
-        _insert(vec, echelon)
+        v = _intake(vec)[0]
+        _insert(v, v is not vec, echelon)
     return echelon
 
 
-def _insert(vec: dict[int, Scalar], echelon: dict[int, dict[int, int]],
+def _insert(v: dict[int, int], owned: bool, echelon: dict[int, dict[int, int]],
             steps: Optional[list[Step]] = None) -> tuple[Optional[int], int]:
-    """Reduce vec against echelon and keep the remainder, if any, as a new row.
+    """Reduce the primitive integer vector v (from :func:`_intake`) against
+    echelon and keep the remainder, if any, as a new row.
 
     Returns the new row's lead and the content the remainder was divided
-    by, or (None, 1) when vec reduces to zero.  ``steps``, when given,
-    receives every elimination in order.  vec itself is never changed.
-    `_intake` may hand it back as it is, so it is copied when it becomes a
-    row or is first reduced in place; a vector stored without any
-    elimination is already primitive.
+    by, or (None, 1) when v reduces to zero.  ``steps``, when given,
+    receives every elimination in order.  v is changed only when
+    ``owned``, i.e. when `_intake` made it; otherwise it is the caller's
+    vector and is copied when it becomes a row or is first reduced.  A
+    vector stored without any elimination is already primitive.
     """
-    v = _intake(vec)
-    owned = v is not vec
     reduced = False
     while v:
         lead = min(v)
@@ -258,24 +252,33 @@ def _insert(vec: dict[int, Scalar], echelon: dict[int, dict[int, int]],
     return None, 1
 
 
-def _intake(vec: dict[int, Scalar]) -> dict[int, int]:
-    """vec as a primitive integer vector of its nonzero entries.
+def _intake(vec: dict[int, Scalar]) -> tuple[dict[int, int], int, int]:
+    """vec as a primitive integer vector v of its nonzero entries, and the
+    scale num / den, in lowest terms, with v = (num / den) vec.
 
-    Denominators are cleared once, by their lcm; a float is refused.  A
+    Denominators are cleared once, by their lcm L; a float is refused.  A
     primitive integer vector without zero entries is returned as it is.
+    The scale L / g, g the content left after clearing, is in lowest
+    terms: for each prime p dividing L, some entry's denominator holds
+    the whole power of p in L, so that entry's cleared numerator, its
+    numerator times L over its denominator, is prime to p, and p does
+    not divide g.  A zero vector has scale 1.
     """
     try:
         g = gcd(*vec.values())
     except TypeError:  # a Fraction, or a float that exact refuses
         q = {i: exact(c) for i, c in vec.items()}
         den = lcm(*(c.denominator for c in q.values()))
-        return _primitive({i: c.numerator * (den // c.denominator)
-                           for i, c in q.items() if c})[0]
+        v = {i: c.numerator * (den // c.denominator) for i, c in q.items() if c}
+        if not v:
+            return v, 1, 1
+        v, g = _primitive(v)
+        return v, den, g
     if g > 1:
-        return {i: c // g for i, c in vec.items() if c}
+        return {i: c // g for i, c in vec.items() if c}, 1, g
     if 0 in vec.values():
-        return {i: c for i, c in vec.items() if c}
-    return vec
+        return {i: c for i, c in vec.items() if c}, 1, 1
+    return vec, 1, 1
 
 
 def _primitive(v: dict[int, int]) -> tuple[dict[int, int], int]:

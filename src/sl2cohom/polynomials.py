@@ -186,7 +186,7 @@ class Polynomial:
         return Polynomial._raw([scalar(c * a) for a in self.coeffs])
 
     def derivative(self) -> "Polynomial":
-        return Polynomial._raw([i * c for i, c in enumerate(self.coeffs) if i])
+        return Polynomial._raw([i * c for i, c in enumerate(self.coeffs[1:], 1)])
 
     def nth_derivative(self, order: int) -> "Polynomial":
         if order == 0:
@@ -194,8 +194,18 @@ class Polynomial:
         return Polynomial._raw(list(_nth_derivative_coeffs(self.coeffs, order)))
 
     def antiderivative(self) -> "Polynomial":
-        """The primitive with zero constant term."""
-        return Polynomial._raw([0] + [divide(c, i + 1) for i, c in enumerate(self.coeffs)])
+        """The primitive with zero constant term.
+
+        The constant term c becomes the coefficient of x as it is, an
+        integral ``Fraction`` going back to ``int``; only the higher terms
+        are divided.
+        """
+        cs = self.coeffs
+        if not cs:
+            return self
+        c = cs[0]
+        return Polynomial._raw([0, c if type(c) is int else scalar(c)]
+                               + [divide(c, i) for i, c in enumerate(cs[1:], 2)])
 
     def __call__(self, point: Scalar) -> Scalar:
         point = scalar(point)

@@ -46,12 +46,16 @@ Two identities of Lambda carry :func:`solve_coboundary`.
   Lambda(U)_a = Lambda(A)_a / (|a| + 1 - delta) for |a| != k - 1, and
   Lambda(U)_a = 0 at |a| = k - 1.
 
-By them a solve lowers f.A once, in its cocycle check, and no gauge step
-lowers anything.  The check of the witness recomputes its coboundary
-independently, from the witness's own U, V and W, and lowers U and V once
-each.  So a solve lowers at most three nonempty families, and on an
-element of :func:`cocycle_basis` at most two: f.A and the witness's V.
-Every lowering runs through one integer kernel, :func:`_lower`.
+By them no step that builds a witness lowers anything.  A solve builds
+its witness first and checks it by recomputing its coboundary
+independently, from the witness's own U, V and W, which lowers U and V
+once each.  A coboundary is a cocycle, so a witness that passes settles
+f; only after a failed check is f.A lowered, for the cocycle check that
+tells a non-cocycle from a defect.  So a solve that finds a witness
+lowers at most two nonempty families, and on an element of
+:func:`cocycle_basis` one: the witness's V.  An infeasible solve lowers
+nothing, and a non-cocycle at most three families, f.A last.  Every
+lowering runs through one integer kernel, :func:`_lower`.
 
 For delta = k a natural number, the closed-coefficient constraint at top
 order is the linear system
@@ -138,8 +142,8 @@ from .multiindices import (
     multiset_coeff,
 )
 from .operators import DiffOperator
-from .polynomials import ONE, Polynomial, Scalar, X, divide, exact, scalar
-from .weights import SL2Generator, Weights
+from .polynomials import ONE, Polynomial, Scalar, X, divide, exact
+from .weights import SL2Generator, Weights, doubled
 
 FamilyMap = dict[MultiIndex, Polynomial]
 
@@ -350,20 +354,6 @@ def _two_cochain(weights: Weights, A: FamilyMap, B: FamilyMap,
     return f
 
 
-def _residual(f: ReducedTwoCochain, lowered: FamilyMap, delta: Scalar) -> FamilyMap:
-    """The family of :func:`cocycle_residual`, given lowered = Lambda(f.A)."""
-    out: FamilyMap = {}
-    for alpha, c_poly in f.C.items():
-        if d_poly := c_poly.derivative():
-            out[alpha] = d_poly
-    for alpha, b_poly in f.B.items():
-        if s := index_weight(alpha) + 1 - delta:
-            _add_into(out, alpha, b_poly.scale(s))
-    for alpha, a_poly in lowered.items():
-        _add_into(out, alpha, -a_poly)
-    return out
-
-
 def cocycle_residual(f: ReducedTwoCochain) -> FamilyMap:
     """Per-index obstruction to closedness; f is a cocycle iff all zero.
 
@@ -372,8 +362,17 @@ def cocycle_residual(f: ReducedTwoCochain) -> FamilyMap:
     of the converted cochain, evaluated on (X1, Xx, Xx2), equals twice the
     residual family (asserted in the tests).
     """
-    w = f.weights
-    return _residual(f, _lower(w, f.A), _shift(w))
+    delta = _shift(f.weights)
+    out: FamilyMap = {}
+    for alpha, c_poly in f.C.items():
+        if d_poly := c_poly.derivative():
+            out[alpha] = d_poly
+    for alpha, b_poly in f.B.items():
+        if s := index_weight(alpha) + 1 - delta:
+            _add_into(out, alpha, b_poly.scale(s))
+    for alpha, a_poly in _lower(f.weights, f.A).items():
+        _add_into(out, alpha, -a_poly)
+    return out
 
 
 def coboundary_reduced(b: ReducedOneCochain) -> ReducedTwoCochain:
@@ -514,8 +513,7 @@ def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
 def _system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
     """The system of :func:`build_system` for checked lambdas."""
     frame = _system_frame(n, k)
-    twice_lambdas = [scalar(2 * lam) for lam in lambdas]
-    factors = [(a + 1) * (a + twice) for twice in twice_lambdas for a in range(k)]
+    factors = [(a + 1) * (a + twice_lam) for twice_lam in doubled(lambdas) for a in range(k)]
     equations = tuple({j: f for j, slot in pattern if (f := factors[slot])}
                       for pattern in frame.patterns)
     return LinearSystem(frame.rows, frame.cols, equations)
@@ -633,9 +631,14 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
     """Exact solution b of (coboundary of b) = f, or None when none exists.
 
     The decision is exact, with no degree or support truncation, and uses
-    the two identities of the module docstring:
+    the two identities of the module docstring.  A witness is built first
+    and verified; f is lowered only when the verification fails.
 
-    1. f.A is lowered once, and a non-cocycle is never a coboundary.
+    1. The construction below runs on any f, cocycle or not: the gauge
+       denominators of step 2 are nonzero off the critical levels, and
+       every level-(k - 1) index is a row of the constraint system, so the
+       right-hand side of step 4 is always placed.  Only what it proves
+       needs f to be a cocycle.
     2. Away from the critical levels |a| = k (top family) and |a| = k - 1
        (middle and bottom families) the gauges U_a = A_a / (|a| - delta)
        and W_a = C_a / (delta - |a| - 1) remove f, the denominators being
@@ -644,8 +647,8 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
        level, that is (Lambda(A)_a - C_a') / (|a| + 1 - delta) = B_a off
        level k - 1, by the cocycle condition, and 0 at level k - 1.  So
        what is left is the critical part of f, with no lowering.  Every
-       level is off-critical when delta is not a natural number, which
-       settles that case.
+       level is off-critical when delta is not a natural number (k is
+       None: no index is at level k or k - 1), which settles that case.
     3. At level k - 1 the middle family is the derivative of the W gauge
        Int B, whose coboundary has no A-part and no C-part there
        (delta - |a| - 1 = 0), so it always dies.
@@ -657,16 +660,20 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
        C - Int Lambda(A) is the constant C(0), and A and C die together iff
        Lambda(c) = C(0) on constants.  The certificate is an exact linear
        solve, replayed on the system's one factorization, needed only when
-       C(0) is nonzero.
+       C(0) is nonzero.  When it is infeasible f is no coboundary: a
+       cocycle by step 4's argument, and a non-cocycle in any case.
 
-    Every returned witness is verified by recomputing its coboundary from
-    its own U, V and W through :func:`coboundary_reduced`, which lowers U
-    and V once each and reuses no value the solve derived.
+    The witness is verified by recomputing its coboundary from its own U,
+    V and W through :func:`coboundary_reduced`, which lowers U and V once
+    each and reuses no value the construction derived.  A coboundary is a
+    cocycle, so a verified witness settles f with no cocycle check.  Only
+    when the verification fails is f.A lowered, by
+    :func:`cocycle_residual`: a non-cocycle is never a coboundary and
+    gives None, while a cocycle that steps 2-4 did not solve is a defect
+    of the construction and raises ``AssertionError``.
     """
     w = f.weights
     delta = _shift(w)
-    if _residual(f, _lower(w, f.A), delta):
-        return None
 
     # Step 2: the off-level gauges; f minus their coboundary is (top, middle, bottom).
     k = w.natural_delta()
@@ -687,10 +694,6 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
             bottom[alpha] = c_poly
         else:
             w_fam[alpha] = c_poly.scale(divide(1, delta - level - 1))
-    if k is None:
-        witness = _one_cochain(w, u_fam, {}, w_fam)
-        _verify_witness(witness, f)
-        return witness
 
     # Step 3: the middle family is the derivative of a W gauge.
     middle = {alpha: p for alpha, p in f.B.items() if index_weight(alpha) == middle_level}
@@ -715,11 +718,8 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
                 _add_into(v_fam, alpha, Polynomial._raw([c]))
     # The W gauges of steps 2 and 3 sit on disjoint levels.
     witness = _one_cochain(w, u_fam, v_fam, {**w_fam, **b2.W})
-    _verify_witness(witness, f)
-    return witness
-
-
-def _verify_witness(b: ReducedOneCochain, f: ReducedTwoCochain) -> None:
-    if coboundary_reduced(b) == f:
-        return
+    if coboundary_reduced(witness) == f:
+        return witness
+    if cocycle_residual(f):
+        return None
     raise AssertionError("coboundary witness failed verification")

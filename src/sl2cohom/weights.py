@@ -99,6 +99,17 @@ def lie_derivative_density(g: SL2Generator, f: Polynomial, mu: Fraction) -> Poly
     return h * f.derivative() + mu * (h.derivative() * f)
 
 
+def doubled(values: tuple[Fraction, ...]) -> tuple[Scalar, ...]:
+    """Each 2 v, an ``int`` when it is integral.
+
+    Integer arithmetic on numerators and denominators: a sweep builds
+    thousands of weights and systems, and Fraction operators cost
+    microseconds each.
+    """
+    return tuple(2 * v.numerator if v.denominator == 1 else
+                 v.numerator if v.denominator == 2 else 2 * v for v in values)
+
+
 @dataclass(frozen=True, slots=True)
 class Weights:
     """Argument weights (lambda_1, ..., lambda_n) and target weight mu.
@@ -119,11 +130,7 @@ class Weights:
         object.__setattr__(self, "mu", exact(self.mu))
         if not self.lambdas:
             raise ValueError("at least one argument weight is required")
-        # Integer arithmetic on numerators and denominators: a sweep builds
-        # thousands of weights, and Fraction operators cost microseconds each.
-        object.__setattr__(self, "twice_lambdas", tuple(
-            2 * v.numerator if v.denominator == 1 else
-            v.numerator if v.denominator == 2 else 2 * v for v in self.lambdas))
+        object.__setattr__(self, "twice_lambdas", doubled(self.lambdas))
         mu = self.mu
         den = lcm(mu.denominator, *(v.denominator for v in self.lambdas))
         num = mu.numerator * (den // mu.denominator) - sum(

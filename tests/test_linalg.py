@@ -321,6 +321,16 @@ def test_engine_agrees_with_textbook_gauss_jordan(data):
     # kernel and every solve below.
     factorization = Factorization(vectors, ncols)
     assert all(is_primitive_int_row(row) for row in factorization.reduced.values())
+    # each row's logged intake scale num / den is the one positive rational,
+    # in lowest terms, that makes the row a primitive integer vector
+    for vec, (num, den, *_) in zip(vectors, factorization.inserts):
+        assert num > 0 and den > 0 and gcd(num, den) == 1
+        if vec:
+            scaled = [Fraction(num, den) * c for c in vec.values()]
+            assert all(s.denominator == 1 for s in scaled)
+            assert gcd(*(s.numerator for s in scaled)) == 1
+        else:
+            assert (num, den) == (1, 1)
     leads = column_space_echelon(factorization)
     assert leads == gauss_jordan(dense(with_columns(vectors, ncols), len(vectors)),
                                  len(vectors))[1]

@@ -69,6 +69,10 @@ def test_polynomial_arithmetic_returns_int_when_integral():
     anti = Polynomial([1, 1]).antiderivative()
     assert anti.coeffs == (0, 1, Fraction(1, 2))
     assert [type(c) for c in anti.coeffs] == [int, int, Fraction]
+    # an integral Fraction constant term, which only _raw can store, comes back an int
+    anti = Polynomial._raw([Fraction(3, 1)]).antiderivative()
+    assert anti.coeffs == (0, 3)
+    walk_polynomial(anti, "antiderivative", int_when_integral=True)
     built = Polynomial([Fraction(6, 3), "4/2", True, "1/3"])
     assert built.coeffs == (2, 2, 1, Fraction(1, 3))
     walk_polynomial(built, "constructor", int_when_integral=True)

@@ -500,7 +500,7 @@ def _record_lowerings(monkeypatch):
     return lowered
 
 
-def test_a_basis_solve_lowers_the_cochain_once_and_the_witness_once(monkeypatch):
+def test_a_basis_solve_lowers_only_the_witness_v(monkeypatch):
     lowered = _record_lowerings(monkeypatch)
     seen = {"A": 0, "B": 0, "C": 0}
     for t in itertools.product(range(4), repeat=3):
@@ -508,13 +508,14 @@ def test_a_basis_solve_lowers_the_cochain_once_and_the_witness_once(monkeypatch)
             seen["A" if f.A else "B" if f.B else "C"] += 1
             lowered.clear()
             witness = solve_coboundary(f)
-            # f.A in the cocycle check, then the witness's V in its check
-            expected = [f.A] if witness is None else [f.A, witness.V]
+            # the witness's V in its verification, which settles f; an
+            # infeasible obstruction lowers nothing
+            expected = [] if witness is None else [witness.V]
             assert list(map(id, lowered)) == [id(fam) for fam in expected if fam]
     assert min(seen.values()) > 0
 
 
-def test_a_solve_with_off_level_gauges_lowers_at_most_three_families(monkeypatch):
+def test_a_solve_with_off_level_gauges_lowers_the_witness_u_and_v(monkeypatch):
     rng = random.Random(45)
     lowered = _record_lowerings(monkeypatch)
     for w in [Weights((Fraction(0), Fraction(0)), Fraction(1)),
@@ -526,8 +527,45 @@ def test_a_solve_with_off_level_gauges_lowers_at_most_three_families(monkeypatch
             lowered.clear()
             witness = solve_coboundary(f)
             assert witness is not None and witness.U
-            # f.A in the cocycle check, then the witness's U and V in its check
-            assert list(map(id, lowered)) == [id(fam) for fam in (f.A, witness.U, witness.V) if fam]
+            # the witness's U and V in its verification, and f.A never
+            assert list(map(id, lowered)) == [id(fam) for fam in (witness.U, witness.V) if fam]
+
+
+@pytest.mark.parametrize("w", [Weights((Fraction(0), Fraction(0)), Fraction(1)),
+                               FRACTION_PAIR_WEIGHTS[1],
+                               Weights((Fraction(1, 3), Fraction(0)), Fraction(1, 2))])
+def test_a_non_cocycle_is_refused_after_its_witness_fails(monkeypatch, w):
+    rng = random.Random(46)
+    lowered = _record_lowerings(monkeypatch)
+    after_witness = 0
+    for _ in range(6):
+        f = rand_two_cochain(rng, w, max_level=3)
+        lowered.clear()
+        assert solve_coboundary(f) is None
+        # an infeasible obstruction returns before any lowering; otherwise
+        # the witness's U and V are lowered, then f.A once, last
+        if lowered:
+            assert [fam is f.A for fam in lowered] == [False] * (len(lowered) - 1) + [True]
+            after_witness += len(lowered) > 1
+        assert cocycle_residual(f) != {}
+    assert after_witness > 0
+
+
+def test_a_cocycle_whose_witness_fails_raises(monkeypatch):
+    w = weights_for_tvector(3, 2, (0, 1, 1))
+    cocycles = [coboundary_reduced(rand_one_cochain(random.Random(47), w, max_level=3))]
+    cocycles += [f for f in cocycle_basis(w) if solve_coboundary(f) is not None]
+    real = reduced.coboundary_reduced
+
+    def perturbed(b):
+        # off the middle level, so no step of the construction reads it back
+        return real(b) + ReducedTwoCochain(w, {}, {(0, 0, 0): Polynomial.one()}, {})
+
+    monkeypatch.setattr(reduced, "coboundary_reduced", perturbed)
+    for f in cocycles:
+        assert cocycle_residual(f) == {}
+        with pytest.raises(AssertionError, match="failed verification"):
+            solve_coboundary(f)
 
 
 # -- cocycle bases -------------------------------------------------------
