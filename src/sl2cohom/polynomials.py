@@ -20,7 +20,7 @@ point anywhere in this package, and scalars are divided only through
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import perm
 from typing import Iterable, Union
 
 Scalar = Union[Fraction, int]
@@ -191,7 +191,9 @@ class Polynomial:
     def nth_derivative(self, order: int) -> "Polynomial":
         if order == 0:
             return self
-        return Polynomial._raw(list(_nth_derivative_coeffs(self.coeffs, order)))
+        # x^i goes to i (i - 1) ... (i - order + 1) x^(i - order)
+        return Polynomial._raw([perm(i, order) * c
+                                for i, c in enumerate(self.coeffs[order:], order)])
 
     def antiderivative(self) -> "Polynomial":
         """The primitive with zero constant term.
@@ -241,19 +243,6 @@ class Polynomial:
                 else:
                     parts.append(f"{format_rational(c)}*{xpow}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-@lru_cache(maxsize=4096)
-def _nth_derivative_coeffs(coeffs: tuple[Scalar, ...], order: int) -> tuple[Scalar, ...]:
-    if order >= len(coeffs):
-        return ()
-    out = []
-    for i in range(order, len(coeffs)):
-        factor = 1
-        for j in range(i, i - order, -1):
-            factor *= j
-        out.append(factor * coeffs[i])
-    return tuple(out)
 
 
 ONE = Polynomial.one()

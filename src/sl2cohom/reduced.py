@@ -47,15 +47,17 @@ Two identities of Lambda carry :func:`solve_coboundary`.
   Lambda(U)_a = 0 at |a| = k - 1.
 
 By them no step that builds a witness lowers anything.  A solve builds
-its witness first and checks it by recomputing its coboundary
-independently, from the witness's own U, V and W, which lowers U and V
-once each.  A coboundary is a cocycle, so a witness that passes settles
-f; only after a failed check is f.A lowered, for the cocycle check that
-tells a non-cocycle from a defect.  So a solve that finds a witness
-lowers at most two nonempty families, and on an element of
-:func:`cocycle_basis` one: the witness's V.  An infeasible solve lowers
-nothing, and a non-cocycle at most three families, f.A last.  Every
-lowering runs through one integer kernel, :func:`_lower`.
+its witness in one pass over each family of f, with no intermediate
+cochain and no coboundary of a partial gauge, and checks it by
+recomputing its coboundary once, independently, from the witness's own
+U, V and W, which lowers U and V once each.  A coboundary is a cocycle,
+so a witness that passes settles f; only after a failed check is f.A
+lowered, for the cocycle check that tells a non-cocycle from a defect.
+So a solve that finds a witness lowers at most two nonempty families,
+and on an element of :func:`cocycle_basis` one: the witness's V.  An
+infeasible solve lowers nothing, and a non-cocycle at most three
+families, f.A last.  Every lowering runs through one integer kernel,
+:func:`_lower`.
 
 For delta = k a natural number, the closed-coefficient constraint at top
 order is the linear system
@@ -243,9 +245,6 @@ class ReducedOneCochain:
         object.__setattr__(self, "V", _normalized(self.weights, self.V))
         object.__setattr__(self, "W", _normalized(self.weights, self.W))
 
-    def is_zero(self) -> bool:
-        return not (self.U or self.V or self.W)
-
     def to_cochain(self) -> Cochain:
         """Values on the basis fields: U at X1, xU + V at Xx, x^2 U + 2xV + 2W at Xx2."""
         w = self.weights
@@ -275,26 +274,6 @@ class ReducedTwoCochain:
         object.__setattr__(self, "A", _normalized(self.weights, self.A))
         object.__setattr__(self, "B", _normalized(self.weights, self.B))
         object.__setattr__(self, "C", _normalized(self.weights, self.C))
-
-    def is_zero(self) -> bool:
-        return not (self.A or self.B or self.C)
-
-    def __add__(self, other: "ReducedTwoCochain") -> "ReducedTwoCochain":
-        if other.weights != self.weights:
-            raise ValueError("weight mismatch")
-        return _two_cochain(self.weights,
-                            _family_add(self.A, other.A),
-                            _family_add(self.B, other.B),
-                            _family_add(self.C, other.C))
-
-    def __sub__(self, other: "ReducedTwoCochain") -> "ReducedTwoCochain":
-        return self + -other
-
-    def __neg__(self) -> "ReducedTwoCochain":
-        return _two_cochain(self.weights,
-                            {a: -p for a, p in self.A.items()},
-                            {a: -p for a, p in self.B.items()},
-                            {a: -p for a, p in self.C.items()})
 
     def to_cochain(self) -> Cochain:
         """Evaluate the three antisymmetric brackets on the basis pairs.
@@ -631,8 +610,9 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
     """Exact solution b of (coboundary of b) = f, or None when none exists.
 
     The decision is exact, with no degree or support truncation, and uses
-    the two identities of the module docstring.  A witness is built first
-    and verified; f is lowered only when the verification fails.
+    the two identities of the module docstring.  A witness is built first,
+    in one pass over each family of f, and verified; f is lowered only when
+    the verification fails.
 
     1. The construction below runs on any f, cocycle or not: the gauge
        denominators of step 2 are nonzero off the critical levels, and
@@ -645,13 +625,17 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
        nonzero there.  Their coboundary has A-part A and C-part C off those
        levels, and B-part W' + Lambda(U).  By the scaling of Lambda(U) by
        level, that is (Lambda(A)_a - C_a') / (|a| + 1 - delta) = B_a off
-       level k - 1, by the cocycle condition, and 0 at level k - 1.  So
-       what is left is the critical part of f, with no lowering.  Every
-       level is off-critical when delta is not a natural number (k is
-       None: no index is at level k or k - 1), which settles that case.
-    3. At level k - 1 the middle family is the derivative of the W gauge
-       Int B, whose coboundary has no A-part and no C-part there
-       (delta - |a| - 1 = 0), so it always dies.
+       level k - 1, by the cocycle condition, and 0 at level k - 1.  So f
+       minus their coboundary is the critical part of f, found with no
+       lowering: A at level k, B and C at level k - 1.  Every level is
+       off-critical when delta is not a natural number (k is None: no
+       index is at level k or k - 1), which settles that case.
+    3. At level k - 1 the middle family B is the derivative of the W gauge
+       Int B, whose coboundary is (0, B, 0): its A-part is empty, as the
+       gauge has no U or V; its B-part is (Int B)' = B; and its C-part
+       (delta - |a| - 1) Int B vanishes at |a| = k - 1.  So it removes B
+       and leaves (A, 0, C) on the critical levels, and no coboundary
+       is computed to see it.
     4. The top family A (level k) and the bottom family C (level k - 1)
        are coupled through V = Int A + c, with c constant at level k.  Its
        coboundary has A-part A and C-part Lambda(Int A) + Lambda(c)
@@ -663,6 +647,9 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
        C(0) is nonzero.  When it is infeasible f is no coboundary: a
        cocycle by step 4's argument, and a non-cocycle in any case.
 
+    So each family of f is read once: A gives the off-level U gauges and
+    V = Int A at level k, B at level k - 1 gives the W gauge Int B, and C
+    gives the off-level W gauges and the obstruction C(0) at level k - 1.
     The witness is verified by recomputing its coboundary from its own U,
     V and W through :func:`coboundary_reduced`, which lowers U and V once
     each and reuses no value the construction derived.  A coboundary is a
@@ -674,36 +661,33 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
     """
     w = f.weights
     delta = _shift(w)
-
-    # Step 2: the off-level gauges; f minus their coboundary is (top, middle, bottom).
     k = w.natural_delta()
     middle_level = None if k is None else k - 1
-    top: FamilyMap = {}
+
+    # A: the off-level U gauges of step 2 and, at level k, V = Int A (step 4).
     u_fam: FamilyMap = {}
+    v_fam: FamilyMap = {}
     for alpha, a_poly in f.A.items():
         level = index_weight(alpha)
         if level == k:
-            top[alpha] = a_poly
+            v_fam[alpha] = a_poly.antiderivative()
         else:
             u_fam[alpha] = a_poly.scale(divide(1, level - delta))
-    bottom: FamilyMap = {}
+    # C: the off-level W gauges of step 2 and, at level k - 1, the obstruction C(0).
     w_fam: FamilyMap = {}
+    obstruction: dict[MultiIndex, Scalar] = {}
     for alpha, c_poly in f.C.items():
         level = index_weight(alpha)
-        if level == middle_level:
-            bottom[alpha] = c_poly
-        else:
+        if level != middle_level:
             w_fam[alpha] = c_poly.scale(divide(1, delta - level - 1))
+        elif c := c_poly.coefficient(0):
+            obstruction[alpha] = c
+    # B at level k - 1: the W gauge Int B of step 3, on a level apart from step 2's.
+    for alpha, b_poly in f.B.items():
+        if index_weight(alpha) == middle_level:
+            w_fam[alpha] = b_poly.antiderivative()
 
-    # Step 3: the middle family is the derivative of a W gauge.
-    middle = {alpha: p for alpha, p in f.B.items() if index_weight(alpha) == middle_level}
-    f1 = _two_cochain(w, top, middle, bottom)
-    b2 = _one_cochain(w, {}, {}, {alpha: p.antiderivative() for alpha, p in middle.items()})
-    f2 = f1 - coboundary_reduced(b2) if middle else f1
-
-    # Step 4: V = Int A + c, with Lambda(c) = C(0); a zero C(0) is met by c = 0.
-    v_fam = {alpha: p.antiderivative() for alpha, p in f2.A.items()}
-    obstruction = {alpha: c for alpha, p in f2.C.items() if (c := p.coefficient(0))}
+    # Step 4: Lambda(c) = C(0); a zero C(0) is met by c = 0.
     if obstruction:
         row_pos = _system_frame(w.n, k).row_pos
         system = build_system(w.n, k, w.lambdas)
@@ -716,8 +700,7 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
         for alpha, c in zip(system.col_index, solution):
             if c:
                 _add_into(v_fam, alpha, Polynomial._raw([c]))
-    # The W gauges of steps 2 and 3 sit on disjoint levels.
-    witness = _one_cochain(w, u_fam, v_fam, {**w_fam, **b2.W})
+    witness = _one_cochain(w, u_fam, v_fam, w_fam)
     if coboundary_reduced(witness) == f:
         return witness
     if cocycle_residual(f):

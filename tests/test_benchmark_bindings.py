@@ -97,3 +97,7 @@ def test_a_traced_pass_yields_every_per_layer_metric():
     assert metrics["reduced.solve_coboundary.infeasible"] == sum(ells)
     assert metrics["reduced.solve_coboundary.calls"] == sum(
         multiset_coeff(w.n - 1, w.natural_delta()) + 3 * ell for w, ell in zip(natural, ells))
+    # one recomputed coboundary per solve that returns a witness: the top
+    # and middle families, not the ell infeasible bottom ones
+    assert metrics["reduced.coboundary_reduced.calls"] == sum(
+        multiset_coeff(w.n - 1, w.natural_delta()) + 2 * ell for w, ell in zip(natural, ells))
