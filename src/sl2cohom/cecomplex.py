@@ -154,7 +154,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .closedform import CaseTag, classify
 from .linalg import sparse_rank
@@ -650,21 +650,21 @@ def _h2_frame(tr: Truncation, w: Weights) -> H2Frame:
     return _cached_h2_frame(w.n, int(delta), tr.alpha_max, tr.weight)
 
 
-@dataclass(frozen=True)
-class CohomResult:
+class CohomResult(NamedTuple):
     """A computed dimension with its method and provenance flags.
 
     ``stable`` marks a certified value: for the oracle, computed at a cap
     of at least the natural shift k with both block certificates passed,
-    which every oracle result is.
+    which every oracle result is.  ``tag`` is ``classify(weights)``; it is
+    formatted only for output, by :meth:`to_json_dict`.
     """
 
     dim: int
     method: str
     weights: Weights
+    tag: CaseTag
     alpha_max: Optional[int] = None
     stable: Optional[bool] = None
-    case: str = ""
 
     def to_json_dict(self) -> dict:
         return {
@@ -673,7 +673,7 @@ class CohomResult:
             "alpha_max": self.alpha_max,
             "stable": self.stable,
             "weights": self.weights.to_json_dict(),
-            "case": self.case,
+            "case": self.tag.describe(),
         }
 
 
@@ -724,7 +724,7 @@ def brute_force_h2(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
         dim=_orbit_h2(w.delta(), tuple(sorted(w.twice_lambdas))),
         method="oracle",
         weights=w,
+        tag=tag,
         alpha_max=default_alpha_max(w),
         stable=True,
-        case=tag.describe(),
     )

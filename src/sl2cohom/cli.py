@@ -73,9 +73,9 @@ MAX_ORACLE_BLOCK = 25_000
 MAX_BASIS_CELLS = 1_000_000
 #: Rows sum_{k=1}^{k_max} k^n + (k_max + 1) of a ``table`` or ``verify``
 #: sweep.  ``table`` in a fresh process, medians of 3 on 2 vCPUs: 19,701
-#: rows took 1.1 s (n = 1, k_max = 197, oracle off), and 15,343 rows took
-#: 4.4 s with the oracle on and 1.2 s with it off (n = 4, k_max = 9), in
-#: 36 MiB.  Past the ceiling, 501,501 rows took 48 s and 571 MiB (n = 1,
+#: rows took 1.2 s (n = 1, k_max = 197, oracle off), and 15,343 rows took
+#: 5.1 s with the oracle on and 1.6 s with it off (n = 4, k_max = 9), in
+#: 35 MiB.  Past the ceiling, 501,501 rows took 48 s and 571 MiB (n = 1,
 #: k_max = 1000).
 MAX_SWEEP_ROWS = 20_000
 
@@ -149,6 +149,8 @@ def _parse_methods(raw: Optional[str], default: Sequence[str]) -> tuple[str, ...
     for m in methods:
         if m not in ALL_METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {', '.join(ALL_METHODS)}")
+        if methods.count(m) > 1:
+            raise UsageError(f"method {m!r} is listed twice in --methods")
     if not methods:
         raise UsageError("--methods must list at least one method")
     return methods

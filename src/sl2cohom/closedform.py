@@ -24,8 +24,7 @@ rank computation.  It is never used as an authority.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .multiindices import multiset_coeff
 from .weights import Weights
@@ -37,8 +36,7 @@ class CaseKind(enum.Enum):
     SINGULAR = "singular"
 
 
-@dataclass(frozen=True)
-class CaseTag:
+class CaseTag(NamedTuple):
     """Classification of a weight configuration.
 
     ``k`` is present unless the kind is NON_INTEGER_DELTA; ``t`` and
@@ -69,11 +67,14 @@ def classify(w: Weights) -> CaseTag:
     k = w.natural_delta()
     if k is None:
         return CaseTag(CaseKind.NON_INTEGER_DELTA)
-    # -2 lambda_i from the stored 2 lambda_i, an int exactly when integral
-    t = tuple(-v for v in w.twice_lambdas)
-    if all(type(v) is int and 0 <= v < k for v in t):
-        return CaseTag(CaseKind.SINGULAR, k=k, t=t, sigma=sum(t))
-    return CaseTag(CaseKind.NON_RESONANT, k=k)
+    # t_i = -2 lambda_i from the stored 2 lambda_i, an int exactly when
+    # integral; the first slot outside {0, ..., k-1} settles the case
+    t = []
+    for v in w.twice_lambdas:
+        if type(v) is not int or not -k < v <= 0:
+            return CaseTag(CaseKind.NON_RESONANT, k)
+        t.append(-v)
+    return CaseTag(CaseKind.SINGULAR, k, tuple(t), sum(t))
 
 
 def singular_counts(tag: CaseTag) -> tuple[Optional[int], Optional[int]]:

@@ -556,12 +556,10 @@ def dim_h2_via_system(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
     tag = classify(w) if tag is None else tag
     data = rank_data(w, tag)
     if data is None:
-        return CohomResult(dim=0, method="system", weights=w, stable=True,
-                           case=tag.describe())
+        return CohomResult(dim=0, method="system", weights=w, tag=tag, stable=True)
     k, _, ell = data
     dim = multiset_coeff(w.n - 1, k) + 3 * ell
-    return CohomResult(dim=dim, method="system", weights=w, stable=True,
-                       case=tag.describe())
+    return CohomResult(dim=dim, method="system", weights=w, tag=tag, stable=True)
 
 
 # ---------------------------------------------------------------------------

