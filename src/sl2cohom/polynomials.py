@@ -2,7 +2,14 @@
 
 Coefficients are stored ascending by power of x with trailing zeros
 stripped, so the zero polynomial has an empty coefficient tuple and the
-leading coefficient of a nonzero polynomial is never zero.
+leading coefficient of a nonzero polynomial is never zero.  The public
+constructor and the internal ``Polynomial._raw`` strip what they are given;
+:meth:`Polynomial.derivative` and :meth:`Polynomial.antiderivative` need no
+strip, as their leading coefficients d c_d and c_d / (d + 1) are nonzero
+whenever c_d is.  Every constructor builds the coefficient tuple once and
+stores it through the ``coeffs`` slot descriptor, past the immutability
+guard of ``__setattr__``: the certify path builds thousands of short
+polynomials per basis.
 
 Coefficients are int-first: the constructor, :meth:`Polynomial.scale` and
 :meth:`Polynomial.antiderivative` store an ``int`` wherever a coefficient
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import perm
+from operator import mul
 from typing import Iterable, Union
 
 Scalar = Union[Fraction, int]
@@ -80,7 +88,7 @@ class Polynomial:
         cs = [scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_coeffs(self, tuple(cs))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -94,8 +102,8 @@ class Polynomial:
         quotient in cs comes from :func:`divide`)."""
         while cs and cs[-1] == 0:
             cs.pop()
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", tuple(cs))
+        p = _new(cls)
+        _set_coeffs(p, tuple(cs))
         return p
 
     @staticmethod
@@ -186,7 +194,11 @@ class Polynomial:
         return Polynomial._raw([scalar(c * a) for a in self.coeffs])
 
     def derivative(self) -> "Polynomial":
-        return Polynomial._raw([i * c for i, c in enumerate(self.coeffs[1:], 1)])
+        """The derivative; its leading coefficient d c_d is never zero."""
+        cs = self.coeffs
+        p = _new(Polynomial)
+        _set_coeffs(p, tuple(map(mul, range(1, len(cs)), cs[1:])))
+        return p
 
     def nth_derivative(self, order: int) -> "Polynomial":
         if order == 0:
@@ -200,14 +212,16 @@ class Polynomial:
 
         The constant term c becomes the coefficient of x as it is, an
         integral ``Fraction`` going back to ``int``; only the higher terms
-        are divided.
+        are divided.  The leading coefficient c_d / (d + 1) is never zero.
         """
         cs = self.coeffs
         if not cs:
             return self
         c = cs[0]
-        return Polynomial._raw([0, c if type(c) is int else scalar(c)]
-                               + [divide(c, i) for i, c in enumerate(cs[1:], 2)])
+        p = _new(Polynomial)
+        _set_coeffs(p, (0, c if type(c) is int else scalar(c),
+                        *map(divide, cs[1:], range(2, len(cs) + 1))))
+        return p
 
     def __call__(self, point: Scalar) -> Scalar:
         point = scalar(point)
@@ -244,6 +258,11 @@ class Polynomial:
                     parts.append(f"{format_rational(c)}*{xpow}")
         return " + ".join(parts).replace("+ -", "- ")
 
+
+_new = object.__new__
+#: Stores a polynomial's coefficient tuple through the slot descriptor, past
+#: the immutability guard of ``Polynomial.__setattr__``.
+_set_coeffs = Polynomial.coeffs.__set__
 
 ONE = Polynomial.one()
 X = Polynomial.x()

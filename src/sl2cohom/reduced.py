@@ -180,9 +180,27 @@ def _family_add(a: FamilyMap, b: FamilyMap) -> FamilyMap:
 
 
 def _shift(weights: Weights) -> Scalar:
-    """delta, as an ``int`` when it is integral."""
+    """delta, as an ``int`` when it is integral; a natural shift is read
+    as the ``int`` the weights already hold."""
+    k = weights._natural_delta
+    if k is not None:
+        return k
     delta = weights.delta()
     return delta.numerator if delta.denominator == 1 else delta
+
+
+#: Bound on the multi-indices whose lowering targets are kept; a few
+#: hundred serve every basis and solve of n <= 4, k <= 5 (``tracemalloc``
+#: gives about 0.5 KiB an index at n = 4).
+_LOWERING_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_LOWERING_CACHE_SIZE)
+def _lowering_targets(beta: MultiIndex) -> tuple[tuple[int, int, MultiIndex], ...]:
+    """(i, b_i, beta - e_i) for each slot i with b_i > 0: the targets that
+    :func:`_lower` sends F_beta to, with no lambda in them."""
+    return tuple((i, b_i, beta[:i] + (b_i - 1,) + beta[i + 1:])
+                 for i, b_i in enumerate(beta) if b_i)
 
 
 def _lower(weights: Weights, family: FamilyMap) -> FamilyMap:
@@ -192,33 +210,42 @@ def _lower(weights: Weights, family: FamilyMap) -> FamilyMap:
     coefficients are cleared once, by their lcms, each target's coefficients
     are summed as ``int``, and only a nonzero sum is divided back, through
     :func:`divide`.  A target whose sums all vanish creates no ``Fraction``.
+    When every 2 lambda_i is an ``int`` they are used as they are, a
+    constant polynomial adds one product per target, and each index's
+    targets come from the lambda-free, bounded ``_lowering_targets``.
     """
     if not family:
         return {}
+    twice = weights.twice_lambdas
     lam_den = coeff_den = 1
-    for t in weights.twice_lambdas:
+    for t in twice:
         if type(t) is not int:
             lam_den = lcm(lam_den, t.denominator)
+    if lam_den != 1:
+        twice = [t * lam_den if type(t) is int else t.numerator * (lam_den // t.denominator)
+                 for t in twice]
     for poly in family.values():
         for c in poly.coeffs:
             if type(c) is not int:
                 coeff_den = lcm(coeff_den, c.denominator)
-    twice = [t * lam_den if type(t) is int else t.numerator * (lam_den // t.denominator)
-             for t in weights.twice_lambdas]
     sums: dict[MultiIndex, list[int]] = {}
     for beta, poly in family.items():
         cs = poly.coeffs if coeff_den == 1 else [
             c * coeff_den if type(c) is int else c.numerator * (coeff_den // c.denominator)
             for c in poly.coeffs]
-        for i, b_i in enumerate(beta):
-            if not b_i:
-                continue
+        constant = cs[0] if len(cs) == 1 else None
+        for i, b_i, target in _lowering_targets(beta):
             # (a_i + 1)(a_i + 2 lambda_i) times lam_den, at a = beta - e_i
             factor = b_i * ((b_i - 1) * lam_den + twice[i])
             if not factor:
                 continue
-            target = beta[:i] + (b_i - 1,) + beta[i + 1:]
             acc = sums.get(target)
+            if constant is not None:
+                if acc is None:
+                    sums[target] = [factor * constant]
+                else:
+                    acc[0] += factor * constant
+                continue
             if acc is None:
                 sums[target] = [factor * c for c in cs]
                 continue
@@ -308,16 +335,21 @@ class ReducedTwoCochain:
         return data
 
 
+_new = object.__new__
+#: Store an instance's field dict through the class's ``__dict__``
+#: descriptor, past the frozen dataclass's ``__setattr__``.
+_set_one_cochain_fields = ReducedOneCochain.__dict__["__dict__"].__set__
+_set_two_cochain_fields = ReducedTwoCochain.__dict__["__dict__"].__set__
+
+
 def _one_cochain(weights: Weights, U: FamilyMap, V: FamilyMap,
                  W: FamilyMap) -> ReducedOneCochain:
     """A 1-cochain from families whose keys are already valid multi-indices
     for weights (keys of checked cochains or of :func:`_lower`) and which
-    hold no zero polynomial.  It skips the public constructor's checks."""
-    b = object.__new__(ReducedOneCochain)
-    object.__setattr__(b, "weights", weights)
-    object.__setattr__(b, "U", U)
-    object.__setattr__(b, "V", V)
-    object.__setattr__(b, "W", W)
+    hold no zero polynomial.  It skips the public constructor's checks and
+    fills the instance with one write."""
+    b = _new(ReducedOneCochain)
+    _set_one_cochain_fields(b, {"weights": weights, "U": U, "V": V, "W": W})
     return b
 
 
@@ -325,11 +357,8 @@ def _two_cochain(weights: Weights, A: FamilyMap, B: FamilyMap,
                  C: FamilyMap) -> ReducedTwoCochain:
     """A 2-cochain from families that meet the terms of :func:`_one_cochain`;
     the system's index tuples also qualify as keys."""
-    f = object.__new__(ReducedTwoCochain)
-    object.__setattr__(f, "weights", weights)
-    object.__setattr__(f, "A", A)
-    object.__setattr__(f, "B", B)
-    object.__setattr__(f, "C", C)
+    f = _new(ReducedTwoCochain)
+    _set_two_cochain_fields(f, {"weights": weights, "A": A, "B": B, "C": C})
     return f
 
 

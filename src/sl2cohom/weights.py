@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import Iterable, Optional
 
 from .polynomials import (
     ONE,
@@ -110,34 +110,46 @@ def doubled(values: tuple[Fraction, ...]) -> tuple[Scalar, ...]:
                  v.numerator if v.denominator == 2 else 2 * v for v in values)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Weights:
     """Argument weights (lambda_1, ..., lambda_n) and target weight mu.
 
     The shift, its value as a natural number (or None) and
     ``twice_lambdas`` (each 2 lambda_i, an ``int`` when it is integral) are
-    computed once, at construction.
+    computed once, at construction.  The constructor stores each field
+    through its slot descriptor (the frozen dataclass's ``__setattr__``
+    refuses every later assignment) and reads each weight's numerator and
+    denominator once: a sweep builds a ``Weights`` per row.
     """
 
     lambdas: tuple[Fraction, ...]
     mu: Fraction
-    twice_lambdas: tuple[Scalar, ...] = field(init=False, repr=False, compare=False)
-    _delta: Fraction = field(init=False, repr=False, compare=False)
-    _natural_delta: Optional[int] = field(init=False, repr=False, compare=False)
+    twice_lambdas: tuple[Scalar, ...] = field(repr=False, compare=False)
+    _delta: Fraction = field(repr=False, compare=False)
+    _natural_delta: Optional[int] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lambdas", tuple(exact(v) for v in self.lambdas))
-        object.__setattr__(self, "mu", exact(self.mu))
-        if not self.lambdas:
+    def __init__(self, lambdas: Iterable[Scalar], mu: Scalar) -> None:
+        lambdas = tuple(map(exact, lambdas))
+        mu = exact(mu)
+        if not lambdas:
             raise ValueError("at least one argument weight is required")
-        object.__setattr__(self, "twice_lambdas", doubled(self.lambdas))
-        mu = self.mu
-        den = lcm(mu.denominator, *(v.denominator for v in self.lambdas))
-        num = mu.numerator * (den // mu.denominator) - sum(
-            v.numerator * (den // v.denominator) for v in self.lambdas)
-        object.__setattr__(self, "_delta", Fraction(num, den))
-        object.__setattr__(self, "_natural_delta",
-                           num // den if num >= 0 and num % den == 0 else None)
+        # delta = num / den, with den the lcm of the denominators so far
+        num, den = mu.as_integer_ratio()
+        twice = []
+        for v in lambdas:
+            p, q = v.as_integer_ratio()
+            if den % q:
+                m = lcm(den, q)
+                num *= m // den
+                den = m
+            num -= p * (den // q)
+            twice.append(2 * p if q == 1 else p if q == 2 else 2 * v)  # as doubled()
+        Weights.lambdas.__set__(self, lambdas)
+        Weights.mu.__set__(self, mu)
+        Weights.twice_lambdas.__set__(self, tuple(twice))
+        whole, rest = divmod(num, den)
+        Weights._delta.__set__(self, Fraction(num, den) if rest else Fraction(whole))
+        Weights._natural_delta.__set__(self, whole if not rest and whole >= 0 else None)
 
     @property
     def n(self) -> int:
@@ -163,3 +175,4 @@ class Weights:
     def __str__(self) -> str:
         lams = ",".join(format_rational(v) for v in self.lambdas)
         return f"lambda=({lams}), mu={format_rational(self.mu)}"
+

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2cohom.polynomials import (
@@ -105,10 +105,34 @@ def test_degree_of_product(p, q):
         assert (p * q).degree() == p.degree() + q.degree()
 
 
-@given(polys)
-@settings(max_examples=40, deadline=None)
-def test_antiderivative_inverts_derivative(p):
-    assert p.antiderivative().derivative() == p
+def assert_stored(p, coeffs):
+    """p is the public Polynomial(coeffs), holds no trailing zero and refuses
+    attribute assignment."""
+    assert p == Polynomial(coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+
+
+# integral Fractions too, as sums of Fraction coefficients leave them
+raw_coeffs = st.lists(st.one_of(st.integers(-30, 30), rationals), max_size=6)
+
+
+@given(raw_coeffs)
+@example([])
+@example([0, 0])
+@example([Fraction(7, 3)])
+@example([Fraction(4, 2), 0, Fraction(3, 1), 0])
+@settings(max_examples=80, deadline=None)
+def test_antiderivative_inverts_derivative(cs):
+    p = Polynomial._raw(list(cs))
+    assert_stored(p, cs)
+    d = p.derivative()
+    assert_stored(d, [i * c for i, c in enumerate(cs[1:], 1)])
+    a = p.antiderivative()
+    assert_stored(a, [0] + [Fraction(c) / i for i, c in enumerate(cs, 1)])
+    assert all(type(c) is int for c in a.coeffs if Fraction(c).denominator == 1)
+    assert a.derivative() == p
 
 
 def test_json_roundtrip():

@@ -1,8 +1,12 @@
+import dataclasses
+import fractions
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2cohom import linalg, reduced
 from sl2cohom.cecomplex import coboundary
@@ -107,6 +111,97 @@ def test_residual_of_reduced_coboundary_vanishes():
         for _ in range(6):
             b = rand_one_cochain(rng, w, max_level=4, max_deg=3)
             assert cocycle_residual(coboundary_reduced(b)) == {}
+
+
+# -- the lowering kernel ------------------------------------------------
+
+
+def _rationals(denominators):
+    return st.builds(Fraction, st.integers(-6, 6), st.sampled_from(denominators))
+
+
+@st.composite
+def lowering_cases(draw):
+    """Weights with 2 lambda_i of denominator 1, 2 or 3, and a family whose
+    indices lie on several levels and whose nonzero polynomials have degree
+    0 to 3 and ``int`` or ``Fraction`` coefficients.  Half the time one
+    index b + e_j is set to cancel another, b + e_i, at their common target
+    b, so that a target can sum to zero."""
+    n = draw(st.integers(1, 4))
+    lambdas = draw(st.lists(_rationals((1, 2, 3)), min_size=n, max_size=n))
+    coeffs = st.one_of(st.integers(-4, 4), _rationals((2, 3)))
+    polys = st.lists(coeffs, min_size=1, max_size=4).map(Polynomial).filter(bool)
+    family = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), polys, max_size=6))
+    if n > 1 and family and draw(st.booleans()):
+        beta = draw(st.sampled_from(sorted(family)))
+        i, j = draw(st.permutations(range(n)))[:2]
+        b = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+        f_i, f_j = ((b[s] + 1) * (b[s] + 2 * lambdas[s]) for s in (i, j))
+        if beta[i] and f_i and f_j:
+            family[b[:j] + (b[j] + 1,) + b[j + 1:]] = family[beta].scale(-f_i / f_j)
+    return Weights(tuple(lambdas), Fraction(0)), family
+
+
+@given(lowering_cases())
+@settings(max_examples=150, deadline=None)
+def test_lower_is_the_lowering_formula(case):
+    # Lambda(F)_a = 1/2 sum_i (a_i + 1)(a_i + 2 lambda_i) F_(a + e_i), summed
+    # in Fraction here, one coefficient at a time
+    w, family = case
+    sums = {}
+    for beta, poly in family.items():
+        for i, b_i in enumerate(beta):
+            if b_i:
+                a = beta[:i] + (b_i - 1,) + beta[i + 1:]
+                factor = Fraction((a[i] + 1) * (a[i] + 2 * w.lambdas[i]), 2)
+                acc = sums.setdefault(a, [])
+                acc += [Fraction(0)] * (len(poly.coeffs) - len(acc))
+                for j, c in enumerate(poly.coeffs):
+                    acc[j] += factor * c
+    expected = {}
+    for a, acc in sums.items():
+        while acc and acc[-1] == 0:
+            acc.pop()
+        if acc:
+            expected[a] = tuple(acc)
+    lowered = reduced._lower(w, family)
+    assert all(lowered.values())
+    assert {a: p.coeffs for a, p in lowered.items()} == expected
+
+
+def test_an_int_top_family_creates_no_fraction(monkeypatch):
+    # the top family of t = (0, 0, 2) at k = 4 has int coefficients and a
+    # vanishing lowering, so every sum in _lower is 0 and nothing is divided
+    w = weights_for_tvector(3, 4, (0, 0, 2))
+    tops = [f for f in cocycle_basis(w) if f.A]
+    assert len(tops) == 5
+    assert all(type(c) is int for f in tops for p in f.A.values() for c in p.coeffs)
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counted)
+    for f in tops:
+        assert cocycle_residual(f) == {}
+        assert solve_coboundary(f) is not None
+    monkeypatch.undo()
+    assert made == []
+
+
+def test_internal_cochains_equal_public_ones_and_refuse_assignment():
+    w = weights_for_tvector(3, 3, (0, 1, 1))
+    for f in cocycle_basis(w):
+        assert f == ReducedTwoCochain(w, f.A, f.B, f.C)
+        b = solve_coboundary(f)
+        if b is not None:
+            assert b == ReducedOneCochain(w, b.U, b.V, b.W)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                b.U = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.A = {}
 
 
 # -- reduced coboundary vs the generic complex -------------------------

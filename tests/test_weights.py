@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -67,9 +68,12 @@ def test_shift_and_twice_lambdas_computed_at_construction(lambdas, mu):
     assert w.twice_lambdas == tuple(2 * v for v in lambdas)
     for v, twice in zip(lambdas, w.twice_lambdas):
         assert type(twice) is (int if (2 * v).denominator == 1 else Fraction)
-    # neither value takes part in equality or the text forms
-    assert w == Weights(tuple(lambdas), mu)
-    assert "twice" not in repr(w)
+    # neither value takes part in equality, the hash or the text forms
+    assert w == Weights(lambdas=iter(lambdas), mu=mu)
+    assert hash(w) == hash((w.lambdas, w.mu))
+    assert repr(w) == f"Weights(lambdas={w.lambdas!r}, mu={w.mu!r})"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.mu = mu
 
 
 def test_weights_delta_and_t_vector():
