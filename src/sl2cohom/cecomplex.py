@@ -106,19 +106,21 @@ the partner columns are diagonal, with a nonzero and lambda-independent
 diagonal, on the paired rows, is checked from the frame's own entries
 when a block is first built (`_certify_pairing`), never assumed.
 
-The block bases, d1 on the X1-free columns and the sizes of C2 and C3
-depend on (n, delta, cap, eigenvalue) alone.  They form an `H2Frame`,
-built on first use (never at import), once per key, and kept in a
-``functools.lru_cache`` of at most ``FRAME_CACHE_SIZE`` frames.  Its rows
-put the X1-containing 2-cochains first, so each X1-free column with m >= 1
-has its partner row as leading index and lands on a fresh pivot, unless
-an m = 0 column of the same alpha took that row first.  At cap k that is
-the rule: each alpha of level k has an m = 0 column on (Xx,) just before
-its matched column on (Xx2,), and over the rows of ``table --n 4 --k-max 4
---oracle on``, each echelonised on its own, 10,814 of the 10,822 matched
-columns are reduced against it, while the 6,030 columns of level k - 1
-are zero.  The rows of a ``table`` share one
-frame per k, and the rows of one orbit below share one echelon as well.
+The oracle reads the eigenvalue-0 block of an integral shift delta at
+the cap max(delta, 1) (a non-integral shift leaves it empty), so its
+bases, d1 on the X1-free columns and the sizes of C2 and C3 depend on
+(n, delta) alone.  They form an `H2Frame`, built on first use (never at
+import), once per (n, delta), and kept in a ``functools.lru_cache`` of at
+most ``FRAME_CACHE_SIZE`` frames.  Its rows put the X1-containing
+2-cochains first, so each X1-free column with m >= 1 has its partner row
+as leading index and lands on a fresh pivot, unless an m = 0 column of
+the same alpha took that row first.  At cap k that is the rule: each
+alpha of level k has an m = 0 column on (Xx,) just before its matched
+column on (Xx2,), and over the rows of ``table --n 4 --k-max 4 --oracle
+on``, each echelonised on its own, 10,814 of the 10,822 matched columns
+are reduced against it, while the 6,030 columns of level k - 1 are zero.
+The rows of a ``table`` share one frame per k, and the rows of one orbit
+below share one echelon as well.
 The 5 frames of that table hold about 0.1 MiB; the frame of a block near
 the command line's ``MAX_ORACLE_BLOCK`` ceiling 1.5 MiB (n = 4, k = 18)
 to 3.2 MiB (n = 6, k = 10).
@@ -402,8 +404,8 @@ _DIFFERENTIAL_TABLES = {p: _differential_table(p) for p in range(3)}
 ORBIT_CACHE_SIZE = 1024
 
 #: Bound on the cached frames.  The oracle reads one `H2Frame` per (n,
-#: delta, cap, eigenvalue) block, so 32 blocks stay warm: rows visited in
-#: any order over up to 32 such blocks rebuild none.
+#: delta), so 32 blocks stay warm: rows visited in any order over up to 32
+#: such pairs rebuild none.
 FRAME_CACHE_SIZE = 32
 
 
@@ -479,20 +481,20 @@ def _put(column: dict[int, Scalar], index: dict[BlockElement, int],
         column[pos] = value
 
 
-def _lowering_values(w: Weights, width: int) -> list[Scalar]:
+def _lowering_values(twice_lambdas: Sequence[Scalar], width: int) -> list[Scalar]:
     """-a (a + 2 lambda_i - 1) and a (a + 2 lambda_i - 1) for each slot i
     and each a < width, in the order of `BlockFrame` slots."""
     values: list[Scalar] = []
-    for twice in w.twice_lambdas:
+    for twice in twice_lambdas:
         for a in range(width):
             factor = a * (a + twice - 1)
             values += (-factor, factor)
     return values
 
 
-def _fill(frame: BlockFrame, w: Weights) -> list[dict[int, Scalar]]:
-    """The columns of the frame at the weights w."""
-    values = _lowering_values(w, frame.width)
+def _fill(frame: BlockFrame, twice_lambdas: Sequence[Scalar]) -> list[dict[int, Scalar]]:
+    """The columns of the frame at the weights with these 2 lambda_i."""
+    values = _lowering_values(twice_lambdas, frame.width)
     columns = []
     for fixed, slots, missing in frame.columns:
         column = fixed.copy()
@@ -540,7 +542,7 @@ def block_matrix(p: int, tr: Truncation, w: Weights,
         source = weight_block_basis(p, tr, w)
     if target is None:
         target = weight_block_basis(p + 1, tr, w)
-    return _fill(_build_frame(p, scalar(w.delta()), source, target), w)
+    return _fill(_build_frame(p, scalar(w.delta()), source, target), w.twice_lambdas)
 
 
 @dataclass(frozen=True)
@@ -555,9 +557,6 @@ class H2Frame:
     d1: BlockFrame
     size2: int
     size3: int
-
-
-_EMPTY_H2_FRAME = H2Frame(BlockFrame(1, ()), 0, 0)
 
 
 def _has_x1(element: BlockElement) -> bool:
@@ -630,24 +629,24 @@ def _certify_graded_acyclicity() -> bool:
     return True
 
 
+def default_alpha_max(delta: Scalar) -> int:
+    """Cap max(k, 1) when the shift delta is a natural number k, else 1: the
+    smallest cap at which the oracle is certified."""
+    return max(int(delta), 1) if delta.denominator == 1 else 1
+
+
 @functools.lru_cache(maxsize=FRAME_CACHE_SIZE)
-def _cached_h2_frame(n: int, delta: int, alpha_max: int, weight: int) -> H2Frame:
-    shift = weight - delta
-    c0, c1, c2, c3 = (_block_basis(p, n, shift, alpha_max) for p in range(4))
+def _cached_h2_frame(n: int, delta: int) -> H2Frame:
+    """The `H2Frame` of the eigenvalue-0 block of arity n and integral shift
+    delta, at the cap `default_alpha_max`; every lambda with this n and
+    delta shares it."""
+    cap = default_alpha_max(delta)
+    c0, c1, c2, c3 = (_block_basis(p, n, -delta, cap) for p in range(4))
     _certify_pairing(0, delta, c0, c1)
     _certify_pairing(2, delta, c2, c3)
     rows = sorted(c2, key=lambda e: not _has_x1(e))
     d1 = _build_frame(1, delta, [e for e in c1 if not _has_x1(e)], rows)
     return H2Frame(d1, len(c2), len(c3))
-
-
-def _h2_frame(tr: Truncation, w: Weights) -> H2Frame:
-    """The cached `H2Frame` of the block selected by tr; it reads only n and
-    delta off w, so every lambda with the same n and delta shares it."""
-    delta = w.delta()
-    if (tr.weight - delta).denominator != 1:
-        return _EMPTY_H2_FRAME
-    return _cached_h2_frame(w.n, int(delta), tr.alpha_max, tr.weight)
 
 
 class CohomResult(NamedTuple):
@@ -677,32 +676,21 @@ class CohomResult(NamedTuple):
         }
 
 
-def default_alpha_max(w: Weights) -> int:
-    """Cap max(k, 1) when the shift is a natural number k, else 1: the
-    smallest cap at which the oracle is certified."""
-    k = w.natural_delta()
-    return max(k, 1) if k is not None else 1
-
-
-def h2_block_dimensions(w: Weights, cap: int, weight: int = 0) -> int:
-    """dim ker(d: C2 -> C3) - rank(d: C1 -> C2) on the block truncated at cap.
-
-    By the two identities of the module docstring this is |C2| - |C3| -
-    rank of d1 on the X1-free columns of C1, all read off the block's
-    `H2Frame`.
-    """
-    frame = _h2_frame(Truncation(cap, weight), w)
-    return frame.size2 - frame.size3 - sparse_rank(_fill(frame.d1, w))
-
-
 @functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)
 def _orbit_h2(delta: Fraction, twice_lambdas: tuple[Scalar, ...]) -> int:
     """H^2 of the weight-0 block at the cap `default_alpha_max`, for the
-    shift delta and the sorted 2 lambda_i of one orbit (module docstring);
-    computed once per orbit, on the weights of the sorted key."""
-    lambdas = tuple(Fraction(t, 2) for t in twice_lambdas)
-    w = Weights(lambdas, delta + sum(lambdas))
-    return h2_block_dimensions(w, default_alpha_max(w))
+    shift delta and the sorted 2 lambda_i of one orbit (module docstring),
+    computed once per orbit.
+
+    A non-integral shift leaves the block empty.  Otherwise, by the two
+    identities of the module docstring, H^2 is |C2| - |C3| - the rank of
+    d1 on the X1-free columns of C1, all read off the block's `H2Frame`
+    filled at the key's 2 lambda_i.
+    """
+    if delta.denominator != 1:
+        return 0
+    frame = _cached_h2_frame(len(twice_lambdas), int(delta))
+    return frame.size2 - frame.size3 - sparse_rank(_fill(frame.d1, twice_lambdas))
 
 
 def brute_force_h2(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
@@ -720,11 +708,12 @@ def brute_force_h2(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
     """
     _certify_graded_acyclicity()
     tag = classify(w) if tag is None else tag
+    delta = w.delta()
     return CohomResult(
-        dim=_orbit_h2(w.delta(), tuple(sorted(w.twice_lambdas))),
+        dim=_orbit_h2(delta, tuple(sorted(w.twice_lambdas))),
         method="oracle",
         weights=w,
         tag=tag,
-        alpha_max=default_alpha_max(w),
+        alpha_max=default_alpha_max(delta),
         stable=True,
     )

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cecomplex import brute_force_h2, default_alpha_max
+from .cecomplex import CohomResult, brute_force_h2, default_alpha_max
 from .closedform import classify, dim_h2_closed_form, dim_h2_summary_table
 from .multiindices import multiset_coeff
 from .polynomials import format_rational, parse_rational
@@ -255,7 +255,7 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     if "system" in methods and k is not None:
         _check_system_size(w.n, k)
     if "oracle" in methods and w.delta().denominator == 1:
-        _check_oracle_size(w.n, default_alpha_max(w))  # otherwise every block is empty
+        _check_oracle_size(w.n, default_alpha_max(w.delta()))  # otherwise every block is empty
     tag = classify(w)
     _check_printable(tag.sigma or 0, "sigma = sum(t)", bound)  # printed in the case
     # the closed form has a base at every natural shift, the summary table
@@ -265,16 +265,16 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     results = []
     for method in methods:
         if method == "system":
-            results.append(dim_h2_via_system(w, tag).to_json_dict())
+            result = dim_h2_via_system(w, tag)
         elif method == "oracle":
-            results.append(brute_force_h2(w, tag).to_json_dict())
+            result = brute_force_h2(w, tag)
         else:
             value = (dim_h2_closed_form if method == "closed" else dim_h2_summary_table)(tag, w.n)
             if value is not None:
                 _check_printable(value, f"the {method} value", bound)
                 value = value if method == "closed" else format_rational(value)
-            results.append({"dim": value, "method": method, "alpha_max": None, "stable": True,
-                            "weights": w.to_json_dict(), "case": tag.describe()})
+            result = CohomResult(dim=value, method=method, weights=w, tag=tag, stable=True)
+        results.append(result.to_json_dict())
     _write_output(json.dumps(results, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -125,9 +125,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from math import lcm
-from operator import or_
+from operator import le
 from typing import Mapping, NamedTuple, Optional
 
 from . import linalg
@@ -465,8 +465,6 @@ class _Frame(NamedTuple):
     #: per row alpha, the (column of alpha + e_i, slot i k + a_i) pairs
     #: whose factor :func:`build_system` fills in
     patterns: tuple[tuple[tuple[int, int], ...], ...]
-    #: above[i][v], the bitset of the rows r (bit r) with a_i > v
-    above: tuple[tuple[int, ...], ...]
     #: the position of each row's multi-index in ``rows``
     row_pos: dict[MultiIndex, int]
 
@@ -478,16 +476,7 @@ def _system_frame(n: int, k: int) -> _Frame:
     col_pos = {c: j for j, c in enumerate(cols)}
     patterns = tuple(tuple((col_pos[add_unit(alpha, i)], i * k + a) for i, a in enumerate(alpha))
                      for alpha in rows)
-    above = [[0] * k for _ in range(n)]
-    for r, alpha in enumerate(rows):
-        for i, a in enumerate(alpha):
-            if a:  # a_i > v at v = a - 1; the sweep below adds every v < a - 1
-                above[i][a - 1] |= 1 << r
-    for above_i in above:
-        for v in range(k - 2, -1, -1):
-            above_i[v] |= above_i[v + 1]
-    return _Frame(rows, cols, patterns, tuple(map(tuple, above)),
-                  {alpha: r for r, alpha in enumerate(rows)})
+    return _Frame(rows, cols, patterns, {alpha: r for r, alpha in enumerate(rows)})
 
 
 def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
@@ -497,13 +486,12 @@ def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
     a_i < k, depend on lambda.  The index tuples and each row's sparsity
     pattern are an (n, k) frame cached by ``_system_frame``, so a sweep
     evaluating many lambda at one (n, k) computes just the n k factors per
-    configuration.  The frame also holds the row masks that
-    :func:`rank_data` selects the box with, and the row positions that
-    :func:`solve_coboundary` places a right-hand side by.  The cache
-    keeps at most ``SYSTEM_FRAME_CACHE_SIZE`` frames; the 6 of n = 4,
-    k <= 5 hold 27 KiB, and one at the command line's 5,000-equation
-    ceiling 2.3 to 3.0 MiB for n = 3 to 5 and 7.8 MiB for n = 2,
-    k = 5,000 (``tracemalloc``).
+    configuration.  :func:`rank_data` reads the box rows off the same
+    frame, and :func:`solve_coboundary` places a right-hand side by its
+    row positions.  The cache keeps at most ``SYSTEM_FRAME_CACHE_SIZE``
+    frames; the 6 of n = 4, k <= 5 hold 25 KiB, and one at the command
+    line's 5,000-equation ceiling 2.1 to 2.9 MiB for n = 3 to 5 and
+    2.7 MiB for n = 2, k = 5,000 (``tracemalloc``).
 
     The systems themselves are kept for the last
     ``SYSTEM_FRAME_CACHE_SIZE`` (n, k, lambda), with their factorization
@@ -531,18 +519,16 @@ def _system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
 def _box_deficiency(k: int, t: tuple[int, ...]) -> int:
     """|B| - rank(B) of the box B = {a <= t} at shift k, for sorted t.
 
-    The rows of B are those in none of the frame's masks above[i][t_i].
-    Only this value, not the rows, is kept, so every orbit of the module
-    docstring's slot permutations is built and echelonised once.
+    The rows of B are the (n, k) frame's rows whose index a satisfies
+    a <= t, in frame order, each filled from its pattern.  Only this value,
+    not the rows, is kept, so every orbit of the module docstring's slot
+    permutations is built and echelonised once.
     """
-    n = len(t)
-    n_rows = multiset_coeff(n, k - 1)
-    frame = _system_frame(n, k)
-    patterns = frame.patterns
-    off_box = reduce(or_, (above_i[t_i] for above_i, t_i in zip(frame.above, t)))
+    frame = _system_frame(len(t), k)
     factors = [(a + 1) * (a - t_i) for t_i in t for a in range(k)]
-    box = [{j: f for j, slot in patterns[r] if (f := factors[slot])}
-           for r, bit in enumerate(reversed(f"{off_box:0{n_rows}b}")) if bit == "0"]
+    box = [{j: f for j, slot in pattern if (f := factors[slot])}
+           for alpha, pattern in zip(frame.rows, frame.patterns)
+           if all(map(le, alpha, t))]
     return len(box) - linalg.sparse_rank(box)
 
 
@@ -554,11 +540,12 @@ def rank_data(w: Weights, tag: Optional[CaseTag] = None) -> Optional[tuple[int, 
     block with S nonempty has full row rank (proof in the module
     docstring).  So the rank is N_(k-1) off the singular case and
     N_(k-1) - |B| + rank(B) on it, where only the rows of the box
-    B = {a <= t} are built and echelonised.  A slot permutation carries
-    the box of t onto that of the permuted t with every entry (module
-    docstring), so the deficiency |B| - rank(B) comes from a memo keyed by
-    (k, sorted t), bounded by ``cecomplex.ORBIT_CACHE_SIZE``: the rows of
-    one orbit share one echelon.
+    B = {a <= t}, picked from the (n, k) frame by that test on their
+    index, are built and echelonised.  A slot permutation carries the box
+    of t onto that of the permuted t with every entry (module docstring),
+    so the deficiency |B| - rank(B) comes from a memo keyed by (k, sorted
+    t), bounded by ``cecomplex.ORBIT_CACHE_SIZE``: the rows of one orbit
+    share one echelon.
     """
     tag = classify(w) if tag is None else tag
     if tag.kind is CaseKind.NON_INTEGER_DELTA:

@@ -1,14 +1,18 @@
-"""The program names the benchmark's tracer binds must keep existing.
+"""The program names the benchmark binds must keep existing.
 
 ``perfbench/tracing.py`` rebinds functions of ``sl2cohom`` by name and its
 hooks read some of their arguments and results; a refactor that renames
 one of them would break ``python3 perfbench/run.py --trace 1``.
+``perfbench/workloads.py`` evaluates and checks every configuration
+through the public functions and result fields of ``sl2cohom``; a refactor
+that drops one of them would crash every benchmark run.
 """
 
 import importlib
 import importlib.util
 import inspect
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,16 +23,27 @@ from sl2cohom.multiindices import multiset_coeff
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  ROOT / "perfbench" / "tracing.py")
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     spec.loader.exec_module(module)
     return module
 
 
+def test_every_workload_evaluates_and_checks_its_first_configs():
+    workloads = _perfbench("workloads")
+    for name in workloads.NAMES:
+        workload = workloads.build(name, 1)
+        checks = workloads.Checks()
+        for cfg in workload.configs[:20]:
+            assert workload.check(checks, cfg, workload.evaluate(cfg)), (name, cfg)
+        assert checks.tally and all(failed == 0 for _, failed in checks.tally.values()), name
+
+
 def test_every_traced_name_resolves():
-    tracing = _tracing()
+    tracing = _perfbench("tracing")
     for modname, attr in tracing.SPAN_TARGETS:
         assert callable(getattr(importlib.import_module(f"sl2cohom.{modname}"), attr))
     for modname, clsname, attr in tracing.COUNTED_METHODS:
@@ -51,7 +66,7 @@ def test_build_system_matrix_keeps_the_fields_the_hook_reads():
 
 
 def test_a_traced_pass_yields_every_per_layer_metric():
-    tracing = _tracing()
+    tracing = _perfbench("tracing")
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     configs = sweep.sweep_configurations(2, 2)
     # the box and oracle memos outlive a pass: start them empty, so the

@@ -19,7 +19,6 @@ from sl2cohom.cecomplex import (
     coboundary,
     block_matrix,
     default_alpha_max,
-    h2_block_dimensions,
     weight_block_basis,
     weight_of,
 )
@@ -261,15 +260,23 @@ def test_brute_force_matches_rank_deficiency_at_n4_k4_and_n3_k5():
 
 
 def test_default_alpha_max():
-    assert default_alpha_max(Weights((Fraction(0),), Fraction(2))) == 2
-    assert default_alpha_max(Weights((Fraction(1, 3),), Fraction(0))) == 1
-    assert default_alpha_max(Weights((Fraction(0),), Fraction(0))) == 1
-    assert default_alpha_max(Weights((Fraction(1),), Fraction(-2))) == 1
+    assert default_alpha_max(Fraction(2)) == 2
+    assert default_alpha_max(Fraction(-1, 3)) == 1
+    assert default_alpha_max(Fraction(0)) == 1
+    assert default_alpha_max(Fraction(-3)) == 1
+
+
+def _h2_block_dimension_reference(w, cap):
+    """H^2 of the eigenvalue-0 block at one cap, built and ranked from scratch."""
+    tr = Truncation(cap)
+    b1, b2, b3 = (weight_block_basis(p, tr, w) for p in (1, 2, 3))
+    return (len(b2) - sparse_rank(block_matrix(2, tr, w, b2, b3))
+            - sparse_rank(block_matrix(1, tr, w, b1, b2)))
 
 
 def test_block_dimension_stable_across_truncations():
     w = Weights((Fraction(0), Fraction(0)), Fraction(1))
-    dims = [h2_block_dimensions(w, cap) for cap in (2, 3, 4, 5, 6)]
+    dims = [_h2_block_dimension_reference(w, cap) for cap in (2, 3, 4, 5, 6)]
     assert len(set(dims)) == 1
 
 
@@ -279,7 +286,8 @@ def test_a_cap_below_the_shift_is_not_certified():
     # k on, the filtration gives ell, and the oracle computes at cap k
     w = weights_for_tvector(2, 5, (2, 3))
     assert rank_data(w)[2] == 1
-    assert [h2_block_dimensions(w, cap) for cap in range(1, 8)] == [0, 0, 0, 5, 1, 1, 1]
+    assert [_h2_block_dimension_reference(w, cap) for cap in range(1, 8)] == \
+        [0, 0, 0, 5, 1, 1, 1]
     result = brute_force_h2(w)
     assert (result.dim, result.stable, result.alpha_max) == (1, True, 5)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -298,12 +306,13 @@ def test_cap_k_equals_cap_k_plus_2_and_ell_on_seeded_rows():
         k = w.natural_delta()
         result = brute_force_h2(w)
         assert result.stable and result.alpha_max == max(k, 1), w
-        assert result.dim == h2_block_dimensions(w, max(k, 1) + 2) == rank_data(w)[2], w
+        assert result.dim == _h2_block_dimension_reference(w, max(k, 1) + 2) == \
+            rank_data(w)[2], w
     # a negative integral shift: nonempty blocks, acyclic at every cap
     w = Weights((Fraction(1),), Fraction(-2))
     assert w.delta() == -3 and weight_block_basis(2, Truncation(3), w)
     assert brute_force_h2(w).stable
-    assert [h2_block_dimensions(w, cap) for cap in (1, 3)] == [0, 0]
+    assert [_h2_block_dimension_reference(w, cap) for cap in (1, 3)] == [0, 0]
 
 
 def test_the_graded_acyclicity_certificate_refuses_a_corrupted_table(monkeypatch):
@@ -324,6 +333,7 @@ def test_the_graded_acyclicity_certificate_refuses_a_corrupted_table(monkeypatch
         monkeypatch.undo()
         cecomplex._certify_graded_acyclicity.cache_clear()
         cecomplex._cached_h2_frame.cache_clear()
+        cecomplex._orbit_h2.cache_clear()
     # Xx2 lowering the eigenvalue by 2: the cochain on (Xx2,) would exist
     # in K(2), so the levels below k - 1 would not all be empty
     monkeypatch.setitem(weights_module._WEIGHT_CONTRIB, XX2, -2)
@@ -370,29 +380,19 @@ PREFIX_CASES = [
 ]
 
 
-def _h2_block_dimension_reference(w, cap, weight):
-    """One cap built and ranked from scratch."""
-    tr = Truncation(cap, weight)
-    b1, b2, b3 = (weight_block_basis(p, tr, w) for p in (1, 2, 3))
-    return (len(b2) - sparse_rank(block_matrix(2, tr, w, b2, b3))
-            - sparse_rank(block_matrix(1, tr, w, b1, b2)))
-
-
 def test_block_dimensions_equal_per_cap_reference():
-    # Also every sweep row with n <= 3, k <= 4, below, at and above the cap
-    # where H^2 settles; nonzero eigenvalue blocks; and lambda = 1/3.
-    cases = PREFIX_CASES + [(w, [0, k, k + 1, k + 3], 0)
-                            for n in (1, 2, 3) for w, k, _ in sweep_configurations(n, 4)]
-    for w in (weights_for_tvector(1, 2, (0,)), weights_for_tvector(2, 2, (1, 0)),
-              weights_for_tvector(3, 2, (0, 1, 0)), nonresonant_weights(2, 3)):
-        cases += [(w, [1, 3, 4], eigenvalue) for eigenvalue in (1, -1, 2, -2)]
-    cases += [(Weights((Fraction(1, 3),), Fraction(7, 3)), [1, 3, 5], 0),
-              (Weights((Fraction(1, 3), Fraction(1, 3)), Fraction(8, 3)), [1, 2, 4], 0),
-              (Weights((Fraction(1, 3), Fraction(-1, 2)), Fraction(11, 6)), [2, 4], -1)]
-    for w, caps, weight in cases:
-        for cap in caps:
-            assert h2_block_dimensions(w, cap, weight) == \
-                _h2_block_dimension_reference(w, cap, weight), (w, cap, weight)
+    # The prefix cases, every sweep row with n <= 3, k <= 4, and lambda = 1/3
+    # (a natural shift and a non-half-integral lambda beside -1/2).
+    cases = [w for w, _, _ in PREFIX_CASES]
+    cases += [w for n in (1, 2, 3) for w, _, _ in sweep_configurations(n, 4)]
+    cases += [nonresonant_weights(2, 3),
+              Weights((Fraction(1, 3),), Fraction(7, 3)),
+              Weights((Fraction(1, 3), Fraction(1, 3)), Fraction(8, 3)),
+              Weights((Fraction(1, 3), Fraction(-1, 2)), Fraction(11, 6))]
+    cecomplex._orbit_h2.cache_clear()
+    for w in cases:
+        assert brute_force_h2(w).dim == \
+            _h2_block_dimension_reference(w, default_alpha_max(w.delta())), w
 
 
 def test_brute_force_never_builds_a_block_matrix(monkeypatch):
@@ -422,8 +422,8 @@ def test_a_cold_oracle_call_enumerates_each_degree_once(monkeypatch):
 
 
 def _cold_h2(w):
-    """The oracle's value without its orbit memo."""
-    return h2_block_dimensions(w, default_alpha_max(w))
+    """The oracle's value, built and ranked from scratch at its cap."""
+    return _h2_block_dimension_reference(w, default_alpha_max(w.delta()))
 
 
 def test_a_warm_shuffled_orbit_memo_equals_cold_block_dimensions():
@@ -463,21 +463,14 @@ def test_the_orbit_memo_keeps_shift_arity_and_fractional_weights_apart():
     assert cecomplex._orbit_h2.cache_info().currsize == len(rows)
 
 
-def test_a_cold_sweep_computes_the_oracle_once_per_orbit(monkeypatch):
-    calls = []
-    block_dimensions = cecomplex.h2_block_dimensions
-
-    def counting(w, cap, weight=0):
-        calls.append(w)
-        return block_dimensions(w, cap, weight)
-    monkeypatch.setattr(cecomplex, "h2_block_dimensions", counting)
+def test_a_cold_sweep_computes_the_oracle_once_per_orbit():
     configs = sweep_configurations(4, 6)
     resonant = {(k, tuple(sorted(t))) for _, k, t in configs if t is not None}
     non_resonant = {k for _, k, t in configs if t is None}
     assert (len(configs), len(resonant), len(non_resonant)) == (2282, 252, 7)
     cecomplex._orbit_h2.cache_clear()
     rows = run_sweep(4, 6, ("system", "oracle"), "on")
-    assert len(calls) == len(resonant) + len(non_resonant)
+    assert cecomplex._orbit_h2.cache_info().misses == len(resonant) + len(non_resonant)
     assert all(row.dim_oracle == rank_data(row.weights)[2] for row in rows)
 
 
@@ -487,11 +480,14 @@ def test_the_oracle_frame_keeps_the_x1_free_columns_and_puts_x1_rows_first():
     # that row is the column's leading index, distinct for each column, so
     # every matched column lands on a fresh pivot.
     matched = 0
-    for w, caps, weight in PREFIX_CASES:
-        tr = Truncation(max(caps), weight)
+    for w, _, _ in PREFIX_CASES:
+        if w.delta().denominator != 1:
+            continue
+        tr = Truncation(default_alpha_max(w.delta()))
         sources = [e for e in weight_block_basis(1, tr, w) if X1 not in e[2]]
         x1_rows = sum(X1 in args for _, _, args in weight_block_basis(2, tr, w))
-        columns = cecomplex._fill(cecomplex._h2_frame(tr, w).d1, w)
+        frame = cecomplex._cached_h2_frame(w.n, int(w.delta()))
+        columns = cecomplex._fill(frame.d1, w.twice_lambdas)
         assert len(columns) == len(sources)
         leads = [min(column) for (m, _, _), column in zip(sources, columns) if m > 0]
         assert all(lead < x1_rows for lead in leads)
@@ -534,19 +530,26 @@ def test_the_pairing_certificate_refuses_a_minor_that_is_not_diagonal(monkeypatc
     monkeypatch.undo()
     # X1 acting with coefficient 0: the partner's diagonal entry vanishes,
     # and the oracle refuses the block instead of dropping its X1 columns.
-    # Cap 4 has X1-containing 1-cochains (from level 3 on); the graded
-    # certificate has run on the intact tables, so the pairing check is
-    # what trips.
+    # At the oracle's cap max(k, 1) an X1-containing 1-cochain (m, alpha,
+    # (X1,)) has m = |alpha| - k - 1 >= 0 only for k = 0, so d0 is zeroed on
+    # a k = 0 row; X1-containing 3-cochains exist at every k, so d2 is
+    # zeroed on a k = 4 row.  The graded certificate has run on the intact
+    # tables, so the pairing check is what trips.
     assert cecomplex._certify_graded_acyclicity()
-    table = {source: tuple((t, j, 0 if t[0] is X1 else sign, c) for t, j, sign, c in terms)
-             for source, terms in cecomplex._DIFFERENTIAL_TABLES[0].items()}
-    monkeypatch.setitem(cecomplex._DIFFERENTIAL_TABLES, 0, table)
-    cecomplex._cached_h2_frame.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="not diagonal"):
-            h2_block_dimensions(w, 4)
-    finally:
+    for p, row in ((0, Weights((Fraction(0), Fraction(0)), Fraction(0))),
+                   (2, weights_for_tvector(2, 4, (1, 2)))):
+        table = {source: tuple((t, j, 0 if t[0] is X1 else sign, c) for t, j, sign, c in terms)
+                 for source, terms in cecomplex._DIFFERENTIAL_TABLES[p].items()}
+        monkeypatch.setitem(cecomplex._DIFFERENTIAL_TABLES, p, table)
         cecomplex._cached_h2_frame.cache_clear()
+        cecomplex._orbit_h2.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="not diagonal"):
+                brute_force_h2(row)
+        finally:
+            monkeypatch.undo()
+            cecomplex._cached_h2_frame.cache_clear()
+            cecomplex._orbit_h2.cache_clear()
 
 
 def test_block_basis_at_a_cap_is_a_prefix_of_a_larger_cap():
@@ -664,14 +667,17 @@ def test_block_frames_carry_no_lambda():
                  weight_block_basis(p + 1, tr, SHARED_FRAME_WEIGHTS[0]))
         for w in SHARED_FRAME_WEIGHTS:
             assert block_matrix(p, tr, w) == _generic_block_matrix(w, *bases), (p, w)
-    # and the cochain dimensions read off the shared oracle frame are
-    # per-lambda; every weight after the first read the frame already built
+    # and the cochain dimensions read off the shared oracle frame at cap 2
+    # are per-lambda; every orbit after the first read the frame already
+    # built
+    orbits = {tuple(sorted(w.twice_lambdas)) for w in SHARED_FRAME_WEIGHTS}
+    cecomplex._orbit_h2.cache_clear()
     hits = cecomplex._cached_h2_frame.cache_info().hits
     for w in SHARED_FRAME_WEIGHTS:
-        for cap in (3, 4):
-            assert h2_block_dimensions(w, cap) == _h2_block_dimension_reference(w, cap, 0)
-    assert cecomplex._cached_h2_frame.cache_info().hits - hits >= \
-        2 * (len(SHARED_FRAME_WEIGHTS) - 1)
+        result = brute_force_h2(w)
+        assert result.alpha_max == 2
+        assert result.dim == _h2_block_dimension_reference(w, 2), w
+    assert cecomplex._cached_h2_frame.cache_info().hits - hits >= len(orbits) - 1
 
 
 def test_truncation_refuses_a_non_integer_eigenvalue():

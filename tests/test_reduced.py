@@ -393,11 +393,11 @@ def _assert_rank_data_is_the_full_rank(w):
 def test_rank_data_equals_the_full_echelon_on_sweep_rows():
     # rank_data echelonises only the box a <= t; the reference ranks every row
     count = 0
-    for n, k_max in ((1, 9), (2, 8), (3, 6), (4, 5)):
+    for n, k_max in ((1, 9), (2, 8), (3, 6), (4, 5), (5, 4), (6, 3)):
         for w, _, _ in sweep_configurations(n, k_max):
             _assert_rank_data_is_the_full_rank(w)
             count += 1
-    assert count == 55 + 213 + 448 + 985
+    assert count == 55 + 213 + 448 + 985 + 1305 + 798
 
 
 def _seeded_lambda(rng, k):
