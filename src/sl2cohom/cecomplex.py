@@ -104,7 +104,12 @@ in the algebraic Morse theory form of E. Skoldberg (Trans. AMS 358, 2006).
 What each proof reads off d, that every partner is in the basis and that
 the partner columns are diagonal, with a nonzero and lambda-independent
 diagonal, on the paired rows, is checked from the frame's own entries
-when a block is first built (`_certify_pairing`), never assumed.
+when a block is first built (`_certify_pairing`), never assumed.  At the
+oracle's cap max(delta, 1), though, a cochain (m, alpha, (X1,)) of P1 has
+m = |alpha| - delta - 1, so P1 is empty for every delta >= 1: identity 1
+and the pairing check of d0 act only at k = 0 and at negative integral
+shifts, and elsewhere drop no column and pair nothing.  Identity 2 and
+the pairing check of d2 act at every shift.
 
 The oracle reads the eigenvalue-0 block of an integral shift delta at
 the cap max(delta, 1) (a non-integral shift leaves it empty), so its
@@ -542,7 +547,7 @@ def block_matrix(p: int, tr: Truncation, w: Weights,
         source = weight_block_basis(p, tr, w)
     if target is None:
         target = weight_block_basis(p + 1, tr, w)
-    return _fill(_build_frame(p, scalar(w.delta()), source, target), w.twice_lambdas)
+    return _fill(_build_frame(p, w.delta(), source, target), w.twice_lambdas)
 
 
 @dataclass(frozen=True)
@@ -677,7 +682,7 @@ class CohomResult(NamedTuple):
 
 
 @functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)
-def _orbit_h2(delta: Fraction, twice_lambdas: tuple[Scalar, ...]) -> int:
+def _orbit_h2(delta: Scalar, twice_lambdas: tuple[Scalar, ...]) -> int:
     """H^2 of the weight-0 block at the cap `default_alpha_max`, for the
     shift delta and the sorted 2 lambda_i of one orbit (module docstring),
     computed once per orbit.

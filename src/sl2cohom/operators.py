@@ -155,7 +155,7 @@ def act_on_operator(g: SL2Generator, op: DiffOperator) -> DiffOperator:
     alpha_i, never by clamping indices.
     """
     w = op.weights
-    delta = scalar(w.delta())
+    delta = w.delta()
     h = g.h
     dh = h.derivative()
     d2h = dh.derivative()

@@ -128,7 +128,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import le
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import linalg
 from .cecomplex import ORBIT_CACHE_SIZE, Cochain, CohomResult
@@ -150,17 +150,6 @@ from .weights import SL2Generator, Weights, doubled
 FamilyMap = dict[MultiIndex, Polynomial]
 
 
-def _normalized(weights: Weights, family: Mapping[MultiIndex, Polynomial]) -> FamilyMap:
-    out: FamilyMap = {}
-    for alpha, poly in family.items():
-        alpha = tuple(alpha)
-        if len(alpha) != weights.n or any(a < 0 for a in alpha):
-            raise ValueError(f"bad multi-index {alpha}")
-        if not poly.is_zero():
-            out[alpha] = poly
-    return out
-
-
 def _add_into(out: FamilyMap, alpha: MultiIndex, poly: Polynomial) -> None:
     """out[alpha] += poly for a nonzero poly; an entry whose sum vanishes goes."""
     prev = out.get(alpha)
@@ -177,16 +166,6 @@ def _family_add(a: FamilyMap, b: FamilyMap) -> FamilyMap:
     for alpha, poly in b.items():
         _add_into(out, alpha, poly)
     return out
-
-
-def _shift(weights: Weights) -> Scalar:
-    """delta, as an ``int`` when it is integral; a natural shift is read
-    as the ``int`` the weights already hold."""
-    k = weights._natural_delta
-    if k is not None:
-        return k
-    delta = weights.delta()
-    return delta.numerator if delta.denominator == 1 else delta
 
 
 #: Bound on the multi-indices whose lowering targets are kept; a few
@@ -258,19 +237,18 @@ def _lower(weights: Weights, family: FamilyMap) -> FamilyMap:
             for target, acc in sums.items() if any(acc)}
 
 
-@dataclass(frozen=True)
-class ReducedOneCochain:
-    """1-cochain in (U, V, W) coordinates."""
+class ReducedOneCochain(NamedTuple):
+    """1-cochain in (U, V, W) coordinates.
+
+    Every key of U, V and W is a multi-index of length ``weights.n``, and no
+    family holds a zero polynomial.  Construction does not check this: the
+    producers of this module keep it, and the tests check their outputs.
+    """
 
     weights: Weights
     U: FamilyMap
     V: FamilyMap
     W: FamilyMap
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "U", _normalized(self.weights, self.U))
-        object.__setattr__(self, "V", _normalized(self.weights, self.V))
-        object.__setattr__(self, "W", _normalized(self.weights, self.W))
 
     def to_cochain(self) -> Cochain:
         """Values on the basis fields: U at X1, xU + V at Xx, x^2 U + 2xV + 2W at Xx2."""
@@ -288,19 +266,14 @@ class ReducedOneCochain:
         return Cochain(w, 1, {k: op for k, op in comps.items() if not op.is_zero()})
 
 
-@dataclass(frozen=True)
-class ReducedTwoCochain:
-    """2-cochain in (A, B, C) coordinates."""
+class ReducedTwoCochain(NamedTuple):
+    """2-cochain in (A, B, C) coordinates, under the invariant of
+    :class:`ReducedOneCochain`."""
 
     weights: Weights
     A: FamilyMap
     B: FamilyMap
     C: FamilyMap
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "A", _normalized(self.weights, self.A))
-        object.__setattr__(self, "B", _normalized(self.weights, self.B))
-        object.__setattr__(self, "C", _normalized(self.weights, self.C))
 
     def to_cochain(self) -> Cochain:
         """Evaluate the three antisymmetric brackets on the basis pairs.
@@ -335,33 +308,6 @@ class ReducedTwoCochain:
         return data
 
 
-_new = object.__new__
-#: Store an instance's field dict through the class's ``__dict__``
-#: descriptor, past the frozen dataclass's ``__setattr__``.
-_set_one_cochain_fields = ReducedOneCochain.__dict__["__dict__"].__set__
-_set_two_cochain_fields = ReducedTwoCochain.__dict__["__dict__"].__set__
-
-
-def _one_cochain(weights: Weights, U: FamilyMap, V: FamilyMap,
-                 W: FamilyMap) -> ReducedOneCochain:
-    """A 1-cochain from families whose keys are already valid multi-indices
-    for weights (keys of checked cochains or of :func:`_lower`) and which
-    hold no zero polynomial.  It skips the public constructor's checks and
-    fills the instance with one write."""
-    b = _new(ReducedOneCochain)
-    _set_one_cochain_fields(b, {"weights": weights, "U": U, "V": V, "W": W})
-    return b
-
-
-def _two_cochain(weights: Weights, A: FamilyMap, B: FamilyMap,
-                 C: FamilyMap) -> ReducedTwoCochain:
-    """A 2-cochain from families that meet the terms of :func:`_one_cochain`;
-    the system's index tuples also qualify as keys."""
-    f = _new(ReducedTwoCochain)
-    _set_two_cochain_fields(f, {"weights": weights, "A": A, "B": B, "C": C})
-    return f
-
-
 def cocycle_residual(f: ReducedTwoCochain) -> FamilyMap:
     """Per-index obstruction to closedness; f is a cocycle iff all zero.
 
@@ -370,7 +316,7 @@ def cocycle_residual(f: ReducedTwoCochain) -> FamilyMap:
     of the converted cochain, evaluated on (X1, Xx, Xx2), equals twice the
     residual family (asserted in the tests).
     """
-    delta = _shift(f.weights)
+    delta = f.weights.delta()
     out: FamilyMap = {}
     for alpha, c_poly in f.C.items():
         if d_poly := c_poly.derivative():
@@ -392,7 +338,7 @@ def coboundary_reduced(b: ReducedOneCochain) -> ReducedTwoCochain:
     when it is integral, and a scaling by zero adds no entry.
     """
     w = b.weights
-    delta = _shift(w)
+    delta = w.delta()
     a_fam: FamilyMap = {}
     for alpha, u_poly in b.U.items():
         if s := index_weight(alpha) - delta:
@@ -408,7 +354,7 @@ def coboundary_reduced(b: ReducedOneCochain) -> ReducedTwoCochain:
     for alpha, w_poly in b.W.items():
         if s := delta - index_weight(alpha) - 1:
             _add_into(c_fam, alpha, w_poly.scale(s))
-    return _two_cochain(w, a_fam, b_fam, c_fam)
+    return ReducedTwoCochain(w, a_fam, b_fam, c_fam)
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +558,11 @@ def cocycle_basis(w: Weights) -> list[ReducedTwoCochain]:
     out: list[ReducedTwoCochain] = []
     for vec in linalg.kernel_basis(factorization):
         fam = {alpha: Polynomial._raw([c]) for alpha, c in zip(system.col_index, vec) if c}
-        out.append(_two_cochain(w, fam, {}, {}))
+        out.append(ReducedTwoCochain(w, fam, {}, {}))
     covered = set(linalg.column_space_echelon(factorization))
     complement = [alpha for i, alpha in enumerate(system.row_index) if i not in covered]
-    out += [_two_cochain(w, {}, {alpha: ONE}, {}) for alpha in complement]
-    out += [_two_cochain(w, {}, {}, {alpha: ONE}) for alpha in complement]
+    out += [ReducedTwoCochain(w, {}, {alpha: ONE}, {}) for alpha in complement]
+    out += [ReducedTwoCochain(w, {}, {}, {alpha: ONE}) for alpha in complement]
     return out
 
 
@@ -674,7 +620,7 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
     of the construction and raises ``AssertionError``.
     """
     w = f.weights
-    delta = _shift(w)
+    delta = w.delta()
     k = w.natural_delta()
     middle_level = None if k is None else k - 1
 
@@ -714,7 +660,7 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
         for alpha, c in zip(system.col_index, solution):
             if c:
                 _add_into(v_fam, alpha, Polynomial._raw([c]))
-    witness = _one_cochain(w, u_fam, v_fam, w_fam)
+    witness = ReducedOneCochain(w, u_fam, v_fam, w_fam)
     if coboundary_reduced(witness) == f:
         return witness
     if cocycle_residual(f):

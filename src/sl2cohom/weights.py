@@ -114,9 +114,10 @@ def doubled(values: tuple[Fraction, ...]) -> tuple[Scalar, ...]:
 class Weights:
     """Argument weights (lambda_1, ..., lambda_n) and target weight mu.
 
-    The shift, its value as a natural number (or None) and
-    ``twice_lambdas`` (each 2 lambda_i, an ``int`` when it is integral) are
-    computed once, at construction.  The constructor stores each field
+    The shift (an ``int`` when it is integral, else a ``Fraction``), its
+    value as a natural number (or None) and ``twice_lambdas`` (each
+    2 lambda_i, an ``int`` when it is integral) are computed once, at
+    construction.  The constructor stores each field
     through its slot descriptor (the frozen dataclass's ``__setattr__``
     refuses every later assignment) and reads each weight's numerator and
     denominator once: a sweep builds a ``Weights`` per row.
@@ -125,7 +126,7 @@ class Weights:
     lambdas: tuple[Fraction, ...]
     mu: Fraction
     twice_lambdas: tuple[Scalar, ...] = field(repr=False, compare=False)
-    _delta: Fraction = field(repr=False, compare=False)
+    _delta: Scalar = field(repr=False, compare=False)
     _natural_delta: Optional[int] = field(repr=False, compare=False)
 
     def __init__(self, lambdas: Iterable[Scalar], mu: Scalar) -> None:
@@ -148,15 +149,16 @@ class Weights:
         Weights.mu.__set__(self, mu)
         Weights.twice_lambdas.__set__(self, tuple(twice))
         whole, rest = divmod(num, den)
-        Weights._delta.__set__(self, Fraction(num, den) if rest else Fraction(whole))
+        Weights._delta.__set__(self, Fraction(num, den) if rest else whole)
         Weights._natural_delta.__set__(self, whole if not rest and whole >= 0 else None)
 
     @property
     def n(self) -> int:
         return len(self.lambdas)
 
-    def delta(self) -> Fraction:
-        """The shift mu - sum(lambda_i)."""
+    def delta(self) -> Scalar:
+        """The shift mu - sum(lambda_i): an ``int`` when it is integral, else
+        a ``Fraction``, as each entry of ``twice_lambdas``."""
         return self._delta
 
     def natural_delta(self) -> Optional[int]:

@@ -42,6 +42,24 @@ def test_every_workload_evaluates_and_checks_its_first_configs():
         assert checks.tally and all(failed == 0 for _, failed in checks.tally.values()), name
 
 
+#: The seed-1 digest of one full pass of each workload: every workload's
+#: results, byte for byte, as ``perfbench/run.py`` prints them.
+SEED_1_DIGESTS = {
+    "sweep-system": "efa8459dbbe763276c6a2c9b096960456d184647f593ea5a6e2f39a2bb093819",
+    "oracle": "c68f0548e479be2d6c0ca1b20033233c07d342808b50c94acb7b92dfcf44843c",
+    "certify": "136f121be747bf309527d8128d92e7930e75935a0df4de9bdd456523bd05c10a",
+}
+
+
+def test_every_workload_keeps_its_seed_1_digest():
+    workloads = _perfbench("workloads")
+    assert set(workloads.NAMES) == set(SEED_1_DIGESTS)
+    for name in workloads.NAMES:
+        workload = workloads.build(name, 1)
+        done = [(cfg, workload.evaluate(cfg)) for cfg in workload.configs]
+        assert workload.digest(done) == SEED_1_DIGESTS[name], name
+
+
 def test_every_traced_name_resolves():
     tracing = _perfbench("tracing")
     for modname, attr in tracing.SPAN_TARGETS:

@@ -552,6 +552,18 @@ def test_the_pairing_certificate_refuses_a_minor_that_is_not_diagonal(monkeypatc
             cecomplex._orbit_h2.cache_clear()
 
 
+def test_identity_1_pairs_cochains_only_at_k_0_and_negative_shifts():
+    # At the oracle's cap max(delta, 1), an X1-containing 1-cochain
+    # (m, alpha, (X1,)) has m = |alpha| - delta - 1: none exists for
+    # delta >= 1, the n of level 1 at delta = 0, and all 1 + n of level
+    # <= 1 below 0.  So identity 1 and the d0 pairing check act only there.
+    for n in (1, 2, 3, 4):
+        counts = [sum(X1 in args for _, _, args in
+                      cecomplex._block_basis(1, n, -delta, default_alpha_max(delta)))
+                  for delta in range(-3, 7)]
+        assert counts == [n + 1] * 3 + [n] + [0] * 6, n
+
+
 def test_block_basis_at_a_cap_is_a_prefix_of_a_larger_cap():
     for w, caps, weight in PREFIX_CASES:
         cap = caps[0]

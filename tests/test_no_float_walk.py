@@ -134,8 +134,14 @@ def test_residuals_and_coboundaries_of_fraction_cochains_are_exact():
     entries = [0, 1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)]
 
     def family(n):
-        return {tuple(rng.randint(0, 3) for _ in range(n)):
-                Polynomial([rng.choice(entries) for _ in range(3)]) for _ in range(4)}
+        """Four random entries; a zero polynomial is not kept, as no cochain
+        family holds one."""
+        fam = {}
+        for _ in range(4):
+            alpha = tuple(rng.randint(0, 3) for _ in range(n))
+            if poly := Polynomial([rng.choice(entries) for _ in range(3)]):
+                fam[alpha] = poly
+        return fam
 
     residuals = 0
     for w in FRACTION_PAIR_WEIGHTS:
