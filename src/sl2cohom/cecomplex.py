@@ -712,13 +712,9 @@ def brute_force_h2(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
     here when not given; it only names the case.
     """
     _certify_graded_acyclicity()
-    tag = classify(w) if tag is None else tag
     delta = w.delta()
-    return CohomResult(
-        dim=_orbit_h2(delta, tuple(sorted(w.twice_lambdas))),
-        method="oracle",
-        weights=w,
-        tag=tag,
-        alpha_max=default_alpha_max(delta),
-        stable=True,
-    )
+    # tuple.__new__ skips the NamedTuple's Python-level __new__ (see
+    # closedform.classify)
+    return tuple.__new__(CohomResult, (_orbit_h2(delta, tuple(sorted(w.twice_lambdas))),
+                                       "oracle", w, classify(w) if tag is None else tag,
+                                       default_alpha_max(delta), True))

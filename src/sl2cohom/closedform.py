@@ -57,6 +57,11 @@ class CaseTag(NamedTuple):
         return (f"singular(k={self.k}, t={self.t}, sigma={self.sigma})")
 
 
+#: The one tag of every configuration whose shift is not a natural number;
+#: a ``CaseTag`` is immutable, so all of them share it.
+NON_INTEGER_DELTA = CaseTag(CaseKind.NON_INTEGER_DELTA)
+
+
 def classify(w: Weights) -> CaseTag:
     """Exactly one tag per weight configuration.
 
@@ -64,17 +69,19 @@ def classify(w: Weights) -> CaseTag:
     tuple that is only partially integral is non-resonant (the rank method
     stays correct regardless, so no case is lost).
     """
-    k = w.natural_delta()
-    if k is None:
-        return CaseTag(CaseKind.NON_INTEGER_DELTA)
+    k = w.delta()
+    if type(k) is not int or k < 0:
+        return NON_INTEGER_DELTA
     # t_i = -2 lambda_i from the stored 2 lambda_i, an int exactly when
-    # integral; the first slot outside {0, ..., k-1} settles the case
+    # integral; the first slot outside {0, ..., k-1} settles the case.  The
+    # tag is built by tuple.__new__, which skips the Python frame of the
+    # NamedTuple's generated __new__, about half the cost of a tag.
     t = []
     for v in w.twice_lambdas:
         if type(v) is not int or not -k < v <= 0:
-            return CaseTag(CaseKind.NON_RESONANT, k)
+            return tuple.__new__(CaseTag, (CaseKind.NON_RESONANT, k, None, None))
         t.append(-v)
-    return CaseTag(CaseKind.SINGULAR, k, tuple(t), sum(t))
+    return tuple.__new__(CaseTag, (CaseKind.SINGULAR, k, tuple(t), sum(t)))
 
 
 def singular_counts(tag: CaseTag) -> tuple[Optional[int], Optional[int]]:
@@ -100,19 +107,24 @@ def singular_counts(tag: CaseTag) -> tuple[Optional[int], Optional[int]]:
 
 
 def dim_h2_closed_form(tag: CaseTag, n: int) -> int:
-    """Closed-form dimension prediction, with s and r from :func:`singular_counts`."""
-    if tag.kind is CaseKind.NON_INTEGER_DELTA:
+    """Closed-form dimension prediction, with s and r as in :func:`singular_counts`."""
+    kind, k, t, sigma = tag
+    if kind is CaseKind.NON_INTEGER_DELTA:
         return 0
-    base = multiset_coeff(n - 1, tag.k)
-    if tag.kind is CaseKind.NON_RESONANT or tag.sigma < tag.k - 1:
+    base = multiset_coeff(n - 1, k)
+    if kind is CaseKind.NON_RESONANT or sigma < k - 1:
         return base
-    if tag.sigma == tag.k - 1:
+    if sigma == k - 1:
         return base + 3
-    s, r = singular_counts(tag)
-    if tag.sigma == tag.k:
-        return base + 3 * (s - 1)
-    if tag.sigma == tag.k + 1:
-        return base if max(tag.t) == 1 else base + 3 * (s * (s - 1) // 2) - 3 * r
+    if sigma == k:
+        return base + 3 * (len(t) - t.count(0) - 1)
+    if sigma == k + 1:
+        if max(t) == 1:
+            return base
+        s = len(t) - t.count(0)
+        return base + 3 * (s * (s - 1) // 2) - 3 * t.count(1)
+    m = sigma - k
+    s = sum(1 for v in t if v > m)
     return base + 3 * (s * (s - 1) // 2)
 
 
@@ -123,23 +135,24 @@ def dim_h2_summary_table(tag: CaseTag, n: int) -> Optional[int]:
     r = #{t_i = 1} and keeps the table's leading factor 2, which clears
     every half in its rows, so the value is an integer: 2 base, 2 base + 6,
     2 base + 3 (s - 1), 2 base + 3 (s + r)(s + r - 1) - 6 r or
-    2 base + 3 s (s - 1).  Only defined for singular tags.
+    2 base + 3 s (s - 1).  Only defined for singular tags.  At sigma = k,
+    s counts the nonzero t_i, and at sigma = k + 1, s + r does.
     """
-    if tag.kind is not CaseKind.SINGULAR:
+    kind, k, t, sigma = tag
+    if kind is not CaseKind.SINGULAR:
         return None
-    t, k, sigma = tag.t, tag.k, tag.sigma
-    assert t is not None and k is not None and sigma is not None
     twice_base = 2 * multiset_coeff(n - 1, k)
-    s = sum(1 for v in t if v > sigma - k)
-    r = sum(1 for v in t if v == 1)
     if sigma < k - 1:
         return twice_base
     if sigma == k - 1:
         return twice_base + 6
     if sigma == k:
-        return twice_base + 3 * (s - 1)
+        return twice_base + 3 * (len(t) - t.count(0) - 1)
     if sigma == k + 1:
         if max(t) >= 2:
-            return twice_base + 3 * (s + r) * (s + r - 1) - 6 * r
+            s_plus_r = len(t) - t.count(0)
+            return twice_base + 3 * s_plus_r * (s_plus_r - 1) - 6 * t.count(1)
         return twice_base
+    m = sigma - k
+    s = sum(1 for v in t if v > m)
     return twice_base + 3 * s * (s - 1)

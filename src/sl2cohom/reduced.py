@@ -99,8 +99,8 @@ of :func:`~sl2cohom.closedform.classify`) and whose entries are
 
     rank = N_(k-1) - |B| + rank(B),
 
-with N_(k-1) the number of rows, and :func:`rank_data` echelonises only
-the box rows (``linalg.sparse_rank``); off the singular case the system
+with N_(k-1) the number of rows, and :func:`dim_h2_via_system` echelonises
+only the box rows (``linalg.sparse_rank``); off the singular case the system
 has full row rank and no row is built.
 
 The box deficiency |B| - rank(B) depends on t only through (k, sorted t).
@@ -113,8 +113,9 @@ in column pi a + e_(pi(i)) = pi(a + e_i).  So pi maps the rows and columns
 of t bijectively onto those of pi t, carries every entry with it, and maps
 the box {a <= t} onto the box {b <= pi t}: the two boxes are the same
 matrix up to a relabelling of rows and columns, of equal size and rank.
-:func:`rank_data` therefore ranks one box per orbit, the one of sorted t,
-through a bounded memo keyed by (k, sorted t); n is the key's length.
+:func:`dim_h2_via_system` therefore ranks one box per orbit, the one of
+sorted t, through a bounded memo keyed by (k, sorted t); n is the key's
+length.
 
 The box is Q[x_1..x_n]/(x_i^(t_i + 1)) in degrees k - 1 to k, the ring
 whose strong Lefschetz property (R. Stanley 1980; J. Watanabe 1987) makes
@@ -432,7 +433,7 @@ def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
     a_i < k, depend on lambda.  The index tuples and each row's sparsity
     pattern are an (n, k) frame cached by ``_system_frame``, so a sweep
     evaluating many lambda at one (n, k) computes just the n k factors per
-    configuration.  :func:`rank_data` reads the box rows off the same
+    configuration.  :func:`_box_deficiency` reads the box rows off the same
     frame, and :func:`solve_coboundary` places a right-hand side by its
     row positions.  The cache keeps at most ``SYSTEM_FRAME_CACHE_SIZE``
     frames; the 6 of n = 4, k <= 5 hold 25 KiB, and one at the command
@@ -478,31 +479,6 @@ def _box_deficiency(k: int, t: tuple[int, ...]) -> int:
     return len(box) - linalg.sparse_rank(box)
 
 
-def rank_data(w: Weights, tag: Optional[CaseTag] = None) -> Optional[tuple[int, int, int]]:
-    """(k, rank, ell) of the constraint system for a natural shift, None otherwise.
-
-    ``tag`` is ``classify(w)``, computed here when not given.  The system
-    is block-diagonal over S(a) = {free slots} | {i : a_i > t_i}, and every
-    block with S nonempty has full row rank (proof in the module
-    docstring).  So the rank is N_(k-1) off the singular case and
-    N_(k-1) - |B| + rank(B) on it, where only the rows of the box
-    B = {a <= t}, picked from the (n, k) frame by that test on their
-    index, are built and echelonised.  A slot permutation carries the box
-    of t onto that of the permuted t with every entry (module docstring),
-    so the deficiency |B| - rank(B) comes from a memo keyed by (k, sorted
-    t), bounded by ``cecomplex.ORBIT_CACHE_SIZE``: the rows of one orbit
-    share one echelon.
-    """
-    tag = classify(w) if tag is None else tag
-    if tag.kind is CaseKind.NON_INTEGER_DELTA:
-        return None
-    k, n_rows = tag.k, multiset_coeff(w.n, tag.k - 1)
-    if tag.kind is CaseKind.NON_RESONANT:
-        return (k, n_rows, 0)
-    ell = _box_deficiency(k, tuple(sorted(tag.t)))
-    return (k, n_rows - ell, ell)
-
-
 def dim_h2_via_system(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
     """Rank-based dimension: 0 unless the shift is natural, else base + 3*ell.
 
@@ -514,14 +490,28 @@ def dim_h2_via_system(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
     are coboundaries, and only the ell bottom-family ones are nontrivial
     classes, which is the value the brute-force complex gives.  ``tag`` is
     ``classify(w)``, computed here when not given.
+
+    The system is block-diagonal over S(a) = {free slots} | {i : a_i > t_i},
+    and every block with S nonempty has full row rank (proof in the module
+    docstring).  So ell is 0 off the singular case and |B| - rank(B) on
+    it, where only the rows of the box B = {a <= t}, picked from the
+    (n, k) frame by that test on their index, are built and echelonised.
+    A slot permutation carries the box of t onto that of the permuted t
+    with every entry (module docstring), so the deficiency comes from a
+    memo keyed by (k, sorted t), bounded by ``cecomplex.ORBIT_CACHE_SIZE``:
+    the rows of one orbit share one echelon.
     """
     tag = classify(w) if tag is None else tag
-    data = rank_data(w, tag)
-    if data is None:
-        return CohomResult(dim=0, method="system", weights=w, tag=tag, stable=True)
-    k, _, ell = data
-    dim = multiset_coeff(w.n - 1, k) + 3 * ell
-    return CohomResult(dim=dim, method="system", weights=w, tag=tag, stable=True)
+    kind, k, t, _ = tag
+    if kind is CaseKind.NON_INTEGER_DELTA:
+        dim = 0
+    else:
+        dim = multiset_coeff(w.n - 1, k)
+        if kind is CaseKind.SINGULAR:
+            dim += 3 * _box_deficiency(k, tuple(sorted(t)))
+    # tuple.__new__ skips the NamedTuple's Python-level __new__ (see
+    # closedform.classify)
+    return tuple.__new__(CohomResult, (dim, "system", w, tag, None, True))
 
 
 # ---------------------------------------------------------------------------

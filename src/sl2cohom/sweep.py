@@ -17,13 +17,16 @@ read the rest from a memo (proofs in the ``reduced`` and ``cecomplex``
 docstrings).
 
 So a warm row is bookkeeping.  Its tag, results and row are named tuples,
-and the case string is formatted only when a report is written.  In-process
-CPU time on 2 vCPUs, Python 3.11, an n = 4, k <= 5 row with the system,
-closed and summary methods costs about 12 us: 2 to classify, 4 for the
-system (memo lookups and the result), 3 for the closed form, 2 for the
-summary table and 0.5 for the row.  The oracle adds about 2.5 us at n = 2
-and 5.5 us at n = 4.  Building the row's ``Weights`` beforehand, in
-``sweep_configurations``, costs about 19 us more.
+built positionally through ``tuple.__new__``, and the case string is
+formatted only when a report is written.  In-process CPU time on 2 vCPUs,
+Python 3.11, a warm n = 4, k <= 5 row with the system, closed and summary
+methods costs about 4.6 us: 0.8 to classify, 1.2 for the system (memo
+lookups and the result), 0.8 for the closed form, 0.8 for the summary
+table and 0.9 for the row.  The oracle adds about 1.3 us at n = 2 and at
+n = 4.  Building the row's ``Weights`` beforehand, in
+``sweep_configurations``, costs about 3 us more at n = 4 and 5 us at
+n = 8: the weights -t_i/2 and mu = k - sigma/2 are made once per k, and
+what is left is the ``Weights`` constructor.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .cecomplex import brute_force_h2
@@ -54,10 +57,23 @@ CSV_COLUMNS = ["n", "k", "t", "sigma", "s", "r", "dim_system", "dim_closed",
                "dim_summary", "dim_oracle", "stable", "agree"]
 
 
+def _tvector_weights(k: int, values: Iterable[int],
+                     sigmas: Iterable[int]) -> Callable[[Sequence[int]], Weights]:
+    """Builds the weights with -2*lambda = t and shift k, for every t with
+    entries in ``values`` and sum in ``sigmas``.
+
+    Each lambda = -v/2 and each mu = (2k - sigma)/2 is made once, here: a
+    ``Fraction`` normalises through ``gcd``, and a sweep has many more rows
+    than values.
+    """
+    lambdas = {v: Fraction(-v, 2) for v in values}
+    mus = {sigma: Fraction(2 * k - sigma, 2) for sigma in sigmas}
+    return lambda t: Weights(tuple(map(lambdas.__getitem__, t)), mus[sum(t)])
+
+
 def weights_for_tvector(n: int, k: int, t: Sequence[int]) -> Weights:
     """The weight configuration with -2*lambda = t and shift k."""
-    lambdas = tuple(Fraction(-v, 2) for v in t)
-    return Weights(lambdas, Fraction(2 * k - sum(t), 2))
+    return _tvector_weights(k, t, (sum(t),))(t)
 
 
 def nonresonant_weights(n: int, k: int) -> Weights:
@@ -171,32 +187,35 @@ def evaluate_row(w: Weights, k: int, t: Optional[tuple[int, ...]],
     of the constraint system's sparse rows and ranks all of them, so the
     verification gate can prove it detects an injected error.
     """
+    n = w.n
     tag = classify(w)
     if not perturb:
         dim_system = dim_h2_via_system(w, tag).dim
     else:
-        equations = list(build_system(w.n, k, w.lambdas).equations)
+        equations = list(build_system(n, k, w.lambdas).equations)
         if equations:
             equations[0] = {**equations[0], 0: equations[0].get(0, 0) + 1}
-        ell = multiset_coeff(w.n, k - 1) - linalg.sparse_rank(equations)
-        dim_system = multiset_coeff(w.n - 1, k) + 3 * ell
-    dim_closed = dim_h2_closed_form(tag, w.n) if "closed" in methods else None
-    dim_summary = dim_h2_summary_table(tag, w.n) if "summary" in methods else None
-    dim_oracle = None
-    stable = None
-    if "oracle" in methods and _oracle_wanted(oracle_policy, w.n, k):
-        result = brute_force_h2(w, tag)
-        dim_oracle = result.dim
-        stable = result.stable
-    return SweepRow(w, tag, k, t, dim_system, dim_closed, dim_summary, dim_oracle, stable)
+        ell = multiset_coeff(n, k - 1) - linalg.sparse_rank(equations)
+        dim_system = multiset_coeff(n - 1, k) + 3 * ell
+    oracle = None
+    if "oracle" in methods and _oracle_wanted(oracle_policy, n, k):
+        oracle = brute_force_h2(w, tag)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__ (see
+    # closedform.classify)
+    return tuple.__new__(SweepRow, (
+        w, tag, k, t, dim_system,
+        dim_h2_closed_form(tag, n) if "closed" in methods else None,
+        dim_h2_summary_table(tag, n) if "summary" in methods else None,
+        None if oracle is None else oracle.dim,
+        None if oracle is None else oracle.stable))
 
 
 def sweep_configurations(n: int, k_max: int) -> list[tuple[Weights, int, Optional[tuple[int, ...]]]]:
     """All (weights, k, t) rows of a sweep, singular grids plus non-resonant."""
     configs: list[tuple[Weights, int, Optional[tuple[int, ...]]]] = []
     for k in range(k_max + 1):
-        for t in _t_grid(n, k):
-            configs.append((weights_for_tvector(n, k, t), k, t))
+        weights = _tvector_weights(k, range(k), range(n * (k - 1) + 1))
+        configs += [(weights(t), k, t) for t in _t_grid(n, k)]
         configs.append((nonresonant_weights(n, k), k, None))
     return configs
 

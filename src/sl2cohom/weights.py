@@ -114,10 +114,9 @@ def doubled(values: tuple[Fraction, ...]) -> tuple[Scalar, ...]:
 class Weights:
     """Argument weights (lambda_1, ..., lambda_n) and target weight mu.
 
-    The shift (an ``int`` when it is integral, else a ``Fraction``), its
-    value as a natural number (or None) and ``twice_lambdas`` (each
-    2 lambda_i, an ``int`` when it is integral) are computed once, at
-    construction.  The constructor stores each field
+    The shift (an ``int`` when it is integral, else a ``Fraction``) and
+    ``twice_lambdas`` (each 2 lambda_i, an ``int`` when it is integral)
+    are computed once, at construction.  The constructor stores each field
     through its slot descriptor (the frozen dataclass's ``__setattr__``
     refuses every later assignment) and reads each weight's numerator and
     denominator once: a sweep builds a ``Weights`` per row.
@@ -127,7 +126,6 @@ class Weights:
     mu: Fraction
     twice_lambdas: tuple[Scalar, ...] = field(repr=False, compare=False)
     _delta: Scalar = field(repr=False, compare=False)
-    _natural_delta: Optional[int] = field(repr=False, compare=False)
 
     def __init__(self, lambdas: Iterable[Scalar], mu: Scalar) -> None:
         lambdas = tuple(map(exact, lambdas))
@@ -150,7 +148,6 @@ class Weights:
         Weights.twice_lambdas.__set__(self, tuple(twice))
         whole, rest = divmod(num, den)
         Weights._delta.__set__(self, Fraction(num, den) if rest else whole)
-        Weights._natural_delta.__set__(self, whole if not rest and whole >= 0 else None)
 
     @property
     def n(self) -> int:
@@ -163,7 +160,8 @@ class Weights:
 
     def natural_delta(self) -> Optional[int]:
         """delta as a nonnegative integer, or None when delta is not one."""
-        return self._natural_delta
+        d = self._delta
+        return d if type(d) is int and d >= 0 else None
 
     # -- serialisation ------------------------------------------------
 

@@ -28,7 +28,6 @@ from sl2cohom.reduced import (
     cocycle_basis,
     cocycle_residual,
     dim_h2_via_system,
-    rank_data,
     solve_coboundary,
 )
 from sl2cohom.sweep import (
@@ -38,6 +37,12 @@ from sl2cohom.sweep import (
     weights_for_tvector,
 )
 from sl2cohom.weights import GENERATORS, Weights, bracket
+
+
+def system_ell(w):
+    """The rank deficiency of the constraint system at a natural shift k,
+    read off dim_h2_via_system = base + 3 ell."""
+    return (dim_h2_via_system(w).dim - multiset_coeff(w.n - 1, w.natural_delta())) // 3
 
 
 def _finish(num: int, budget: float, elapsed: float, failures: list) -> None:
@@ -91,7 +96,7 @@ def test_criterion_2_nonresonant_dimension():
     for n in (1, 2):
         for k in range(5):
             w = nonresonant_weights(n, k)
-            expected = rank_data(w)[2]
+            expected = system_ell(w)
             oracle = brute_force_h2(w)
             if not (oracle.stable and oracle.dim == expected):
                 failures.append(("oracle", n, k, oracle.dim, expected,
@@ -142,7 +147,7 @@ def test_criterion_4_singular_case_table():
         gate.append(("gate-n2", row, row.dim_oracle, row.stable))
     checked = []
     for label, row, dim_oracle, stable in gate:
-        ell = rank_data(row.weights)[2]
+        ell = system_ell(row.weights)
         checked.append((row.k, row.t, dim_oracle, ell))
         if not (stable and dim_oracle == ell):
             failures.append((label, row.k, row.t, dim_oracle, ell, stable))
@@ -242,7 +247,7 @@ def test_criterion_6_cocycle_bases():
                 bottom += 1
                 if witness is not None:
                     failures.append(("exact", str(w), pos, "C"))
-        ell = rank_data(w)[2]
+        ell = system_ell(w)
         if bottom != ell:
             failures.append(("bottom-count", str(w), bottom, ell))
     _finish(6, 120.0, time.monotonic() - t0, failures)

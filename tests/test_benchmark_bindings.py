@@ -121,7 +121,9 @@ def test_a_traced_pass_yields_every_per_layer_metric():
     # Each basis reads its kernel and column space off one factorization,
     # and only its ell bottom-family elements need a solve, which fails.
     natural = [w for w, _, _ in configs if w.natural_delta() is not None]
-    ells = [reduced.rank_data(w)[2] for w in natural]
+    # ell read off dim_h2_via_system = base + 3 ell
+    ells = [(reduced.dim_h2_via_system(w).dim - multiset_coeff(w.n - 1, w.natural_delta())) // 3
+            for w in natural]
     assert (len(natural), sum(ells)) == (8, 4)
     assert metrics["reduced.cocycle_basis.calls"] == len(natural)
     assert metrics["linalg.kernel_basis.calls"] == len(natural)

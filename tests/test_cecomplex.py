@@ -23,10 +23,10 @@ from sl2cohom.cecomplex import (
     weight_of,
 )
 from sl2cohom.linalg import sparse_rank
-from sl2cohom.multiindices import enumerate_up_to, index_weight
+from sl2cohom.multiindices import enumerate_up_to, index_weight, multiset_coeff
 from sl2cohom.operators import DiffOperator, act_on_operator
 from sl2cohom.polynomials import Polynomial
-from sl2cohom.reduced import rank_data
+from sl2cohom.reduced import dim_h2_via_system
 from sl2cohom.sweep import (
     nonresonant_weights,
     run_sweep,
@@ -34,6 +34,13 @@ from sl2cohom.sweep import (
     weights_for_tvector,
 )
 from sl2cohom.weights import GENERATORS, Weights
+
+
+def system_ell(w):
+    """The rank deficiency of the constraint system at a natural shift k,
+    read off dim_h2_via_system = base + 3 ell."""
+    return (dim_h2_via_system(w).dim - multiset_coeff(w.n - 1, w.natural_delta())) // 3
+
 
 X1, XX, XX2 = GENERATORS
 
@@ -238,7 +245,7 @@ def test_brute_force_matches_rank_deficiency():
     for w in cases:
         result = brute_force_h2(w)
         assert result.stable
-        assert result.dim == rank_data(w)[2]
+        assert result.dim == system_ell(w)
 
 
 def test_brute_force_matches_rank_deficiency_at_n4_k4_and_n3_k5():
@@ -255,7 +262,7 @@ def test_brute_force_matches_rank_deficiency_at_n4_k4_and_n3_k5():
         w = weights_for_tvector(n, k, t)
         result = brute_force_h2(w)
         assert result.stable, t
-        assert result.dim == rank_data(w)[2], t
+        assert result.dim == system_ell(w), t
     assert time.perf_counter() - start < 10
 
 
@@ -285,7 +292,7 @@ def test_a_cap_below_the_shift_is_not_certified():
     # keeps only level 4, so none of them is the H^2 of the block; from cap
     # k on, the filtration gives ell, and the oracle computes at cap k
     w = weights_for_tvector(2, 5, (2, 3))
-    assert rank_data(w)[2] == 1
+    assert system_ell(w) == 1
     assert [_h2_block_dimension_reference(w, cap) for cap in range(1, 8)] == \
         [0, 0, 0, 5, 1, 1, 1]
     result = brute_force_h2(w)
@@ -307,7 +314,7 @@ def test_cap_k_equals_cap_k_plus_2_and_ell_on_seeded_rows():
         result = brute_force_h2(w)
         assert result.stable and result.alpha_max == max(k, 1), w
         assert result.dim == _h2_block_dimension_reference(w, max(k, 1) + 2) == \
-            rank_data(w)[2], w
+            system_ell(w), w
     # a negative integral shift: nonempty blocks, acyclic at every cap
     w = Weights((Fraction(1),), Fraction(-2))
     assert w.delta() == -3 and weight_block_basis(2, Truncation(3), w)
@@ -401,7 +408,7 @@ def test_brute_force_never_builds_a_block_matrix(monkeypatch):
     monkeypatch.setattr(cecomplex, "block_matrix", refuse)
     cecomplex._cached_h2_frame.cache_clear()
     for w in (weights_for_tvector(2, 3, (1, 2)), weights_for_tvector(2, 3, (0, 2))):
-        assert brute_force_h2(w).dim == rank_data(w)[2]
+        assert brute_force_h2(w).dim == system_ell(w)
 
 
 def test_a_cold_oracle_call_enumerates_each_degree_once(monkeypatch):
@@ -471,7 +478,7 @@ def test_a_cold_sweep_computes_the_oracle_once_per_orbit():
     cecomplex._orbit_h2.cache_clear()
     rows = run_sweep(4, 6, ("system", "oracle"), "on")
     assert cecomplex._orbit_h2.cache_info().misses == len(resonant) + len(non_resonant)
-    assert all(row.dim_oracle == rank_data(row.weights)[2] for row in rows)
+    assert all(row.dim_oracle == system_ell(row.weights) for row in rows)
 
 
 def test_the_oracle_frame_keeps_the_x1_free_columns_and_puts_x1_rows_first():

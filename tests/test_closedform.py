@@ -1,8 +1,10 @@
 import itertools
 from fractions import Fraction
+from typing import Optional
 
 from sl2cohom.closedform import (
     CaseKind,
+    CaseTag,
     classify,
     dim_h2_closed_form,
     dim_h2_summary_table,
@@ -196,3 +198,71 @@ def test_summary_table_is_an_int_on_every_singular_sweep_row():
             value = dim_h2_summary_table(tag, n)
             assert (value is None) == (tag.kind is not CaseKind.SINGULAR), (n, k, t)
             assert value is None or type(value) is int, (n, k, t)
+
+
+# -- the predictors against their earlier bodies --------------------------
+
+
+def reference_closed_form(tag: CaseTag, n: int) -> int:
+    """Closed-form dimension prediction, with s and r from :func:`singular_counts`."""
+    if tag.kind is CaseKind.NON_INTEGER_DELTA:
+        return 0
+    base = multiset_coeff(n - 1, tag.k)
+    if tag.kind is CaseKind.NON_RESONANT or tag.sigma < tag.k - 1:
+        return base
+    if tag.sigma == tag.k - 1:
+        return base + 3
+    s, r = singular_counts(tag)
+    if tag.sigma == tag.k:
+        return base + 3 * (s - 1)
+    if tag.sigma == tag.k + 1:
+        return base if max(tag.t) == 1 else base + 3 * (s * (s - 1) // 2) - 3 * r
+    return base + 3 * (s * (s - 1) // 2)
+
+
+def reference_summary_table(tag: CaseTag, n: int) -> Optional[int]:
+    """Literal transcription of the summary table, kept for comparison only.
+
+    Uses the single global definitions s = #{t_i > sigma - k} and
+    r = #{t_i = 1} and keeps the table's leading factor 2, which clears
+    every half in its rows, so the value is an integer: 2 base, 2 base + 6,
+    2 base + 3 (s - 1), 2 base + 3 (s + r)(s + r - 1) - 6 r or
+    2 base + 3 s (s - 1).  Only defined for singular tags.
+    """
+    if tag.kind is not CaseKind.SINGULAR:
+        return None
+    t, k, sigma = tag.t, tag.k, tag.sigma
+    assert t is not None and k is not None and sigma is not None
+    twice_base = 2 * multiset_coeff(n - 1, k)
+    s = sum(1 for v in t if v > sigma - k)
+    r = sum(1 for v in t if v == 1)
+    if sigma < k - 1:
+        return twice_base
+    if sigma == k - 1:
+        return twice_base + 6
+    if sigma == k:
+        return twice_base + 3 * (s - 1)
+    if sigma == k + 1:
+        if max(t) >= 2:
+            return twice_base + 3 * (s + r) * (s + r - 1) - 6 * r
+        return twice_base
+    return twice_base + 3 * s * (s - 1)
+
+
+def test_the_predictors_equal_their_reference_bodies_on_every_sweep_tag():
+    grids = [(n, 6) for n in range(1, 5)] + [(n, 3) for n in range(5, 9)]
+    branches = set()
+    for n, k_max in grids:
+        for w, k, t in sweep_configurations(n, k_max):
+            tag = classify(w)
+            closed, summary = dim_h2_closed_form(tag, n), dim_h2_summary_table(tag, n)
+            assert (closed, type(closed)) == \
+                (reference_closed_form(tag, n), type(reference_closed_form(tag, n))), (n, k, t)
+            assert (summary, type(summary)) == \
+                (reference_summary_table(tag, n), type(reference_summary_table(tag, n))), \
+                (n, k, t)
+            if tag.kind is CaseKind.SINGULAR:
+                m = tag.sigma - tag.k
+                branches.add("max t = 1" if m == 1 and max(tag.t) == 1 else max(-2, min(m, 2)))
+    # every branch of both bodies is reached: sigma - k <= -2, -1, 0, 1, >= 2
+    assert branches == {-2, -1, 0, 1, 2, "max t = 1"}

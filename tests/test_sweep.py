@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2cohom import linalg, reduced
+from sl2cohom import linalg, reduced, sweep
 from sl2cohom.cecomplex import brute_force_h2
 from sl2cohom.closedform import (
     CaseKind,
@@ -13,7 +13,7 @@ from sl2cohom.closedform import (
 )
 from sl2cohom.linalg import RationalMatrix
 from sl2cohom.multiindices import multiset_coeff
-from sl2cohom.reduced import build_system, dim_h2_via_system, rank_data
+from sl2cohom.reduced import build_system, dim_h2_via_system
 from sl2cohom.sweep import (
     CSV_COLUMNS,
     evaluate_row,
@@ -25,6 +25,7 @@ from sl2cohom.sweep import (
     verify_rows,
     weights_for_tvector,
 )
+from sl2cohom.weights import Weights
 
 
 def test_weights_for_tvector():
@@ -35,6 +36,24 @@ def test_weights_for_tvector():
     assert w2.delta() == 4 and (classify(w2).t, classify(w2).sigma) == ((1, 2, 3), 6)
     for w, k, t in sweep_configurations(3, 4):
         assert w.mu == k + sum(w.lambdas), (k, t)
+
+
+def test_sweep_rows_build_the_weights_of_weights_for_tvector():
+    # the per-k tables of sweep_configurations against the one-row builder
+    # and against -lambda_i = t_i / 2, mu = k - sigma / 2 built from scratch
+    def fields(w):
+        values = (w.lambdas, w.mu, w.twice_lambdas, w.delta())
+        return values, [type(v) for v in (*w.lambdas, w.mu, *w.twice_lambdas, w.delta())]
+
+    rows = 0
+    for n, k_max in ((1, 6), (2, 6), (3, 5), (4, 4), (6, 3)):
+        for w, k, t in sweep_configurations(n, k_max):
+            if t is None:
+                continue
+            scratch = Weights(tuple(Fraction(-v, 2) for v in t), Fraction(2 * k - sum(t), 2))
+            assert fields(w) == fields(weights_for_tvector(n, k, t)) == fields(scratch), (k, t)
+            rows += 1
+    assert rows == 21 + 91 + 225 + 354 + 794
 
 
 def test_nonresonant_weights_classify_nonresonant():
@@ -113,7 +132,7 @@ def test_the_sparse_negative_control_equals_the_dense_one():
 def test_the_negative_control_never_reads_the_box_memo():
     # t = (1, 0) warms the orbit of t = (0, 1): unperturbed, both have
     # dim 4; the perturbed system of (0, 1) has full rank, so dim 1
-    rank_data(weights_for_tvector(2, 2, (1, 0)))
+    dim_h2_via_system(weights_for_tvector(2, 2, (1, 0)))
     before = reduced._box_deficiency.cache_info()
     w = weights_for_tvector(2, 2, (0, 1))
     assert evaluate_row(w, 2, (0, 1), ("system",), "off", perturb=True).dim_system == 1
@@ -163,3 +182,31 @@ def test_tags_results_and_rows_refuse_assignment():
         for name in (field, "extra"):
             with pytest.raises(AttributeError):
                 setattr(obj, name, 0)
+
+
+def test_a_row_calls_each_entry_point_once_per_requested_method(monkeypatch):
+    # classify, the system rank, both predictors and the oracle are the
+    # spans the benchmark's tracer binds: one call per row for each method
+    calls = {}
+    for name in ("classify", "dim_h2_via_system", "dim_h2_closed_form",
+                 "dim_h2_summary_table", "brute_force_h2"):
+        def counted(*args, _real=getattr(sweep, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(sweep, name, counted)
+    configs = sweep_configurations(2, 3)
+    for methods in (ALL_METHODS, ("system",), ("system", "summary", "oracle")):
+        for policy in ("on", "off"):
+            calls.clear()
+            for w, k, t in configs:
+                evaluate_row(w, k, t, methods, policy)
+            wanted = sum(sweep._oracle_wanted(policy, 2, k) for _, k, _ in configs)
+            expected = {"classify": len(configs), "dim_h2_via_system": len(configs)}
+            for method, name in (("closed", "dim_h2_closed_form"),
+                                 ("summary", "dim_h2_summary_table")):
+                if method in methods:
+                    expected[name] = len(configs)
+            if "oracle" in methods and wanted:
+                expected["brute_force_h2"] = wanted
+            assert calls == expected, (methods, policy)
+            assert wanted == (len(configs) if policy == "on" else 0)
