@@ -73,9 +73,9 @@ MAX_ORACLE_BLOCK = 25_000
 MAX_BASIS_CELLS = 1_000_000
 #: Rows sum_{k=1}^{k_max} k^n + (k_max + 1) of a ``table`` or ``verify``
 #: sweep.  ``table`` in a fresh process, medians of 5 on 2 vCPUs: 19,701
-#: rows took 0.7 s (n = 1, k_max = 197, oracle off), and 15,343 rows took
-#: 2.9 s with the oracle on and 0.7 s with it off (n = 4, k_max = 9), in
-#: 32 MiB.  Past the ceiling, 80,601 rows took 3.2 s and 82 MiB (n = 1,
+#: rows took 0.5 s (n = 1, k_max = 197, oracle off), and 15,343 rows took
+#: 2.4 s with the oracle on and 0.6 s with it off (n = 4, k_max = 9), in
+#: 32 MiB.  Past the ceiling, 80,601 rows took 2.8 s and 81 MiB (n = 1,
 #: k_max = 400, the same sweep and CSV in a fresh process, median of 3).
 MAX_SWEEP_ROWS = 20_000
 
