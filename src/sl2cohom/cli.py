@@ -62,14 +62,18 @@ MAX_SYSTEM_FRAME_ENTRIES = 10_000_000
 #: k = 10), 0.44 s at 21,945 (n = 4, k = 18) and 0.15 s at 24,999 (n = 1,
 #: k = 8332).
 MAX_ORACLE_BLOCK = 25_000
-#: Cells C(n + k - 1, k)^2 of the dense kernel ``basis`` returns:
-#: ``kernel_basis`` gives up to cols - rank vectors of cols entries each,
-#: with cols = C(n + k - 1, k) >= rows, so the count also bounds the rows
-#: times cols of the sparse system it echelonises.  10^6 cells took 0.2 s
-#: and 21 MiB at n = 2, k = 999 (one kernel vector) and 3.2 s and 182 MiB
-#: at n = 1000, k = 1 (999 kernel vectors, 13 MB of JSON); 627,264 cells
-#: took 0.7 s and 31 MiB at n = 6, k = 7, t = (3, ..., 3) (medians of 5
-#: ``basis`` runs).
+#: Cells C(n + k - 1, k)^2, the square of the system's unknown count
+#: cols = C(n + k - 1, k), which is at least its equation count rows and,
+#: for k >= 1, at least n.  Within a factor 3 the square bounds what
+#: ``basis`` builds and writes: the rows times cols of the sparse system
+#: it echelonises, the cols - rank sparse kernel vectors of at most
+#: rank + 1 entries each, and the n weights that each of its at most
+#: cols + 2 rows elements prints.
+#: The weights dominate at large n and small k: 10^6 cells took 0.9 s and
+#: 190 MiB at n = 1000, k = 1 (1,002 elements, 13 MB of JSON), against
+#: 0.15 s and 21 MiB at n = 2, k = 999 (one kernel vector); 627,264 cells
+#: took 0.5 s and 31 MiB at n = 6, k = 7, t = (3, ..., 3) (CPU time and
+#: peak RSS, medians of 6 ``basis`` runs in fresh processes).
 MAX_BASIS_CELLS = 1_000_000
 #: Rows sum_{k=1}^{k_max} k^n + (k_max + 1) of a ``table`` or ``verify``
 #: sweep.  ``table`` in a fresh process, medians of 5 on 2 vCPUs: 19,701
@@ -199,7 +203,7 @@ def _check_closed_size(n: int, k: int) -> None:
 
 
 def _check_basis_size(n: int, k: int) -> None:
-    # the dense kernel basis returns: up to C(n + k - 1, k) vectors of that length
+    # the square of the unknown count C(n + k - 1, k); see MAX_BASIS_CELLS
     _check_ceiling(f"the kernel of the constraint system at n = {n}, k = {k}",
                    multiset_coeff(n, k) ** 2, "cells", MAX_BASIS_CELLS)
 

@@ -91,19 +91,19 @@ def singular_counts(tag: CaseTag) -> tuple[Optional[int], Optional[int]]:
     * sigma = k:       s = #{t_i >= 1}, r unused;
     * sigma = k + 1:   s = #{t_i >= 1}, r = #{t_i = 1};
     * sigma = k + m, m >= 2: s = #{t_i > m}, r unused.
+
+    Every t_i of a singular tag is a natural number, so #{t_i >= 1} is
+    n - #{t_i = 0}, and both counts are ``tuple.count`` calls.
     """
-    if tag.kind is not CaseKind.SINGULAR:
-        return (None, None)
-    t, k, sigma = tag.t, tag.k, tag.sigma
-    assert t is not None and k is not None and sigma is not None
-    if sigma < k:
+    kind, k, t, sigma = tag
+    if kind is not CaseKind.SINGULAR or sigma < k:
         return (None, None)
     if sigma == k:
-        return (sum(1 for v in t if v >= 1), None)
+        return (len(t) - t.count(0), None)
     if sigma == k + 1:
-        return (sum(1 for v in t if v >= 1), sum(1 for v in t if v == 1))
+        return (len(t) - t.count(0), t.count(1))
     m = sigma - k
-    return (sum(1 for v in t if v > m), None)
+    return (sum(v > m for v in t), None)
 
 
 def dim_h2_closed_form(tag: CaseTag, n: int) -> int:

@@ -13,11 +13,17 @@ the elimination.
 A :class:`Factorization` echelonises the rows of a matrix M once, in order,
 back-substitutes to the reduced row echelon form and logs every row
 operation on the way: the intake scale, each a v - b row and each division
-by the content.  Three reads share it.
+by the content.  The back-substitution clears every reduced row at the
+other leads and divides by the content only a row it changed: a row no
+substitution touched is still the primitive row the forward pass stored.
+Three reads share it.
 
 * ``kernel_basis`` reads the kernel off the reduced row echelon form,
   which is unique up to the scale of each row, so the vectors do not
-  depend on the order of elimination.
+  depend on the order of elimination.  Each vector is sparse, read
+  straight off the reduced rows: the free column x_f = 1 and, for every
+  reduced row that meets column f, x_lead = -row[f] / row[lead].  The
+  dense cols x (cols - rank) array is never formed.
 * ``solve`` replays the log on a right-hand side, in integers except
   where a division by a content or an intake scale is inexact (through
   :func:`~sl2cohom.polynomials.divide`).  A row that reduced to zero is a
@@ -130,8 +136,8 @@ class Factorization:
             steps = []
             for pivot in [i for i in row if i != lead and i in echelon]:
                 row = _eliminate(row, pivot, echelon[pivot], steps=steps)
-            echelon[lead], g = _primitive(row)
-            if steps:
+            if steps:  # an untouched row is still the primitive row _insert stored
+                echelon[lead], g = _primitive(row)
                 substitutions.append((lead, tuple(steps), g))
         self.cols = cols
         self.reduced = echelon
@@ -139,24 +145,24 @@ class Factorization:
         self.substitutions = tuple(substitutions)
 
 
-def kernel_basis(factorization: Factorization) -> list[list[Scalar]]:
+def kernel_basis(factorization: Factorization) -> list[dict[int, Scalar]]:
     """Basis of the null space of the factorised rows; exactly cols - rank vectors.
 
-    Free columns are parametrised in ascending column order, each vector
-    read off the reduced row echelon form, so the result is deterministic.
-    An entry is an ``int`` wherever it is integral.
+    Free columns are parametrised in ascending column order, so the result
+    is deterministic.  Each vector is sparse, {column: value} of its
+    nonzero entries: 1 at its free column and -row[free] / row[lead] at the
+    lead of every reduced row that meets that column.  An entry is an
+    ``int`` wherever it is integral.
     """
-    cols, reduced = factorization.cols, factorization.reduced
-    basis: dict[int, list[Scalar]] = {}
-    for free in range(cols):
-        if free not in reduced:
-            basis[free] = vec = [0] * cols
-            vec[free] = 1
+    reduced = factorization.reduced
+    basis = {free: {free: 1} for free in range(factorization.cols) if free not in reduced}
     for lead, row in reduced.items():
-        pivot = row[lead]
+        pivot = -row[lead]
         for free, c in row.items():
             if free != lead:
-                basis[free][lead] = divide(-c, pivot)
+                # the int branch of divide: the reduced rows hold ints
+                q, rem = divmod(c, pivot)
+                basis[free][lead] = Fraction(c, pivot) if rem else q
     return list(basis.values())
 
 

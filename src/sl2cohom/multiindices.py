@@ -98,4 +98,4 @@ def enumerate_up_to(n: int, max_weight: int) -> list[MultiIndex]:
 
 def format_multiindex(alpha: MultiIndex) -> str:
     """Render as "[a1,...,an]" (no spaces), the label used in CSV/JSON."""
-    return "[" + ",".join(str(a) for a in alpha) + "]"
+    return "[" + ",".join(map(str, alpha)) + "]"

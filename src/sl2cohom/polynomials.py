@@ -75,8 +75,12 @@ def divide(value: Scalar, divisor: Scalar) -> Scalar:
 
 
 def format_rational(value: Scalar) -> str:
-    """Canonical text form: "p/q" with q > 0 and gcd(|p|, q) = 1, or "p"."""
-    return str(Fraction(value))
+    """Canonical text form: "p/q" with q > 0 and gcd(|p|, q) = 1, or "p".
+
+    ``str`` already gives it for both scalar types: a ``Fraction`` is kept
+    in lowest terms with a positive denominator and prints its numerator
+    alone when that denominator is 1, so no conversion is needed."""
+    return str(value)
 
 
 class Polynomial:

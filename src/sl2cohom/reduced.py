@@ -78,8 +78,11 @@ one echelon: the kernel (``linalg.kernel_basis``) and the leads of the
 column space (``linalg.column_space_echelon``) behind
 :func:`cocycle_basis`, and every solve behind :func:`solve_coboundary`
 (``linalg.solve``, a replay of the logged row operations).
-:func:`build_system` keeps the systems of recent weights, so a basis and
-the solves that certify its elements share one echelon.
+:func:`build_system` keeps the systems of recent weights, keyed by the
+natural shift k and the int-first doubled weights ``w.twice_lambdas``, so
+a basis and the solves that certify its elements share one echelon.  It
+takes a :class:`~sl2cohom.weights.Weights`, whose constructor is the one
+place a float is refused, and checks no value again.
 
 The rank needs only some of them.  Put t_i = -2 lambda_i, so row a has
 entry f_i(a_i) = (a_i + 1)(a_i - t_i) in column a + e_i, and call slot i
@@ -125,7 +128,6 @@ ell the count max(0, h_(k-1) - h_k) of its Hilbert function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import le
@@ -145,8 +147,8 @@ from .multiindices import (
     multiset_coeff,
 )
 from .operators import DiffOperator
-from .polynomials import ONE, Polynomial, Scalar, X, divide, exact
-from .weights import SL2Generator, Weights, doubled
+from .polynomials import ONE, Polynomial, Scalar, X, divide
+from .weights import SL2Generator, Weights
 
 FamilyMap = dict[MultiIndex, Polynomial]
 
@@ -426,8 +428,10 @@ def _system_frame(n: int, k: int) -> _Frame:
     return _Frame(rows, cols, patterns, {alpha: r for r, alpha in enumerate(rows)})
 
 
-def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
-    """The constraint system; empty (zero rows) when k = 0.
+def build_system(w: Weights) -> LinearSystem:
+    """The constraint system of weights with a natural shift k; empty (zero
+    rows) when k = 0.  A shift that is not a natural number has no system
+    and raises ``ValueError``.
 
     Only the factors (a_i + 1)(a_i + 2 lambda_i), for each slot i and each
     a_i < k, depend on lambda.  The index tuples and each row's sparsity
@@ -441,22 +445,26 @@ def build_system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
     2.7 MiB for n = 2, k = 5,000 (``tracemalloc``).
 
     The systems themselves are kept for the last
-    ``SYSTEM_FRAME_CACHE_SIZE`` (n, k, lambda), with their factorization
-    once it is made: :func:`cocycle_basis` and the :func:`solve_coboundary`
-    calls on its elements echelonise the rows once.  The lambdas are
-    checked before the lookup, so a float is refused even where an equal
-    ``Fraction`` is cached.
+    ``SYSTEM_FRAME_CACHE_SIZE`` keys (k, ``w.twice_lambdas``), with their
+    factorization once it is made: :func:`cocycle_basis` and the
+    :func:`solve_coboundary` calls on its elements echelonise the rows
+    once.  The key is what the rows depend on, n being its length, and it
+    is int-first: ``twice_lambdas`` holds an ``int`` wherever 2 lambda_i is
+    integral, so the lookup hashes no ``Fraction`` on the common rows.  The
+    values were checked once, when ``Weights`` was built, which is where a
+    float is refused.
     """
-    if len(lambdas) != n:
-        raise ValueError("lambda tuple length must equal n")
-    return _system(n, k, tuple(exact(v) for v in lambdas))
+    k = w.natural_delta()
+    if k is None:
+        raise ValueError("the constraint system requires a natural shift")
+    return _system(k, w.twice_lambdas)
 
 
 @lru_cache(maxsize=SYSTEM_FRAME_CACHE_SIZE)
-def _system(n: int, k: int, lambdas: tuple[Fraction, ...]) -> LinearSystem:
-    """The system of :func:`build_system` for checked lambdas."""
-    frame = _system_frame(n, k)
-    factors = [(a + 1) * (a + twice_lam) for twice_lam in doubled(lambdas) for a in range(k)]
+def _system(k: int, twice_lambdas: tuple[Scalar, ...]) -> LinearSystem:
+    """The system of :func:`build_system` at shift k for the doubled lambdas."""
+    frame = _system_frame(len(twice_lambdas), k)
+    factors = [(a + 1) * (a + twice_lam) for twice_lam in twice_lambdas for a in range(k)]
     equations = tuple({j: f for j, slot in pattern if (f := factors[slot])}
                       for pattern in frame.patterns)
     return LinearSystem(frame.rows, frame.cols, equations)
@@ -540,19 +548,17 @@ def cocycle_basis(w: Weights) -> list[ReducedTwoCochain]:
     coordinates completing the column space are the rows that are
     combinations of the rows before them (proof in ``linalg``).
     """
-    k = w.natural_delta()
-    if k is None:
-        raise ValueError("cocycle basis requires a natural shift")
-    system = build_system(w.n, k, w.lambdas)
+    system = build_system(w)
     factorization = system.factorization
-    out: list[ReducedTwoCochain] = []
-    for vec in linalg.kernel_basis(factorization):
-        fam = {alpha: Polynomial._raw([c]) for alpha, c in zip(system.col_index, vec) if c}
-        out.append(ReducedTwoCochain(w, fam, {}, {}))
+    cols, new = system.col_index, tuple.__new__
+    # positional construction, skipping the NamedTuple's Python-level __new__
+    out = [new(ReducedTwoCochain, (w, {cols[j]: Polynomial._raw([c]) for j, c in vec.items()},
+                                   {}, {}))
+           for vec in linalg.kernel_basis(factorization)]
     covered = set(linalg.column_space_echelon(factorization))
     complement = [alpha for i, alpha in enumerate(system.row_index) if i not in covered]
-    out += [ReducedTwoCochain(w, {}, {alpha: ONE}, {}) for alpha in complement]
-    out += [ReducedTwoCochain(w, {}, {}, {alpha: ONE}) for alpha in complement]
+    out += [new(ReducedTwoCochain, (w, {}, {alpha: ONE}, {})) for alpha in complement]
+    out += [new(ReducedTwoCochain, (w, {}, {}, {alpha: ONE})) for alpha in complement]
     return out
 
 
@@ -640,7 +646,7 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
     # Step 4: Lambda(c) = C(0); a zero C(0) is met by c = 0.
     if obstruction:
         row_pos = _system_frame(w.n, k).row_pos
-        system = build_system(w.n, k, w.lambdas)
+        system = build_system(w)
         rhs = [0] * len(system.row_index)
         for alpha, c in obstruction.items():
             rhs[row_pos[alpha]] = 2 * c

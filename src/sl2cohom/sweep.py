@@ -122,20 +122,26 @@ class SweepRow(NamedTuple):
         return (self.n, self.k, self.t if self.t is not None else (-1,) * self.n)
 
     def to_csv_record(self) -> list[str]:
-        s, r = self.counts()
+        """The row's cells under ``CSV_COLUMNS``, in one pass over its
+        unpacked fields: ``table`` writes one per row, so n, sigma, the
+        counts and ``agree`` are not read through the properties."""
+        w, tag, k, t, dim_system, dim_closed, dim_summary, dim_oracle, stable = self
+        sigma = tag[3]
+        s, r = singular_counts(tag)
+        agree = None if dim_oracle is None or not stable else dim_oracle == dim_system
         return [
-            str(self.n),
-            str(self.k),
-            format_multiindex(self.t) if self.t is not None else "",
-            "" if self.sigma is None else str(self.sigma),
+            str(len(w.lambdas)),
+            str(k),
+            "" if t is None else format_multiindex(t),
+            "" if sigma is None else str(sigma),
             "" if s is None else str(s),
             "" if r is None else str(r),
-            str(self.dim_system),
-            "" if self.dim_closed is None else str(self.dim_closed),
-            "" if self.dim_summary is None else format_rational(self.dim_summary),
-            "" if self.dim_oracle is None else str(self.dim_oracle),
-            "" if self.stable is None else str(self.stable).lower(),
-            "" if self.agree is None else str(self.agree).lower(),
+            str(dim_system),
+            "" if dim_closed is None else str(dim_closed),
+            "" if dim_summary is None else format_rational(dim_summary),
+            "" if dim_oracle is None else str(dim_oracle),
+            "" if stable is None else "true" if stable else "false",
+            "" if agree is None else "true" if agree else "false",
         ]
 
     def to_json_dict(self) -> dict:
@@ -192,7 +198,7 @@ def evaluate_row(w: Weights, k: int, t: Optional[tuple[int, ...]],
     if not perturb:
         dim_system = dim_h2_via_system(w, tag).dim
     else:
-        equations = list(build_system(n, k, w.lambdas).equations)
+        equations = list(build_system(w).equations)
         if equations:
             equations[0] = {**equations[0], 0: equations[0].get(0, 0) + 1}
         ell = multiset_coeff(n, k - 1) - linalg.sparse_rank(equations)

@@ -99,17 +99,6 @@ def lie_derivative_density(g: SL2Generator, f: Polynomial, mu: Fraction) -> Poly
     return h * f.derivative() + mu * (h.derivative() * f)
 
 
-def doubled(values: tuple[Fraction, ...]) -> tuple[Scalar, ...]:
-    """Each 2 v, an ``int`` when it is integral.
-
-    Integer arithmetic on numerators and denominators: a sweep builds
-    thousands of weights and systems, and Fraction operators cost
-    microseconds each.
-    """
-    return tuple(2 * v.numerator if v.denominator == 1 else
-                 v.numerator if v.denominator == 2 else 2 * v for v in values)
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class Weights:
     """Argument weights (lambda_1, ..., lambda_n) and target weight mu.
@@ -119,7 +108,12 @@ class Weights:
     are computed once, at construction.  The constructor stores each field
     through its slot descriptor (the frozen dataclass's ``__setattr__``
     refuses every later assignment) and reads each weight's numerator and
-    denominator once: a sweep builds a ``Weights`` per row.
+    denominator once: a sweep builds a ``Weights`` per row.  Every weight
+    passes through :func:`~sl2cohom.polynomials.exact` here, which refuses
+    a float, so code that reads these fields checks no value again: the
+    constraint system of ``reduced.build_system`` is cached under
+    (k, ``twice_lambdas``), whose entries are in lowest terms and an
+    ``int`` wherever they are integral, so equal weights give equal keys.
     """
 
     lambdas: tuple[Fraction, ...]
@@ -142,7 +136,7 @@ class Weights:
                 num *= m // den
                 den = m
             num -= p * (den // q)
-            twice.append(2 * p if q == 1 else p if q == 2 else 2 * v)  # as doubled()
+            twice.append(2 * p if q == 1 else p if q == 2 else 2 * v)
         Weights.lambdas.__set__(self, lambdas)
         Weights.mu.__set__(self, mu)
         Weights.twice_lambdas.__set__(self, tuple(twice))

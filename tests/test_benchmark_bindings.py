@@ -19,6 +19,7 @@ from pathlib import Path
 from sl2cohom import cecomplex, reduced, sweep
 from sl2cohom.closedform import CaseKind, classify
 from sl2cohom.multiindices import multiset_coeff
+from support import system_of
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,7 +77,7 @@ def test_every_traced_name_resolves():
 
 
 def test_build_system_matrix_keeps_the_fields_the_hook_reads():
-    system = reduced.build_system(3, 3, (Fraction(0), Fraction(-1, 2), Fraction(-1)))
+    system = system_of(3, 3, (Fraction(0), Fraction(-1, 2), Fraction(-1)))
     matrix = system.matrix
     assert (matrix.rows, matrix.cols) == (len(system.row_index), len(system.col_index))
     assert sum(1 for row in matrix.entries for v in row if v) == \

@@ -322,9 +322,9 @@ def test_the_box_memo_holds_every_orbit_of_one_k_the_ceilings_admit():
     assert cecomplex._orbit_h2.cache_info().maxsize == ORBIT_CACHE_SIZE >= largest + 1
 
 
-def test_basis_is_bounded_by_the_dense_kernel_it_returns(capsys):
-    # k = 1 has one equation and n unknowns, but n - 1 kernel vectors of n
-    # entries: 1,001 arguments used to pass with 1,001 cells
+def test_basis_is_bounded_by_the_square_of_its_unknowns(capsys):
+    # k = 1 has one equation and n unknowns, but about n elements that each
+    # print the n weights: 1,001 arguments used to pass with 1,001 cells
     zeros = ",".join(["0"] * 1001)
     code, out, err = run_cli(["basis", "--mu", "1", "--lambdas", zeros], capsys)
     assert code == 2

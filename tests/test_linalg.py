@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2cohom import linalg
 from sl2cohom.linalg import (
     Factorization,
     RationalMatrix,
@@ -17,7 +18,7 @@ from sl2cohom.linalg import (
     solve,
     sparse_rank,
 )
-from sl2cohom.reduced import build_system
+from support import dense, dense_kernel, system_of
 
 entries = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 # about half zeros, so rank deficiency and infeasible systems are common
@@ -64,7 +65,7 @@ def sparse(m):
 
 
 def kernel(rows, cols):
-    return kernel_basis(Factorization(rows, cols))
+    return dense_kernel(Factorization(rows, cols))
 
 
 def solved(rows, cols, rhs):
@@ -252,7 +253,7 @@ def test_the_engine_never_changes_the_rows_it_is_given():
     # the factorization back-substitutes the rows stored at leads 1 and 2.
     rows = [{0: 1, 2: -1}, {0: 1, 1: 3}, {1: 1, 2: 1}, {2: 1, 3: 1}, {1: 2, 3: 0, 4: 6},
             {3: Fraction(1, 2), 4: 1}, {}, {0: 1, 2: -1}]
-    system = build_system(3, 3, (Fraction(0), Fraction(-1, 2), Fraction(-1)))
+    system = system_of(3, 3, (Fraction(0), Fraction(-1, 2), Fraction(-1)))
     for matrix, cols in ((rows, 5), (system.equations, len(system.col_index))):
         rhs = [1] + [0] * (len(matrix) - 1)
         transposed = with_columns(matrix, cols)
@@ -289,8 +290,31 @@ def gauss_jordan(rows, ncols):
     return m[:len(pivots)], pivots
 
 
-def dense(vectors, ncols):
-    return [[vec.get(j, 0) for j in range(ncols)] for vec in vectors]
+def reference_factorization(rows):
+    """(inserts, substitutions, reduced) of the back-substitution that
+    divides every lead's row by its content, touched by a substitution
+    or not."""
+    echelon = {}
+    inserts = []
+    for vec in rows:
+        v, num, den = linalg._intake(vec)
+        steps = []
+        lead, g = linalg._insert(v, v is not vec, echelon, steps)
+        inserts.append((num, den, tuple(steps), g, lead))
+    substitutions = []
+    for lead in sorted(echelon, reverse=True):
+        row = echelon[lead]
+        steps = []
+        for pivot in [i for i in row if i != lead and i in echelon]:
+            row = linalg._eliminate(row, pivot, echelon[pivot], steps=steps)
+        echelon[lead], g = linalg._primitive(row)
+        if steps:
+            substitutions.append((lead, tuple(steps), g))
+    return tuple(inserts), tuple(substitutions), echelon
+
+
+def _typed_rows(echelon):
+    return [(lead, [(i, type(c), c) for i, c in row.items()]) for lead, row in echelon.items()]
 
 
 # mixed denominators; about a third zeros so zero vectors and deficiency are common
@@ -321,6 +345,12 @@ def test_engine_agrees_with_textbook_gauss_jordan(data):
     # kernel and every solve below.
     factorization = Factorization(vectors, ncols)
     assert all(is_primitive_int_row(row) for row in factorization.reduced.values())
+    # the back-substitution divides only the rows it changed by their
+    # content, and logs and stores what dividing every row would
+    inserts, substitutions, echelon = reference_factorization(vectors)
+    assert factorization.inserts == inserts
+    assert factorization.substitutions == substitutions
+    assert _typed_rows(factorization.reduced) == _typed_rows(echelon)
     # each row's logged intake scale num / den is the one positive rational,
     # in lowest terms, that makes the row a primitive integer vector
     for vec, (num, den, *_) in zip(vectors, factorization.inserts):
@@ -350,8 +380,10 @@ def test_engine_agrees_with_textbook_gauss_jordan(data):
             vec[lead] = -row[free]
         expected_kernel.append(vec)
     kern = kernel_basis(factorization)
-    assert kern == expected_kernel
-    assert all(int_when_integral(vec) for vec in kern)
+    # sparse, with no zero entry, in ascending free-column order
+    assert all(all(vec.values()) for vec in kern)
+    assert dense(kern, ncols) == expected_kernel
+    assert all(int_when_integral(vec.values()) for vec in kern)
 
     # some right-hand sides in the column space, so feasible solves are common
     rhss = data.draw(st.lists(st.one_of(

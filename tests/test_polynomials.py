@@ -152,6 +152,17 @@ def test_rational_text_format():
         parse_rational("1/0")
 
 
+@given(st.one_of(st.integers(-10**30, 10**30),
+                 st.fractions(max_denominator=10**6),
+                 st.integers(-50, 50).map(Fraction)))
+@example(0)
+@example(Fraction(-6, 3))
+@example(Fraction(-7, 4))
+def test_rational_text_is_the_fraction_text(value):
+    # ints, Fractions, negative and integral ones: no conversion changes the text
+    assert format_rational(value) == str(Fraction(value))
+
+
 def test_evaluation_and_str():
     p = Polynomial((1, 2, 1))
     assert p(Fraction(1, 2)) == Fraction(9, 4)

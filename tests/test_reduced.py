@@ -26,6 +26,7 @@ from sl2cohom.reduced import (
 )
 from sl2cohom.sweep import nonresonant_weights, sweep_configurations, weights_for_tvector
 from sl2cohom.weights import GENERATORS, Weights
+from support import dense_kernel, system_of
 
 X1, XX, XX2 = GENERATORS
 
@@ -83,8 +84,8 @@ def test_residual_of_zero():
 def test_residual_of_kernel_family_vanishes():
     # constant top-order family solving the coefficient system
     w = Weights((Fraction(0), Fraction(0)), Fraction(1))
-    system = build_system(2, 1, w.lambdas)
-    for vec in linalg.kernel_basis(system.factorization):
+    system = build_system(w)
+    for vec in dense_kernel(system.factorization):
         fam = {alpha: Polynomial.constant(c)
                for alpha, c in zip(system.col_index, vec) if c != 0}
         assert cocycle_residual(ReducedTwoCochain(w, fam, {}, {})) == {}
@@ -299,18 +300,18 @@ def test_nonnatural_shift_makes_every_cocycle_exact():
 
 
 def test_build_system_examples():
-    s1 = build_system(1, 1, (Fraction(1, 2),))
+    s1 = system_of(1, 1, (Fraction(1, 2),))
     assert s1.matrix.entries == [[Fraction(1)]]
-    s2 = build_system(2, 1, (Fraction(0), Fraction(0)))
+    s2 = system_of(2, 1, (Fraction(0), Fraction(0)))
     assert s2.matrix.entries == [[Fraction(0), Fraction(0)]]
-    s0 = build_system(3, 0, (Fraction(1), Fraction(1), Fraction(1)))
+    s0 = system_of(3, 0, (Fraction(1), Fraction(1), Fraction(1)))
     assert s0.matrix.rows == 0 and full_rank(s0) == 0
     assert s0.matrix.cols == 1  # single weight-0 unknown
 
 
 def test_build_system_shape_and_entries():
     lambdas = (Fraction(1), Fraction(1), Fraction(1))
-    system = build_system(3, 2, lambdas)
+    system = system_of(3, 2, lambdas)
     assert len(system.row_index) == multiset_coeff(3, 1) == 3
     assert len(system.col_index) == multiset_coeff(3, 2) == 6
     # row for (0,0,1): entries 2, 2, 6 in the columns of (1,0,1), (0,1,1), (0,0,2)
@@ -323,13 +324,27 @@ def test_build_system_shape_and_entries():
 def test_build_system_rows_are_sparse_and_exact():
     # the dense matrix is derived from the sparse rows; entries are int
     # when 2 lambda_i is an integer, a Fraction otherwise, never a float
-    system = build_system(2, 2, (Fraction(-1, 2), Fraction(0)))
+    system = system_of(2, 2, (Fraction(-1, 2), Fraction(0)))
     for equation, dense_row in zip(system.equations, system.matrix.entries):
         assert equation == {j: v for j, v in enumerate(dense_row) if v}
         assert all(type(v) is int for v in equation.values())
-    assert build_system(1, 2, (Fraction(1, 3),)).equations == ({0: Fraction(10, 3)},)
+    assert system_of(1, 2, (Fraction(1, 3),)).equations == ({0: Fraction(10, 3)},)
+    # a float is refused where the weights are built, before any system
     with pytest.raises(TypeError, match="float"):
-        build_system(1, 2, (0.1,))
+        Weights((0.1,), Fraction(21, 10))
+
+
+def test_build_system_is_keyed_by_the_shift_and_the_doubled_weights():
+    # equal weights given as Fractions, ints or strings share one cached
+    # system under the int-first key (k, twice_lambdas)
+    w = Weights((Fraction(-1, 2), Fraction(0)), Fraction(3, 2))
+    assert w.twice_lambdas == (-1, 0) and all(type(v) is int for v in w.twice_lambdas)
+    assert build_system(Weights(("-1/2", 0), "3/2")) is build_system(w)
+    assert build_system(Weights(w.lambdas, w.mu + 1)).col_index != build_system(w).col_index
+    # only a natural shift has a system
+    for mu in (w.mu + Fraction(1, 2), w.mu - 3):
+        with pytest.raises(ValueError, match="natural shift"):
+            build_system(Weights(w.lambdas, mu))
 
 
 def test_system_frames_carry_no_lambda():
@@ -346,7 +361,7 @@ def test_system_frames_carry_no_lambda():
     rows = enumerate_multiindices(n, k - 1)
     cols = enumerate_multiindices(n, k)
     for lambdas in lambda_sets:
-        system = build_system(n, k, lambdas)
+        system = system_of(n, k, lambdas)
         assert system.row_index == tuple(rows) and system.col_index == tuple(cols)
         expected = []
         for alpha in rows:
@@ -361,16 +376,16 @@ def test_system_frames_carry_no_lambda():
         # int exactly where 2 lambda_i is an integer
         assert [{j: type(v) for j, v in eq.items()} for eq in system.equations] == \
             [{j: type(v) for j, v in eq.items()} for eq in expected]
-    assert sum(1 for eq in build_system(n, k, lambda_sets[1]).equations for _ in eq) < \
-        sum(1 for eq in build_system(n, k, lambda_sets[0]).equations for _ in eq)
+    assert sum(1 for eq in system_of(n, k, lambda_sets[1]).equations for _ in eq) < \
+        sum(1 for eq in system_of(n, k, lambda_sets[0]).equations for _ in eq)
     # the solves place a right-hand side by the frame's row positions
     assert reduced._system_frame(n, k).row_pos == {alpha: r for r, alpha in enumerate(rows)}
 
 
 def test_kernel_dimension_identity():
-    system = build_system(2, 2, (Fraction(-1, 2), Fraction(0)))
+    system = system_of(2, 2, (Fraction(-1, 2), Fraction(0)))
     rho = full_rank(system)
-    kern = linalg.kernel_basis(system.factorization)
+    kern = dense_kernel(system.factorization)
     assert len(kern) == system.matrix.cols - rho
     ell = multiset_coeff(2, 1) - rho
     assert len(kern) == multiset_coeff(1, 2) + ell
@@ -409,13 +424,13 @@ def test_nonresonant_systems_have_maximal_rank():
     for n in (1, 2, 3):
         for k in range(6):
             lambdas = (Fraction(1),) * n
-            system = build_system(n, k, lambdas)
+            system = system_of(n, k, lambdas)
             assert full_rank(system) == multiset_coeff(n, k - 1)
 
 
 def _assert_the_system_rank_is_the_full_rank(w):
     k = w.natural_delta()
-    system = build_system(w.n, k, w.lambdas)
+    system = build_system(w)
     rho = full_rank(system)
     assert system_rank_data(w) == (k, rho, len(system.row_index) - rho), w
 
@@ -834,7 +849,7 @@ def test_a_basis_and_its_solves_share_one_factorization(monkeypatch):
         # one echelon per weights; one solve per bottom-family element, all infeasible
         assert len(made) - before[0] == 1
         assert len(solves) - before[1] == witnesses.count(None) == ells[-1]
-        assert all(f is build_system(3, 4, w.lambdas).factorization for f in solves[before[1]:])
+        assert all(f is build_system(w).factorization for f in solves[before[1]:])
     assert sum(ells) > 0
 
 
@@ -843,7 +858,7 @@ def test_the_row_log_grows_linearly_along_the_two_slot_chain():
     # bidiagonal chain of 999 rows on 1,000 columns.  Column combinations
     # would fill in along it; the row log holds one step per row at most.
     for lambdas in ((0, 0), (Fraction(-3, 2), Fraction(-500)), (Fraction(1, 3), Fraction(2, 5))):
-        system = build_system(2, 999, lambdas)
+        system = system_of(2, 999, lambdas)
         factorization = system.factorization
         rows = len(system.row_index)
         steps = sum(len(record[2]) for record in factorization.inserts) + \
@@ -897,7 +912,7 @@ def test_certify_path_never_derives_the_dense_matrix(monkeypatch):
         assert len(pairs) == dim_h2_via_system(w).dim
         assert sum(witness is None for _, witness in pairs) == system_rank_data(w)[2]
     with pytest.raises(AssertionError, match="dense"):
-        build_system(2, 1, (Fraction(0), Fraction(0))).matrix
+        system_of(2, 1, (Fraction(0), Fraction(0))).matrix
 
 
 @pytest.mark.parametrize("lambdas, mu", [

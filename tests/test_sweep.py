@@ -12,7 +12,7 @@ from sl2cohom.closedform import (
     dim_h2_summary_table,
 )
 from sl2cohom.linalg import RationalMatrix
-from sl2cohom.multiindices import multiset_coeff
+from sl2cohom.multiindices import format_multiindex, multiset_coeff
 from sl2cohom.reduced import build_system, dim_h2_via_system
 from sl2cohom.sweep import (
     CSV_COLUMNS,
@@ -119,7 +119,7 @@ def test_the_sparse_negative_control_equals_the_dense_one():
     # by 1; the reference does so on the dense matrix and ranks every row
     for n, k_max in ((2, 4), (3, 3)):
         for w, k, t in sweep_configurations(n, k_max):
-            cells = [list(row) for row in build_system(n, k, w.lambdas).matrix.entries]
+            cells = [list(row) for row in build_system(w).matrix.entries]
             if cells:
                 cells[0][0] += 1
             n_rows = multiset_coeff(n, k - 1)
@@ -152,6 +152,20 @@ def test_a_sweep_has_fixed_output_bytes():
         "8c4e8899e5be4ef24cd103de538bed903c5f2b4f2d5eddfd8698cebe71824ac0"
     assert hashlib.sha256(rows_to_json(rows).encode()).hexdigest() == \
         "406e66f22dcf9944e1a2c0952b6c6f06c392403f49101dfae6a8664949362328"
+
+
+def test_a_csv_record_holds_the_cells_of_the_row_json():
+    # the CSV record reads the unpacked row; the JSON record reads the
+    # row's properties and singular_counts: they agree cell for cell, on
+    # rows with and without the oracle and on every counting branch
+    rows = run_sweep(2, 4, ALL_METHODS, "auto") + run_sweep(4, 3, ALL_METHODS, "off")
+    assert {len(row.counts()) - row.counts().count(None) for row in rows} == {0, 1, 2}
+    for row in rows:
+        data = row.to_json_dict()
+        cells = ["" if data[c] is None else str(data[c]).lower() if type(data[c]) is bool
+                 else format_multiindex(data[c]) if c == "t" else str(data[c])
+                 for c in CSV_COLUMNS]
+        assert row.to_csv_record() == cells, data
 
 
 def test_a_row_holds_what_each_method_gives_on_its_own():
