@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cecomplex import CohomResult, brute_force_h2, default_alpha_max
 from .closedform import classify, dim_h2_closed_form, dim_h2_summary_table
@@ -69,11 +69,12 @@ MAX_ORACLE_BLOCK = 25_000
 #: it echelonises, the cols - rank sparse kernel vectors of at most
 #: rank + 1 entries each, and the n weights that each of its at most
 #: cols + 2 rows elements prints.
-#: The weights dominate at large n and small k: 10^6 cells took 0.9 s and
-#: 190 MiB at n = 1000, k = 1 (1,002 elements, 13 MB of JSON), against
-#: 0.15 s and 21 MiB at n = 2, k = 999 (one kernel vector); 627,264 cells
-#: took 0.5 s and 31 MiB at n = 6, k = 7, t = (3, ..., 3) (CPU time and
-#: peak RSS, medians of 6 ``basis`` runs in fresh processes).
+#: The weights dominate at large n and small k: 10^6 cells took 0.71 s and
+#: 33 MiB at n = 1000, k = 1 (1,002 elements, 13 MB of JSON, written one
+#: element at a time), against 0.11 s and 21 MiB at n = 2, k = 999 (one
+#: kernel vector); 627,264 cells took 0.33 s and 22 MiB at n = 6, k = 7,
+#: t = (3, ..., 3) (CPU time and peak RSS, medians of 6 ``basis`` runs in
+#: fresh processes, 2 vCPUs, CPython 3.11).
 MAX_BASIS_CELLS = 1_000_000
 #: Rows sum_{k=1}^{k_max} k^n + (k_max + 1) of a ``table`` or ``verify``
 #: sweep.  ``table`` in a fresh process, medians of 5 on 2 vCPUs: 19,701
@@ -240,15 +241,34 @@ def _check_sweep_size(n: int, k_max: int, methods: Sequence[str], policy: str) -
                    "rows", MAX_SWEEP_ROWS)
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
+def _write_output(chunks: Iterable[str], path: Optional[str]) -> None:
+    """Write the text chunks in order to path, or to stdout when path is None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
+
+
+def _json_array(elements: Iterable[dict]) -> Iterator[str]:
+    """The text of ``json.dumps(list(elements), indent=2, sort_keys=True)``
+    and a newline, one element at a time.
+
+    Each element is encoded alone and indented one level further, which is
+    safe because JSON text escapes every newline inside a string.  Only one
+    element's dict and text are held at once: ``basis`` at n = 1000, k = 1
+    writes 1,002 elements that each repeat the 1,000 weights.
+    """
+    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+    separator = "[\n  "
+    for element in elements:
+        yield separator
+        yield encode(element).replace("\n", "\n  ")
+        separator = ",\n  "
+    yield "[]\n" if separator == "[\n  " else "\n]\n"
 
 
 def _cmd_dim(args: argparse.Namespace) -> int:
@@ -279,7 +299,7 @@ def _cmd_dim(args: argparse.Namespace) -> int:
                 value = value if method == "closed" else format_rational(value)
             result = CohomResult(dim=value, method=method, weights=w, tag=tag, stable=True)
         results.append(result.to_json_dict())
-    _write_output(json.dumps(results, indent=2, sort_keys=True) + "\n", args.out)
+    _write_output((json.dumps(results, indent=2, sort_keys=True) + "\n",), args.out)
     return 0
 
 
@@ -288,7 +308,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     _check_sweep_size(args.n, args.k_max, methods, args.oracle)
     rows = run_sweep(args.n, args.k_max, methods, oracle_policy=args.oracle)
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-    _write_output(text, args.out)
+    _write_output((text,), args.out)
     return 0
 
 
@@ -299,7 +319,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                      perturb=args.self_test_perturb)
     report = verify_rows(rows)
     if args.out is not None:
-        _write_output(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
+        _write_output((json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",),
                       args.out)
     for line in report.summary_lines():
         print(line)
@@ -310,7 +330,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     w = _parse_weights(args, _print_bound())
     if w.natural_delta() is None:
         print("H^2 = 0, empty basis", file=sys.stderr)
-        _write_output(json.dumps([], indent=2) + "\n", args.out)
+        _write_output(_json_array(()), args.out)
         return 0
     _check_basis_size(w.n, w.natural_delta())
     _check_system_size(w.n, w.natural_delta())
@@ -318,8 +338,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     for element in basis:
         if cocycle_residual(element):
             raise AssertionError("basis element with nonzero residual")
-    _write_output(json.dumps([b.to_json_dict() for b in basis],
-                             indent=2, sort_keys=True) + "\n", args.out)
+    _write_output(_json_array(b.to_json_dict() for b in basis), args.out)
     return 0
 
 

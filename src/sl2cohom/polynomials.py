@@ -11,17 +11,27 @@ stores it through the ``coeffs`` slot descriptor, past the immutability
 guard of ``__setattr__``: the certify path builds thousands of short
 polynomials per basis.
 
-Coefficients are int-first: the constructor, :meth:`Polynomial.scale` and
-:meth:`Polynomial.antiderivative` store an ``int`` wherever a coefficient
-is integral and a ``Fraction`` only where it has a denominator
-(:func:`scalar`).  Most operands of the package are integers, and ``int``
-arithmetic is far cheaper than ``Fraction`` arithmetic.  Sums and products
-of ``Fraction`` coefficients are not normalised back and may leave an
-integral ``Fraction``; ``1 == Fraction(1)``, their hashes agree and
-:func:`format_rational` prints both as ``1``, so the type never shows in
-comparisons or output.  All arithmetic is exact; there is no floating
+Coefficients are int-first: the constructor, :meth:`Polynomial.scale` by
+any factor but 1 and :meth:`Polynomial.antiderivative` store an ``int``
+wherever a coefficient is integral and a ``Fraction`` only where it has a
+denominator (:func:`scalar`).  Most operands of the package are integers,
+and ``int`` arithmetic is far cheaper than ``Fraction`` arithmetic.  Sums
+and products of ``Fraction`` coefficients are not normalised back and may
+leave an integral ``Fraction``; ``1 == Fraction(1)``, their hashes agree
+and :func:`format_rational` prints both as ``1``, so the type never shows
+in comparisons or output.  All arithmetic is exact; there is no floating
 point anywhere in this package, and scalars are divided only through
 :func:`divide` (``int / int`` would give a float).
+
+A coefficient already held is kept, not recomputed.  The derivative keeps
+the linear coefficient c_1 as the same object instead of forming 1 * c_1,
+:meth:`Polynomial.nth_derivative` does the same through it at order 1,
+``scale(1)`` returns the polynomial itself, and trailing zeros are found
+by truth value rather than by ``== 0``.  A ``Fraction`` product builds a
+new object through two gcds, and every later comparison with the held
+coefficient then runs ``Fraction.__eq__`` where an identical object would
+stop at identity; the coboundary checks of :mod:`~sl2cohom.reduced`
+compare exactly such coefficients.
 """
 
 from __future__ import annotations
@@ -90,7 +100,7 @@ class Polynomial:
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [scalar(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
         _set_coeffs(self, tuple(cs))
 
@@ -104,10 +114,20 @@ class Polynomial:
         """Internal fast path: cs must hold int or Fraction values, an int
         wherever the caller can give one cheaply, and never a float (any
         quotient in cs comes from :func:`divide`)."""
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
         p = _new(cls)
         _set_coeffs(p, tuple(cs))
+        return p
+
+    @staticmethod
+    def _nonzero_constant(c: Scalar) -> "Polynomial":
+        """Internal fast path: the constant c, a nonzero int or Fraction
+        held as it is, with no zero test; the shared ``ONE`` for the int 1."""
+        if type(c) is int and c == 1:
+            return ONE
+        p = _new(Polynomial)
+        _set_coeffs(p, (c,))
         return p
 
     @staticmethod
@@ -192,21 +212,33 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c: Scalar) -> "Polynomial":
+        """c times the polynomial; ``scale(1)`` is the polynomial itself."""
         c = scalar(c)
-        if c == 0:
-            return Polynomial(())
+        if type(c) is int:
+            # a Fraction from scalar is never integral, so only an int is 0 or 1
+            if c == 1:
+                return self
+            if not c:
+                return Polynomial(())
         return Polynomial._raw([scalar(c * a) for a in self.coeffs])
 
     def derivative(self) -> "Polynomial":
-        """The derivative; its leading coefficient d c_d is never zero."""
+        """The derivative; its leading coefficient d c_d is never zero.
+
+        The linear coefficient c_1 becomes the constant term as the object
+        it is; only the higher terms are multiplied.
+        """
         cs = self.coeffs
         p = _new(Polynomial)
-        _set_coeffs(p, tuple(map(mul, range(1, len(cs)), cs[1:])))
+        _set_coeffs(p, (cs[1], *map(mul, range(2, len(cs)), cs[2:])) if len(cs) > 1 else ())
         return p
 
     def nth_derivative(self, order: int) -> "Polynomial":
         if order == 0:
             return self
+        if order == 1:
+            # the factor perm(1, 1) of c_1 is the only factor 1 at any order
+            return self.derivative()
         # x^i goes to i (i - 1) ... (i - order + 1) x^(i - order)
         return Polynomial._raw([perm(i, order) * c
                                 for i, c in enumerate(self.coeffs[order:], order)])

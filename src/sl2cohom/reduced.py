@@ -195,6 +195,13 @@ def _lower(weights: Weights, family: FamilyMap) -> FamilyMap:
     When every 2 lambda_i is an ``int`` they are used as they are, a
     constant polynomial adds one product per target, and each index's
     targets come from the lambda-free, bounded ``_lowering_targets``.
+
+    A coefficient already held is kept, not recomputed: an ``int`` is read
+    as it is and a ``Fraction`` only through its numerator and denominator,
+    so no ``Fraction`` arithmetic runs before the one division per nonzero
+    sum.  A zero coefficient, such as the constant term of every V = Int A
+    of :func:`solve_coboundary`, still adds its ``int`` product: skipping
+    it costs more than the integer product it saves.
     """
     if not family:
         return {}
@@ -547,13 +554,17 @@ def cocycle_basis(w: Weights) -> list[ReducedTwoCochain]:
     factorization, which the solves on these elements reuse.  The
     coordinates completing the column space are the rows that are
     combinations of the rows before them (proof in ``linalg``).
+
+    A coefficient already held is kept, not recomputed: each kernel entry
+    becomes its constant polynomial as the object it is, with no zero test,
+    as every entry of a sparse kernel vector is nonzero, and the int 1 of
+    each free column shares ``ONE``.
     """
     system = build_system(w)
     factorization = system.factorization
-    cols, new = system.col_index, tuple.__new__
+    cols, new, constant = system.col_index, tuple.__new__, Polynomial._nonzero_constant
     # positional construction, skipping the NamedTuple's Python-level __new__
-    out = [new(ReducedTwoCochain, (w, {cols[j]: Polynomial._raw([c]) for j, c in vec.items()},
-                                   {}, {}))
+    out = [new(ReducedTwoCochain, (w, {cols[j]: constant(c) for j, c in vec.items()}, {}, {}))
            for vec in linalg.kernel_basis(factorization)]
     covered = set(linalg.column_space_echelon(factorization))
     complement = [alpha for i, alpha in enumerate(system.row_index) if i not in covered]
@@ -655,7 +666,7 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
             return None
         for alpha, c in zip(system.col_index, solution):
             if c:
-                _add_into(v_fam, alpha, Polynomial._raw([c]))
+                _add_into(v_fam, alpha, Polynomial._nonzero_constant(c))
     witness = ReducedOneCochain(w, u_fam, v_fam, w_fam)
     if coboundary_reduced(witness) == f:
         return witness

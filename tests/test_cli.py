@@ -12,6 +12,8 @@ from sl2cohom import cecomplex, cli, reduced
 from sl2cohom.cecomplex import ORBIT_CACHE_SIZE
 from sl2cohom.cli import main
 from sl2cohom.multiindices import multiset_coeff
+from sl2cohom.polynomials import parse_rational
+from sl2cohom.weights import Weights
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -404,6 +406,25 @@ def test_basis_command_empty_for_nonnatural_shift(capsys):
     assert code == 0
     assert json.loads(out) == []
     assert "H^2 = 0, empty basis" in err
+
+
+@pytest.mark.parametrize("lambdas,mu", [
+    ("-1/2,-1,-3/2", "1"),  # k = 4, t = (1, 2, 3): kernel entries such as 4/3
+    ("1/2", "7/2"),  # natural shift k = 3 with an empty basis
+    ("1/3", "1/2"),  # non-natural shift
+], ids=["fraction-entries", "empty", "nonnatural"])
+def test_basis_streams_the_bytes_of_one_json_dump(lambdas, mu, tmp_path, capsys):
+    w = Weights(map(parse_rational, lambdas.split(",")), parse_rational(mu))
+    basis = reduced.cocycle_basis(w) if w.natural_delta() is not None else []
+    expected = json.dumps([f.to_json_dict() for f in basis], indent=2, sort_keys=True) + "\n"
+    argv = ["basis", f"--lambdas={lambdas}", "--mu", mu]
+    assert run_cli(argv, capsys)[:2] == (0, expected)
+    target = tmp_path / "basis.json"
+    assert run_cli(argv + ["--out", str(target)], capsys)[:2] == (0, "")
+    assert target.read_bytes() == expected.encode()
+    code, _, err = run_cli(argv + ["--out", str(tmp_path / "missing" / "basis.json")], capsys)
+    assert code == 3
+    assert "io error" in err
 
 
 @pytest.mark.parametrize("argv", [

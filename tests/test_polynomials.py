@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import perm
 
 import pytest
 from hypothesis import example, given, settings
@@ -114,6 +115,11 @@ def assert_stored(p, coeffs):
         p.coeffs = ()
 
 
+def assert_types(p, coeffs):
+    """p holds coefficients of the types of coeffs, an integral Fraction included."""
+    assert [type(c) for c in p.coeffs] == [type(c) for c in coeffs]
+
+
 # integral Fractions too, as sums of Fraction coefficients leave them
 raw_coeffs = st.lists(st.one_of(st.integers(-30, 30), rationals), max_size=6)
 
@@ -123,12 +129,24 @@ raw_coeffs = st.lists(st.one_of(st.integers(-30, 30), rationals), max_size=6)
 @example([0, 0])
 @example([Fraction(7, 3)])
 @example([Fraction(4, 2), 0, Fraction(3, 1), 0])
+@example([3, Fraction(0)])
+@example([Fraction(1, 2), Fraction(-2, 3), 0, Fraction(0)])
 @settings(max_examples=80, deadline=None)
 def test_antiderivative_inverts_derivative(cs):
     p = Polynomial._raw(list(cs))
     assert_stored(p, cs)
+    assert_types(p, cs[:len(p.coeffs)])
     d = p.derivative()
-    assert_stored(d, [i * c for i, c in enumerate(cs[1:], 1)])
+    products = [i * c for i, c in enumerate(p.coeffs[1:], 1)]
+    assert_stored(d, products)
+    assert_types(d, products)
+    if p.degree() >= 1:
+        # a coefficient already held is kept, not recomputed as 1 * c_1
+        assert d.coeffs[0] is p.coeffs[1]
+    assert p.nth_derivative(1) == d
+    assert_types(p.nth_derivative(1), products)
+    assert_types(p.nth_derivative(2), [perm(i, 2) * c for i, c in enumerate(p.coeffs[2:], 2)])
+    assert p.scale(1) is p
     a = p.antiderivative()
     assert_stored(a, [0] + [Fraction(c) / i for i, c in enumerate(cs, 1)])
     assert all(type(c) is int for c in a.coeffs if Fraction(c).denominator == 1)

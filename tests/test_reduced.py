@@ -204,6 +204,27 @@ def test_an_int_top_family_creates_no_fraction(monkeypatch):
     assert made == []
 
 
+def test_a_fraction_top_family_does_no_fraction_arithmetic(monkeypatch):
+    # the top family of t = (1, 2, 3) at k = 4 holds kernel entries such as
+    # 4/3 and -1/3; each is kept as held through Int, d/dx and the witness
+    # check, and _lower reads it by numerator and denominator only
+    w = weights_for_tvector(3, 4, (1, 2, 3))
+    tops = [f for f in cocycle_basis(w) if f.A]
+    assert len(tops) == 6
+    assert any(type(c) is Fraction for f in tops for p in f.A.values() for c in p.coeffs)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__eq__"):
+        def counted(self, other, _name=name, _method=getattr(Fraction, name)):
+            calls.append(_name)
+            return _method(self, other)
+        monkeypatch.setattr(fractions.Fraction, name, counted)
+    for f in tops:
+        assert cocycle_residual(f) == {}
+        assert solve_coboundary(f) is not None
+    monkeypatch.undo()
+    assert calls == []
+
+
 def _assert_compares_by_families(cochain):
     """A copy on fresh dicts equals the cochain; one with a polynomial doubled does not."""
     cls, families = type(cochain), cochain[1:]
