@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cecomplex import CohomResult, brute_force_h2, default_alpha_max
 from .closedform import classify, dim_h2_closed_form, dim_h2_summary_table
@@ -25,6 +25,7 @@ from .multiindices import multiset_coeff
 from .polynomials import format_rational, parse_rational
 from .reduced import cocycle_basis, cocycle_residual, dim_h2_via_system
 from .sweep import (
+    json_array,
     largest_oracle_k,
     rows_to_csv,
     rows_to_json,
@@ -253,24 +254,6 @@ def _write_output(chunks: Iterable[str], path: Optional[str]) -> None:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def _json_array(elements: Iterable[dict]) -> Iterator[str]:
-    """The text of ``json.dumps(list(elements), indent=2, sort_keys=True)``
-    and a newline, one element at a time.
-
-    Each element is encoded alone and indented one level further, which is
-    safe because JSON text escapes every newline inside a string.  Only one
-    element's dict and text are held at once: ``basis`` at n = 1000, k = 1
-    writes 1,002 elements that each repeat the 1,000 weights.
-    """
-    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
-    separator = "[\n  "
-    for element in elements:
-        yield separator
-        yield encode(element).replace("\n", "\n  ")
-        separator = ",\n  "
-    yield "[]\n" if separator == "[\n  " else "\n]\n"
-
-
 def _cmd_dim(args: argparse.Namespace) -> int:
     bound = _print_bound()
     w = _parse_weights(args, bound)
@@ -299,7 +282,7 @@ def _cmd_dim(args: argparse.Namespace) -> int:
                 value = value if method == "closed" else format_rational(value)
             result = CohomResult(dim=value, method=method, weights=w, tag=tag, stable=True)
         results.append(result.to_json_dict())
-    _write_output((json.dumps(results, indent=2, sort_keys=True) + "\n",), args.out)
+    _write_output(json_array(results), args.out)
     return 0
 
 
@@ -307,8 +290,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     methods = _parse_methods(args.methods, ("system", "closed", "summary", "oracle"))
     _check_sweep_size(args.n, args.k_max, methods, args.oracle)
     rows = run_sweep(args.n, args.k_max, methods, oracle_policy=args.oracle)
-    text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-    _write_output((text,), args.out)
+    _write_output((rows_to_csv(rows),) if args.format == "csv" else rows_to_json(rows), args.out)
     return 0
 
 
@@ -330,7 +312,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     w = _parse_weights(args, _print_bound())
     if w.natural_delta() is None:
         print("H^2 = 0, empty basis", file=sys.stderr)
-        _write_output(_json_array(()), args.out)
+        _write_output(json_array(()), args.out)
         return 0
     _check_basis_size(w.n, w.natural_delta())
     _check_system_size(w.n, w.natural_delta())
@@ -338,7 +320,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     for element in basis:
         if cocycle_residual(element):
             raise AssertionError("basis element with nonzero residual")
-    _write_output(_json_array(b.to_json_dict() for b in basis), args.out)
+    _write_output(json_array(b.to_json_dict() for b in basis), args.out)
     return 0
 
 

@@ -10,13 +10,12 @@ the two pivot entries divided by their gcd; and every echelon row is
 stored as a primitive ``int`` row.  No ``Fraction`` arithmetic runs inside
 the elimination.
 
-A :class:`Factorization` echelonises the rows of a matrix M once, in order,
-back-substitutes to the reduced row echelon form and logs every row
-operation on the way: the intake scale, each a v - b row and each division
-by the content.  The back-substitution clears every reduced row at the
+A :class:`Factorization` echelonises the rows of a matrix M once, in
+order, keeps the lead each row added, and back-substitutes to the reduced
+row echelon form.  The back-substitution clears every reduced row at the
 other leads and divides by the content only a row it changed: a row no
 substitution touched is still the primitive row the forward pass stored.
-Three reads share it.
+Two reads share it.
 
 * ``kernel_basis`` reads the kernel off the reduced row echelon form,
   which is unique up to the scale of each row, so the vectors do not
@@ -24,14 +23,6 @@ Three reads share it.
   straight off the reduced rows: the free column x_f = 1 and, for every
   reduced row that meets column f, x_lead = -row[f] / row[lead].  The
   dense cols x (cols - rank) array is never formed.
-* ``solve`` replays the log on a right-hand side, in integers except
-  where a division by a content or an intake scale is inexact (through
-  :func:`~sl2cohom.polynomials.divide`).  A row that reduced to zero is a
-  combination of the rows before it, so the system is infeasible iff the
-  replayed value of such a row is nonzero; otherwise the reduced row led
-  at j with value v gives x_j = v / row[j], and free coordinates are 0.
-  That is the one solution whose free coordinates vanish, whatever the
-  order of elimination.
 * ``column_space_echelon`` gives the leading indices of an echelon basis
   of the column space C of M, a subspace of Q^(rows).  They are the rows
   that did not reduce to zero.  Proof: i leads an echelon basis of C iff
@@ -43,13 +34,24 @@ Three reads share it.
   leaves a remainder.  The complement of these leads completes the
   column space to Q^(rows).
 
+``solve`` runs the same two passes on the augmented rows of textbook
+Gauss-Jordan: the rows of M with -r appended as column ``cols``.  The
+system M x = r is infeasible iff the row space of [M | -r] holds a vector
+that vanishes off column ``cols`` and not on it, that is iff some echelon
+row leads at ``cols``; the forward pass alone decides it, and nothing is
+back-substituted then.  Otherwise the reduced row led at j gives
+x_j = -row[cols] / row[j], and free coordinates are 0.  That is the one
+solution whose free coordinates vanish, whatever the order of
+elimination.  A solve echelonises its augmented rows afresh and keeps
+nothing.
+
 No column combination is tracked: its fill-in grows along long chains
-such as the bidiagonal n = 2 system, while the log holds one record per
-row operation.  ``rank`` and ``sparse_rank`` insert into the same echelon
-and log nothing.  The dense ``RationalMatrix`` and its ``rank`` remain
-because the benchmark's tracer binds both and the tests use them as
-references; ``rank`` hands the nonzero entries to the engine.  There is
-one engine; no other elimination routine exists.
+such as the bidiagonal n = 2 system.  ``rank`` and ``sparse_rank`` insert
+into the same echelon and back-substitute nothing.  The dense
+``RationalMatrix`` and its ``rank`` remain because the benchmark's tracer
+binds both and the tests use them as references; ``rank`` hands the
+nonzero entries to the engine.  There is one engine; no other elimination
+routine exists.
 """
 
 from __future__ import annotations
@@ -92,57 +94,26 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-def _sparse_rows(matrix: RationalMatrix) -> list[dict[int, Fraction]]:
-    """The rows of a dense matrix as sparse vectors of their nonzero entries."""
-    return [{j: v for j, v in enumerate(row) if v} for row in matrix.entries]
-
-
 def rank(matrix: RationalMatrix) -> int:
     """Exact rank: the sparse echelon rank of the matrix's rows."""
-    return sparse_rank(_sparse_rows(matrix))
-
-
-#: (at, a, b): the row operation v <- a v - b row, row being the echelon row led by at.
-Step = tuple[int, int, int]
+    return sparse_rank([{j: v for j, v in enumerate(row) if v} for row in matrix.entries])
 
 
 class Factorization:
-    """The reduced row echelon form of a sparse matrix, with the row
-    operations that built it.
+    """The reduced row echelon form of a sparse matrix.
 
-    Row i is scaled to a primitive integer vector, i.e. multiplied by
-    num / den, reduced by ``steps`` and divided by the content g of what
-    is left; ``inserts[i]`` is (num, den, steps, g, lead), lead being the
-    leading index of the new echelon row, or None when row i reduced to
-    zero.  ``substitutions`` then lists, from the largest lead down, the
-    (lead, steps, g) that clear each row at every other lead.  ``reduced``
-    maps each lead to its row of the reduced echelon form, a primitive
-    ``int`` row.
+    ``reduced`` maps each lead to its row of the reduced echelon form, a
+    primitive ``int`` row.  ``leads[i]`` is the leading index of the
+    echelon row that row i added, or None when row i reduced to zero
+    against the rows before it.
     """
 
-    __slots__ = ("cols", "reduced", "inserts", "substitutions")
+    __slots__ = ("cols", "reduced", "leads")
 
     def __init__(self, rows: Sequence[Mapping[int, Scalar]], cols: int):
-        echelon: dict[int, dict[int, int]] = {}
-        inserts = []
-        for vec in rows:
-            v, num, den = _intake(vec)
-            steps: list[Step] = []
-            lead, g = _insert(v, v is not vec, echelon, steps)
-            inserts.append((num, den, tuple(steps), g, lead))
-        substitutions = []
-        for lead in sorted(echelon, reverse=True):
-            row = echelon[lead]
-            steps = []
-            for pivot in [i for i in row if i != lead and i in echelon]:
-                row = _eliminate(row, pivot, echelon[pivot], steps=steps)
-            if steps:  # an untouched row is still the primitive row _insert stored
-                echelon[lead], g = _primitive(row)
-                substitutions.append((lead, tuple(steps), g))
         self.cols = cols
-        self.reduced = echelon
-        self.inserts = tuple(inserts)
-        self.substitutions = tuple(substitutions)
+        self.reduced, self.leads = _echelon(rows)
+        _back_substitute(self.reduced)
 
 
 def kernel_basis(factorization: Factorization) -> list[dict[int, Scalar]]:
@@ -166,40 +137,32 @@ def kernel_basis(factorization: Factorization) -> list[dict[int, Scalar]]:
     return list(basis.values())
 
 
-def solve(factorization: Factorization, rhs: Sequence[Scalar]) -> Optional[list[Scalar]]:
-    """The solution of M x = rhs read off the factorisation of M, or None
-    when the system is infeasible.
+def solve(rows: Sequence[Mapping[int, Scalar]], cols: int,
+          rhs: Sequence[Scalar]) -> Optional[list[Scalar]]:
+    """The solution of M x = rhs, M being the sparse rows on cols columns,
+    or None when the system is infeasible.
 
-    The logged row operations are replayed on rhs.  A row that reduced to
-    zero must meet a zero value, else 0 = nonzero; otherwise the value v of
-    each reduced row gives x[lead] = v / row[lead], and free coordinates
-    are 0.  An entry is an ``int`` wherever it is integral.
+    Each row enters the echelon with -rhs appended at column cols.  A row
+    led at cols means 0 = nonzero, and nothing is back-substituted;
+    otherwise each reduced row gives x[lead] = -row[cols] / row[lead], and
+    free coordinates are 0.  An entry is an ``int`` wherever it is
+    integral.
     """
-    if len(rhs) != len(factorization.inserts):
+    if len(rhs) != len(rows):
         raise ValueError("dimension mismatch")
-    value: dict[int, Scalar] = {}
-    for y, (num, den, steps, g, lead) in zip(rhs, factorization.inserts):
+    augmented = []
+    for row, y in zip(rows, rhs):
         if type(y) is not int:
-            y = scalar(y)
-        if y and (num != 1 or den != 1):
-            y = divide(y * num, den)
-        for at, a, b in steps:
-            y = a * y - b * value[at]
-        if lead is None:
-            if y:
-                return None
-            continue
-        value[lead] = divide(y, g) if y and g != 1 else y
-    for lead, steps, g in factorization.substitutions:
-        y = value[lead]
-        for at, a, b in steps:
-            y = a * y - b * value[at]
-        value[lead] = divide(y, g) if y and g != 1 else y
-    x: list[Scalar] = [0] * factorization.cols
-    for lead, row in factorization.reduced.items():
-        y = value[lead]
-        if y:
-            x[lead] = divide(y, row[lead])
+            y = scalar(y)  # refuses a float, zero or not
+        augmented.append({**row, cols: -y} if y else row)
+    echelon = _echelon(augmented)[0]
+    if cols in echelon:
+        return None
+    _back_substitute(echelon)
+    x: list[Scalar] = [0] * cols
+    for lead, row in echelon.items():
+        if c := row.get(cols):
+            x[lead] = divide(-c, row[lead])
     return x
 
 
@@ -207,7 +170,7 @@ def column_space_echelon(factorization: Factorization) -> list[int]:
     """Leading (minimal) indices of an echelon basis of the column space of
     the factorised rows, ascending: the rows that are independent of the
     rows before them (proof in the module docstring)."""
-    return [i for i, (*_, lead) in enumerate(factorization.inserts) if lead is not None]
+    return [i for i, lead in enumerate(factorization.leads) if lead is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -217,97 +180,98 @@ def column_space_echelon(factorization: Factorization) -> list[int]:
 
 def sparse_rank(vectors: list[dict[int, Scalar]]) -> int:
     """Rank of the span of sparse vectors, by incremental echelon reduction."""
-    return len(_echelon(vectors))
+    return len(_echelon(vectors)[0])
 
 
-def _echelon(vectors: list[dict[int, Scalar]]) -> dict[int, dict[int, int]]:
-    """Echelon of primitive integer rows keyed by leading (minimal) index."""
+def _echelon(vectors: Sequence[Mapping[int, Scalar]]
+             ) -> tuple[dict[int, dict[int, int]], list[Optional[int]]]:
+    """Echelon of primitive integer rows keyed by leading (minimal) index,
+    and the lead each vector added, None for a vector that reduced to zero."""
     echelon: dict[int, dict[int, int]] = {}
+    leads = []
     for vec in vectors:
-        v = _intake(vec)[0]
-        _insert(v, v is not vec, echelon)
-    return echelon
+        v = _intake(vec)
+        leads.append(_insert(v, v is not vec, echelon))
+    return echelon, leads
 
 
-def _insert(v: dict[int, int], owned: bool, echelon: dict[int, dict[int, int]],
-            steps: Optional[list[Step]] = None) -> tuple[Optional[int], int]:
+def _back_substitute(echelon: dict[int, dict[int, int]]) -> None:
+    """Clear every echelon row at the other leads, from the largest lead
+    down, and divide by its content only a row that changed: a row no
+    substitution touched is still the primitive row :func:`_insert` stored."""
+    for lead in sorted(echelon, reverse=True):
+        row = echelon[lead]
+        pivots = [i for i in row if i != lead and i in echelon]
+        for pivot in pivots:
+            row = _eliminate(row, pivot, echelon[pivot])
+        if pivots:
+            echelon[lead] = _primitive(row)
+
+
+def _insert(v: dict[int, int], owned: bool, echelon: dict[int, dict[int, int]]) -> Optional[int]:
     """Reduce the primitive integer vector v (from :func:`_intake`) against
     echelon and keep the remainder, if any, as a new row.
 
-    Returns the new row's lead and the content the remainder was divided
-    by, or (None, 1) when v reduces to zero.  ``steps``, when given,
-    receives every elimination in order.  v is changed only when
-    ``owned``, i.e. when `_intake` made it; otherwise it is the caller's
-    vector and is copied when it becomes a row or is first reduced.  A
-    vector stored without any elimination is already primitive.
+    Returns the new row's lead, or None when v reduces to zero.  v is
+    changed only when ``owned``, i.e. when `_intake` made it; otherwise it
+    is the caller's vector and is copied when it becomes a row or is first
+    reduced.  A vector stored without any elimination is already
+    primitive.
     """
     reduced = False
     while v:
         lead = min(v)
         row = echelon.get(lead)
         if row is None:
-            g = 1
             if reduced:
-                v, g = _primitive(v)
+                v = _primitive(v)
             elif not owned:
                 v = dict(v)
             echelon[lead] = v
-            return lead, g
-        v = _eliminate(v, lead, row, owned, steps)
+            return lead
+        v = _eliminate(v, lead, row, owned)
         owned = reduced = True
-    return None, 1
+    return None
 
 
-def _intake(vec: dict[int, Scalar]) -> tuple[dict[int, int], int, int]:
-    """vec as a primitive integer vector v of its nonzero entries, and the
-    scale num / den, in lowest terms, with v = (num / den) vec.
+def _intake(vec: Mapping[int, Scalar]) -> dict[int, int]:
+    """vec as a primitive integer vector of its nonzero entries, a positive
+    multiple of vec.
 
-    Denominators are cleared once, by their lcm L; a float is refused.  A
+    Denominators are cleared once, by their lcm; a float is refused.  A
     primitive integer vector without zero entries is returned as it is.
-    The scale L / g, g the content left after clearing, is in lowest
-    terms: for each prime p dividing L, some entry's denominator holds
-    the whole power of p in L, so that entry's cleared numerator, its
-    numerator times L over its denominator, is prime to p, and p does
-    not divide g.  A zero vector has scale 1.
     """
     try:
         g = gcd(*vec.values())
     except TypeError:  # a Fraction, or a float that exact refuses
         q = {i: exact(c) for i, c in vec.items()}
         den = lcm(*(c.denominator for c in q.values()))
-        v = {i: c.numerator * (den // c.denominator) for i, c in q.items() if c}
-        if not v:
-            return v, 1, 1
-        v, g = _primitive(v)
-        return v, den, g
+        return _primitive({i: c.numerator * (den // c.denominator) for i, c in q.items() if c})
     if g > 1:
-        return {i: c // g for i, c in vec.items() if c}, 1, g
+        return {i: c // g for i, c in vec.items() if c}
     if 0 in vec.values():
-        return {i: c for i, c in vec.items() if c}, 1, 1
-    return vec, 1, 1
+        return {i: c for i, c in vec.items() if c}
+    return vec
 
 
-def _primitive(v: dict[int, int]) -> tuple[dict[int, int], int]:
-    """v divided by the gcd g of its entries, and g."""
+def _primitive(v: dict[int, int]) -> dict[int, int]:
+    """v divided by the gcd of its entries."""
     g = gcd(*v.values())
     if g > 1:
-        return {i: c // g for i, c in v.items()}, g
-    return v, g
+        return {i: c // g for i, c in v.items()}
+    return v
 
 
 def _eliminate(v: dict[int, int], at: int, row: dict[int, int],
-               in_place: bool = True, steps: Optional[list[Step]] = None) -> dict[int, int]:
+               in_place: bool = True) -> dict[int, int]:
     """a v - b row, which vanishes at ``at``; entries that cancel are dropped.
 
-    a and b are row[at] and v[at] divided by their gcd; (at, a, b) is
-    appended to ``steps`` when given.  v is updated in place only when
-    in_place is set; row never is.
+    a and b are row[at] and v[at] divided by their gcd.  v is updated in
+    place only when in_place is set; row never is.
     """
     b, a = v[at], row[at]
     g = gcd(a, b)
     a, b = a // g, b // g
-    if steps is not None:
-        steps.append((at, a, b))
     if a != 1:
         v = {i: a * c for i, c in v.items()}
     elif not in_place:

@@ -73,15 +73,16 @@ dimension method reports
 where ell is the rank deficiency of that system.  The system is built as
 sparse rows and no dense matrix is formed on these paths.  The rows are
 echelonised once per system, as ``LinearSystem.factorization`` (a
-:class:`~sl2cohom.linalg.Factorization`), and every read comes off that
-one echelon: the kernel (``linalg.kernel_basis``) and the leads of the
-column space (``linalg.column_space_echelon``) behind
-:func:`cocycle_basis`, and every solve behind :func:`solve_coboundary`
-(``linalg.solve``, a replay of the logged row operations).
+:class:`~sl2cohom.linalg.Factorization`), and both reads behind
+:func:`cocycle_basis` come off that one echelon: the kernel
+(``linalg.kernel_basis``) and the leads of the column space
+(``linalg.column_space_echelon``).  Every solve behind
+:func:`solve_coboundary` (``linalg.solve``) echelonises the same rows
+with its right-hand side appended as one more column.
 :func:`build_system` keeps the systems of recent weights, keyed by the
 natural shift k and the int-first doubled weights ``w.twice_lambdas``, so
-a basis and the solves that certify its elements share one echelon.  It
-takes a :class:`~sl2cohom.weights.Weights`, whose constructor is the one
+a basis and the solves that certify its elements share one set of rows.
+It takes a :class:`~sl2cohom.weights.Weights`, whose constructor is the one
 place a float is refused, and checks no value again.
 
 The rank needs only some of them.  Put t_i = -2 lambda_i, so row a has
@@ -383,7 +384,8 @@ class LinearSystem:
     a sparse vector {column: entry} of its nonzero entries, ``int`` when
     2 lambda_i is an integer; every rank, kernel and solve runs on these
     rows.  ``factorization`` echelonises them once, on first use, for the
-    kernel, the column space and every solve.  :func:`build_system` hands
+    kernel and the column space; each solve echelonises them again with
+    its right-hand side appended.  :func:`build_system` hands
     the same cached system to every caller, so no caller changes the rows
     (the perturbed self-test of ``verify`` edits a copy).  The dense
     ``matrix`` is derived on demand only because the benchmark's tracer
@@ -453,9 +455,9 @@ def build_system(w: Weights) -> LinearSystem:
 
     The systems themselves are kept for the last
     ``SYSTEM_FRAME_CACHE_SIZE`` keys (k, ``w.twice_lambdas``), with their
-    factorization once it is made: :func:`cocycle_basis` and the
-    :func:`solve_coboundary` calls on its elements echelonise the rows
-    once.  The key is what the rows depend on, n being its length, and it
+    factorization once it is made: :func:`cocycle_basis` echelonises the
+    rows once, and the :func:`solve_coboundary` calls on its elements
+    build no rows again.  The key is what the rows depend on, n being its length, and it
     is int-first: ``twice_lambdas`` holds an ``int`` wherever 2 lambda_i is
     integral, so the lookup hashes no ``Fraction`` on the common rows.  The
     values were checked once, when ``Weights`` was built, which is where a
@@ -551,7 +553,7 @@ def cocycle_basis(w: Weights) -> list[ReducedTwoCochain]:
     :func:`solve_coboundary` solves against.
 
     The kernel and the column space are read off the system's one
-    factorization, which the solves on these elements reuse.  The
+    factorization; the solves on these elements read the same rows.  The
     coordinates completing the column space are the rows that are
     combinations of the rows before them (proof in ``linalg``).
 
@@ -610,7 +612,7 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
        cocycle condition at level k - 1 reads C' = Lambda(A), so
        C - Int Lambda(A) is the constant C(0), and A and C die together iff
        Lambda(c) = C(0) on constants.  The certificate is an exact linear
-       solve, replayed on the system's one factorization, needed only when
+       solve on the system's rows, right-hand side 2 C(0), needed only when
        C(0) is nonzero.  When it is infeasible f is no coboundary: a
        cocycle by step 4's argument, and a non-cocycle in any case.
 
@@ -661,7 +663,7 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
         rhs = [0] * len(system.row_index)
         for alpha, c in obstruction.items():
             rhs[row_pos[alpha]] = 2 * c
-        solution = linalg.solve(system.factorization, rhs)
+        solution = linalg.solve(system.equations, len(system.col_index), rhs)
         if solution is None:
             return None
         for alpha, c in zip(system.col_index, solution):

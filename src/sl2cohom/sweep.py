@@ -37,7 +37,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .cecomplex import brute_force_h2
@@ -243,9 +243,27 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     return buf.getvalue()
 
 
-def rows_to_json(rows: Sequence[SweepRow]) -> str:
-    return json.dumps([row.to_json_dict() for row in rows],
-                      indent=2, sort_keys=True) + "\n"
+def rows_to_json(rows: Sequence[SweepRow]) -> Iterator[str]:
+    """The rows as one JSON array, written row by row by :func:`json_array`."""
+    return json_array(row.to_json_dict() for row in rows)
+
+
+def json_array(elements: Iterable[dict]) -> Iterator[str]:
+    """The text of ``json.dumps(list(elements), indent=2, sort_keys=True)``
+    and a newline, one element at a time.
+
+    Each element is encoded alone and indented one level further, which is
+    safe because JSON text escapes every newline inside a string.  Only one
+    element's dict and text are held at once: ``basis`` at n = 1000, k = 1
+    writes 1,002 elements that each repeat the 1,000 weights.
+    """
+    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+    separator = "[\n  "
+    for element in elements:
+        yield separator
+        yield encode(element).replace("\n", "\n  ")
+        separator = ",\n  "
+    yield "[]\n" if separator == "[\n  " else "\n]\n"
 
 
 @dataclass(frozen=True)

@@ -68,10 +68,6 @@ def kernel(rows, cols):
     return dense_kernel(Factorization(rows, cols))
 
 
-def solved(rows, cols, rhs):
-    return solve(Factorization(rows, cols), rhs)
-
-
 def column_leads(rows, cols):
     return column_space_echelon(Factorization(rows, cols))
 
@@ -173,7 +169,7 @@ def test_solve_matches_reference_feasibility(data):
         rhs = data.draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows))
     augmented = [row + [Fraction(v)] for row, v in zip(m.entries, rhs)]
     feasible = reference_rank(augmented, m.cols + 1) == reference_rank(m.entries, m.cols)
-    x = solved(sparse(m), m.cols, rhs)
+    x = solve(sparse(m), m.cols, rhs)
     if not feasible:
         assert x is None
         return
@@ -188,23 +184,23 @@ def test_solve_matches_reference_feasibility(data):
 
 
 def test_solve_feasible_and_infeasible():
-    factorization = Factorization([{0: 1}, {}], 2)
-    assert solve(factorization, [3, 0]) == [Fraction(3), Fraction(0)]
-    assert solve(factorization, [3, 1]) is None
+    rows = [{0: 1}, {}]
+    assert solve(rows, 2, [3, 0]) == [Fraction(3), Fraction(0)]
+    assert solve(rows, 2, [3, 1]) is None
     with pytest.raises(ValueError, match="dimension mismatch"):
-        solve(factorization, [3])
+        solve(rows, 2, [3])
     wide = RationalMatrix([[1, 1, 0]])
-    x = wide.mat_vec(solved(sparse(wide), wide.cols, [Fraction(5, 2)]))
+    x = wide.mat_vec(solve(sparse(wide), wide.cols, [Fraction(5, 2)]))
     assert x == [Fraction(5, 2)]
 
 
 def test_column_space_membership():
     # columns (1, 0, 1) and (2, 0, 2): row 2 repeats row 0, row 1 is zero
-    factorization = Factorization([{0: 1, 1: 2}, {}, {0: 1, 1: 2}], 2)
-    assert column_space_echelon(factorization) == [0]
+    rows = [{0: 1, 1: 2}, {}, {0: 1, 1: 2}]
+    assert column_leads(rows, 2) == [0]
     # a vector lies in the column space exactly when M x = y is solvable
-    assert solve(factorization, [Fraction(2), 0, Fraction(2)]) is not None
-    assert solve(factorization, [0, Fraction(1), 0]) is None
+    assert solve(rows, 2, [Fraction(2), 0, Fraction(2)]) is not None
+    assert solve(rows, 2, [0, Fraction(1), 0]) is None
 
 
 def with_columns(vectors, nrows):
@@ -234,10 +230,12 @@ def test_column_space_echelon_leads_are_distinct():
 @pytest.mark.parametrize("call", [
     lambda: RationalMatrix([[1, 2]]).mat_vec([0.5, 1]),
     # used to return 3602879701896397/36028797018963968
-    lambda: solved([{0: 1}], 1, [0.1]),
+    lambda: solve([{0: 1}], 1, [0.1]),
+    # a zero float is as inexact an input as any other
+    lambda: solve([{0: 1}], 1, [0.0]),
     lambda: sparse_rank([{0: 1, 1: 0.5}]),
     lambda: column_leads([{0: 0.0}], 1),
-], ids=["mat_vec", "solve_rhs", "sparse_rank", "column_space_echelon"])
+], ids=["mat_vec", "solve_rhs", "solve_zero_rhs", "sparse_rank", "column_space_echelon"])
 def test_float_is_refused_at_every_arithmetic_entry_point(call):
     with pytest.raises(TypeError, match="float"):
         call()
@@ -259,7 +257,7 @@ def test_the_engine_never_changes_the_rows_it_is_given():
         transposed = with_columns(matrix, cols)
         calls = (lambda: sparse_rank(matrix),
                  lambda: kernel(matrix, cols),
-                 lambda: solved(matrix, cols, rhs),
+                 lambda: solve(matrix, cols, rhs),
                  lambda: column_leads(matrix, cols),
                  lambda: column_leads(transposed, len(matrix)))
         before = copy.deepcopy((matrix, transposed))
@@ -291,26 +289,21 @@ def gauss_jordan(rows, ncols):
 
 
 def reference_factorization(rows):
-    """(inserts, substitutions, reduced) of the back-substitution that
-    divides every lead's row by its content, touched by a substitution
-    or not."""
+    """(leads, reduced) of a forward pass that inserts the rows one at a
+    time, then a back-substitution that clears each row at the other
+    leads and divides every row by its content, touched or not."""
     echelon = {}
-    inserts = []
+    leads = []
     for vec in rows:
-        v, num, den = linalg._intake(vec)
-        steps = []
-        lead, g = linalg._insert(v, v is not vec, echelon, steps)
-        inserts.append((num, den, tuple(steps), g, lead))
-    substitutions = []
+        v = linalg._intake(vec)
+        leads.append(linalg._insert(v, v is not vec, echelon))
     for lead in sorted(echelon, reverse=True):
-        row = echelon[lead]
-        steps = []
+        row = dict(echelon[lead])
         for pivot in [i for i in row if i != lead and i in echelon]:
-            row = linalg._eliminate(row, pivot, echelon[pivot], steps=steps)
-        echelon[lead], g = linalg._primitive(row)
-        if steps:
-            substitutions.append((lead, tuple(steps), g))
-    return tuple(inserts), tuple(substitutions), echelon
+            row = linalg._eliminate(row, pivot, echelon[pivot])
+        g = gcd(*row.values())
+        echelon[lead] = {i: c // g for i, c in row.items()}
+    return leads, echelon
 
 
 def _typed_rows(echelon):
@@ -341,26 +334,25 @@ def test_engine_agrees_with_textbook_gauss_jordan(data):
         len(gauss_jordan(dense(vectors[:cut], ncols), ncols)[1]) for cut in cuts]
     assert column_leads(with_columns(vectors, ncols), len(vectors)) == pivots
 
-    # One factorization of the vectors serves the column complement, the
-    # kernel and every solve below.
+    # One factorization of the vectors serves the column complement and the
+    # kernel; each solve below reduces the vectors with its rhs appended.
     factorization = Factorization(vectors, ncols)
     assert all(is_primitive_int_row(row) for row in factorization.reduced.values())
     # the back-substitution divides only the rows it changed by their
-    # content, and logs and stores what dividing every row would
-    inserts, substitutions, echelon = reference_factorization(vectors)
-    assert factorization.inserts == inserts
-    assert factorization.substitutions == substitutions
+    # content, and stores what dividing every row would
+    leads, echelon = reference_factorization(vectors)
+    assert factorization.leads == leads
     assert _typed_rows(factorization.reduced) == _typed_rows(echelon)
-    # each row's logged intake scale num / den is the one positive rational,
-    # in lowest terms, that makes the row a primitive integer vector
-    for vec, (num, den, *_) in zip(vectors, factorization.inserts):
-        assert num > 0 and den > 0 and gcd(num, den) == 1
+    # each row enters as the one positive multiple of it that is a
+    # primitive integer vector
+    for vec in vectors:
+        v = linalg._intake(vec)
+        assert v.keys() == vec.keys()
         if vec:
-            scaled = [Fraction(num, den) * c for c in vec.values()]
-            assert all(s.denominator == 1 for s in scaled)
-            assert gcd(*(s.numerator for s in scaled)) == 1
-        else:
-            assert (num, den) == (1, 1)
+            assert is_primitive_int_row(v)
+            i = next(iter(vec))
+            assert all(Fraction(c) / vec[j] == Fraction(v[i]) / vec[i] > 0
+                       for j, c in v.items())
     leads = column_space_echelon(factorization)
     assert leads == gauss_jordan(dense(with_columns(vectors, ncols), len(vectors)),
                                  len(vectors))[1]
@@ -393,7 +385,7 @@ def test_engine_agrees_with_textbook_gauss_jordan(data):
     for rhs in rhss:
         augmented = [row + [Fraction(v)] for row, v in zip(m.entries, rhs)]
         reduced, pivots = gauss_jordan(augmented, ncols + 1)
-        x = solve(factorization, rhs)
+        x = solve(vectors, ncols, rhs)
         if ncols in pivots:
             assert x is None
         else:

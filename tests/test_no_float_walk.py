@@ -174,7 +174,7 @@ def test_block_matrix_cells_and_linalg_outputs_are_exact():
                 seen["kernel"] += 1
         rhs = [Fraction(j + 1, 2) for j in range(len(system.row_index))]
         for right in (rhs, [0] * len(rhs)):
-            for c in solve(system.factorization, right) or ():
+            for c in solve(system.equations, len(system.col_index), right) or ():
                 check_int_when_integral(c, (str(w), "solve"))
                 seen["solve"] += 1
     assert all(seen.values()), seen

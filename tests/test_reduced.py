@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sl2cohom import linalg, reduced
 from sl2cohom.cecomplex import coboundary
 from sl2cohom.closedform import CaseKind, classify
+from sl2cohom.linalg import RationalMatrix
 from sl2cohom.multiindices import add_unit, enumerate_multiindices, index_weight, multiset_coeff
 from sl2cohom.operators import DiffOperator
 from sl2cohom.polynomials import Polynomial
@@ -851,9 +852,9 @@ def test_a_basis_and_its_solves_share_one_factorization(monkeypatch):
             made.append(cols)
             super().__init__(rows, cols)
 
-    def counted_solve(factorization, rhs):
-        solves.append(factorization)
-        return solve(factorization, rhs)
+    def counted_solve(rows, cols, rhs):
+        solves.append(rows)
+        return solve(rows, cols, rhs)
 
     solve = linalg.solve
     monkeypatch.setattr(linalg, "Factorization", Counted)
@@ -865,28 +866,41 @@ def test_a_basis_and_its_solves_share_one_factorization(monkeypatch):
     ells = []
     for w in weights:
         before = len(made), len(solves)
-        witnesses = [solve_coboundary(f) for f in cocycle_basis(w)]
+        basis = cocycle_basis(w)
+        assert len(made) == before[0] + 1  # one factorization per basis
+        witnesses = [solve_coboundary(f) for f in basis]
         ells.append(system_rank_data(w)[2])
-        # one echelon per weights; one solve per bottom-family element, all infeasible
-        assert len(made) - before[0] == 1
+        # and none built by a solve: one solve per bottom-family element,
+        # each infeasible, on the system's rows
+        assert len(made) == before[0] + 1
         assert len(solves) - before[1] == witnesses.count(None) == ells[-1]
-        assert all(f is build_system(w).factorization for f in solves[before[1]:])
+        assert all(rows is build_system(w).equations for rows in solves[before[1]:])
     assert sum(ells) > 0
 
 
-def test_the_row_log_grows_linearly_along_the_two_slot_chain():
+def test_the_reduced_rows_stay_sparse_along_the_two_slot_chain():
     # n = 2: row (a1, a2) meets columns (a1 + 1, a2) and (a1, a2 + 1), a
     # bidiagonal chain of 999 rows on 1,000 columns.  Column combinations
-    # would fill in along it; the row log holds one step per row at most.
+    # would fill in along it; the reduced rows keep two entries a row at most.
     for lambdas in ((0, 0), (Fraction(-3, 2), Fraction(-500)), (Fraction(1, 3), Fraction(2, 5))):
         system = system_of(2, 999, lambdas)
+        rows, cols = len(system.row_index), len(system.col_index)
         factorization = system.factorization
-        rows = len(system.row_index)
-        steps = sum(len(record[2]) for record in factorization.inserts) + \
-            sum(len(record[1]) for record in factorization.substitutions)
-        assert rows == 999 and len(factorization.inserts) == rows
-        assert steps <= rows
+        assert rows == 999 and len(factorization.leads) == rows
         assert sum(len(row) for row in factorization.reduced.values()) <= 2 * rows
+        # full row rank: every right-hand side is feasible, one with
+        # denominators too
+        assert len(factorization.reduced) == rows
+        rhs = [Fraction(i % 7 - 3, 2) for i in range(rows)]
+        x = linalg.solve(system.equations, cols, rhs)
+        # each row through mat_vec on its own support: the dense 999 x 1,000
+        # matrix would cost seconds a lambda
+        for equation, y in zip(system.equations, rhs):
+            row = RationalMatrix([list(equation.values())])
+            assert row.mat_vec([x[j] for j in equation]) == [y]
+        # so the infeasible solve repeats the last row with another value
+        repeated = system.equations + system.equations[-1:]
+        assert linalg.solve(repeated, cols, rhs + [rhs[-1] + 1]) is None
 
 
 def test_exactness_split_of_basis_elements():

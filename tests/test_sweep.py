@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from sl2cohom.reduced import build_system, dim_h2_via_system
 from sl2cohom.sweep import (
     CSV_COLUMNS,
     evaluate_row,
+    json_array,
     nonresonant_weights,
     rows_to_csv,
     rows_to_json,
@@ -79,8 +81,12 @@ def test_sweep_csv_deterministic_and_complete():
     lines = text1.strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(sweep_configurations(2, 2))
-    json_text = rows_to_json(rows)
-    assert json_text == rows_to_json(rows)
+    json_text = "".join(rows_to_json(rows))
+    assert json_text == "".join(rows_to_json(rows))
+    # written row by row, with the bytes of one json.dumps of the whole list
+    records = [row.to_json_dict() for row in rows]
+    assert json_text == json.dumps(records, indent=2, sort_keys=True) + "\n"
+    assert "".join(json_array([])) == json.dumps([], indent=2, sort_keys=True) + "\n"
 
 
 def test_oracle_policy_limits():
@@ -150,7 +156,7 @@ def test_a_sweep_has_fixed_output_bytes():
     assert len(rows) == 40
     assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == \
         "8c4e8899e5be4ef24cd103de538bed903c5f2b4f2d5eddfd8698cebe71824ac0"
-    assert hashlib.sha256(rows_to_json(rows).encode()).hexdigest() == \
+    assert hashlib.sha256("".join(rows_to_json(rows)).encode()).hexdigest() == \
         "406e66f22dcf9944e1a2c0952b6c6f06c392403f49101dfae6a8664949362328"
 
 
