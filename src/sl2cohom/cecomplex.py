@@ -125,7 +125,7 @@ column on (Xx2,), and over the rows of ``table --n 4 --k-max 4 --oracle
 on``, each echelonised on its own, 10,814 of the 10,822 matched columns
 are reduced against it, while the 6,030 columns of level k - 1 are zero.
 The rows of a ``table`` share one frame per k, and the rows of one orbit
-below share one echelon as well.
+below share one echelon as well, through the orbit record of `sweep`.
 The 5 frames of that table hold about 0.1 MiB; the frame of a block near
 the command line's ``MAX_ORACLE_BLOCK`` ceiling 1.5 MiB (n = 4, k = 18)
 to 3.2 MiB (n = 6, k = 10).
@@ -148,10 +148,10 @@ the weights pi lambda give slot pi(i) the factor
 = a_i (a_i + 2 lambda_i - 1).  So the columns of d1 at pi lambda are
 those at lambda with rows and columns relabelled, entries included: the
 same frame filled at either weights has the same rank, and dim H^2 is
-the same.  `brute_force_h2` therefore reads the value of one orbit from
-a memo keyed by (delta, sorted 2 lambda_i), in which n and the cap
-max(k, 1) are determined, and fills and echelonises the frame once per
-orbit.  The memo holds at most ``ORBIT_CACHE_SIZE`` values.
+the same.  `brute_force_h2` keeps no value: it fills and echelonises
+the frame at the weights it is given.  A sweep asks it once per orbit,
+through the record of `sweep` keyed by (delta, sorted 2 lambda_i), in
+which n and the cap max(k, 1) are determined.
 """
 
 from __future__ import annotations
@@ -394,19 +394,6 @@ def _differential_table(p: int) -> dict[ArgTuple, tuple[DifferentialTerm, ...]]:
 
 _DIFFERENTIAL_TABLES = {p: _differential_table(p) for p in range(3)}
 
-
-#: Bound on each memo keyed by an orbit of slot permutations: the oracle's
-#: H^2 here, keyed by (delta, sorted 2 lambda_i), and the box deficiency
-#: of `reduced`, keyed by (k, sorted t).  A sweep visits k in ascending
-#: order, so it meets an orbit again only within one k.  The command line's
-#: ceilings (``cli.MAX_SWEEP_ROWS`` and ``cli.MAX_SYSTEM_EQUATIONS``) admit
-#: at most C(16 + 2, 3) = 816 multisets t at one k (n = 3, k = 16; 741 at
-#: n = 2, k = 38, 495 at n = 4, k = 9), and the oracle adds one key for the
-#: non-resonant row, so every admitted sweep computes each orbit once.  A
-#: whole sweep with n >= 2 has at most C(38 + 2, 3) = 9,880 orbits (n = 2,
-#: k <= 38); those need not fit, since a sweep never returns to a k it has
-#: left.
-ORBIT_CACHE_SIZE = 1024
 
 #: Bound on the cached frames.  The oracle reads one `H2Frame` per (n,
 #: delta), so 32 blocks stay warm: rows visited in any order over up to 32
@@ -681,23 +668,6 @@ class CohomResult(NamedTuple):
         }
 
 
-@functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)
-def _orbit_h2(delta: Scalar, twice_lambdas: tuple[Scalar, ...]) -> int:
-    """H^2 of the weight-0 block at the cap `default_alpha_max`, for the
-    shift delta and the sorted 2 lambda_i of one orbit (module docstring),
-    computed once per orbit.
-
-    A non-integral shift leaves the block empty.  Otherwise, by the two
-    identities of the module docstring, H^2 is |C2| - |C3| - the rank of
-    d1 on the X1-free columns of C1, all read off the block's `H2Frame`
-    filled at the key's 2 lambda_i.
-    """
-    if delta.denominator != 1:
-        return 0
-    frame = _cached_h2_frame(len(twice_lambdas), int(delta))
-    return frame.size2 - frame.size3 - sparse_rank(_fill(frame.d1, twice_lambdas))
-
-
 def brute_force_h2(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
     """Brute-force dimension of the degree-2 cohomology on the weight-0 block.
 
@@ -705,16 +675,24 @@ def brute_force_h2(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
     shift k and 1 otherwise.  By the filtration of the module docstring,
     checked by `_certify_graded_acyclicity`, that is the H^2 of the whole
     block, so the result is always flagged stable (certified); a failed
-    certificate raises instead.  A slot permutation of lambda leaves the
-    value unchanged (module docstring), so it comes from a memo keyed by
-    (delta, sorted 2 lambda_i), bounded by ``ORBIT_CACHE_SIZE``: the rows
-    of one orbit share one echelon.  ``tag`` is ``classify(w)``, computed
-    here when not given; it only names the case.
+    certificate raises instead.
+
+    A non-integral shift leaves the block empty.  Otherwise, by the two
+    identities of the module docstring, H^2 is |C2| - |C3| - the rank of
+    d1 on the X1-free columns of C1, all read off the block's `H2Frame`
+    filled at the 2 lambda_i of ``w``.  A slot permutation of lambda
+    leaves the value unchanged (module docstring), and no value is kept
+    here: `sweep` reads each orbit's value from its record.  ``tag`` is
+    ``classify(w)``, computed here when not given; it only names the case.
     """
     _certify_graded_acyclicity()
     delta = w.delta()
+    if delta.denominator != 1:
+        dim = 0
+    else:
+        frame = _cached_h2_frame(w.n, int(delta))
+        dim = frame.size2 - frame.size3 - sparse_rank(_fill(frame.d1, w.twice_lambdas))
     # tuple.__new__ skips the NamedTuple's Python-level __new__ (see
     # closedform.classify)
-    return tuple.__new__(CohomResult, (_orbit_h2(delta, tuple(sorted(w.twice_lambdas))),
-                                       "oracle", w, classify(w) if tag is None else tag,
+    return tuple.__new__(CohomResult, (dim, "oracle", w, classify(w) if tag is None else tag,
                                        default_alpha_max(delta), True))

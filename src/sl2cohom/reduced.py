@@ -135,7 +135,7 @@ from operator import le
 from typing import NamedTuple, Optional
 
 from . import linalg
-from .cecomplex import ORBIT_CACHE_SIZE, Cochain, CohomResult
+from .cecomplex import Cochain, CohomResult
 from .closedform import CaseKind, CaseTag, classify
 from .linalg import RationalMatrix
 from .multiindices import (
@@ -414,6 +414,19 @@ class LinearSystem:
 #: of :func:`build_system` as well.
 SYSTEM_FRAME_CACHE_SIZE = 32
 
+#: Bound on each memo keyed by an orbit of slot permutations: the box
+#: deficiency here, keyed by (k, sorted t), and the orbit record of
+#: `sweep`, keyed by (delta, sorted 2 lambda_i) and the methods a row asks
+#: of it.  A sweep visits k in ascending order, so it meets an orbit again
+#: only within one k.  The command line's ceilings (``cli.MAX_SWEEP_ROWS``
+#: and ``cli.MAX_SYSTEM_EQUATIONS``) admit at most C(16 + 2, 3) = 816
+#: multisets t at one k (n = 3, k = 16; 741 at n = 2, k = 38, 495 at n = 4,
+#: k = 9), and the record adds one key for the non-resonant row, so every
+#: admitted sweep computes each orbit once.  A whole sweep with n >= 2 has
+#: at most C(38 + 2, 3) = 9,880 orbits (n = 2, k <= 38); those need not
+#: fit, since a sweep never returns to a k it has left.
+ORBIT_CACHE_SIZE = 1024
+
 
 class _Frame(NamedTuple):
     """The lambda-free part of the (n, k) constraint system."""
@@ -515,7 +528,7 @@ def dim_h2_via_system(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
     (n, k) frame by that test on their index, are built and echelonised.
     A slot permutation carries the box of t onto that of the permuted t
     with every entry (module docstring), so the deficiency comes from a
-    memo keyed by (k, sorted t), bounded by ``cecomplex.ORBIT_CACHE_SIZE``:
+    memo keyed by (k, sorted t), bounded by ``ORBIT_CACHE_SIZE``:
     the rows of one orbit share one echelon.
     """
     tag = classify(w) if tag is None else tag

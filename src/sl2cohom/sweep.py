@@ -10,23 +10,33 @@ configurations produce byte-identical reports.
 
 Permuting the n tensor factors of F_lambda_1 (x) ... (x) F_lambda_n is an
 sl(2)-module isomorphism from D_(lambda, mu) onto D_(pi lambda, mu), so
-dim H^2 depends only on mu and the multiset of the lambda_i.  The rows of
-a sweep are still evaluated one by one, in ``evaluate_row``; the system
-rank and the oracle each compute one value per orbit (k, sorted t) and
-read the rest from a memo (proofs in the ``reduced`` and ``cecomplex``
-docstrings).
+dim H^2 depends only on mu and the multiset of the lambda_i.  So every
+method's dimension for a row is read from one orbit record,
+``_orbit_dims``: a ``functools.lru_cache`` of at most
+``reduced.ORBIT_CACHE_SIZE`` entries, keyed by the shift, the sorted
+2 lambda_i and the methods the row asks of it, that on a miss evaluates
+the orbit's sorted representative.  Each method's value is the same on
+the whole orbit: the system rank's and the oracle's by the proofs in the
+``reduced`` and ``cecomplex`` docstrings, and the closed-form and summary
+predictors' because they read the tag's kind, k and sigma, which a
+permutation keeps, and read t only through ``len``, ``max``, ``count``
+and sum(v > m), which it keeps as well.  A row still classifies itself, since its tag holds
+its own unsorted t.  A perturbed row of ``verify --self-test-perturb``
+asks the record for no system value: entry (0, 0), which it perturbs, is
+moved by a permutation, so it ranks its own rows and never records the
+rank.
 
-So a warm row is bookkeeping.  Its tag, results and row are named tuples,
-built positionally through ``tuple.__new__``, and the case string is
-formatted only when a report is written.  In-process CPU time on 2 vCPUs,
-Python 3.11, a warm n = 4, k <= 5 row with the system, closed and summary
-methods costs about 4.6 us: 0.8 to classify, 1.2 for the system (memo
-lookups and the result), 0.8 for the closed form, 0.8 for the summary
-table and 0.9 for the row.  The oracle adds about 1.3 us at n = 2 and at
-n = 4.  Building the row's ``Weights`` beforehand, in
-``sweep_configurations``, costs about 3 us more at n = 4 and 5 us at
-n = 8: the weights -t_i/2 and mu = k - sigma/2 are made once per k, and
-what is left is the ``Weights`` constructor.
+So a warm row is bookkeeping.  Its tag and row are named tuples, built
+positionally through ``tuple.__new__``, and the case string is formatted
+only when a report is written.  In-process CPU time on 2 vCPUs, Python
+3.11, a warm n = 4, k <= 5 row with the system, closed and summary
+methods costs about 2.0 us: 0.8 to classify, 0.5 to sort its 2 lambda_i
+and look the orbit up, 0.1 to read the methods asked for, and the rest
+for the call and the row.  On a warm row, asking for the oracle adds
+only the check of the oracle policy.  Building the row's ``Weights``
+beforehand, in ``sweep_configurations``, costs about 3 us more at n = 4
+and 5 us at n = 8: the weights -t_i/2 and mu = k - sigma/2 are made once
+per k, and what is left is the ``Weights`` constructor.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -49,8 +60,8 @@ from .closedform import (
     singular_counts,
 )
 from .multiindices import format_multiindex, multiset_coeff
-from .polynomials import format_rational
-from .reduced import build_system, dim_h2_via_system
+from .polynomials import Scalar, format_rational
+from .reduced import ORBIT_CACHE_SIZE, build_system, dim_h2_via_system
 from .weights import Weights
 
 CSV_COLUMNS = ["n", "k", "t", "sigma", "s", "r", "dim_system", "dim_closed",
@@ -184,36 +195,53 @@ def largest_oracle_k(policy: str, n: int, k_max: int) -> Optional[int]:
     return k if _oracle_wanted(policy, n, k) else None
 
 
+@lru_cache(maxsize=ORBIT_CACHE_SIZE)
+def _orbit_dims(delta: Scalar, twice_lambdas: tuple[Scalar, ...], system: bool,
+                closed: bool, summary: bool, oracle: bool) -> tuple:
+    """(dim_system, dim_closed, dim_summary, dim_oracle, stable) of the orbit
+    of the shift delta and the sorted 2 lambda_i (module docstring), each
+    None unless its method is asked for.
+
+    Computed once per key, on the orbit's sorted representative: the
+    weights lambda_i = v_i / 2, for the key's v_i, and mu = delta +
+    sum(lambda_i).
+    """
+    lambdas = [Fraction(v, 2) for v in twice_lambdas]
+    w = Weights(lambdas, delta + sum(lambdas))
+    tag = classify(w)
+    n = len(lambdas)
+    result = brute_force_h2(w, tag) if oracle else None
+    return (dim_h2_via_system(w, tag).dim if system else None,
+            dim_h2_closed_form(tag, n) if closed else None,
+            dim_h2_summary_table(tag, n) if summary else None,
+            None if result is None else result.dim,
+            None if result is None else result.stable)
+
+
 def evaluate_row(w: Weights, k: int, t: Optional[tuple[int, ...]],
                  methods: Sequence[str], oracle_policy: str = "auto",
                  *, perturb: bool = False) -> SweepRow:
     """Evaluate one configuration with the requested methods.
 
-    ``perturb`` is the self-test of ``verify``: it adds 1 to entry (0, 0)
-    of the constraint system's sparse rows and ranks all of them, so the
-    verification gate can prove it detects an injected error.
+    Every dimension is read from the orbit record, except the system's on
+    a perturbed row.  ``perturb`` is the self-test of ``verify``: it adds 1
+    to entry (0, 0) of the constraint system's sparse rows and ranks all of
+    them, so the verification gate can prove it detects an injected error.
+    That rank belongs to the row, not its orbit, and is never recorded.
     """
     n = w.n
-    tag = classify(w)
-    if not perturb:
-        dim_system = dim_h2_via_system(w, tag).dim
-    else:
+    dims = _orbit_dims(w.delta(), tuple(sorted(w.twice_lambdas)), not perturb,
+                       "closed" in methods, "summary" in methods,
+                       "oracle" in methods and _oracle_wanted(oracle_policy, n, k))
+    if perturb:
         equations = list(build_system(w).equations)
         if equations:
             equations[0] = {**equations[0], 0: equations[0].get(0, 0) + 1}
         ell = multiset_coeff(n, k - 1) - linalg.sparse_rank(equations)
-        dim_system = multiset_coeff(n - 1, k) + 3 * ell
-    oracle = None
-    if "oracle" in methods and _oracle_wanted(oracle_policy, n, k):
-        oracle = brute_force_h2(w, tag)
+        dims = (multiset_coeff(n - 1, k) + 3 * ell,) + dims[1:]
     # tuple.__new__ skips the NamedTuple's Python-level __new__ (see
     # closedform.classify)
-    return tuple.__new__(SweepRow, (
-        w, tag, k, t, dim_system,
-        dim_h2_closed_form(tag, n) if "closed" in methods else None,
-        dim_h2_summary_table(tag, n) if "summary" in methods else None,
-        None if oracle is None else oracle.dim,
-        None if oracle is None else oracle.stable))
+    return tuple.__new__(SweepRow, (w, classify(w), k, t) + dims)
 
 
 def sweep_configurations(n: int, k_max: int) -> list[tuple[Weights, int, Optional[tuple[int, ...]]]]:

@@ -16,10 +16,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from sl2cohom import cecomplex, reduced, sweep
+from sl2cohom import reduced, sweep
 from sl2cohom.closedform import CaseKind, classify
 from sl2cohom.multiindices import multiset_coeff
-from support import system_of
+from support import empty_caches, system_of
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,10 +88,9 @@ def test_a_traced_pass_yields_every_per_layer_metric():
     tracing = _perfbench("tracing")
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     configs = sweep.sweep_configurations(2, 2)
-    # the box and oracle memos outlive a pass: start them empty, so the
-    # count below does not depend on the tests that ran before
-    reduced._box_deficiency.cache_clear()
-    cecomplex._orbit_h2.cache_clear()
+    # the orbit record and the box memo outlive a pass: start them empty,
+    # so the counts below do not depend on the tests that ran before
+    empty_caches()
     tracer = tracing.Tracer()
     with tracer.installed():
         for index, (w, k, t) in enumerate(configs):
@@ -101,10 +100,12 @@ def test_a_traced_pass_yields_every_per_layer_metric():
                 reduced.solve_coboundary(f)
     metrics = tracer.layer_metrics([name for name in names if not name.startswith("trace.")])
     assert metrics["sweep.evaluate_row.calls"] == len(configs)
-    # Every oracle row goes through the traced entry point.  It reads H^2
-    # off the block's X1-free d1 columns and never builds a full block
-    # matrix, so the block_matrix span stays empty.
-    assert metrics["cecomplex.brute_force_h2.calls"] == len(configs)
+    # The oracle runs once per orbit of rows under slot permutations, on
+    # the miss of the orbit record.  It reads H^2 off the block's X1-free
+    # d1 columns and never builds a full block matrix, so the block_matrix
+    # span stays empty.
+    oracle_orbits = {(w.delta(), tuple(sorted(w.twice_lambdas))) for w, _, _ in configs}
+    assert metrics["cecomplex.brute_force_h2.calls"] == len(oracle_orbits)
     assert metrics["cecomplex.block_matrix.calls"] == 0
     assert metrics["reduced.build_system.nnz"] > 0
     assert metrics["cecomplex.block_matrix.columns"] == 0
@@ -113,7 +114,6 @@ def test_a_traced_pass_yields_every_per_layer_metric():
     # of singular rows for the system rank (it echelonises only the box
     # a <= t, which off the singular case is empty, once per (k, sorted t)):
     # both are booked under linalg.sparse_rank.
-    oracle_orbits = {(w.delta(), tuple(sorted(w.twice_lambdas))) for w, _, _ in configs}
     tags = [classify(w) for w, _, _ in configs]
     singular = [tag for tag in tags if tag.kind is CaseKind.SINGULAR]
     box_orbits = {(tag.k, tuple(sorted(tag.t))) for tag in singular}

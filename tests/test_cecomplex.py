@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sl2cohom import cecomplex
+from sl2cohom import cecomplex, sweep
 from sl2cohom import weights as weights_module
 from sl2cohom.cecomplex import (
     BASIS_TUPLES,
@@ -28,12 +28,14 @@ from sl2cohom.operators import DiffOperator, act_on_operator
 from sl2cohom.polynomials import Polynomial
 from sl2cohom.reduced import dim_h2_via_system
 from sl2cohom.sweep import (
+    evaluate_row,
     nonresonant_weights,
     run_sweep,
     sweep_configurations,
     weights_for_tvector,
 )
 from sl2cohom.weights import GENERATORS, Weights
+from support import empty_caches
 
 
 def system_ell(w):
@@ -340,7 +342,6 @@ def test_the_graded_acyclicity_certificate_refuses_a_corrupted_table(monkeypatch
         monkeypatch.undo()
         cecomplex._certify_graded_acyclicity.cache_clear()
         cecomplex._cached_h2_frame.cache_clear()
-        cecomplex._orbit_h2.cache_clear()
     # Xx2 lowering the eigenvalue by 2: the cochain on (Xx2,) would exist
     # in K(2), so the levels below k - 1 would not all be empty
     monkeypatch.setitem(weights_module._WEIGHT_CONTRIB, XX2, -2)
@@ -396,7 +397,6 @@ def test_block_dimensions_equal_per_cap_reference():
               Weights((Fraction(1, 3),), Fraction(7, 3)),
               Weights((Fraction(1, 3), Fraction(1, 3)), Fraction(8, 3)),
               Weights((Fraction(1, 3), Fraction(-1, 2)), Fraction(11, 6))]
-    cecomplex._orbit_h2.cache_clear()
     for w in cases:
         assert brute_force_h2(w).dim == \
             _h2_block_dimension_reference(w, default_alpha_max(w.delta())), w
@@ -419,8 +419,7 @@ def test_a_cold_oracle_call_enumerates_each_degree_once(monkeypatch):
         calls.append(p)
         return block_basis(p, *args)
     monkeypatch.setattr(cecomplex, "_block_basis", counting)
-    cecomplex._cached_h2_frame.cache_clear()
-    cecomplex._orbit_h2.cache_clear()
+    empty_caches()
     w = weights_for_tvector(3, 3, (1, 0, 2))
     brute_force_h2(w)
     assert sorted(calls) == [0, 1, 2, 3]
@@ -434,17 +433,20 @@ def _cold_h2(w):
 
 
 def test_a_warm_shuffled_orbit_memo_equals_cold_block_dimensions():
-    rows = [w for n, k_max in ((2, 8), (3, 5), (4, 4))
-            for w, _, _ in sweep_configurations(n, k_max)]
+    # the rows of the orbit record, keyed by (delta, sorted 2 lambda_i),
+    # read the oracle value of a row computed cold, in any order
+    rows = [config for n, k_max in ((2, 8), (3, 5), (4, 4))
+            for config in sweep_configurations(n, k_max)]
     random.Random(19).shuffle(rows)
-    orbits = {(w.delta(), tuple(sorted(w.twice_lambdas))) for w in rows}
-    cecomplex._orbit_h2.cache_clear()
-    for w in rows:
-        brute_force_h2(w)
-    info = cecomplex._orbit_h2.cache_info()
+    orbits = {(w.delta(), tuple(sorted(w.twice_lambdas))) for w, _, _ in rows}
+    empty_caches()
+    for w, k, t in rows:
+        evaluate_row(w, k, t, ("oracle",), "on")
+    info = sweep._orbit_dims.cache_info()
     assert (info.misses, info.currsize) == (len(orbits), len(orbits))
-    assert [brute_force_h2(w).dim for w in rows] == [_cold_h2(w) for w in rows]
-    assert cecomplex._orbit_h2.cache_info().hits == info.hits + len(rows)
+    assert [evaluate_row(w, k, t, ("oracle",), "on").dim_oracle for w, k, t in rows] == \
+        [_cold_h2(w) for w, _, _ in rows]
+    assert sweep._orbit_dims.cache_info().hits == info.hits + len(rows)
 
 
 def test_the_orbit_memo_keeps_shift_arity_and_fractional_weights_apart():
@@ -460,24 +462,43 @@ def test_the_orbit_memo_keeps_shift_arity_and_fractional_weights_apart():
         Weights((third, half), Fraction(11, 6)),
     ]
     assert [w.natural_delta() for w in rows[4:]] == [None, 2, 2]
-    cecomplex._orbit_h2.cache_clear()
-    dims = [brute_force_h2(w).dim for w in rows]
+
+    def oracle(w, methods=("oracle",), perturb=False):
+        return evaluate_row(w, w.natural_delta(), None, methods, "on", perturb=perturb).dim_oracle
+    empty_caches()
+    dims = [oracle(w) for w in rows]
     assert dims == [_cold_h2(w) for w in rows] == [1, 0, 1, 0, 0, 0, 0]
-    assert cecomplex._orbit_h2.cache_info().currsize == len(rows)
+    assert sweep._orbit_dims.cache_info().currsize == len(rows)
     # a permuted row is a hit on its orbit
-    assert brute_force_h2(Weights((half, third), Fraction(11, 6))).dim == 0
-    assert brute_force_h2(weights_for_tvector(2, 2, (0, 1))).dim == 1
-    assert cecomplex._orbit_h2.cache_info().currsize == len(rows)
+    assert oracle(Weights((half, third), Fraction(11, 6))) == 0
+    assert oracle(weights_for_tvector(2, 2, (0, 1))) == 1
+    # so is a row asking for the system too, which every unperturbed row
+    # records; other methods, or a perturbed row, are keys of their own
+    assert oracle(rows[0], ("system", "oracle")) == 1
+    info = sweep._orbit_dims.cache_info()
+    assert (info.hits, info.currsize) == (3, len(rows))
+    assert oracle(rows[0], ("closed", "oracle")) == 1
+    assert oracle(rows[0], ("summary", "oracle")) == 1
+    assert oracle(rows[0], perturb=True) == 1
+    assert oracle(rows[0], ("closed",)) is None
+    info = sweep._orbit_dims.cache_info()
+    assert (info.hits, info.currsize) == (3, len(rows) + 4)
 
 
-def test_a_cold_sweep_computes_the_oracle_once_per_orbit():
+def test_a_cold_sweep_computes_the_oracle_once_per_orbit(monkeypatch):
     configs = sweep_configurations(4, 6)
     resonant = {(k, tuple(sorted(t))) for _, k, t in configs if t is not None}
     non_resonant = {k for _, k, t in configs if t is None}
     assert (len(configs), len(resonant), len(non_resonant)) == (2282, 252, 7)
-    cecomplex._orbit_h2.cache_clear()
+    calls = []
+    monkeypatch.setattr(sweep, "brute_force_h2", lambda *args: calls.append(args[0])
+                        or brute_force_h2(*args))
+    empty_caches()
     rows = run_sweep(4, 6, ("system", "oracle"), "on")
-    assert cecomplex._orbit_h2.cache_info().misses == len(resonant) + len(non_resonant)
+    assert len(calls) == sweep._orbit_dims.cache_info().misses == \
+        len(resonant) + len(non_resonant)
+    # on the sorted representative of each orbit
+    assert all(list(w.twice_lambdas) == sorted(w.twice_lambdas) for w in calls)
     assert all(row.dim_oracle == system_ell(row.weights) for row in rows)
 
 
@@ -549,14 +570,12 @@ def test_the_pairing_certificate_refuses_a_minor_that_is_not_diagonal(monkeypatc
                  for source, terms in cecomplex._DIFFERENTIAL_TABLES[p].items()}
         monkeypatch.setitem(cecomplex._DIFFERENTIAL_TABLES, p, table)
         cecomplex._cached_h2_frame.cache_clear()
-        cecomplex._orbit_h2.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="not diagonal"):
                 brute_force_h2(row)
         finally:
             monkeypatch.undo()
             cecomplex._cached_h2_frame.cache_clear()
-            cecomplex._orbit_h2.cache_clear()
 
 
 def test_identity_1_pairs_cochains_only_at_k_0_and_negative_shifts():
@@ -687,16 +706,15 @@ def test_block_frames_carry_no_lambda():
         for w in SHARED_FRAME_WEIGHTS:
             assert block_matrix(p, tr, w) == _generic_block_matrix(w, *bases), (p, w)
     # and the cochain dimensions read off the shared oracle frame at cap 2
-    # are per-lambda; every orbit after the first read the frame already
+    # are per-lambda; every row after the first reads the frame already
     # built
-    orbits = {tuple(sorted(w.twice_lambdas)) for w in SHARED_FRAME_WEIGHTS}
-    cecomplex._orbit_h2.cache_clear()
-    hits = cecomplex._cached_h2_frame.cache_info().hits
+    empty_caches()
     for w in SHARED_FRAME_WEIGHTS:
         result = brute_force_h2(w)
         assert result.alpha_max == 2
         assert result.dim == _h2_block_dimension_reference(w, 2), w
-    assert cecomplex._cached_h2_frame.cache_info().hits - hits >= len(orbits) - 1
+    info = cecomplex._cached_h2_frame.cache_info()
+    assert (info.misses, info.hits) == (1, len(SHARED_FRAME_WEIGHTS) - 1)
 
 
 def test_truncation_refuses_a_non_integer_eigenvalue():

@@ -8,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sl2cohom import cecomplex, cli, reduced
-from sl2cohom.cecomplex import ORBIT_CACHE_SIZE
+from sl2cohom import cli, reduced, sweep
 from sl2cohom.cli import main
 from sl2cohom.multiindices import multiset_coeff
 from sl2cohom.polynomials import parse_rational
@@ -318,10 +317,11 @@ def test_the_box_memo_holds_every_orbit_of_one_k_the_ceilings_admit():
         largest = max(largest, multiset_coeff(k_max, n))
         n += 1
     assert largest == 816  # n = 3, k = 16
-    # one bound for both orbit memos; the oracle's also holds the key of
+    # one bound for the box memo and the orbit record; one sweep asks the
+    # record for one set of methods, and the record also holds the key of
     # the non-resonant row of that k
-    assert reduced._box_deficiency.cache_info().maxsize == ORBIT_CACHE_SIZE >= largest
-    assert cecomplex._orbit_h2.cache_info().maxsize == ORBIT_CACHE_SIZE >= largest + 1
+    assert reduced._box_deficiency.cache_info().maxsize == reduced.ORBIT_CACHE_SIZE >= largest
+    assert sweep._orbit_dims.cache_info().maxsize == reduced.ORBIT_CACHE_SIZE >= largest + 1
 
 
 def test_basis_is_bounded_by_the_square_of_its_unknowns(capsys):

@@ -27,7 +27,7 @@ from sl2cohom.reduced import (
 )
 from sl2cohom.sweep import nonresonant_weights, sweep_configurations, weights_for_tvector
 from sl2cohom.weights import GENERATORS, Weights
-from support import dense_kernel, system_of
+from support import dense_kernel, empty_caches, system_of
 
 X1, XX, XX2 = GENERATORS
 
@@ -524,7 +524,7 @@ def test_ell_is_the_lefschetz_count_on_singular_rows():
 
 
 def test_the_box_is_ranked_once_per_orbit(monkeypatch):
-    reduced._box_deficiency.cache_clear()
+    empty_caches()
     calls = []
     real = linalg.sparse_rank
     monkeypatch.setattr(linalg, "sparse_rank", lambda vectors: calls.append(1) or real(vectors))
@@ -545,9 +545,9 @@ def test_a_warm_memo_equals_a_cold_one():
     random.Random(18).shuffle(configs)
     cold = []
     for w, _, _ in configs:
-        reduced._box_deficiency.cache_clear()
+        empty_caches()
         cold.append(system_rank_data(w))
-    reduced._box_deficiency.cache_clear()
+    empty_caches()
     assert [system_rank_data(w) for w, _, _ in configs] == cold
     # 441 singular rows in sum_(k <= 6) C(k + 2, 3) = 126 orbits
     assert reduced._box_deficiency.cache_info().hits == 441 - 126
@@ -556,7 +556,7 @@ def test_a_warm_memo_equals_a_cold_one():
 def test_memo_keys_separate_the_shift_and_the_arity():
     # each pair shares its sorted t up to k, or its entries up to their
     # multiplicity; every row must read its own orbit's deficiency
-    reduced._box_deficiency.cache_clear()
+    empty_caches()
     pairs = (((2, 2, (0, 1)), (2, 3, (1, 0))),       # ell 1 at k = 2, 0 at k = 3
              ((2, 3, (0, 1)), (2, 2, (1, 0))),
              ((2, 3, (1, 1)), (1, 3, (1,))),         # ell 1 and 0: one set {1}
@@ -859,7 +859,7 @@ def test_a_basis_and_its_solves_share_one_factorization(monkeypatch):
     solve = linalg.solve
     monkeypatch.setattr(linalg, "Factorization", Counted)
     monkeypatch.setattr(linalg, "solve", counted_solve)
-    reduced._system.cache_clear()
+    empty_caches()
     weights = [weights_for_tvector(3, 4, t) for t in itertools.product(range(4), repeat=3)]
     weights = [w for w in weights if classify(w).kind is CaseKind.SINGULAR]
     assert len(weights) == 64

@@ -28,6 +28,7 @@ from sl2cohom.sweep import (
     weights_for_tvector,
 )
 from sl2cohom.weights import Weights
+from support import empty_caches
 
 
 def test_weights_for_tvector():
@@ -138,12 +139,19 @@ def test_the_sparse_negative_control_equals_the_dense_one():
 def test_the_negative_control_never_reads_the_box_memo():
     # t = (1, 0) warms the orbit of t = (0, 1): unperturbed, both have
     # dim 4; the perturbed system of (0, 1) has full rank, so dim 1
+    empty_caches()
     dim_h2_via_system(weights_for_tvector(2, 2, (1, 0)))
     before = reduced._box_deficiency.cache_info()
     w = weights_for_tvector(2, 2, (0, 1))
     assert evaluate_row(w, 2, (0, 1), ("system",), "off", perturb=True).dim_system == 1
     assert reduced._box_deficiency.cache_info() == before
+    # the perturbed row recorded its orbit without a system value: the
+    # same key is a hit that holds none
+    orbit = (w.delta(), (-1, 0))
+    assert sweep._orbit_dims(*orbit, False, False, False, False) == (None,) * 5
+    assert sweep._orbit_dims.cache_info()[:2] == (1, 1)
     assert evaluate_row(w, 2, (0, 1), ("system",), "off").dim_system == 4
+    assert sweep._orbit_dims.cache_info()[:2] == (1, 2)
 
 
 ALL_METHODS = ("system", "closed", "summary", "oracle")
@@ -206,7 +214,9 @@ def test_tags_results_and_rows_refuse_assignment():
 
 def test_a_row_calls_each_entry_point_once_per_requested_method(monkeypatch):
     # classify, the system rank, both predictors and the oracle are the
-    # spans the benchmark's tracer binds: one call per row for each method
+    # spans the benchmark's tracer binds.  On an emptied record a row
+    # classifies itself once, and each requested engine runs once per
+    # orbit, on its representative, which the record classifies once
     calls = {}
     for name in ("classify", "dim_h2_via_system", "dim_h2_closed_form",
                  "dim_h2_summary_table", "brute_force_h2"):
@@ -215,18 +225,39 @@ def test_a_row_calls_each_entry_point_once_per_requested_method(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(sweep, name, counted)
     configs = sweep_configurations(2, 3)
+    orbits = {(w.delta(), tuple(sorted(w.twice_lambdas))) for w, _, _ in configs}
+    assert (len(configs), len(orbits)) == (18, 14)
     for methods in (ALL_METHODS, ("system",), ("system", "summary", "oracle")):
         for policy in ("on", "off"):
+            empty_caches()
             calls.clear()
             for w, k, t in configs:
                 evaluate_row(w, k, t, methods, policy)
             wanted = sum(sweep._oracle_wanted(policy, 2, k) for _, k, _ in configs)
-            expected = {"classify": len(configs), "dim_h2_via_system": len(configs)}
+            expected = {"classify": len(configs) + len(orbits),
+                        "dim_h2_via_system": len(orbits)}
             for method, name in (("closed", "dim_h2_closed_form"),
                                  ("summary", "dim_h2_summary_table")):
                 if method in methods:
-                    expected[name] = len(configs)
+                    expected[name] = len(orbits)
             if "oracle" in methods and wanted:
-                expected["brute_force_h2"] = wanted
+                expected["brute_force_h2"] = len(orbits)
             assert calls == expected, (methods, policy)
             assert wanted == (len(configs) if policy == "on" else 0)
+            # a second pass reads every dimension from the record
+            calls.clear()
+            for w, k, t in configs:
+                evaluate_row(w, k, t, methods, policy)
+            assert calls == {"classify": len(configs)}, (methods, policy)
+
+
+def test_a_perturbed_sweep_changes_only_the_system_column():
+    # the perturbed sweep runs first on an emptied record: its ranks stay
+    # with its rows, and the unperturbed sweep after it reads none of them
+    empty_caches()
+    perturbed = run_sweep(2, 4, ALL_METHODS, "on", perturb=True)
+    plain = run_sweep(2, 4, ALL_METHODS, "on")
+    assert [row.dim_system for row in plain] == \
+        [dim_h2_via_system(row.weights).dim for row in plain]
+    assert [row[:4] + row[5:] for row in perturbed] == [row[:4] + row[5:] for row in plain]
+    assert any(p.dim_system != q.dim_system for p, q in zip(perturbed, plain))
