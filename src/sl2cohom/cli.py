@@ -40,21 +40,25 @@ IO_EXIT = 3
 # Size ceilings, each set where one evaluation takes seconds, not minutes
 # (timings: 2 vCPU, Python 3.11.7, slowest resonant t found).
 #: Equations C(n + k - 2, k - 1) of the constraint system the ``system``
-#: method ranks.  Only the box rows a <= t are echelonised, and symmetric
+#: method ranks, checked at the frame it builds: n is the count n' of
+#: nonzero t_i on a singular ``dim`` row, and the full arity at a sweep's
+#: largest k.  Only the box rows a <= t are echelonised, and symmetric
 #: middle resonance puts most rows there: 4,845 took 5.7 s (n = 5, k = 17,
 #: t = (7, 7, 7, 7, 6)) and 4,960 took 5.2 s (n = 4, k = 30,
 #: t = (15, 15, 15, 15)), medians of 3 ``dim`` runs; 9,880 took 27 s
-#: (n = 4, k = 38).  It bounds k as well: the system's frame holds k
-#: factors per slot, which at n = 1 outnumber the one equation.
+#: (n = 4, k = 38).
 MAX_SYSTEM_EQUATIONS = 5_000
-#: Index entries n (C(n + k - 2, k - 1) + C(n + k - 1, k)) of the frame the
-#: ``system`` method builds on a singular row: its row and column
-#: multi-indices, n entries each.  The equation count misses it at large n
-#: and small k (one equation at k = 1, but n^2 entries).  Zero weights at
-#: k = 1 took 0.26 s and 24 MiB at 1,001,000 entries (n = 1,000), 1.5 s and
-#: 94 MiB at 9,988,760 (n = 3,160), and 8.9 s and 509 MiB at 64,008,000
-#: (n = 8,000); near the ceiling, 9,410,150 (n = 265, k = 2) took 1.8 s and
-#: 9,320,250 (n = 85, k = 3, t = (2, ..., 2)) 2.7 s and 144 MiB.
+#: Index entries n (C(n + k - 2, k - 1) + C(n + k - 1, k)) of the same
+#: frame, n = n' on a ``dim`` row: its row and column multi-indices, n
+#: entries each.  The equation count misses it at large n and small k (n
+#: equations at k = 2, but about n^3 / 2 entries).  Near the ceiling, CPU
+#: time and peak RSS, medians of 3 ``dim --methods system`` runs:
+#: 9,410,150 (n' = 265, k = 2, t = (1, ..., 1)) took 1.1 s and 97 MiB, and
+#: 9,320,250 (n' = 85, k = 3, t = (2, ..., 2)) 1.6 s and 125 MiB; with 83
+#: zeros, t = (0, ..., 0, 2, 2), the same n = 85 row has n' = 2 and took
+#: 0.12 s and 17 MiB.  A sweep checks it at its full arity, which at
+#: k_max <= 1 makes it the sweep's guard on n: ``table --n 3160 --k-max 1``
+#: (9,988,760 entries) took 0.12 s and 17 MiB in one run.
 MAX_SYSTEM_FRAME_ENTRIES = 10_000_000
 #: Candidate cochains 3 C(cap + n, n) of the oracle's block at its one cap,
 #: cap = max(k, 1) (1 without a natural shift): near the ceiling, the
@@ -69,7 +73,9 @@ MAX_ORACLE_BLOCK = 25_000
 #: ``basis`` builds and writes: the rows times cols of the sparse system
 #: it echelonises, the cols - rank sparse kernel vectors of at most
 #: rank + 1 entries each, and the n weights that each of its at most
-#: cols + 2 rows elements prints.
+#: cols + 2 rows elements prints.  It bounds the system's frame too: for
+#: k >= 1, cols <= 1,000 and rows and n are at most cols, so the frame has
+#: at most 2 * 10^6 index entries; at k = 0 it has n.
 #: The weights dominate at large n and small k: 10^6 cells took 0.71 s and
 #: 33 MiB at n = 1000, k = 1 (1,002 elements, 13 MB of JSON, written one
 #: element at a time), against 0.11 s and 21 MiB at n = 2, k = 999 (one
@@ -169,19 +175,12 @@ def _check_ceiling(what: str, size: int, unit: str, ceiling: int) -> None:
         raise UsageError(f"{what} has {count} {unit}, above the ceiling of {ceiling}")
 
 
-def _check_system_equations(n: int, k: int) -> None:
-    what = f"the constraint system at n = {n}, k = {k}"
+def _check_system_equations(n: int, k: int, arity: str = "n") -> None:
+    what = f"the constraint system at {arity} = {n}, k = {k}"
     rows = multiset_coeff(n, k - 1)
     _check_ceiling(what, rows, "equations", MAX_SYSTEM_EQUATIONS)
     _check_ceiling(what, n * (rows + multiset_coeff(n, k)), "index entries",
                    MAX_SYSTEM_FRAME_ENTRIES)
-
-
-def _check_system_size(n: int, k: int) -> None:
-    _check_system_equations(n, k)
-    # n >= 2 has at least k equations, so this binds only at n = 1
-    _check_ceiling(f"the constraint system at n = {n}, k = {k}", k,
-                   "lowering factors per slot", MAX_SYSTEM_EQUATIONS)
 
 
 def _check_closed_size(n: int, k: int) -> None:
@@ -190,9 +189,9 @@ def _check_closed_size(n: int, k: int) -> None:
     7.4 s to reach the refusal of the value).  Integers only: with
     r = min(n - 2, k), C(n + k - 2, r) >= ((n + k - 2) / r)^r >= 2^b for
     b = r (bitlen((n + k - 2) // r) - 1), and 2^b > 2 * 10^d once
-    1000 b > 3322 d + 1000.  The closed and summary values are at least
-    the base less 3 n, so neither could be printed either; a smaller base
-    is formed and its value checked as before."""
+    1000 b > 3322 d + 1000.  The closed, summary and system values are at
+    least the base less 3 n, so none could be printed either; a smaller
+    base is formed and its value checked as before."""
     digits = sys.get_int_max_str_digits()
     r = min(n - 2, k)
     if not digits or r <= 0:
@@ -232,8 +231,7 @@ def _sweep_rows(n: int, k_max: int) -> int:
 
 def _check_sweep_size(n: int, k_max: int, methods: Sequence[str], policy: str) -> None:
     """The ceilings on the sweep's row count and at its largest row; every
-    row runs the system method.  At n = 1 the row ceiling holds k_max below
-    200, so the system's k factors per slot need no check of their own."""
+    row runs the system method."""
     _check_system_equations(n, k_max)
     k = largest_oracle_k(policy, n, k_max) if "oracle" in methods else None
     if k is not None:
@@ -259,20 +257,23 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     w = _parse_weights(args, bound)
     methods = _parse_methods(args.methods, ("system", "closed", "oracle"))
     k = w.natural_delta()
-    if "system" in methods and k is not None:
-        _check_system_size(w.n, k)
+    tag = classify(w)
+    if "system" in methods and tag.t is not None:
+        # only a singular row builds anything: the frame of its n' nonzero t_i
+        _check_system_equations(len(tag.t) - tag.t.count(0), k, "n' = #{t_i > 0}")
     if "oracle" in methods and w.delta().denominator == 1:
         _check_oracle_size(w.n, default_alpha_max(w.delta()))  # otherwise every block is empty
-    tag = classify(w)
     _check_printable(tag.sigma or 0, "sigma = sum(t)", bound)  # printed in the case
-    # the closed form has a base at every natural shift, the summary table
-    # only on singular rows
-    if ("closed" in methods and k is not None) or ("summary" in methods and tag.t is not None):
+    # the closed form and the system have a base at every natural shift,
+    # the summary table only on singular rows
+    if (k is not None and ("closed" in methods or "system" in methods)) or \
+            ("summary" in methods and tag.t is not None):
         _check_closed_size(w.n, k)
     results = []
     for method in methods:
         if method == "system":
             result = dim_h2_via_system(w, tag)
+            _check_printable(result.dim, "the system value", bound)
         elif method == "oracle":
             result = brute_force_h2(w, tag)
         else:
@@ -315,7 +316,6 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         _write_output(json_array(()), args.out)
         return 0
     _check_basis_size(w.n, w.natural_delta())
-    _check_system_size(w.n, w.natural_delta())
     basis = cocycle_basis(w)
     for element in basis:
         if cocycle_residual(element):

@@ -108,7 +108,7 @@ def singular_counts(tag: CaseTag) -> tuple[Optional[int], Optional[int]]:
 
 def dim_h2_closed_form(tag: CaseTag, n: int) -> int:
     """Closed-form dimension prediction, with s and r as in :func:`singular_counts`."""
-    kind, k, t, sigma = tag
+    kind, k, _, sigma = tag
     if kind is CaseKind.NON_INTEGER_DELTA:
         return 0
     base = multiset_coeff(n - 1, k)
@@ -116,15 +116,12 @@ def dim_h2_closed_form(tag: CaseTag, n: int) -> int:
         return base
     if sigma == k - 1:
         return base + 3
+    s, r = singular_counts(tag)
     if sigma == k:
-        return base + 3 * (len(t) - t.count(0) - 1)
+        return base + 3 * (s - 1)
     if sigma == k + 1:
-        if max(t) == 1:
-            return base
-        s = len(t) - t.count(0)
-        return base + 3 * (s * (s - 1) // 2) - 3 * t.count(1)
-    m = sigma - k
-    s = sum(1 for v in t if v > m)
+        # s = r when every nonzero t_i is 1, that is max(t) = 1
+        return base if s == r else base + 3 * (s * (s - 1) // 2) - 3 * r
     return base + 3 * (s * (s - 1) // 2)
 
 

@@ -107,6 +107,13 @@ with N_(k-1) the number of rows, and :func:`dim_h2_via_system` echelonises
 only the box rows (``linalg.sparse_rank``); off the singular case the system
 has full row rank and no row is built.
 
+A slot with t_i = 0 carries no entry of B: it pins a_i = 0 on every row of
+B, where its factor (a_i + 1)(a_i - t_i) vanishes, and b_i = 0 on every
+column a row of B meets.  Dropping such slots maps the rows of B and the
+columns they meet onto those of the box of the nonzero t_i, in the same
+order and with every entry, so both boxes are the same matrix: B is
+ranked at n' = #{t_i > 0} slots.
+
 The box deficiency |B| - rank(B) depends on t only through (k, sorted t).
 Permuting the n tensor factors by a slot permutation pi is an sl(2)-module
 isomorphism from D_(lambda, mu) onto D_(pi lambda, mu), and on the system
@@ -132,7 +139,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import le
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import linalg
 from .cecomplex import Cochain, CohomResult
@@ -429,13 +436,13 @@ ORBIT_CACHE_SIZE = 1024
 
 
 class _Frame(NamedTuple):
-    """The lambda-free part of the (n, k) constraint system."""
+    """The lambda-free part of the (n, k) constraint system: the index
+    tuples and, per row, where each slot's entry goes."""
 
     rows: tuple[MultiIndex, ...]
     cols: tuple[MultiIndex, ...]
-    #: per row alpha, the (column of alpha + e_i, slot i k + a_i) pairs
-    #: whose factor :func:`build_system` fills in
-    patterns: tuple[tuple[tuple[int, int], ...], ...]
+    #: per row alpha, the column of alpha + e_i for each slot i
+    patterns: tuple[tuple[int, ...], ...]
     #: the position of each row's multi-index in ``rows``
     row_pos: dict[MultiIndex, int]
 
@@ -445,9 +452,16 @@ def _system_frame(n: int, k: int) -> _Frame:
     rows = tuple(enumerate_multiindices(n, k - 1))
     cols = tuple(enumerate_multiindices(n, k))
     col_pos = {c: j for j, c in enumerate(cols)}
-    patterns = tuple(tuple((col_pos[add_unit(alpha, i)], i * k + a) for i, a in enumerate(alpha))
-                     for alpha in rows)
+    patterns = tuple(tuple(col_pos[add_unit(alpha, i)] for i in range(n)) for alpha in rows)
     return _Frame(rows, cols, patterns, {alpha: r for r, alpha in enumerate(rows)})
+
+
+def _fill(rows: Iterable[tuple[MultiIndex, tuple[int, ...]]],
+          twice: tuple[Scalar, ...]) -> list[dict[int, Scalar]]:
+    """Each (alpha, pattern) row as its nonzero entries (a_i + 1)(a_i + twice_i),
+    in column pattern[i]: the one fill of the system's rows and the box's."""
+    return [{j: f for j, a, v in zip(pattern, alpha, twice) if (f := (a + 1) * (a + v))}
+            for alpha, pattern in rows]
 
 
 def build_system(w: Weights) -> LinearSystem:
@@ -455,16 +469,17 @@ def build_system(w: Weights) -> LinearSystem:
     rows) when k = 0.  A shift that is not a natural number has no system
     and raises ``ValueError``.
 
-    Only the factors (a_i + 1)(a_i + 2 lambda_i), for each slot i and each
-    a_i < k, depend on lambda.  The index tuples and each row's sparsity
-    pattern are an (n, k) frame cached by ``_system_frame``, so a sweep
-    evaluating many lambda at one (n, k) computes just the n k factors per
-    configuration.  :func:`_box_deficiency` reads the box rows off the same
-    frame, and :func:`solve_coboundary` places a right-hand side by its
-    row positions.  The cache keeps at most ``SYSTEM_FRAME_CACHE_SIZE``
-    frames; the 6 of n = 4, k <= 5 hold 25 KiB, and one at the command
-    line's 5,000-equation ceiling 2.1 to 2.9 MiB for n = 3 to 5 and
-    2.7 MiB for n = 2, k = 5,000 (``tracemalloc``).
+    Only the entries (a_i + 1)(a_i + 2 lambda_i) depend on lambda.  The
+    index tuples and, per row alpha, the column of each alpha + e_i are an
+    (n, k) frame cached by ``_system_frame``; ``_fill`` computes each row's
+    entries from its own index, with no table of factors.
+    :func:`_box_deficiency` fills the box rows through the same ``_fill``,
+    on the frame of its nonzero t_i, and :func:`solve_coboundary` places a
+    right-hand side by the frame's row positions.  The cache keeps at most
+    ``SYSTEM_FRAME_CACHE_SIZE`` frames; the 6 of n = 4, k <= 5 hold
+    25 KiB, and one at the command line's 5,000-equation ceiling 1.4 to
+    1.7 MiB for n = 3 to 5 and 1.9 MiB for n = 2, k = 5,000
+    (``tracemalloc``).
 
     The systems themselves are kept for the last
     ``SYSTEM_FRAME_CACHE_SIZE`` keys (k, ``w.twice_lambdas``), with their
@@ -486,9 +501,7 @@ def build_system(w: Weights) -> LinearSystem:
 def _system(k: int, twice_lambdas: tuple[Scalar, ...]) -> LinearSystem:
     """The system of :func:`build_system` at shift k for the doubled lambdas."""
     frame = _system_frame(len(twice_lambdas), k)
-    factors = [(a + 1) * (a + twice_lam) for twice_lam in twice_lambdas for a in range(k)]
-    equations = tuple({j: f for j, slot in pattern if (f := factors[slot])}
-                      for pattern in frame.patterns)
+    equations = tuple(_fill(zip(frame.rows, frame.patterns), twice_lambdas))
     return LinearSystem(frame.rows, frame.cols, equations)
 
 
@@ -496,16 +509,18 @@ def _system(k: int, twice_lambdas: tuple[Scalar, ...]) -> LinearSystem:
 def _box_deficiency(k: int, t: tuple[int, ...]) -> int:
     """|B| - rank(B) of the box B = {a <= t} at shift k, for sorted t.
 
-    The rows of B are the (n, k) frame's rows whose index a satisfies
-    a <= t, in frame order, each filled from its pattern.  Only this value,
-    not the rows, is kept, so every orbit of the module docstring's slot
-    permutations is built and echelonised once.
+    A slot with t_i = 0 carries no entry of B (module docstring), so B is
+    built on the nonzero part t' of t: the rows of the (n', k) frame whose
+    index a satisfies a <= t', in frame order, each filled by ``_fill``
+    with twice_i = -t'_i.  The zeros are dropped here, so the memo key
+    stays (k, sorted t).  Only this value, not the rows, is kept, so every
+    orbit of the module docstring's slot permutations is built and
+    echelonised once.
     """
+    t = t[t.count(0):]  # sorted, so the zeros lead
     frame = _system_frame(len(t), k)
-    factors = [(a + 1) * (a - t_i) for t_i in t for a in range(k)]
-    box = [{j: f for j, slot in pattern if (f := factors[slot])}
-           for alpha, pattern in zip(frame.rows, frame.patterns)
-           if all(map(le, alpha, t))]
+    box = _fill(((alpha, pattern) for alpha, pattern in zip(frame.rows, frame.patterns)
+                 if all(map(le, alpha, t))), tuple(-t_i for t_i in t))
     return len(box) - linalg.sparse_rank(box)
 
 
@@ -525,7 +540,8 @@ def dim_h2_via_system(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
     and every block with S nonempty has full row rank (proof in the module
     docstring).  So ell is 0 off the singular case and |B| - rank(B) on
     it, where only the rows of the box B = {a <= t}, picked from the
-    (n, k) frame by that test on their index, are built and echelonised.
+    frame of the nonzero t_i by that test on their index, are built and
+    echelonised.
     A slot permutation carries the box of t onto that of the permuted t
     with every entry (module docstring), so the deficiency comes from a
     memo keyed by (k, sorted t), bounded by ``ORBIT_CACHE_SIZE``:

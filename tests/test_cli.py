@@ -163,6 +163,11 @@ def test_input_with_more_digits_than_python_prints_is_usage_error(capsys):
                  # sigma = 2 k - 2 > 10^4300 in the case, for k = big
                  ["dim", f"--lambdas=-{big[:-1]}8/2,-{big[:-1]}8/2", "--mu", "1",
                   "--methods", "closed"],
+                 # the system value base + 3 ell has the closed form's base,
+                 # C(k + 2, 2) > 10^4300 here, and no system ceiling refuses
+                 # this non-resonant row first
+                 ["dim", "--lambdas=1,1,1,1", f"--mu={2 * 10 ** 2150 + 4}", "--methods",
+                  "system"],
                  ["basis", f"--lambdas=-{big}", "--mu", big]):
         code, out, err = run_cli(argv, capsys)
         assert code == 2, argv
@@ -172,35 +177,41 @@ def test_input_with_more_digits_than_python_prints_is_usage_error(capsys):
 
 def test_the_digit_bound_is_built_once_per_command(capsys):
     # the digit bound, itself a 4,300-digit integer, used to be rebuilt for
-    # each weight: 1.5 s before this refusal of the frame
+    # each weight: 1.5 s before the frame-entry refusal this row once met;
+    # its box has no nonzero slot, so it now runs
     zeros = ",".join(["0"] * 30000)
     start = time.perf_counter()
     code = main(["dim", "--methods", "system", "--mu", "1", "--lambdas", zeros])
     assert time.perf_counter() - start < 0.75
-    assert code == 2
-    assert "index entries" in capsys.readouterr().err
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)[0]["dim"] == 29999 + 3
 
 
 def test_oversized_dim_is_refused_within_seconds():
-    # both used to run without end: k = 10^400 enumerated before any check
+    # the first two used to run without end: k = 10^400 enumerated before
+    # any check
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     for argv, what in (
         (["dim", "--n", "1", "--lambdas", "0", "--mu", "1e400", "--methods", "oracle"],
          "candidate cochains"),
-        (["dim", "--n", "2", "--lambdas", "0,0", "--mu", "1e400", "--methods", "system"],
+        # t = (1, 1): zero weights build no box, and now run
+        (["dim", "--n", "2", "--lambdas=-1/2,-1/2", "--mu", "1e400", "--methods", "system"],
          "equations"),
-        # n = 1 has one equation, but the system's frame holds k factors per
-        # slot: these two used to exit 0 after allocating 120+ MiB
+        # n = 1 has one equation and one unknown; with no table of k factors
+        # per slot these two run: dim 0 and an empty basis
         (["dim", "--n", "1", "--lambdas", "0", "--mu", "2000000", "--methods", "system"],
-         "2000000 lowering factors per slot"),
-        (["basis", "--n", "1", "--lambdas", "0", "--mu", "1000000"],
-         "1000000 lowering factors per slot"),
+         None),
+        (["basis", "--n", "1", "--lambdas", "0", "--mu", "1000000"], None),
     ):
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "sl2cohom"] + argv, env=env,
                               capture_output=True, text=True, timeout=60)
         assert time.perf_counter() - start < 10, argv
+        if what is None:
+            assert proc.returncode == 0, argv
+            assert [r["dim"] for r in json.loads(proc.stdout)] in ([0], []), argv
+            continue
         assert proc.returncode == 2, argv
         assert proc.stdout == "", argv
         assert what in proc.stderr and "above the ceiling" in proc.stderr, argv
@@ -208,7 +219,9 @@ def test_oversized_dim_is_refused_within_seconds():
 
 def test_large_arity_at_small_k_is_refused_within_seconds():
     # one equation at k = 1, but a frame of n^2 index entries: n = 8,000
-    # took 9 s and 509 MiB, so these used to run out of memory instead
+    # took 9 s and 509 MiB, so these used to run out of memory instead.  A
+    # sweep keeps the check at its full arity; the dim row has no nonzero
+    # t_i, builds no frame and runs
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     zeros = ",".join(["0"] * 30000)
@@ -219,10 +232,35 @@ def test_large_arity_at_small_k_is_refused_within_seconds():
         proc = subprocess.run([sys.executable, "-m", "sl2cohom"] + argv, env=env,
                               capture_output=True, text=True, timeout=60)
         assert time.perf_counter() - start < 10, argv[0]
+        if argv[0] == "dim":
+            assert proc.returncode == 0
+            assert json.loads(proc.stdout)[0]["dim"] == 29999 + 3  # ell = 1 at t = 0, k = 1
+            continue
         assert proc.returncode == 2, argv[0]
         assert proc.stdout == "", argv[0]
         assert "900030000 index entries" in proc.stderr, argv[0]
         assert "above the ceiling" in proc.stderr, argv[0]
+
+
+def test_rows_with_a_small_box_run_within_seconds(capsys):
+    # each used to be refused, or to take 2 s and 133 MiB at n = 85 for a
+    # 3 x 2 box: the ceilings now read the frame of the nonzero t_i, and a
+    # non-resonant row builds none.  Every value is the base C(n + k - 2, k)
+    # plus 3 ell, with ell = 1 for the box of t = (2, 2) at k = 3
+    cases = [(["dim", "--lambdas=" + ",".join(["0"] * (n - 2) + ["-1", "-1"]), "--mu", "1",
+               "--methods", "system,closed"], [multiset_coeff(n - 1, 3) + 3] * 2)
+             for n in (85, 200)]
+    cases += [(["dim", "--lambdas", "0", "--mu", "10000000", "--methods", "system,closed"],
+               [0, 0]),
+              (["basis", "--lambdas", "0", "--mu", "10000000"], []),
+              (["dim", "--lambdas", "1,1,1", "--mu", "10003", "--methods", "system,closed"],
+               [multiset_coeff(2, 10000)] * 2)]
+    for argv, dims in cases:
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 5, argv
+        assert code == 0 and err == "", argv
+        assert [r["dim"] for r in json.loads(out)] == dims, argv
 
 
 def test_oversized_sweep_is_refused_within_seconds():
@@ -250,7 +288,7 @@ def test_instances_above_a_ceiling_are_usage_errors(capsys):
         (["table", "--n", "3", "--k-max", "40", "--oracle", "on"], "candidate cochains"),
         (["basis", "--n", "2", "--lambdas", "0,0", "--mu", "2000"], "cells"),
         # sizes too long to print used to die in their own message, exit 1
-        (["dim", "--lambdas", "0,0,0", "--mu", "1e3000", "--methods", "system"],
+        (["dim", "--lambdas=-1,-1,-1", "--mu", "1e3000", "--methods", "system"],
          "over 10^4300 equations"),
         (["dim", "--lambdas", "0", "--mu", "9" * 4300, "--methods", "oracle"],
          "over 10^4300 candidate cochains"),
@@ -278,13 +316,10 @@ def test_instances_above_a_ceiling_are_usage_errors(capsys):
         cli._check_sweep_size(3, 40, cli.ALL_METHODS, "on")
     with pytest.raises(cli.UsageError, match="rows"):
         cli._check_sweep_size(3, 40, cli.ALL_METHODS, "auto")
-    # the system's ceiling on k binds where the system runs, and is checked
-    # without building anything
+    # the oracle's documented edge, 24,999 candidates at n = 1, k = 8332
     code, out, _ = run_cli(["dim", "--n", "1", "--lambdas", "0", "--mu", "8332",
                             "--methods", "oracle"], capsys)
     assert code == 0 and json.loads(out)[0]["dim"] == 0
-    with pytest.raises(cli.UsageError, match="100000000 lowering factors per slot"):
-        cli._check_system_size(1, 10 ** 8)
 
 
 def test_ceilings_accept_every_documented_instance():
@@ -295,7 +330,7 @@ def test_ceilings_accept_every_documented_instance():
                              (1, 197, "off")):
         cli._check_sweep_size(n, k_max, cli.ALL_METHODS, policy)
     # the frame of a thousand arguments at k = 1: 1,001,000 index entries
-    cli._check_system_size(1000, 1)
+    cli._check_system_equations(1000, 1)
 
 
 def test_the_box_memo_holds_every_orbit_of_one_k_the_ceilings_admit():

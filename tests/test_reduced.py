@@ -572,6 +572,34 @@ def test_memo_keys_separate_the_shift_and_the_arity():
     assert reduced._box_deficiency.cache_info().currsize == 5  # one per orbit named
 
 
+def _frame_box_deficiency(k, t):
+    """|B| - rank(B), B the rows a <= t of the whole system of t, all n slots."""
+    system = system_of(len(t), k, tuple(Fraction(-v, 2) for v in t))
+    box = [eq for alpha, eq in zip(system.row_index, system.equations)
+           if all(a <= v for a, v in zip(alpha, t))]
+    return len(box) - linalg.sparse_rank(box)
+
+
+def test_the_box_of_t_ranks_as_the_box_of_its_nonzero_part():
+    # a slot with t_i = 0 carries no box entry, so the memo ranks the box of
+    # the nonzero t_i; the reference filters the whole system at full arity
+    orbits = 0
+    for n, k_max in ((1, 7), (2, 7), (3, 7), (4, 7), (5, 4), (6, 4)):
+        for k in range(1, k_max + 1):
+            for t in itertools.combinations_with_replacement(range(k), n):
+                nonzero = tuple(v for v in t if v)
+                # with no nonzero slot, the box is the row () at k = 1, with no entry
+                part = _frame_box_deficiency(k, nonzero) if nonzero else int(k == 1)
+                assert reduced._box_deficiency(k, t) == _frame_box_deficiency(k, t) == part, \
+                    (k, t)
+                orbits += 1
+    assert orbits == 988
+    # many zeros at large n: a 3 x 2 box with ell = 1 behind 83 or 198 zeros
+    for n in (85, 200):
+        assert reduced._box_deficiency(3, (0,) * (n - 2) + (2, 2)) == 1 == \
+            _frame_box_deficiency(3, (2, 2))
+
+
 # -- normal form and gauge reduction ------------------------------------
 
 
