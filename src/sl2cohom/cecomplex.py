@@ -75,60 +75,52 @@ The generic ``coboundary`` on operator-valued cochains stays as the
 independent route the tests compare the block matrices against.
 
 Only the lowering factor a_l (a_l + 2 lambda_l - 1) depends on lambda.
-The action and bracket entries and the position of every entry form a
-`BlockFrame`; a column is the frame's column with the lowering factors of
-one lambda filled in.
+The action and bracket entries and the position of every entry form the
+frame of d on a pair of bases; it stores each lowering entry as its
+target position, slot l, a_l and -sign, and a column at one lambda is the
+frame's column with -sign a_l (a_l + 2 lambda_l - 1) computed from those
+indices (`_fill`), with no table of factors.
 
-The oracle does not rank the two full blocks of d.  X1 = d/dx acts on
-x^m by differentiation, so it pairs off cochains one degree apart.  Call
-a block cochain (m, alpha, T) with X1 in T paired, P_p the paired
-cochains of degree p, and (m + 1, alpha, T - {X1}) its partner: it has
-the same eigenvalue and the same |alpha|, and the j = 0 action term puts
-the entry m + 1 of d(partner), which does not depend on lambda, at the
-paired cochain.  Let C_p be the block at a cap c; since d never raises
-|alpha|, partners of cochains in C_p lie in C_{p-1}.  At every cap:
-
-1. rank d1 = rank of d1 on the columns C1 - P1.  d0 has no bracket term,
-   and its only entry on a P1 row is the action of X1, so the partner z
-   of e = (m, alpha, (X1,)) has d0 z = (m + 1) e + y with y supported on
-   C1 - P1.  From d1 d0 = 0, d1 e = -d1 y / (m + 1): every P1 column of d1
-   lies in the span of the other columns at the same cap.
-2. rank d2 = |C3|.  Every 3-cochain is on (X1, Xx, Xx2), so paired, and
-   the column of d2 at its partner (m + 1, alpha, (Xx, Xx2)) has no
-   bracket or lowering term: its one entry is m + 1 at the cochain.  These
-   columns form a diagonal minor of full row rank.
-
-So dim H^2 = |C2| - |C3| - rank(d1 on C1 - P1).  This is the contracting
-homotopy of X1 (G. Hochschild and J.-P. Serre, Ann. of Math. 57, 1953),
-in the algebraic Morse theory form of E. Skoldberg (Trans. AMS 358, 2006).
-What each proof reads off d, that every partner is in the basis and that
-the partner columns are diagonal, with a nonzero and lambda-independent
-diagonal, on the paired rows, is checked from the frame's own entries
-when a block is first built (`_certify_pairing`), never assumed.  At the
-oracle's cap max(delta, 1), though, a cochain (m, alpha, (X1,)) of P1 has
-m = |alpha| - delta - 1, so P1 is empty for every delta >= 1: identity 1
-and the pairing check of d0 act only at k = 0 and at negative integral
-shifts, and elsewhere drop no column and pair nothing.  Identity 2 and
-the pairing check of d2 act at every shift.
+The oracle reads dim H^2 = |C2| - |C3| - rank d1, where C_p is the
+degree-p block at its cap, and ranks d1 on every column of C1.  It does
+not rank d2: rank d2 = |C3|.  X1 = d/dx acts on x^m by differentiation,
+so it pairs off cochains one degree apart.  Every 3-cochain
+(m, alpha, T) is on T = (X1, Xx, Xx2); its partner
+(m + 1, alpha, (Xx, Xx2)) has the same eigenvalue and the same |alpha|,
+so it lies in C2, and the column of d2 at it has no bracket or lowering
+term: its one entry is m + 1 at the 3-cochain, from the j = 0 action
+term.  These columns form a diagonal minor of full row rank.  This is
+the contracting homotopy of X1 (G. Hochschild and J.-P. Serre, Ann. of
+Math. 57, 1953), in the algebraic Morse theory form of E. Skoldberg
+(Trans. AMS 358, 2006).  What the proof reads off d, that every partner
+is in the basis and that the partner columns are diagonal, with a
+nonzero and lambda-independent diagonal, on the X1-containing rows, is
+checked from the frame's own entries when a block is first built
+(`_certify_pairing`), never assumed.
 
 The oracle reads the eigenvalue-0 block of an integral shift delta at
 the cap max(delta, 1) (a non-integral shift leaves it empty), so its
-bases, d1 on the X1-free columns and the sizes of C2 and C3 depend on
-(n, delta) alone.  They form an `H2Frame`, built on first use (never at
-import), once per (n, delta), and kept in a ``functools.lru_cache`` of at
-most ``FRAME_CACHE_SIZE`` frames.  Its rows put the X1-containing
-2-cochains first, so each X1-free column with m >= 1 has its partner row
-as leading index and lands on a fresh pivot, unless an m = 0 column of
-the same alpha took that row first.  At cap k that is the rule: each
-alpha of level k has an m = 0 column on (Xx,) just before its matched
-column on (Xx2,), and over the rows of ``table --n 4 --k-max 4 --oracle
-on``, each echelonised on its own, 10,814 of the 10,822 matched columns
-are reduced against it, while the 6,030 columns of level k - 1 are zero.
-The rows of a ``table`` share one frame per k, and the rows of one orbit
-below share one echelon as well, through the orbit record of `sweep`.
-The 5 frames of that table hold about 0.1 MiB; the frame of a block near
-the command line's ``MAX_ORACLE_BLOCK`` ceiling 1.5 MiB (n = 4, k = 18)
-to 3.2 MiB (n = 6, k = 10).
+bases, d1 and the sizes of C2 and C3 depend on (n, delta) alone.  They
+form an `H2Frame`, built on first use (never at import), once per
+(n, delta), and kept in a ``functools.lru_cache`` of at most
+``FRAME_CACHE_SIZE`` frames.  Its rows put the X1-containing 2-cochains
+first.  A 1-cochain (m, alpha, (X1,)) of the block has
+m = |alpha| - delta - 1, so at this cap none exists for delta >= 1, and
+X1-containing columns occur only at delta = 0 and at negative shifts,
+where the blocks have at most 3 (n + 1) columns.  For delta >= 1, then,
+each column (m, alpha, T) with m >= 1 has the row
+(m - 1, alpha, X1 + T) that X1 pairs it with as its leading index, and
+lands on a fresh pivot, unless an m = 0 column of the same alpha took
+that row first.  At cap k that is the rule: each alpha of level k has an
+m = 0 column on (Xx,) just before its matched column on (Xx2,), and over
+the rows of ``table --n 4 --k-max 4 --oracle on`` with k >= 1, each
+echelonised on its own, all 10,813 matched columns are reduced against
+it, while the 6,030 columns of level k - 1 are zero.  The rows of a
+``table`` share one frame per k, and the rows of one orbit below share
+one echelon as well, through the orbit record of `sweep`.  The 5 frames
+of that table hold about 0.06 MiB; the frame of a block near the command
+line's ``MAX_ORACLE_BLOCK`` ceiling 1.4 MiB (n = 4, k = 18) to 3.1 MiB
+(n = 6, k = 10) (``tracemalloc``).
 
 The oracle's value depends on lambda only through the multiset of the
 lambda_i.  Permuting the n tensor factors by a slot permutation pi is an
@@ -137,10 +129,10 @@ on the block it reads as follows.  Put (pi alpha)_(pi(i)) = alpha_i and
 (pi lambda)_(pi(i)) = lambda_i; delta does not change.  The map
 (m, alpha, T) -> (m, pi alpha, T) keeps m, T and |alpha|, hence the
 eigenvalue and the cap, so it maps every block basis C_p onto itself,
-the X1-free columns and the X1-containing rows of an `H2Frame` onto
-themselves, and leaves |C2| and |C3| alone.  In the closed form of d
-below, the action and bracket entries read alpha only through |alpha|,
-and their position (m', alpha, T') moves to (m', pi alpha, T').  The
+the X1-containing rows of an `H2Frame` onto themselves, and leaves |C2|
+and |C3| alone.  In the closed form of d above, the action and bracket
+entries read alpha only through |alpha|, and their position
+(m', alpha, T') moves to (m', pi alpha, T').  The
 lowering entry of slot i at (m, alpha - e_i, T), of factor
 a_i (a_i + 2 lambda_i - 1), moves to (m, pi alpha - e_(pi(i)), T), where
 the weights pi lambda give slot pi(i) the factor
@@ -401,42 +393,36 @@ _DIFFERENTIAL_TABLES = {p: _differential_table(p) for p in range(3)}
 FRAME_CACHE_SIZE = 32
 
 
-@dataclass(frozen=True)
-class BlockFrame:
-    """The lambda-independent part of d: block_p -> block_{p+1}.
-
-    ``columns`` holds, per source basis cochain, its fixed entries
-    {target position: value} (action and bracket terms, cancelled entries
-    dropped), its lowering slots (target position, slot) and its lowering
-    slots whose coordinate the target basis lacks (coordinate, slot).  Slot
-    2 (i width + a) + (sign < 0) names the entry -sign a (a + 2 lambda_i - 1)
-    of `_lowering_values`.
-    """
-
-    width: int
-    columns: tuple[tuple[dict[int, Scalar], tuple[tuple[int, int], ...],
-                         tuple[tuple[BlockElement, int], ...]], ...]
+#: The lambda-independent part of d on some source cochains: per column,
+#: (fixed entries, lowering entries, missing lowering coordinates).
+_Frame = tuple[tuple[dict[int, Scalar], tuple[tuple[int, int, int, int], ...],
+                     tuple[tuple[BlockElement, int, int], ...]], ...]
 
 
 def _build_frame(p: int, delta: Scalar, source: Sequence[BlockElement],
-                 target: Sequence[BlockElement]) -> BlockFrame:
-    """Frame of d on the source cochains, in coordinates of the target basis.
+                 target: Sequence[BlockElement]) -> _Frame:
+    """The frame of d on the source cochains, in coordinates of the target
+    basis: one column per source cochain.
 
-    Within one column the bracket term of T and the action term of T meet
-    only when j = 1 (both at (m, alpha, T)), and the lowering coordinates
-    (|alpha| - 1, only on the one T with j = 2) meet nothing, so every
-    entry is written once.  A fixed entry outside the target basis is an
-    error here; a lowering coordinate outside it is an error only where its
-    factor is nonzero, which `_fill` decides per configuration.
+    A column holds its fixed entries {target position: value} (action and
+    bracket terms, cancelled entries dropped), its lowering entries
+    (target position, slot i, a_i, -sign) and its lowering entries whose
+    coordinate the target basis lacks (coordinate, slot i, a_i); `_fill`
+    computes each lowering value from its own indices.  Within one column
+    the bracket term of T and the action term of T meet only when j = 1
+    (both at (m, alpha, T)), and the lowering coordinates (|alpha| - 1,
+    only on the one T with j = 2) meet nothing, so every entry is written
+    once.  A fixed entry outside the target basis is an error here; a
+    lowering coordinate outside it is an error only where its factor is
+    nonzero, which `_fill` decides per configuration.
     """
     index = {elem: i for i, elem in enumerate(target)}
     table = _DIFFERENTIAL_TABLES[p]
-    width = 1 + max((a for _, alpha, _ in source for a in alpha), default=0)
     columns = []
     for m, alpha, args in source:
         order_shift = delta - index_weight(alpha)
         fixed: dict[int, Scalar] = {}
-        slots = []
+        lowering = []
         missing = []
         for tup, j, sign, c in table[args]:
             if j is None:
@@ -453,14 +439,13 @@ def _build_frame(p: int, delta: Scalar, source: Sequence[BlockElement],
             for i, a in enumerate(alpha):
                 if a:
                     key = (m, alpha[:i] + (a - 1,) + alpha[i + 1:], tup)
-                    slot = 2 * (i * width + a) + (sign < 0)
                     pos = index.get(key)
                     if pos is None:
-                        missing.append((key, slot))
+                        missing.append((key, i, a))
                     else:
-                        slots.append((pos, slot))
-        columns.append((fixed, tuple(slots), tuple(missing)))
-    return BlockFrame(width, tuple(columns))
+                        lowering.append((pos, i, a, -sign))
+        columns.append((fixed, tuple(lowering), tuple(missing)))
+    return tuple(columns)
 
 
 def _put(column: dict[int, Scalar], index: dict[BlockElement, int],
@@ -473,29 +458,18 @@ def _put(column: dict[int, Scalar], index: dict[BlockElement, int],
         column[pos] = value
 
 
-def _lowering_values(twice_lambdas: Sequence[Scalar], width: int) -> list[Scalar]:
-    """-a (a + 2 lambda_i - 1) and a (a + 2 lambda_i - 1) for each slot i
-    and each a < width, in the order of `BlockFrame` slots."""
-    values: list[Scalar] = []
-    for twice in twice_lambdas:
-        for a in range(width):
-            factor = a * (a + twice - 1)
-            values += (-factor, factor)
-    return values
-
-
-def _fill(frame: BlockFrame, twice_lambdas: Sequence[Scalar]) -> list[dict[int, Scalar]]:
-    """The columns of the frame at the weights with these 2 lambda_i."""
-    values = _lowering_values(twice_lambdas, frame.width)
+def _fill(frame: _Frame, twice: Sequence[Scalar]) -> list[dict[int, Scalar]]:
+    """The columns of the frame at the weights with these 2 lambda_i: each
+    lowering entry (pos, i, a, s) is s a (a + twice_i - 1), computed from
+    its own indices."""
     columns = []
-    for fixed, slots, missing in frame.columns:
+    for fixed, lowering, missing in frame:
         column = fixed.copy()
-        for pos, slot in slots:
-            value = values[slot]
-            if value:
+        for pos, i, a, s in lowering:
+            if value := s * a * (a + twice[i] - 1):
                 column[pos] = value
-        for key, slot in missing:
-            if values[slot]:
+        for key, i, a in missing:
+            if a + twice[i] - 1:
                 raise ValueError(f"image coordinate {key} falls outside the block basis")
         columns.append(column)
     return columns
@@ -517,9 +491,9 @@ def block_matrix(p: int, tr: Truncation, w: Weights,
         c                                         at (m, alpha, T).
 
     Only the second line depends on lambda.  The rest, and the position of
-    every entry, is a `BlockFrame` of the source and target bases (by
-    default the whole blocks of degrees p and p + 1); this call builds it
-    and fills the lowering factors in.  The oracle does not call it: this
+    every entry, is the frame of the source and target bases (by default
+    the whole blocks of degrees p and p + 1); this call builds it and
+    `_fill` computes each lowering entry from its (i, a_i, -sign).  The oracle does not call it: this
     is the full matrix of d that the tests compare the oracle against.
 
     Entries are exact: ``int`` where delta and every 2 lambda_i are
@@ -541,12 +515,12 @@ def block_matrix(p: int, tr: Truncation, w: Weights,
 class H2Frame:
     """The lambda-independent data from which H^2 of one block is read.
 
-    ``d1`` is the frame of d: C1 -> C2 on the X1-free source cochains, with
-    the target rows on X1-containing tuples first, each group in basis
-    order.  ``size2`` and ``size3`` are |C2| and |C3|.
+    ``d1`` is the frame of d: C1 -> C2 on every source cochain, in basis
+    order, with the target rows on X1-containing tuples first, each group
+    in basis order.  ``size2`` and ``size3`` are |C2| and |C3|.
     """
 
-    d1: BlockFrame
+    d1: _Frame
     size2: int
     size3: int
 
@@ -579,9 +553,9 @@ def _certify_pairing(p: int, delta: int, source: Sequence[BlockElement],
         partners.append(partner)
     paired = set(rows)
     frame = _build_frame(p, delta, partners, target)
-    for i, partner, (fixed, slots, _) in zip(rows, partners, frame.columns):
+    for i, partner, (fixed, lowering, _) in zip(rows, partners, frame):
         if [pos for pos in fixed if pos in paired] != [i] or \
-                any(pos in paired for pos, _ in slots):
+                any(entry[0] in paired for entry in lowering):
             raise RuntimeError(f"d on {partner} is not diagonal on the X1 rows at {target[i]}")
 
 
@@ -614,7 +588,7 @@ def _certify_graded_acyclicity() -> bool:
                 frame = _build_frame(p, -s, bases[p], bases[p + 1])
             except ValueError as exc:
                 raise RuntimeError(f"d{p} of the graded piece K({-s}) leaves it") from exc
-            got = [[fixed.get(i, 0) for fixed, _, _ in frame.columns]
+            got = [[fixed.get(i, 0) for fixed, _, _ in frame]
                    for i in range(len(bases[p + 1]))]
             if got != expected:
                 raise RuntimeError(f"d{p} of the graded piece K({-s}) is {got}, not {expected}")
@@ -633,12 +607,10 @@ def _cached_h2_frame(n: int, delta: int) -> H2Frame:
     delta, at the cap `default_alpha_max`; every lambda with this n and
     delta shares it."""
     cap = default_alpha_max(delta)
-    c0, c1, c2, c3 = (_block_basis(p, n, -delta, cap) for p in range(4))
-    _certify_pairing(0, delta, c0, c1)
+    c1, c2, c3 = (_block_basis(p, n, -delta, cap) for p in (1, 2, 3))
     _certify_pairing(2, delta, c2, c3)
     rows = sorted(c2, key=lambda e: not _has_x1(e))
-    d1 = _build_frame(1, delta, [e for e in c1 if not _has_x1(e)], rows)
-    return H2Frame(d1, len(c2), len(c3))
+    return H2Frame(_build_frame(1, delta, c1, rows), len(c2), len(c3))
 
 
 class CohomResult(NamedTuple):
@@ -677,10 +649,10 @@ def brute_force_h2(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
     block, so the result is always flagged stable (certified); a failed
     certificate raises instead.
 
-    A non-integral shift leaves the block empty.  Otherwise, by the two
-    identities of the module docstring, H^2 is |C2| - |C3| - the rank of
-    d1 on the X1-free columns of C1, all read off the block's `H2Frame`
-    filled at the 2 lambda_i of ``w``.  A slot permutation of lambda
+    A non-integral shift leaves the block empty.  Otherwise H^2 is
+    |C2| - |C3| - rank d1, rank d2 = |C3| by the pairing of the module
+    docstring, all read off the block's `H2Frame` with d1 filled at the
+    2 lambda_i of ``w``.  A slot permutation of lambda
     leaves the value unchanged (module docstring), and no value is kept
     here: `sweep` reads each orbit's value from its record.  ``tag`` is
     ``classify(w)``, computed here when not given; it only names the case.

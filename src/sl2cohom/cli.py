@@ -56,9 +56,13 @@ MAX_SYSTEM_EQUATIONS = 5_000
 #: 9,410,150 (n' = 265, k = 2, t = (1, ..., 1)) took 1.1 s and 97 MiB, and
 #: 9,320,250 (n' = 85, k = 3, t = (2, ..., 2)) 1.6 s and 125 MiB; with 83
 #: zeros, t = (0, ..., 0, 2, 2), the same n = 85 row has n' = 2 and took
-#: 0.12 s and 17 MiB.  A sweep checks it at its full arity, which at
-#: k_max <= 1 makes it the sweep's guard on n: ``table --n 3160 --k-max 1``
-#: (9,988,760 entries) took 0.12 s and 17 MiB in one run.
+#: 0.12 s and 17 MiB.  A sweep checks it at its full arity and at
+#: max(k_max, 1), which makes it the sweep's guard on n at k_max <= 1
+#: (n <= 3,161): ``table --n 3160 --k-max 1`` (9,988,760 entries) took
+#: 0.12 s and 17 MiB in one run; ``table --n 1000000 --k-max 0``, which a
+#: check at k_max = 0 (n entries) let through, took 3.5 s and 116 MiB,
+#: growing linearly in n.  It is more than an arity guard under ``verify
+#: --self-test-perturb``, which builds the full (n, k) system on every row.
 MAX_SYSTEM_FRAME_ENTRIES = 10_000_000
 #: Candidate cochains 3 C(cap + n, n) of the oracle's block at its one cap,
 #: cap = max(k, 1) (1 without a natural shift): near the ceiling, the
@@ -231,8 +235,9 @@ def _sweep_rows(n: int, k_max: int) -> int:
 
 def _check_sweep_size(n: int, k_max: int, methods: Sequence[str], policy: str) -> None:
     """The ceilings on the sweep's row count and at its largest row; every
-    row runs the system method."""
-    _check_system_equations(n, k_max)
+    row runs the system method.  The frame is checked at k >= 1, where its
+    n^2 entries bound the arity of every sweep."""
+    _check_system_equations(n, max(k_max, 1))
     k = largest_oracle_k(policy, n, k_max) if "oracle" in methods else None
     if k is not None:
         _check_oracle_size(n, max(k, 1))

@@ -38,8 +38,9 @@ Two reads share it.
 Gauss-Jordan: the rows of M with -r appended as column ``cols``.  The
 system M x = r is infeasible iff the row space of [M | -r] holds a vector
 that vanishes off column ``cols`` and not on it, that is iff some echelon
-row leads at ``cols``; the forward pass alone decides it, and nothing is
-back-substituted then.  Otherwise the reduced row led at j gives
+row leads at ``cols``; the forward pass decides it at the first row that
+leads there, and stops: no later row is inserted and nothing is
+back-substituted.  Otherwise the reduced row led at j gives
 x_j = -row[cols] / row[j], and free coordinates are 0.  That is the one
 solution whose free coordinates vanish, whatever the order of
 elimination.  A solve echelonises its augmented rows afresh and keeps
@@ -142,22 +143,22 @@ def solve(rows: Sequence[Mapping[int, Scalar]], cols: int,
     """The solution of M x = rhs, M being the sparse rows on cols columns,
     or None when the system is infeasible.
 
-    Each row enters the echelon with -rhs appended at column cols.  A row
-    led at cols means 0 = nonzero, and nothing is back-substituted;
-    otherwise each reduced row gives x[lead] = -row[cols] / row[lead], and
+    Each row enters the echelon with -rhs appended at column cols.  The
+    first row that leads at cols means 0 = nonzero: the answer is None,
+    and neither the rows after it nor the back-substitution run.
+    Otherwise each reduced row gives x[lead] = -row[cols] / row[lead], and
     free coordinates are 0.  An entry is an ``int`` wherever it is
     integral.
     """
     if len(rhs) != len(rows):
         raise ValueError("dimension mismatch")
-    augmented = []
+    rhs = [y if type(y) is int else scalar(y) for y in rhs]  # refuses a float, zero or not
+    echelon: dict[int, dict[int, int]] = {}
     for row, y in zip(rows, rhs):
-        if type(y) is not int:
-            y = scalar(y)  # refuses a float, zero or not
-        augmented.append({**row, cols: -y} if y else row)
-    echelon = _echelon(augmented)[0]
-    if cols in echelon:
-        return None
+        vec = {**row, cols: -y} if y else row
+        v = _intake(vec)
+        if _insert(v, v is not vec, echelon) == cols:
+            return None
     _back_substitute(echelon)
     x: list[Scalar] = [0] * cols
     for lead, row in echelon.items():

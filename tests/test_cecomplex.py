@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -397,6 +398,12 @@ def test_block_dimensions_equal_per_cap_reference():
               Weights((Fraction(1, 3),), Fraction(7, 3)),
               Weights((Fraction(1, 3), Fraction(1, 3)), Fraction(8, 3)),
               Weights((Fraction(1, 3), Fraction(-1, 2)), Fraction(11, 6))]
+    # The shifts 0, -1, -2 and -3, where d1 has X1-containing columns
+    # beside the X1-free ones, at every sorted lambda of n <= 3 from four
+    # values: resonant, half-integral, non-half-integral and a large one.
+    values = (Fraction(0), Fraction(-1, 2), Fraction(1, 3), Fraction(2))
+    cases += [Weights(lambdas, delta + sum(lambdas)) for delta in (0, -1, -2, -3)
+              for n in (1, 2, 3) for lambdas in itertools.combinations_with_replacement(values, n)]
     for w in cases:
         assert brute_force_h2(w).dim == \
             _h2_block_dimension_reference(w, default_alpha_max(w.delta())), w
@@ -422,9 +429,10 @@ def test_a_cold_oracle_call_enumerates_each_degree_once(monkeypatch):
     empty_caches()
     w = weights_for_tvector(3, 3, (1, 0, 2))
     brute_force_h2(w)
-    assert sorted(calls) == [0, 1, 2, 3]
+    # d1 and the pairing of d2 read degrees 1 to 3; nothing reads d0
+    assert sorted(calls) == [1, 2, 3]
     brute_force_h2(weights_for_tvector(3, 3, (2, 2, 1)))
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def _cold_h2(w):
@@ -503,7 +511,10 @@ def test_a_cold_sweep_computes_the_oracle_once_per_orbit(monkeypatch):
 
 
 def test_the_oracle_frame_keeps_the_x1_free_columns_and_puts_x1_rows_first():
-    # An X1-free column x^m Omega^alpha on T with m >= 1 is the partner of
+    # The oracle's d1 has a column for every cochain of C1, and at a
+    # natural shift k >= 1 (every integral shift of the prefix cases) all
+    # of C1 is X1-free, so each frame holds the X1-free columns alone.  An
+    # X1-free column x^m Omega^alpha on T with m >= 1 is the partner of
     # the row (m - 1, alpha, X1 + T).  With the X1-containing rows first,
     # that row is the column's leading index, distinct for each column, so
     # every matched column lands on a fresh pivot.
@@ -511,8 +522,10 @@ def test_the_oracle_frame_keeps_the_x1_free_columns_and_puts_x1_rows_first():
     for w, _, _ in PREFIX_CASES:
         if w.delta().denominator != 1:
             continue
+        assert w.delta() >= 1
         tr = Truncation(default_alpha_max(w.delta()))
-        sources = [e for e in weight_block_basis(1, tr, w) if X1 not in e[2]]
+        sources = weight_block_basis(1, tr, w)
+        assert not any(X1 in args for _, _, args in sources)
         x1_rows = sum(X1 in args for _, _, args in weight_block_basis(2, tr, w))
         frame = cecomplex._cached_h2_frame(w.n, int(w.delta()))
         columns = cecomplex._fill(frame.d1, w.twice_lambdas)
@@ -550,39 +563,38 @@ def test_the_pairing_certificate_refuses_a_minor_that_is_not_diagonal(monkeypatc
 
     def skewed(p, delta, source, target):
         frame = build_frame(p, delta, source, target)
-        frame.columns[0][0][paired[1]] = 1
+        frame[0][0][paired[1]] = 1
         return frame
     monkeypatch.setattr(cecomplex, "_build_frame", skewed)
     with pytest.raises(RuntimeError, match="not diagonal"):
         cecomplex._certify_pairing(0, delta, c0, c1)
     monkeypatch.undo()
     # X1 acting with coefficient 0: the partner's diagonal entry vanishes,
-    # and the oracle refuses the block instead of dropping its X1 columns.
-    # At the oracle's cap max(k, 1) an X1-containing 1-cochain (m, alpha,
-    # (X1,)) has m = |alpha| - k - 1 >= 0 only for k = 0, so d0 is zeroed on
-    # a k = 0 row; X1-containing 3-cochains exist at every k, so d2 is
-    # zeroed on a k = 4 row.  The graded certificate has run on the intact
-    # tables, so the pairing check is what trips.
+    # and the oracle refuses the block instead of taking rank d2 = |C3|.
+    # X1-containing 3-cochains exist at every k, so d2 is zeroed on a k = 4
+    # row; the oracle ranks d1 on all of C1 and reads no d0.  The graded
+    # certificate has run on the intact tables, so the pairing check is
+    # what trips.
     assert cecomplex._certify_graded_acyclicity()
-    for p, row in ((0, Weights((Fraction(0), Fraction(0)), Fraction(0))),
-                   (2, weights_for_tvector(2, 4, (1, 2)))):
-        table = {source: tuple((t, j, 0 if t[0] is X1 else sign, c) for t, j, sign, c in terms)
-                 for source, terms in cecomplex._DIFFERENTIAL_TABLES[p].items()}
-        monkeypatch.setitem(cecomplex._DIFFERENTIAL_TABLES, p, table)
+    table = {source: tuple((t, j, 0 if t[0] is X1 else sign, c) for t, j, sign, c in terms)
+             for source, terms in cecomplex._DIFFERENTIAL_TABLES[2].items()}
+    monkeypatch.setitem(cecomplex._DIFFERENTIAL_TABLES, 2, table)
+    cecomplex._cached_h2_frame.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="not diagonal"):
+            brute_force_h2(weights_for_tvector(2, 4, (1, 2)))
+    finally:
+        monkeypatch.undo()
         cecomplex._cached_h2_frame.cache_clear()
-        try:
-            with pytest.raises(RuntimeError, match="not diagonal"):
-                brute_force_h2(row)
-        finally:
-            monkeypatch.undo()
-            cecomplex._cached_h2_frame.cache_clear()
 
 
 def test_identity_1_pairs_cochains_only_at_k_0_and_negative_shifts():
     # At the oracle's cap max(delta, 1), an X1-containing 1-cochain
     # (m, alpha, (X1,)) has m = |alpha| - delta - 1: none exists for
     # delta >= 1, the n of level 1 at delta = 0, and all 1 + n of level
-    # <= 1 below 0.  So identity 1 and the d0 pairing check act only there.
+    # <= 1 below 0.  So ranking d1 on all of C1, not only on its X1-free
+    # columns, adds columns only there: every frame of a shift k >= 1 is
+    # the X1-free one.
     for n in (1, 2, 3, 4):
         counts = [sum(X1 in args for _, _, args in
                       cecomplex._block_basis(1, n, -delta, default_alpha_max(delta)))

@@ -220,26 +220,31 @@ def test_oversized_dim_is_refused_within_seconds():
 def test_large_arity_at_small_k_is_refused_within_seconds():
     # one equation at k = 1, but a frame of n^2 index entries: n = 8,000
     # took 9 s and 509 MiB, so these used to run out of memory instead.  A
-    # sweep keeps the check at its full arity; the dim row has no nonzero
-    # t_i, builds no frame and runs
+    # sweep keeps the check at its full arity and at k >= 1, so k_max = 0
+    # is refused too (n = 10^6 there took 3.5 s and 116 MiB), and so is the
+    # self-test, which builds the whole system on every row; the dim row
+    # has no nonzero t_i, builds no frame and runs
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     zeros = ",".join(["0"] * 30000)
-    for argv in (["table", "--n", "30000", "--k-max", "1", "--oracle", "off"],
-                 ["verify", "--n", "30000", "--k-max", "1"],
-                 ["dim", "--methods", "system", "--mu", "1", "--lambdas", zeros]):
+    for argv, entries in (
+            (["table", "--n", "30000", "--k-max", "1", "--oracle", "off"], 900030000),
+            (["verify", "--n", "30000", "--k-max", "1"], 900030000),
+            (["verify", "--n", "30000", "--k-max", "1", "--self-test-perturb"], 900030000),
+            (["table", "--n", "10000000", "--k-max", "0"], 100000010000000),
+            (["dim", "--methods", "system", "--mu", "1", "--lambdas", zeros], None)):
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "sl2cohom"] + argv, env=env,
                               capture_output=True, text=True, timeout=60)
-        assert time.perf_counter() - start < 10, argv[0]
+        assert time.perf_counter() - start < 10, argv
         if argv[0] == "dim":
             assert proc.returncode == 0
             assert json.loads(proc.stdout)[0]["dim"] == 29999 + 3  # ell = 1 at t = 0, k = 1
             continue
-        assert proc.returncode == 2, argv[0]
-        assert proc.stdout == "", argv[0]
-        assert "900030000 index entries" in proc.stderr, argv[0]
-        assert "above the ceiling" in proc.stderr, argv[0]
+        assert proc.returncode == 2, argv
+        assert proc.stdout == "", argv
+        assert f"{entries} index entries" in proc.stderr, argv
+        assert "above the ceiling" in proc.stderr, argv
 
 
 def test_rows_with_a_small_box_run_within_seconds(capsys):
@@ -503,6 +508,28 @@ def test_dim_and_basis_exit_only_with_0_or_2(capsys):
         codes.append(code)
     # both outcomes are well represented
     assert min(codes.count(0), codes.count(2)) > 100
+    # and so does table, on grids of at most 40 rows or on sizes refused
+    # before anything is enumerated; a refusal writes nothing to stdout
+    rng = random.Random(8)
+    # (good values, bad or oversized ones) per option
+    options = {"--n": (("1", "2", "3"), ("0", "-1", "x", "", "10000000")),
+               "--k-max": (("0", "1", "2", "3"), ("-1", "1.5", "", "100000")),
+               "--oracle": (("auto", "on", "off"), ("never",)),
+               "--format": (("csv", "json"), ("xml",))}
+    codes = []
+    for _ in range(200):
+        argv = ["table"]
+        for option, (good, bad) in options.items():
+            if rng.random() < 0.95:
+                argv.append(f"{option}={rng.choice(good if rng.random() < 0.9 else bad)}")
+        if rng.random() < 0.7:
+            methods = rng.sample(cli.ALL_METHODS, rng.randint(0, len(cli.ALL_METHODS)))
+            argv.append("--methods=" + ",".join(methods + rng.choice([[], [], ["bogus"]])))
+        code, out, _ = run_cli(argv, capsys)
+        assert code in (0, 2), argv
+        assert code == 0 or out == "", argv
+        codes.append(code)
+    assert min(codes.count(0), codes.count(2)) > 40
 
 
 def test_verify_exit_codes(tmp_path, capsys):

@@ -183,7 +183,7 @@ def test_solve_matches_reference_feasibility(data):
             assert x[j] == 0
 
 
-def test_solve_feasible_and_infeasible():
+def test_solve_feasible_and_infeasible(monkeypatch):
     rows = [{0: 1}, {}]
     assert solve(rows, 2, [3, 0]) == [Fraction(3), Fraction(0)]
     assert solve(rows, 2, [3, 1]) is None
@@ -192,6 +192,13 @@ def test_solve_feasible_and_infeasible():
     wide = RationalMatrix([[1, 1, 0]])
     x = wide.mat_vec(solve(sparse(wide), wide.cols, [Fraction(5, 2)]))
     assert x == [Fraction(5, 2)]
+    # the first row that leads at the appended column decides the answer,
+    # so the rows after it are never inserted
+    inserted = []
+    insert = linalg._insert
+    monkeypatch.setattr(linalg, "_insert", lambda v, *args: inserted.append(v) or insert(v, *args))
+    assert solve([{0: 1}, {0: 1}, {1: 1}, {1: 2}], 2, [1, 2, 0, 0]) is None
+    assert len(inserted) == 2
 
 
 def test_column_space_membership():
