@@ -461,15 +461,16 @@ def _put(column: dict[int, Scalar], index: dict[BlockElement, int],
 def _fill(frame: _Frame, twice: Sequence[Scalar]) -> list[dict[int, Scalar]]:
     """The columns of the frame at the weights with these 2 lambda_i: each
     lowering entry (pos, i, a, s) is s a (a + twice_i - 1), computed from
-    its own indices."""
+    its own indices, with twice_i - 1 computed once per slot."""
+    shifted = [v - 1 for v in twice]
     columns = []
     for fixed, lowering, missing in frame:
         column = fixed.copy()
         for pos, i, a, s in lowering:
-            if value := s * a * (a + twice[i] - 1):
+            if value := s * a * (a + shifted[i]):
                 column[pos] = value
         for key, i, a in missing:
-            if a + twice[i] - 1:
+            if a + shifted[i]:
                 raise ValueError(f"image coordinate {key} falls outside the block basis")
         columns.append(column)
     return columns

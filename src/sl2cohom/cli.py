@@ -23,7 +23,7 @@ from .cecomplex import CohomResult, brute_force_h2, default_alpha_max
 from .closedform import classify, dim_h2_closed_form, dim_h2_summary_table
 from .multiindices import multiset_coeff
 from .polynomials import format_rational, parse_rational
-from .reduced import cocycle_basis, cocycle_residual, dim_h2_via_system
+from .reduced import cocycle_basis, cocycle_residual, dim_h2_via_system, ell_count
 from .sweep import (
     json_array,
     largest_oracle_k,
@@ -94,8 +94,18 @@ MAX_BASIS_CELLS = 1_000_000
 #: 32 MiB.  Past the ceiling, 80,601 rows took 2.8 s and 81 MiB (n = 1,
 #: k_max = 400, the same sweep and CSV in a fresh process, median of 3).
 MAX_SWEEP_ROWS = 20_000
+#: Terms n' (min(k, sigma) + 1) of the Hilbert pass of ``exact`` on a
+#: singular row: one prefix sum per nonzero t_i and degree.  Near the
+#: ceiling, in-process CPU time and peak RSS of ``ell_count``: 0.08 s and
+#: 43 MiB at n' = 2, k = 500,000; 0.15 s and 20 MiB at n' = 100,
+#: k = 10,000; 0.21 s at n' = 1,412, k = 707, t = (1, ..., 1), whose ell
+#: has 421 digits.
+MAX_EXACT_TERMS = 1_000_000
 
-ALL_METHODS = ("system", "closed", "summary", "oracle")
+#: The methods a sweep runs; ``exact`` runs in ``dim`` only, until the
+#: ``verify`` gate reads it.
+SWEEP_METHODS = ("system", "closed", "summary", "oracle")
+ALL_METHODS = SWEEP_METHODS + ("exact",)
 
 
 class UsageError(Exception):
@@ -158,13 +168,14 @@ _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
 
-def _parse_methods(raw: Optional[str], default: Sequence[str]) -> tuple[str, ...]:
+def _parse_methods(raw: Optional[str], default: Sequence[str],
+                   allowed: Sequence[str] = ALL_METHODS) -> tuple[str, ...]:
     if raw is None:
         return tuple(default)
     methods = tuple(m.strip() for m in raw.split(",") if m.strip())
     for m in methods:
-        if m not in ALL_METHODS:
-            raise UsageError(f"unknown method {m!r}; choose from {', '.join(ALL_METHODS)}")
+        if m not in allowed:
+            raise UsageError(f"method {m!r} is not one of {', '.join(allowed)}")
         if methods.count(m) > 1:
             raise UsageError(f"method {m!r} is listed twice in --methods")
     if not methods:
@@ -268,6 +279,10 @@ def _cmd_dim(args: argparse.Namespace) -> int:
         _check_system_equations(len(tag.t) - tag.t.count(0), k, "n' = #{t_i > 0}")
     if "oracle" in methods and w.delta().denominator == 1:
         _check_oracle_size(w.n, default_alpha_max(w.delta()))  # otherwise every block is empty
+    if "exact" in methods and tag.t is not None:
+        terms = (len(tag.t) - tag.t.count(0)) * (min(k, tag.sigma) + 1)
+        _check_ceiling(f"the Hilbert count at n' = #{{t_i > 0}}, k = {k}", terms, "terms",
+                       MAX_EXACT_TERMS)
     _check_printable(tag.sigma or 0, "sigma = sum(t)", bound)  # printed in the case
     # the closed form and the system have a base at every natural shift,
     # the summary table only on singular rows
@@ -282,10 +297,11 @@ def _cmd_dim(args: argparse.Namespace) -> int:
         elif method == "oracle":
             result = brute_force_h2(w, tag)
         else:
-            value = (dim_h2_closed_form if method == "closed" else dim_h2_summary_table)(tag, w.n)
+            value = ell_count(w) if method == "exact" else \
+                (dim_h2_closed_form if method == "closed" else dim_h2_summary_table)(tag, w.n)
             if value is not None:
                 _check_printable(value, f"the {method} value", bound)
-                value = value if method == "closed" else format_rational(value)
+                value = format_rational(value) if method == "summary" else value
             result = CohomResult(dim=value, method=method, weights=w, tag=tag, stable=True)
         results.append(result.to_json_dict())
     _write_output(json_array(results), args.out)
@@ -293,7 +309,7 @@ def _cmd_dim(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    methods = _parse_methods(args.methods, ("system", "closed", "summary", "oracle"))
+    methods = _parse_methods(args.methods, SWEEP_METHODS, SWEEP_METHODS)
     _check_sweep_size(args.n, args.k_max, methods, args.oracle)
     rows = run_sweep(args.n, args.k_max, methods, oracle_policy=args.oracle)
     _write_output((rows_to_csv(rows),) if args.format == "csv" else rows_to_json(rows), args.out)
@@ -301,9 +317,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    methods = ("system", "closed", "summary", "oracle")
-    _check_sweep_size(args.n, args.k_max, methods, args.oracle)
-    rows = run_sweep(args.n, args.k_max, methods, oracle_policy=args.oracle,
+    _check_sweep_size(args.n, args.k_max, SWEEP_METHODS, args.oracle)
+    if args.self_test_perturb and not largest_oracle_k(args.oracle, args.n, args.k_max):
+        raise UsageError(f"--self-test-perturb needs a row with k >= 1 that runs the oracle, the "
+                         f"one the gate reads: --oracle {args.oracle} runs it on none here")
+    rows = run_sweep(args.n, args.k_max, SWEEP_METHODS, oracle_policy=args.oracle,
                      perturb=args.self_test_perturb)
     report = verify_rows(rows)
     if args.out is not None:
@@ -346,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim = sub.add_parser("dim", help="dimension of one configuration per method")
     add_weight_args(p_dim)
     p_dim.add_argument("--methods", type=str, default=None,
-                       help="comma list from: system,closed,summary,oracle")
+                       help="comma list from: system,closed,summary,oracle,exact")
     p_dim.add_argument("--out", type=str, default=None)
     p_dim.set_defaults(func=_cmd_dim)
 

@@ -71,18 +71,19 @@ dimension method reports
     dim = (number of weight-k indices over n-1 slots) + 3 * ell,
 
 where ell is the rank deficiency of that system.  The system is built as
-sparse rows and no dense matrix is formed on these paths.  The rows are
-echelonised once per system, as ``LinearSystem.factorization`` (a
-:class:`~sl2cohom.linalg.Factorization`), and both reads behind
-:func:`cocycle_basis` come off that one echelon: the kernel
-(``linalg.kernel_basis``) and the leads of the column space
-(``linalg.column_space_echelon``).  Every solve behind
-:func:`solve_coboundary` (``linalg.solve``) echelonises the same rows
-with its right-hand side appended as one more column.
-:func:`build_system` keeps the systems of recent weights, keyed by the
-natural shift k and the int-first doubled weights ``w.twice_lambdas``, so
-a basis and the solves that certify its elements share one set of rows.
-It takes a :class:`~sl2cohom.weights.Weights`, whose constructor is the one
+sparse rows and no dense matrix is formed on these paths.
+:func:`build_system` fills a fresh system on every call and keeps none:
+no command asks for the same system twice.  :func:`cocycle_basis`
+echelonises its rows once (a :class:`~sl2cohom.linalg.Factorization`)
+and reads both the kernel (``linalg.kernel_basis``) and the leads of the
+column space (``linalg.column_space_echelon``) off that one echelon.
+Every solve behind :func:`solve_coboundary` (``linalg.solve``) builds
+the rows and echelonises them with its right-hand side appended as one
+more column.  The caches here follow one rule: an engine caches only
+lambda-free structure (the (n, k) frames of the system and the lowering
+targets of each index), and a value is memoised once per orbit of the
+slot permutations below (the box deficiency).  :func:`build_system`
+takes a :class:`~sl2cohom.weights.Weights`, whose constructor is the one
 place a float is refused, and checks no value again.
 
 The rank needs only some of them.  Put t_i = -2 lambda_i, so row a has
@@ -130,13 +131,15 @@ length.
 
 The box is Q[x_1..x_n]/(x_i^(t_i + 1)) in degrees k - 1 to k, the ring
 whose strong Lefschetz property (R. Stanley 1980; J. Watanabe 1987) makes
-ell the count max(0, h_(k-1) - h_k) of its Hilbert function.
+ell the count max(0, h_(k-1) - h_k) of its Hilbert function:
+:func:`ell_count` computes it, with no rank, and carries the proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import lcm
 from operator import le
 from typing import Iterable, NamedTuple, Optional
@@ -390,13 +393,11 @@ class LinearSystem:
     column of a + e_i and zero elsewhere.  ``equations`` holds each row as
     a sparse vector {column: entry} of its nonzero entries, ``int`` when
     2 lambda_i is an integer; every rank, kernel and solve runs on these
-    rows.  ``factorization`` echelonises them once, on first use, for the
-    kernel and the column space; each solve echelonises them again with
-    its right-hand side appended.  :func:`build_system` hands
-    the same cached system to every caller, so no caller changes the rows
-    (the perturbed self-test of ``verify`` edits a copy).  The dense
-    ``matrix`` is derived on demand only because the benchmark's tracer
-    counts its cells and the tests use it as a reference.
+    rows.  Each call of :func:`build_system` returns a system of its own,
+    so a caller may change its rows: the perturbed self-test of ``verify``
+    edits entry (0, 0) in place.  The dense ``matrix`` is derived on
+    demand only because the benchmark's tracer counts its cells and the
+    tests use it as a reference.
     """
 
     row_index: tuple[MultiIndex, ...]
@@ -411,14 +412,10 @@ class LinearSystem:
                 row[j] = c
         return RationalMatrix(dense, cols=len(self.col_index))
 
-    @cached_property
-    def factorization(self) -> linalg.Factorization:
-        return linalg.Factorization(self.equations, len(self.col_index))
 
-
-#: Bound on the cached (n, k) system frames: rows visited in any order
-#: over up to 32 (n, k) pairs rebuild none.  It bounds the cached systems
-#: of :func:`build_system` as well.
+#: Bound on the cached (n, k) system frames, the lambda-free part of every
+#: system: rows visited in any order over up to 32 (n, k) pairs rebuild
+#: none.
 SYSTEM_FRAME_CACHE_SIZE = 32
 
 #: Bound on each memo keyed by an orbit of slot permutations: the box
@@ -443,8 +440,6 @@ class _Frame(NamedTuple):
     cols: tuple[MultiIndex, ...]
     #: per row alpha, the column of alpha + e_i for each slot i
     patterns: tuple[tuple[int, ...], ...]
-    #: the position of each row's multi-index in ``rows``
-    row_pos: dict[MultiIndex, int]
 
 
 @lru_cache(maxsize=SYSTEM_FRAME_CACHE_SIZE)
@@ -453,7 +448,7 @@ def _system_frame(n: int, k: int) -> _Frame:
     cols = tuple(enumerate_multiindices(n, k))
     col_pos = {c: j for j, c in enumerate(cols)}
     patterns = tuple(tuple(col_pos[add_unit(alpha, i)] for i in range(n)) for alpha in rows)
-    return _Frame(rows, cols, patterns, {alpha: r for r, alpha in enumerate(rows)})
+    return _Frame(rows, cols, patterns)
 
 
 def _fill(rows: Iterable[tuple[MultiIndex, tuple[int, ...]]],
@@ -474,34 +469,22 @@ def build_system(w: Weights) -> LinearSystem:
     (n, k) frame cached by ``_system_frame``; ``_fill`` computes each row's
     entries from its own index, with no table of factors.
     :func:`_box_deficiency` fills the box rows through the same ``_fill``,
-    on the frame of its nonzero t_i, and :func:`solve_coboundary` places a
-    right-hand side by the frame's row positions.  The cache keeps at most
+    on the frame of its nonzero t_i.  The cache keeps at most
     ``SYSTEM_FRAME_CACHE_SIZE`` frames; the 6 of n = 4, k <= 5 hold
     25 KiB, and one at the command line's 5,000-equation ceiling 1.4 to
     1.7 MiB for n = 3 to 5 and 1.9 MiB for n = 2, k = 5,000
     (``tracemalloc``).
 
-    The systems themselves are kept for the last
-    ``SYSTEM_FRAME_CACHE_SIZE`` keys (k, ``w.twice_lambdas``), with their
-    factorization once it is made: :func:`cocycle_basis` echelonises the
-    rows once, and the :func:`solve_coboundary` calls on its elements
-    build no rows again.  The key is what the rows depend on, n being its length, and it
-    is int-first: ``twice_lambdas`` holds an ``int`` wherever 2 lambda_i is
-    integral, so the lookup hashes no ``Fraction`` on the common rows.  The
-    values were checked once, when ``Weights`` was built, which is where a
-    float is refused.
+    The rows are filled afresh on every call from ``w.twice_lambdas``,
+    whose values were checked once, when ``Weights`` was built, which is
+    where a float is refused; no system is kept, so the caller owns the
+    one it gets.
     """
     k = w.natural_delta()
     if k is None:
         raise ValueError("the constraint system requires a natural shift")
-    return _system(k, w.twice_lambdas)
-
-
-@lru_cache(maxsize=SYSTEM_FRAME_CACHE_SIZE)
-def _system(k: int, twice_lambdas: tuple[Scalar, ...]) -> LinearSystem:
-    """The system of :func:`build_system` at shift k for the doubled lambdas."""
-    frame = _system_frame(len(twice_lambdas), k)
-    equations = tuple(_fill(zip(frame.rows, frame.patterns), twice_lambdas))
+    frame = _system_frame(w.n, k)
+    equations = tuple(_fill(zip(frame.rows, frame.patterns), w.twice_lambdas))
     return LinearSystem(frame.rows, frame.cols, equations)
 
 
@@ -513,9 +496,17 @@ def _box_deficiency(k: int, t: tuple[int, ...]) -> int:
     built on the nonzero part t' of t: the rows of the (n', k) frame whose
     index a satisfies a <= t', in frame order, each filled by ``_fill``
     with twice_i = -t'_i.  The zeros are dropped here, so the memo key
-    stays (k, sorted t).  Only this value, not the rows, is kept, so every
-    orbit of the module docstring's slot permutations is built and
-    echelonised once.
+    stays (k, sorted t).  Only this value, not the rows, is kept.
+
+    No command hits this memo: ``table --n 4 --k-max 5`` makes 126 calls,
+    one per orbit, and 0 hits, because the orbit record of ``sweep``
+    already asks once per orbit.  It stays for the benchmark, whose
+    ``certify`` workload asks it 155 times a pass over 70 orbits and
+    repeats its passes in one process: without it, ``certify`` lost 7% of
+    its configs/s, and its p50 and p90 rose 10% and 8% (3 alternating
+    pairs of ``perfbench/run.py --seconds 8``, 2 vCPUs, Python 3.11.7).
+    It goes once the benchmark times cold passes and a sweep visits each
+    orbit once by construction.
     """
     t = t[t.count(0):]  # sorted, so the zeros lead
     frame = _system_frame(len(t), k)
@@ -560,6 +551,61 @@ def dim_h2_via_system(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
     return tuple.__new__(CohomResult, (dim, "system", w, tag, None, True))
 
 
+def ell_count(w: Weights) -> int:
+    """ell, the rank deficiency of the constraint system, counted with no rank.
+
+    Off the singular case of :func:`~sl2cohom.closedform.classify` the
+    system has full row rank (module docstring), and ell = 0.  On it, put
+    t_i = -2 lambda_i, T = sum t_i, and let h_j be the coefficient of q^j
+    in prod_i (1 + q + ... + q^(t_i)), the Hilbert function of the box ring
+    Q[x_1..x_n]/(x_i^(t_i + 1)).  Then
+
+        ell = max(0, h_(k-1) - h_k),
+
+    which is the multiplicity of the irreducible V_(2k-2-T) in
+    V_(t_1) (x) ... (x) V_(t_n), and 0 when 2k - 2 < T.
+
+    Proof, by the strong Lefschetz property of the box ring (R. Stanley
+    1980; J. Watanabe 1987) in the sl(2) form of R. A. Proctor (SIAM J.
+    Algebraic Discrete Methods 3, 1982).
+
+    * Give V_t the basis x^j, 0 <= j <= t, with f x^j = x^(j+1),
+      e x^j = j (t - j + 1) x^(j-1) and h x^j = (t - 2j) x^j: the
+      irreducible sl(2)-module of dimension t + 1.  This is a second
+      sl(2), not the one of the vector fields.  On the tensor product V,
+      x^a = x_1^(a_1) ... x_n^(a_n) has weight T - 2|a|, so the weight
+      space W_j of weight T - 2j has the basis {x^a : a <= t, |a| = j},
+      of dimension h_j.
+    * e x^b has coefficient b_i (t_i - b_i + 1) at x^(b - e_i).  At
+      a = b - e_i that is (a_i + 1)(t_i - a_i), minus the box entry of
+      row a and column a + e_i.  So the box B, rows W_(k-1) and columns
+      W_k, is -e: W_k -> W_(k-1), and |B| - rank(B) = h_(k-1) - rank(e)
+      is the dimension of the cokernel of e.
+    * V is a direct sum of irreducibles V_d (H. Weyl), and on V_d,
+      e maps weight m onto weight m + 2 whenever both are weights of V_d.
+      Put m = T - 2k.  If m >= -1, every V_d with the weight m + 2 has
+      the weight m, so e is onto W_(k-1), and h_(k-1) <= h_k.  If
+      m <= -2, the summands with the weight m + 2 but not m are the V_d
+      with d = -m - 2 = 2k - 2 - T, and they span the cokernel; their
+      count is h_(k-1) - h_k.
+
+    The count takes one pass of prefix sums per nonzero slot, truncated
+    at degree min(k, T): h_j = 0 beyond T, and a slot with t_i = 0
+    multiplies by 1.
+    """
+    kind, k, t, sigma = classify(w)
+    if kind is not CaseKind.SINGULAR:
+        return 0
+    top = min(k, sigma)
+    h = [1] + [0] * top
+    for t_i in t:
+        if t_i:
+            prefix = list(accumulate(h))
+            h = [s - prefix[j - t_i - 1] if j > t_i else s for j, s in enumerate(prefix)]
+    below, at = (h[j] if j <= top else 0 for j in (k - 1, k))
+    return max(0, below - at)
+
+
 # ---------------------------------------------------------------------------
 # Cocycle bases and exact coboundary solving.
 # ---------------------------------------------------------------------------
@@ -581,10 +627,10 @@ def cocycle_basis(w: Weights) -> list[ReducedTwoCochain]:
     nonzero combination of them lies in the image that
     :func:`solve_coboundary` solves against.
 
-    The kernel and the column space are read off the system's one
-    factorization; the solves on these elements read the same rows.  The
-    coordinates completing the column space are the rows that are
-    combinations of the rows before them (proof in ``linalg``).
+    The kernel and the column space are read off one factorization of
+    the system's rows.  The coordinates completing the column space are
+    the rows that are combinations of the rows before them (proof in
+    ``linalg``).
 
     A coefficient already held is kept, not recomputed: each kernel entry
     becomes its constant polynomial as the object it is, with no zero test,
@@ -592,7 +638,7 @@ def cocycle_basis(w: Weights) -> list[ReducedTwoCochain]:
     each free column shares ``ONE``.
     """
     system = build_system(w)
-    factorization = system.factorization
+    factorization = linalg.Factorization(system.equations, len(system.col_index))
     cols, new, constant = system.col_index, tuple.__new__, Polynomial._nonzero_constant
     # positional construction, skipping the NamedTuple's Python-level __new__
     out = [new(ReducedTwoCochain, (w, {cols[j]: constant(c) for j, c in vec.items()}, {}, {}))
@@ -687,11 +733,8 @@ def solve_coboundary(f: ReducedTwoCochain) -> Optional[ReducedOneCochain]:
 
     # Step 4: Lambda(c) = C(0); a zero C(0) is met by c = 0.
     if obstruction:
-        row_pos = _system_frame(w.n, k).row_pos
         system = build_system(w)
-        rhs = [0] * len(system.row_index)
-        for alpha, c in obstruction.items():
-            rhs[row_pos[alpha]] = 2 * c
+        rhs = [2 * obstruction.get(alpha, 0) for alpha in system.row_index]
         solution = linalg.solve(system.equations, len(system.col_index), rhs)
         if solution is None:
             return None

@@ -234,9 +234,9 @@ def evaluate_row(w: Weights, k: int, t: Optional[tuple[int, ...]],
                        "closed" in methods, "summary" in methods,
                        "oracle" in methods and _oracle_wanted(oracle_policy, n, k))
     if perturb:
-        equations = list(build_system(w).equations)
+        equations = build_system(w).equations  # fresh rows, this row's own
         if equations:
-            equations[0] = {**equations[0], 0: equations[0].get(0, 0) + 1}
+            equations[0][0] = equations[0].get(0, 0) + 1
         ell = multiset_coeff(n, k - 1) - linalg.sparse_rank(equations)
         dims = (multiset_coeff(n - 1, k) + 3 * ell,) + dims[1:]
     # tuple.__new__ skips the NamedTuple's Python-level __new__ (see

@@ -110,9 +110,10 @@ class Weights:
     refuses every later assignment) and reads each weight's numerator and
     denominator once: a sweep builds a ``Weights`` per row.  Every weight
     passes through :func:`~sl2cohom.polynomials.exact` here, which refuses
-    a float, so code that reads these fields checks no value again: the
-    constraint system of ``reduced.build_system`` is cached under
-    (k, ``twice_lambdas``), whose entries are in lowest terms and an
+    a float, so code that reads these fields checks no value again:
+    ``reduced.build_system`` fills its rows straight from
+    ``twice_lambdas``, and the orbit record of ``sweep`` is keyed by the
+    sorted ``twice_lambdas``.  Their entries are in lowest terms and an
     ``int`` wherever they are integral, so equal weights give equal keys.
     """
 

@@ -425,8 +425,10 @@ def test_a_cold_oracle_call_enumerates_each_degree_once(monkeypatch):
     def counting(p, *args):
         calls.append(p)
         return block_basis(p, *args)
-    monkeypatch.setattr(cecomplex, "_block_basis", counting)
+    # the graded-acyclicity check, once per process, builds bases of its own
     empty_caches()
+    cecomplex._certify_graded_acyclicity()
+    monkeypatch.setattr(cecomplex, "_block_basis", counting)
     w = weights_for_tvector(3, 3, (1, 0, 2))
     brute_force_h2(w)
     # d1 and the pairing of d2 read degrees 1 to 3; nothing reads d0

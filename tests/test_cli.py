@@ -66,6 +66,31 @@ def test_dim_writes_one_record_per_method(capsys):
         for dim, method in ((None, "summary"), (1, "closed"))]
 
 
+def test_dim_reports_the_exact_count_where_table_refuses_it(capsys):
+    # exact is ell itself, the oracle's value: 0 at t = (3, 2, 1), k = 8,
+    # where T = 6 < k - 1 leaves h_(k-1) = h_k = 0, 1 at t = (1, 1), k = 3,
+    # and 0 off the singular case
+    for lambdas, mu, ell in (("-3/2,-1,-1/2", "5", 0), ("-1/2,-1/2", "2", 1),
+                             ("1/3,2/3", "4", 0), ("0,0", "1/2", 0)):
+        code, out, _ = run_cli(["dim", f"--lambdas={lambdas}", "--mu", mu,
+                                "--methods", "exact,oracle"], capsys)
+        assert code == 0
+        exact, oracle = json.loads(out)
+        assert (exact["method"], exact["alpha_max"], exact["stable"]) == ("exact", None, True)
+        assert exact["dim"] == oracle["dim"] == ell, lambdas
+        assert exact["case"] == oracle["case"]
+    # the Hilbert pass has n' (min(k, sigma) + 1) terms; one above the
+    # ceiling is refused before it runs, with nothing on stdout
+    code, out, err = run_cli(["dim", "--lambdas=-500000,-500000", "--mu", "500001",
+                              "--methods", "exact"], capsys)
+    assert (code, out) == (2, "")
+    assert "3000004 terms" in err and "above the ceiling" in err
+    # a sweep does not run it
+    code, out, err = run_cli(["table", "--n", "2", "--k-max", "2", "--methods",
+                              "system,exact"], capsys)
+    assert (code, out) == (2, "") and "'exact'" in err
+
+
 @pytest.mark.parametrize("argv, twice", [
     (["dim", "--lambdas", "0,0", "--mu", "1", "--methods", "system,system"], "system"),
     (["dim", "--lambdas", "0,0", "--mu", "1", "--methods", "oracle,closed, oracle"], "oracle"),
@@ -556,3 +581,20 @@ def test_verify_negative_control_perturbation(capsys):
     code, _, _ = run_cli(["verify", "--n", "2", "--k-max", "2",
                           "--oracle", "auto", "--self-test-perturb"], capsys)
     assert code != 0
+
+
+def test_a_self_test_that_no_oracle_row_checks_is_refused(capsys):
+    # the gate compares the system with the oracle only, so a perturbed
+    # sweep with no oracle row at k >= 1 could not fail: --oracle auto runs
+    # the oracle only at n <= 2, --oracle off nowhere, and at k = 0 the
+    # system has no entry to perturb
+    for argv in (["--n", "3", "--k-max", "3"],
+                 ["--n", "2", "--k-max", "3", "--oracle", "off"],
+                 ["--n", "2", "--k-max", "0"]):
+        code, out, err = run_cli(["verify", "--self-test-perturb"] + argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert "usage error" in err and "runs the oracle" in err, argv
+    # unperturbed, the first two run and have nothing to compare
+    for argv in (["--n", "3", "--k-max", "3"], ["--n", "2", "--k-max", "3", "--oracle", "off"]):
+        code, out, _ = run_cli(["verify"] + argv, capsys)
+        assert code == 0 and "verdict: PASS" in out, argv

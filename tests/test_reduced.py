@@ -27,7 +27,7 @@ from sl2cohom.reduced import (
 )
 from sl2cohom.sweep import nonresonant_weights, sweep_configurations, weights_for_tvector
 from sl2cohom.weights import GENERATORS, Weights
-from support import dense_kernel, empty_caches, system_of
+from support import dense_kernel, empty_caches, factorize, system_of
 
 X1, XX, XX2 = GENERATORS
 
@@ -86,7 +86,7 @@ def test_residual_of_kernel_family_vanishes():
     # constant top-order family solving the coefficient system
     w = Weights((Fraction(0), Fraction(0)), Fraction(1))
     system = build_system(w)
-    for vec in dense_kernel(system.factorization):
+    for vec in dense_kernel(factorize(system)):
         fam = {alpha: Polynomial.constant(c)
                for alpha, c in zip(system.col_index, vec) if c != 0}
         assert cocycle_residual(ReducedTwoCochain(w, fam, {}, {})) == {}
@@ -357,11 +357,15 @@ def test_build_system_rows_are_sparse_and_exact():
 
 
 def test_build_system_is_keyed_by_the_shift_and_the_doubled_weights():
-    # equal weights given as Fractions, ints or strings share one cached
-    # system under the int-first key (k, twice_lambdas)
+    # the rows depend on the weights only through (k, twice_lambdas), which
+    # is int-first: equal weights given as Fractions, ints or strings build
+    # equal rows, each call a fresh system of its own
     w = Weights((Fraction(-1, 2), Fraction(0)), Fraction(3, 2))
     assert w.twice_lambdas == (-1, 0) and all(type(v) is int for v in w.twice_lambdas)
-    assert build_system(Weights(("-1/2", 0), "3/2")) is build_system(w)
+    same = build_system(Weights(("-1/2", 0), "3/2"))
+    assert same is not build_system(w) and same.equations == build_system(w).equations
+    assert [{j: type(v) for j, v in eq.items()} for eq in same.equations] == \
+        [{j: type(v) for j, v in eq.items()} for eq in build_system(w).equations]
     assert build_system(Weights(w.lambdas, w.mu + 1)).col_index != build_system(w).col_index
     # only a natural shift has a system
     for mu in (w.mu + Fraction(1, 2), w.mu - 3):
@@ -400,14 +404,12 @@ def test_system_frames_carry_no_lambda():
             [{j: type(v) for j, v in eq.items()} for eq in expected]
     assert sum(1 for eq in system_of(n, k, lambda_sets[1]).equations for _ in eq) < \
         sum(1 for eq in system_of(n, k, lambda_sets[0]).equations for _ in eq)
-    # the solves place a right-hand side by the frame's row positions
-    assert reduced._system_frame(n, k).row_pos == {alpha: r for r, alpha in enumerate(rows)}
 
 
 def test_kernel_dimension_identity():
     system = system_of(2, 2, (Fraction(-1, 2), Fraction(0)))
     rho = full_rank(system)
-    kern = dense_kernel(system.factorization)
+    kern = dense_kernel(factorize(system))
     assert len(kern) == system.matrix.cols - rho
     ell = multiset_coeff(2, 1) - rho
     assert len(kern) == multiset_coeff(1, 2) + ell
@@ -518,6 +520,51 @@ def test_ell_is_the_lefschetz_count_on_singular_rows():
             assert system_rank_data(w)[2] == max(0, h[k - 1] - h[k]), (n, k, t)
             count += 1
     assert count == 45 + 204 + 441 + 979
+
+
+def _clebsch_gordan(t):
+    """{d: multiplicity of V_d in V_(t_1) (x) ... (x) V_(t_n)}, one slot at a
+    time by V_a (x) V_b = V_(a+b) + V_(a+b-2) + ... + V_|a-b|."""
+    mult = {0: 1}
+    for t_i in t:
+        product = {}
+        for d, m in mult.items():
+            for e in range(abs(d - t_i), d + t_i + 1, 2):
+                product[e] = product.get(e, 0) + m
+        mult = product
+    return mult
+
+
+def test_the_exact_count_is_the_box_deficiency_and_a_clebsch_gordan_multiplicity():
+    # every sorted t of each grid: ell_count against the echelon of the
+    # box and against the multiplicity of V_(2k-2-T), 0 when 2k - 2 < T
+    assert _clebsch_gordan((1, 1)) == {0: 1, 2: 1}
+    orbits = 0
+    for n, k_max in ((1, 12), (2, 11), (3, 8), (4, 6), (5, 5)):
+        for k in range(1, k_max + 1):
+            for t in itertools.combinations_with_replacement(range(k), n):
+                ell = reduced.ell_count(weights_for_tvector(n, k, t))
+                assert ell == reduced._box_deficiency(k, t), (k, t)
+                assert ell == _clebsch_gordan(t).get(2 * k - 2 - sum(t), 0), (k, t)
+                orbits += 1
+    assert orbits == 78 + 286 + 330 + 252 + 210
+
+
+def test_the_exact_count_is_zero_off_the_singular_case():
+    # a free slot, a fractional or negative shift, or k = 0: no box, ell = 0
+    rng = random.Random(3801)
+    kinds = set()
+    for _ in range(300):
+        n, k = rng.randint(1, 4), rng.randint(0, 6)
+        lambdas = tuple(_seeded_lambda(rng, k) for _ in range(n))
+        for shift in (k, k + Fraction(1, 2), -k - 1):
+            w = Weights(lambdas, shift + sum(lambdas))
+            kinds.add(kind := classify(w).kind)
+            if kind is CaseKind.SINGULAR:
+                continue
+            assert reduced.ell_count(w) == 0, w
+            assert system_rank_data(w) in (None, (k, multiset_coeff(n, k - 1), 0)), w
+    assert kinds == set(CaseKind)
 
 
 # -- the box memo, one echelon per slot-permutation orbit ----------------
@@ -870,42 +917,6 @@ def test_outputs_keep_the_cochain_invariant(w):
     assert witnesses >= 4
 
 
-def test_a_basis_and_its_solves_share_one_factorization(monkeypatch):
-    made, solves = [], []
-
-    class Counted(linalg.Factorization):
-        __slots__ = ()
-
-        def __init__(self, rows, cols):
-            made.append(cols)
-            super().__init__(rows, cols)
-
-    def counted_solve(rows, cols, rhs):
-        solves.append(rows)
-        return solve(rows, cols, rhs)
-
-    solve = linalg.solve
-    monkeypatch.setattr(linalg, "Factorization", Counted)
-    monkeypatch.setattr(linalg, "solve", counted_solve)
-    empty_caches()
-    weights = [weights_for_tvector(3, 4, t) for t in itertools.product(range(4), repeat=3)]
-    weights = [w for w in weights if classify(w).kind is CaseKind.SINGULAR]
-    assert len(weights) == 64
-    ells = []
-    for w in weights:
-        before = len(made), len(solves)
-        basis = cocycle_basis(w)
-        assert len(made) == before[0] + 1  # one factorization per basis
-        witnesses = [solve_coboundary(f) for f in basis]
-        ells.append(system_rank_data(w)[2])
-        # and none built by a solve: one solve per bottom-family element,
-        # each infeasible, on the system's rows
-        assert len(made) == before[0] + 1
-        assert len(solves) - before[1] == witnesses.count(None) == ells[-1]
-        assert all(rows is build_system(w).equations for rows in solves[before[1]:])
-    assert sum(ells) > 0
-
-
 def test_the_reduced_rows_stay_sparse_along_the_two_slot_chain():
     # n = 2: row (a1, a2) meets columns (a1 + 1, a2) and (a1, a2 + 1), a
     # bidiagonal chain of 999 rows on 1,000 columns.  Column combinations
@@ -913,7 +924,7 @@ def test_the_reduced_rows_stay_sparse_along_the_two_slot_chain():
     for lambdas in ((0, 0), (Fraction(-3, 2), Fraction(-500)), (Fraction(1, 3), Fraction(2, 5))):
         system = system_of(2, 999, lambdas)
         rows, cols = len(system.row_index), len(system.col_index)
-        factorization = system.factorization
+        factorization = factorize(system)
         assert rows == 999 and len(factorization.leads) == rows
         assert sum(len(row) for row in factorization.reduced.values()) <= 2 * rows
         # full row rank: every right-hand side is feasible, one with
