@@ -57,6 +57,32 @@ result is reported ``stable``, meaning certified: its cap is at least k,
 and both this check and the pairing check below passed, since either one
 raises rather than let a value through.
 
+At the cap max(k, 1) the oracle's value is ell, the rank deficiency of
+the constraint system of ``reduced``, which ``reduced.ell_count``
+counts.  For k >= 1 the filtration leaves two nonzero levels, k - 1 and
+k: F_(k-1) = gr_(k-1) is a sum of copies of K(1), and the quotient gr_k
+of copies of K(0).  Read with the closed form of d below, K(1) has one
+cochain, m = 0, on (Xx2) in degree 1 and on (Xx, Xx2) in degree 2, and d
+maps the first to (nu - 1) = 0 times the second: the action term of Xx
+gives nu and the bracket [Xx, Xx2] = Xx2 gives -1.  So H^2(gr_(k-1)) has
+the basis Omega^b on (Xx, Xx2), one per b with |b| = k - 1.  K(0) has
+the cochains (m, T) = (0, ()); (0, (Xx)), (1, (Xx2)); (0, (X1, Xx2)),
+(1, (Xx, Xx2)); (0, (X1, Xx, Xx2)), and d sends (1, (Xx2)) to
+(0, (X1, Xx2)) and (1, (Xx, Xx2)) to (0, (X1, Xx, Xx2)), each with
+coefficient 1 from the action of X1, and the others to 0.  So
+H^2(gr_k) = 0 and H^1(gr_k) has the basis Omega^a on (Xx), one per a
+with |a| = k.  The long exact sequence of
+0 -> gr_(k-1) -> F_k -> gr_k -> 0 then reads
+H^1(gr_k) -> H^2(gr_(k-1)) -> H^2(F_k) -> 0, so dim H^2 is the corank of
+the connecting map.  That map is the part of d that lowers |alpha|: the
+lowering term of Xx2 sends Omega^a on (Xx) to, up to sign,
+a_l (a_l + 2 lambda_l - 1) Omega^(a - e_l) on (Xx, Xx2), which at
+b = a - e_l is (b_l + 1)(b_l + 2 lambda_l), the constraint system's
+entry in row b and column b + e_l.  So dim H^2 = N_(k-1) - rank = ell,
+with N_(k-1) the number of rows.  At k = 0 the levels above 0 are
+acyclic and gr_0 is one K(0), so H^2 = 0 = ell, as it is off a natural
+shift.
+
 On a basis cochain f = x^m Omega^alpha on the ascending tuple S the
 differential has a closed form, so the block matrices are written entry
 by entry without building any operator:
@@ -117,7 +143,8 @@ the rows of ``table --n 4 --k-max 4 --oracle on`` with k >= 1, each
 echelonised on its own, all 10,813 matched columns are reduced against
 it, while the 6,030 columns of level k - 1 are zero.  The rows of a
 ``table`` share one frame per k, and the rows of one orbit below share
-one echelon as well, through the orbit record of `sweep`.  The 5 frames
+one echelon as well, through the orbit record ``reduced.orbit_record``.
+The 5 frames
 of that table hold about 0.06 MiB; the frame of a block near the command
 line's ``MAX_ORACLE_BLOCK`` ceiling 1.4 MiB (n = 4, k = 18) to 3.1 MiB
 (n = 6, k = 10) (``tracemalloc``).
@@ -142,7 +169,7 @@ those at lambda with rows and columns relabelled, entries included: the
 same frame filled at either weights has the same rank, and dim H^2 is
 the same.  `brute_force_h2` keeps no value: it fills and echelonises
 the frame at the weights it is given.  A sweep asks it once per orbit,
-through the record of `sweep` keyed by (delta, sorted 2 lambda_i), in
+through ``reduced.orbit_record`` keyed by (delta, sorted 2 lambda_i), in
 which n and the cap max(k, 1) are determined.
 """
 
@@ -655,7 +682,7 @@ def brute_force_h2(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
     docstring, all read off the block's `H2Frame` with d1 filled at the
     2 lambda_i of ``w``.  A slot permutation of lambda
     leaves the value unchanged (module docstring), and no value is kept
-    here: `sweep` reads each orbit's value from its record.  ``tag`` is
+    here: a sweep reads each orbit's value from ``reduced.orbit_record``.  ``tag`` is
     ``classify(w)``, computed here when not given; it only names the case.
     """
     _certify_graded_acyclicity()

@@ -190,9 +190,25 @@ def _check_ceiling(what: str, size: int, unit: str, ceiling: int) -> None:
         raise UsageError(f"{what} has {count} {unit}, above the ceiling of {ceiling}")
 
 
+def _unprintable_binomial_bits(top: int, r: int) -> int:
+    """A lower bound b on the bits of C(top, r), 0 < r <= top, from integers
+    only: C(top, r) >= (top / r)^r >= 2^b for b = r (bitlen(top // r) - 1).
+    Returns b when 2^b > 2 * 10^d, for d = ``sys.get_int_max_str_digits()``,
+    which holds once 1000 b > 3322 d + 1000, so that C(top, r) has more
+    digits than Python prints; else 0, and always 0 for r <= 0 or d = 0
+    (no limit)."""
+    digits = sys.get_int_max_str_digits()
+    bits = r * ((top // r).bit_length() - 1) if r > 0 else 0
+    return bits if digits and 1000 * bits > 3322 * digits + 1000 else 0
+
+
 def _check_system_equations(n: int, k: int, arity: str = "n") -> None:
     what = f"the constraint system at {arity} = {n}, k = {k}"
-    rows = multiset_coeff(n, k - 1)
+    # C(n + k - 2, min(n, k) - 1) equations; one too large to print is
+    # refused before ``math.comb`` forms it (n = 10^6 at k = 10^30 ran for
+    # minutes), with the message a printed count would give
+    too_large = _unprintable_binomial_bits(n + k - 2, min(n, k) - 1)
+    rows = _print_bound() if too_large else multiset_coeff(n, k - 1)
     _check_ceiling(what, rows, "equations", MAX_SYSTEM_EQUATIONS)
     _check_ceiling(what, n * (rows + multiset_coeff(n, k)), "index entries",
                    MAX_SYSTEM_FRAME_ENTRIES)
@@ -201,21 +217,14 @@ def _check_system_equations(n: int, k: int, arity: str = "n") -> None:
 def _check_closed_size(n: int, k: int) -> None:
     """Refuse a closed-form base C(n + k - 2, k) that Python cannot print
     before ``math.comb`` forms it (1,000 zero weights at k = 10^4000 took
-    7.4 s to reach the refusal of the value).  Integers only: with
-    r = min(n - 2, k), C(n + k - 2, r) >= ((n + k - 2) / r)^r >= 2^b for
-    b = r (bitlen((n + k - 2) // r) - 1), and 2^b > 2 * 10^d once
-    1000 b > 3322 d + 1000.  The closed, summary and system values are at
-    least the base less 3 n, so none could be printed either; a smaller
-    base is formed and its value checked as before."""
-    digits = sys.get_int_max_str_digits()
-    r = min(n - 2, k)
-    if not digits or r <= 0:
-        return
-    bits = r * (((n + k - 2) // r).bit_length() - 1)
-    if 1000 * bits > 3322 * digits + 1000:
+    7.4 s to reach the refusal of the value).  The closed, summary and
+    system values are at least the base less 3 n, so none could be printed
+    either; a smaller base is formed and its value checked as before."""
+    bits = _unprintable_binomial_bits(n + k - 2, min(n - 2, k))
+    if bits:
         raise UsageError(f"the closed-form base C(n + k - 2, k) at n = {n} is too large: "
                          f"more than {bits * 3 // 10} digits, above the ceiling of "
-                         f"{digits} digits that Python prints")
+                         f"{sys.get_int_max_str_digits()} digits that Python prints")
 
 
 def _check_basis_size(n: int, k: int) -> None:

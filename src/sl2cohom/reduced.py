@@ -82,9 +82,10 @@ the rows and echelonises them with its right-hand side appended as one
 more column.  The caches here follow one rule: an engine caches only
 lambda-free structure (the (n, k) frames of the system and the lowering
 targets of each index), and a value is memoised once per orbit of the
-slot permutations below (the box deficiency).  :func:`build_system`
-takes a :class:`~sl2cohom.weights.Weights`, whose constructor is the one
-place a float is refused, and checks no value again.
+slot permutations below, in one record, :func:`orbit_record`.
+:func:`build_system` takes a :class:`~sl2cohom.weights.Weights`, whose
+constructor is the one place a float is refused, and checks no value
+again.
 
 The rank needs only some of them.  Put t_i = -2 lambda_i, so row a has
 entry f_i(a_i) = (a_i + 1)(a_i - t_i) in column a + e_i, and call slot i
@@ -125,9 +126,14 @@ in column pi a + e_(pi(i)) = pi(a + e_i).  So pi maps the rows and columns
 of t bijectively onto those of pi t, carries every entry with it, and maps
 the box {a <= t} onto the box {b <= pi t}: the two boxes are the same
 matrix up to a relabelling of rows and columns, of equal size and rank.
-:func:`dim_h2_via_system` therefore ranks one box per orbit, the one of
-sorted t, through a bounded memo keyed by (k, sorted t); n is the key's
-length.
+So the system's value is read from the orbit record,
+:func:`orbit_record`, keyed by the shift and the sorted 2 lambda_i, which
+on a miss ranks the box of sorted t once; n is the key's length.  The
+record holds every method's value of the orbit: the closed-form and
+summary predictors read the tag's kind, k and sigma, which a permutation
+keeps, and t only through ``len``, ``max``, ``count`` and sum(v > m),
+which it keeps as well, and the oracle's value is an orbit value by the
+proof in the ``cecomplex`` docstring.
 
 The box is Q[x_1..x_n]/(x_i^(t_i + 1)) in degrees k - 1 to k, the ring
 whose strong Lefschetz property (R. Stanley 1980; J. Watanabe 1987) makes
@@ -138,6 +144,7 @@ ell the count max(0, h_(k-1) - h_k) of its Hilbert function:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import lcm
@@ -145,8 +152,14 @@ from operator import le
 from typing import Iterable, NamedTuple, Optional
 
 from . import linalg
-from .cecomplex import Cochain, CohomResult
-from .closedform import CaseKind, CaseTag, classify
+from .cecomplex import Cochain, CohomResult, brute_force_h2
+from .closedform import (
+    CaseKind,
+    CaseTag,
+    classify,
+    dim_h2_closed_form,
+    dim_h2_summary_table,
+)
 from .linalg import RationalMatrix
 from .multiindices import (
     MultiIndex,
@@ -418,17 +431,16 @@ class LinearSystem:
 #: none.
 SYSTEM_FRAME_CACHE_SIZE = 32
 
-#: Bound on each memo keyed by an orbit of slot permutations: the box
-#: deficiency here, keyed by (k, sorted t), and the orbit record of
-#: `sweep`, keyed by (delta, sorted 2 lambda_i) and the methods a row asks
-#: of it.  A sweep visits k in ascending order, so it meets an orbit again
-#: only within one k.  The command line's ceilings (``cli.MAX_SWEEP_ROWS``
-#: and ``cli.MAX_SYSTEM_EQUATIONS``) admit at most C(16 + 2, 3) = 816
-#: multisets t at one k (n = 3, k = 16; 741 at n = 2, k = 38, 495 at n = 4,
-#: k = 9), and the record adds one key for the non-resonant row, so every
-#: admitted sweep computes each orbit once.  A whole sweep with n >= 2 has
-#: at most C(38 + 2, 3) = 9,880 orbits (n = 2, k <= 38); those need not
-#: fit, since a sweep never returns to a k it has left.
+#: Bound on the orbit record, :func:`orbit_record`, which sweeps and
+#: :func:`dim_h2_via_system` share.  A sweep visits k in ascending order,
+#: so it meets an orbit again only within one k.  The command line's
+#: ceilings (``cli.MAX_SWEEP_ROWS`` and ``cli.MAX_SYSTEM_EQUATIONS``) admit
+#: at most C(16 + 2, 3) = 816 multisets t at one k (n = 3, k = 16; 741 at
+#: n = 2, k = 38, 495 at n = 4, k = 9), and a sweep asks for one more key,
+#: its non-resonant row, so every admitted sweep computes each orbit once.
+#: A whole sweep with n >= 2 has at most C(38 + 2, 3) = 9,880 orbits
+#: (n = 2, k <= 38); those need not fit, since a sweep never returns to a
+#: k it has left.
 ORBIT_CACHE_SIZE = 1024
 
 
@@ -488,31 +500,44 @@ def build_system(w: Weights) -> LinearSystem:
     return LinearSystem(frame.rows, frame.cols, equations)
 
 
-@lru_cache(maxsize=ORBIT_CACHE_SIZE)
 def _box_deficiency(k: int, t: tuple[int, ...]) -> int:
     """|B| - rank(B) of the box B = {a <= t} at shift k, for sorted t.
 
     A slot with t_i = 0 carries no entry of B (module docstring), so B is
     built on the nonzero part t' of t: the rows of the (n', k) frame whose
     index a satisfies a <= t', in frame order, each filled by ``_fill``
-    with twice_i = -t'_i.  The zeros are dropped here, so the memo key
-    stays (k, sorted t).  Only this value, not the rows, is kept.
-
-    No command hits this memo: ``table --n 4 --k-max 5`` makes 126 calls,
-    one per orbit, and 0 hits, because the orbit record of ``sweep``
-    already asks once per orbit.  It stays for the benchmark, whose
-    ``certify`` workload asks it 155 times a pass over 70 orbits and
-    repeats its passes in one process: without it, ``certify`` lost 7% of
-    its configs/s, and its p50 and p90 rose 10% and 8% (3 alternating
-    pairs of ``perfbench/run.py --seconds 8``, 2 vCPUs, Python 3.11.7).
-    It goes once the benchmark times cold passes and a sweep visits each
-    orbit once by construction.
+    with twice_i = -t'_i.
     """
     t = t[t.count(0):]  # sorted, so the zeros lead
     frame = _system_frame(len(t), k)
     box = _fill(((alpha, pattern) for alpha, pattern in zip(frame.rows, frame.patterns)
                  if all(map(le, alpha, t))), tuple(-t_i for t_i in t))
     return len(box) - linalg.sparse_rank(box)
+
+
+@lru_cache(maxsize=ORBIT_CACHE_SIZE)
+def orbit_record(delta: Scalar, sorted_twice_lambdas: tuple[Scalar, ...],
+                 oracle: bool) -> tuple:
+    """(dim_system, dim_closed, dim_summary, dim_oracle, stable) of the orbit
+    of the shift delta and the sorted 2 lambda_i (module docstring).
+
+    Computed once per key, on the orbit's sorted representative: the
+    weights lambda_i = v_i / 2, for the key's v_i, and mu = delta +
+    sum(lambda_i).  Both predictors are always filled, since they are
+    arithmetic on the tag; the oracle runs only when ``oracle`` is set,
+    and its two fields are None otherwise.
+    """
+    lambdas = [Fraction(v, 2) for v in sorted_twice_lambdas]
+    w = Weights(lambdas, delta + sum(lambdas))
+    kind, k, t, _ = tag = classify(w)
+    n = len(lambdas)
+    system = 0 if kind is CaseKind.NON_INTEGER_DELTA else multiset_coeff(n - 1, k)
+    if kind is CaseKind.SINGULAR:
+        system += 3 * _box_deficiency(k, tuple(sorted(t)))
+    result = brute_force_h2(w, tag) if oracle else None
+    return (system, dim_h2_closed_form(tag, n), dim_h2_summary_table(tag, n),
+            None if result is None else result.dim,
+            None if result is None else result.stable)
 
 
 def dim_h2_via_system(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
@@ -534,18 +559,11 @@ def dim_h2_via_system(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:
     frame of the nonzero t_i by that test on their index, are built and
     echelonised.
     A slot permutation carries the box of t onto that of the permuted t
-    with every entry (module docstring), so the deficiency comes from a
-    memo keyed by (k, sorted t), bounded by ``ORBIT_CACHE_SIZE``:
-    the rows of one orbit share one echelon.
+    with every entry (module docstring), so the value is read from
+    :func:`orbit_record`: the rows of one orbit share one echelon.
     """
+    dim = orbit_record(w.delta(), tuple(sorted(w.twice_lambdas)), False)[0]
     tag = classify(w) if tag is None else tag
-    kind, k, t, _ = tag
-    if kind is CaseKind.NON_INTEGER_DELTA:
-        dim = 0
-    else:
-        dim = multiset_coeff(w.n - 1, k)
-        if kind is CaseKind.SINGULAR:
-            dim += 3 * _box_deficiency(k, tuple(sorted(t)))
     # tuple.__new__ skips the NamedTuple's Python-level __new__ (see
     # closedform.classify)
     return tuple.__new__(CohomResult, (dim, "system", w, tag, None, True))

@@ -12,31 +12,30 @@ Permuting the n tensor factors of F_lambda_1 (x) ... (x) F_lambda_n is an
 sl(2)-module isomorphism from D_(lambda, mu) onto D_(pi lambda, mu), so
 dim H^2 depends only on mu and the multiset of the lambda_i.  So every
 method's dimension for a row is read from one orbit record,
-``_orbit_dims``: a ``functools.lru_cache`` of at most
+``reduced.orbit_record``: a ``functools.lru_cache`` of at most
 ``reduced.ORBIT_CACHE_SIZE`` entries, keyed by the shift, the sorted
-2 lambda_i and the methods the row asks of it, that on a miss evaluates
-the orbit's sorted representative.  Each method's value is the same on
-the whole orbit: the system rank's and the oracle's by the proofs in the
-``reduced`` and ``cecomplex`` docstrings, and the closed-form and summary
-predictors' because they read the tag's kind, k and sigma, which a
-permutation keeps, and read t only through ``len``, ``max``, ``count``
-and sum(v > m), which it keeps as well.  A row still classifies itself, since its tag holds
-its own unsorted t.  A perturbed row of ``verify --self-test-perturb``
-asks the record for no system value: entry (0, 0), which it perturbs, is
-moved by a permutation, so it ranks its own rows and never records the
-rank.
+2 lambda_i and whether the oracle runs, that on a miss evaluates the
+orbit's sorted representative (the ``reduced`` docstring says why each
+method's value is the same on the whole orbit).  The record always holds
+both predictors; a row sets to None each one it did not ask for.  A row
+still classifies itself, since its tag holds its own unsorted t.  The
+self-test of ``verify --self-test-perturb`` is applied by ``run_sweep``,
+after the record: entry (0, 0), which it perturbs, is moved by a
+permutation, so each row ranks its own perturbed rows, and no record
+holds that rank.
 
 So a warm row is bookkeeping.  Its tag and row are named tuples, built
 positionally through ``tuple.__new__``, and the case string is formatted
 only when a report is written.  In-process CPU time on 2 vCPUs, Python
-3.11, a warm n = 4, k <= 5 row with the system, closed and summary
-methods costs about 2.0 us: 0.8 to classify, 0.5 to sort its 2 lambda_i
-and look the orbit up, 0.1 to read the methods asked for, and the rest
-for the call and the row.  On a warm row, asking for the oracle adds
-only the check of the oracle policy.  Building the row's ``Weights``
-beforehand, in ``sweep_configurations``, costs about 3 us more at n = 4
-and 5 us at n = 8: the weights -t_i/2 and mu = k - sigma/2 are made once
-per k, and what is left is the ``Weights`` constructor.
+3.11, best of 7 passes: a warm n = 4, k <= 5 row with the system, closed
+and summary methods costs about 3.2 us: 1.4 to 1.6 to classify, 0.9 to
+sort its 2 lambda_i and look the orbit up, and the rest to read the
+methods asked for, for the call and for the row.  On a warm row, asking
+for the oracle adds only the check of the oracle policy.  Building the
+row's ``Weights`` beforehand, in ``sweep_configurations``, costs about
+3 us more at n = 4 and 5 us at n = 8: the weights -t_i/2 and
+mu = k - sigma/2 are made once per k, and what is left is the
+``Weights`` constructor.
 """
 
 from __future__ import annotations
@@ -47,21 +46,13 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
-from .cecomplex import brute_force_h2
-from .closedform import (
-    CaseTag,
-    classify,
-    dim_h2_closed_form,
-    dim_h2_summary_table,
-    singular_counts,
-)
+from .closedform import CaseTag, classify, singular_counts
 from .multiindices import format_multiindex, multiset_coeff
-from .polynomials import Scalar, format_rational
-from .reduced import ORBIT_CACHE_SIZE, build_system, dim_h2_via_system
+from .polynomials import format_rational
+from .reduced import build_system, orbit_record
 from .weights import Weights
 
 CSV_COLUMNS = ["n", "k", "t", "sigma", "s", "r", "dim_system", "dim_closed",
@@ -195,53 +186,34 @@ def largest_oracle_k(policy: str, n: int, k_max: int) -> Optional[int]:
     return k if _oracle_wanted(policy, n, k) else None
 
 
-@lru_cache(maxsize=ORBIT_CACHE_SIZE)
-def _orbit_dims(delta: Scalar, twice_lambdas: tuple[Scalar, ...], system: bool,
-                closed: bool, summary: bool, oracle: bool) -> tuple:
-    """(dim_system, dim_closed, dim_summary, dim_oracle, stable) of the orbit
-    of the shift delta and the sorted 2 lambda_i (module docstring), each
-    None unless its method is asked for.
-
-    Computed once per key, on the orbit's sorted representative: the
-    weights lambda_i = v_i / 2, for the key's v_i, and mu = delta +
-    sum(lambda_i).
-    """
-    lambdas = [Fraction(v, 2) for v in twice_lambdas]
-    w = Weights(lambdas, delta + sum(lambdas))
-    tag = classify(w)
-    n = len(lambdas)
-    result = brute_force_h2(w, tag) if oracle else None
-    return (dim_h2_via_system(w, tag).dim if system else None,
-            dim_h2_closed_form(tag, n) if closed else None,
-            dim_h2_summary_table(tag, n) if summary else None,
-            None if result is None else result.dim,
-            None if result is None else result.stable)
-
-
 def evaluate_row(w: Weights, k: int, t: Optional[tuple[int, ...]],
-                 methods: Sequence[str], oracle_policy: str = "auto",
-                 *, perturb: bool = False) -> SweepRow:
+                 methods: Sequence[str], oracle_policy: str = "auto") -> SweepRow:
     """Evaluate one configuration with the requested methods.
 
-    Every dimension is read from the orbit record, except the system's on
-    a perturbed row.  ``perturb`` is the self-test of ``verify``: it adds 1
-    to entry (0, 0) of the constraint system's sparse rows and ranks all of
-    them, so the verification gate can prove it detects an injected error.
-    That rank belongs to the row, not its orbit, and is never recorded.
+    Every dimension is read from the orbit record, ``reduced.orbit_record``;
+    a predictor the row did not ask for reads None.
     """
-    n = w.n
-    dims = _orbit_dims(w.delta(), tuple(sorted(w.twice_lambdas)), not perturb,
-                       "closed" in methods, "summary" in methods,
-                       "oracle" in methods and _oracle_wanted(oracle_policy, n, k))
-    if perturb:
-        equations = build_system(w).equations  # fresh rows, this row's own
-        if equations:
-            equations[0][0] = equations[0].get(0, 0) + 1
-        ell = multiset_coeff(n, k - 1) - linalg.sparse_rank(equations)
-        dims = (multiset_coeff(n - 1, k) + 3 * ell,) + dims[1:]
+    system, closed, summary, dim_oracle, stable = orbit_record(
+        w.delta(), tuple(sorted(w.twice_lambdas)),
+        "oracle" in methods and _oracle_wanted(oracle_policy, w.n, k))
     # tuple.__new__ skips the NamedTuple's Python-level __new__ (see
     # closedform.classify)
-    return tuple.__new__(SweepRow, (w, classify(w), k, t) + dims)
+    return tuple.__new__(SweepRow, (w, classify(w), k, t, system,
+                                    closed if "closed" in methods else None,
+                                    summary if "summary" in methods else None,
+                                    dim_oracle, stable))
+
+
+def _perturbed_system_dim(w: Weights, k: int) -> int:
+    """The system's value with 1 added to entry (0, 0) of the constraint
+    system's sparse rows, all of which are ranked: the self-test of
+    ``verify``."""
+    equations = build_system(w).equations  # fresh rows, this row's own
+    if equations:
+        equations[0][0] = equations[0].get(0, 0) + 1
+    n = w.n
+    ell = multiset_coeff(n, k - 1) - linalg.sparse_rank(equations)
+    return multiset_coeff(n - 1, k) + 3 * ell
 
 
 def sweep_configurations(n: int, k_max: int) -> list[tuple[Weights, int, Optional[tuple[int, ...]]]]:
@@ -256,9 +228,19 @@ def sweep_configurations(n: int, k_max: int) -> list[tuple[Weights, int, Optiona
 
 def run_sweep(n: int, k_max: int, methods: Sequence[str],
               oracle_policy: str = "auto", perturb: bool = False) -> list[SweepRow]:
-    """Evaluate a full sweep; rows come back in row-key order."""
-    rows = [evaluate_row(w, k, t, methods, oracle_policy, perturb=perturb)
+    """Evaluate a full sweep; rows come back in row-key order.
+
+    ``perturb`` is the self-test of ``verify``, which proves the gate
+    detects an injected error: each row's ``dim_system`` becomes the rank
+    of its own perturbed rows.  Entry (0, 0), which it perturbs, is moved
+    by a slot permutation, so that rank belongs to the row, not its orbit,
+    and no record holds it.
+    """
+    rows = [evaluate_row(w, k, t, methods, oracle_policy)
             for (w, k, t) in sweep_configurations(n, k_max)]
+    if perturb:
+        rows = [row._replace(dim_system=_perturbed_system_dim(row.weights, row.k))
+                for row in rows]
     return sorted(rows, key=lambda row: row.sort_key())
 
 

@@ -2,9 +2,10 @@
 
 The rule (``reduced`` module docstring): an engine caches only lambda-free
 structure, and a value is memoised once per orbit of the slot
-permutations.  No constraint system is kept: ``build_system`` fills a
-fresh one on every call.  A cache added to the package fails this test
-until it is listed here with its key and its reason.
+permutations, in the one record ``reduced.orbit_record``.  No constraint
+system is kept: ``build_system`` fills a fresh one on every call.  A
+cache added to the package fails this test until it is listed here with
+its key and its reason.
 """
 
 import inspect
@@ -21,12 +22,10 @@ CACHES = {
         ("beta",), "the lambda-free targets of the lowering map on one index"),
     "cecomplex._certify_graded_acyclicity": (
         (), "the check of the differential tables, run once per process"),
-    "reduced._box_deficiency": (
-        ("k", "t"), "the box deficiency, one value per orbit (k, sorted t)"),
-    "sweep._orbit_dims": (
-        ("delta", "twice_lambdas", "system", "closed", "summary", "oracle"),
+    "reduced.orbit_record": (
+        ("delta", "sorted_twice_lambdas", "oracle"),
         "every method's value, one record per orbit (delta, sorted 2 lambda_i) "
-        "and the methods a row asks for"),
+        "with or without the oracle"),
 }
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sl2cohom import cecomplex, sweep
+from sl2cohom import cecomplex, reduced
 from sl2cohom import weights as weights_module
 from sl2cohom.cecomplex import (
     BASIS_TUPLES,
@@ -251,6 +251,22 @@ def test_brute_force_matches_rank_deficiency():
         assert result.dim == system_ell(w)
 
 
+def test_the_oracle_is_the_exact_count_on_every_orbit_of_the_grids():
+    # the module docstring proves dim H^2 = ell at the cap max(k, 1); the
+    # exact count computes ell with no rank, so the two meet on every
+    # sorted t, the orbit representatives
+    orbits = positive = 0
+    for n, k_max in ((1, 30), (2, 11), (3, 8), (4, 6), (5, 5)):
+        for k in range(1, k_max + 1):
+            for t in itertools.combinations_with_replacement(range(k), n):
+                w = weights_for_tvector(n, k, t)
+                ell = reduced.ell_count(w)
+                assert brute_force_h2(w).dim == ell, (k, t)
+                orbits += 1
+                positive += ell > 0
+    assert (orbits, positive) == (1543, 575)
+
+
 def test_brute_force_matches_rank_deficiency_at_n4_k4_and_n3_k5():
     """The stable oracle equals ell on seeded resonant rows beyond the
     default sweeps' oracle range (n = 4, k = 4 and 6; n = 3, k = 5; n = 5,
@@ -452,11 +468,11 @@ def test_a_warm_shuffled_orbit_memo_equals_cold_block_dimensions():
     empty_caches()
     for w, k, t in rows:
         evaluate_row(w, k, t, ("oracle",), "on")
-    info = sweep._orbit_dims.cache_info()
+    info = reduced.orbit_record.cache_info()
     assert (info.misses, info.currsize) == (len(orbits), len(orbits))
     assert [evaluate_row(w, k, t, ("oracle",), "on").dim_oracle for w, k, t in rows] == \
         [_cold_h2(w) for w, _, _ in rows]
-    assert sweep._orbit_dims.cache_info().hits == info.hits + len(rows)
+    assert reduced.orbit_record.cache_info().hits == info.hits + len(rows)
 
 
 def test_the_orbit_memo_keeps_shift_arity_and_fractional_weights_apart():
@@ -473,26 +489,24 @@ def test_the_orbit_memo_keeps_shift_arity_and_fractional_weights_apart():
     ]
     assert [w.natural_delta() for w in rows[4:]] == [None, 2, 2]
 
-    def oracle(w, methods=("oracle",), perturb=False):
-        return evaluate_row(w, w.natural_delta(), None, methods, "on", perturb=perturb).dim_oracle
+    def oracle(w, methods=("oracle",)):
+        return evaluate_row(w, w.natural_delta(), None, methods, "on").dim_oracle
     empty_caches()
     dims = [oracle(w) for w in rows]
     assert dims == [_cold_h2(w) for w in rows] == [1, 0, 1, 0, 0, 0, 0]
-    assert sweep._orbit_dims.cache_info().currsize == len(rows)
+    assert reduced.orbit_record.cache_info().currsize == len(rows)
     # a permuted row is a hit on its orbit
     assert oracle(Weights((half, third), Fraction(11, 6))) == 0
     assert oracle(weights_for_tvector(2, 2, (0, 1))) == 1
-    # so is a row asking for the system too, which every unperturbed row
-    # records; other methods, or a perturbed row, are keys of their own
-    assert oracle(rows[0], ("system", "oracle")) == 1
-    info = sweep._orbit_dims.cache_info()
+    # so is a row asking for any other method beside the oracle, which
+    # every record fills; a row without the oracle is a key of its own
+    assert oracle(rows[0], ("system", "closed", "summary", "oracle")) == 1
+    info = reduced.orbit_record.cache_info()
     assert (info.hits, info.currsize) == (3, len(rows))
-    assert oracle(rows[0], ("closed", "oracle")) == 1
-    assert oracle(rows[0], ("summary", "oracle")) == 1
-    assert oracle(rows[0], perturb=True) == 1
     assert oracle(rows[0], ("closed",)) is None
-    info = sweep._orbit_dims.cache_info()
-    assert (info.hits, info.currsize) == (3, len(rows) + 4)
+    assert oracle(rows[0], ("system", "summary")) is None
+    info = reduced.orbit_record.cache_info()
+    assert (info.hits, info.currsize) == (4, len(rows) + 1)
 
 
 def test_a_cold_sweep_computes_the_oracle_once_per_orbit(monkeypatch):
@@ -501,11 +515,11 @@ def test_a_cold_sweep_computes_the_oracle_once_per_orbit(monkeypatch):
     non_resonant = {k for _, k, t in configs if t is None}
     assert (len(configs), len(resonant), len(non_resonant)) == (2282, 252, 7)
     calls = []
-    monkeypatch.setattr(sweep, "brute_force_h2", lambda *args: calls.append(args[0])
+    monkeypatch.setattr(reduced, "brute_force_h2", lambda *args: calls.append(args[0])
                         or brute_force_h2(*args))
     empty_caches()
     rows = run_sweep(4, 6, ("system", "oracle"), "on")
-    assert len(calls) == sweep._orbit_dims.cache_info().misses == \
+    assert len(calls) == reduced.orbit_record.cache_info().misses == \
         len(resonant) + len(non_resonant)
     # on the sorted representative of each orbit
     assert all(list(w.twice_lambdas) == sorted(w.twice_lambdas) for w in calls)

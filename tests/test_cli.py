@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sl2cohom import cli, reduced, sweep
+from sl2cohom import cli, reduced
 from sl2cohom.cli import main
 from sl2cohom.multiindices import multiset_coeff
 from sl2cohom.polynomials import parse_rational
@@ -363,9 +363,9 @@ def test_ceilings_accept_every_documented_instance():
     cli._check_system_equations(1000, 1)
 
 
-def test_the_box_memo_holds_every_orbit_of_one_k_the_ceilings_admit():
+def test_the_orbit_record_holds_every_orbit_of_one_k_the_ceilings_admit():
     # a sweep meets an orbit (k, sorted t) again only within one k, so the
-    # memo ranks each orbit once if it holds the C(k + n - 1, n) multisets
+    # record ranks each orbit once if it holds the C(k + n - 1, n) multisets
     # t of the largest k of every admitted sweep; raising a ceiling without
     # the bound fails here
     largest, n = 0, 1
@@ -382,11 +382,9 @@ def test_the_box_memo_holds_every_orbit_of_one_k_the_ceilings_admit():
         largest = max(largest, multiset_coeff(k_max, n))
         n += 1
     assert largest == 816  # n = 3, k = 16
-    # one bound for the box memo and the orbit record; one sweep asks the
-    # record for one set of methods, and the record also holds the key of
-    # the non-resonant row of that k
-    assert reduced._box_deficiency.cache_info().maxsize == reduced.ORBIT_CACHE_SIZE >= largest
-    assert sweep._orbit_dims.cache_info().maxsize == reduced.ORBIT_CACHE_SIZE >= largest + 1
+    # one sweep asks the record with or without the oracle at one k, and
+    # the record also holds the key of the non-resonant row of that k
+    assert reduced.orbit_record.cache_info().maxsize == reduced.ORBIT_CACHE_SIZE >= largest + 1
 
 
 def test_basis_is_bounded_by_the_square_of_its_unknowns(capsys):
@@ -555,6 +553,41 @@ def test_dim_and_basis_exit_only_with_0_or_2(capsys):
         assert code == 0 or out == "", argv
         codes.append(code)
     assert min(codes.count(0), codes.count(2)) > 40
+
+
+def test_verify_exits_only_with_0_1_or_2(tmp_path, capsys):
+    # 1 is verify's disagreement code; a refusal writes nothing to stdout,
+    # and no run ends in a traceback.  The first argv used to run for
+    # minutes: its system count C(n + k - 2, n - 1) was formed in full
+    # before the ceiling refused it
+    big = "1" + "0" * 30
+    rng = random.Random(9)
+    # (good values, bad or oversized ones) per option
+    options = {"--n": (("1", "2", "3"), ("0", "-1", "x", "", "1.5", "30000", "1000000", big)),
+               "--k-max": (("0", "1", "2", "3"), ("-1", "1.5", "", "100000", big)),
+               "--oracle": (("auto", "on", "off"), ("never",))}
+    runs = [["verify", "--n=1000000", f"--k-max={big}"]]
+    for _ in range(200):
+        argv = ["verify"]
+        for option, (good, bad) in options.items():
+            if rng.random() < 0.95:
+                argv.append(f"{option}={rng.choice(good if rng.random() < 0.8 else bad)}")
+        if rng.random() < 0.5:
+            argv.append(rng.choice(["--self-test-perturb"] * 4 + ["--self-test-perturb=yes"]))
+        if rng.random() < 0.5:
+            argv.append(f"--out={tmp_path / f'report{len(runs)}.json'}")
+        runs.append(argv)
+    codes = []
+    for argv in runs:
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 5, argv
+        assert code in (0, 1, 2), argv
+        assert code != 2 or out == "", argv
+        assert "Traceback" not in out + err, argv
+        codes.append(code)
+    assert codes[0] == 2
+    assert min(codes.count(0), codes.count(1), codes.count(2)) > 20
 
 
 def test_verify_exit_codes(tmp_path, capsys):

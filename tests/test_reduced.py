@@ -567,7 +567,7 @@ def test_the_exact_count_is_zero_off_the_singular_case():
     assert kinds == set(CaseKind)
 
 
-# -- the box memo, one echelon per slot-permutation orbit ----------------
+# -- the orbit record, one echelon per slot-permutation orbit -------------
 
 
 def test_the_box_is_ranked_once_per_orbit(monkeypatch):
@@ -597,7 +597,7 @@ def test_a_warm_memo_equals_a_cold_one():
     empty_caches()
     assert [system_rank_data(w) for w, _, _ in configs] == cold
     # 441 singular rows in sum_(k <= 6) C(k + 2, 3) = 126 orbits
-    assert reduced._box_deficiency.cache_info().hits == 441 - 126
+    assert reduced.orbit_record.cache_info().hits == 441 - 126
 
 
 def test_memo_keys_separate_the_shift_and_the_arity():
@@ -616,7 +616,7 @@ def test_memo_keys_separate_the_shift_and_the_arity():
         assert system_rank_data(first) != system_rank_data(second)
         _assert_the_system_rank_is_the_full_rank(first)
         _assert_the_system_rank_is_the_full_rank(second)
-    assert reduced._box_deficiency.cache_info().currsize == 5  # one per orbit named
+    assert reduced.orbit_record.cache_info().currsize == 5  # one per orbit named
 
 
 def _frame_box_deficiency(k, t):
@@ -628,8 +628,9 @@ def _frame_box_deficiency(k, t):
 
 
 def test_the_box_of_t_ranks_as_the_box_of_its_nonzero_part():
-    # a slot with t_i = 0 carries no box entry, so the memo ranks the box of
-    # the nonzero t_i; the reference filters the whole system at full arity
+    # a slot with t_i = 0 carries no box entry, so the box deficiency ranks
+    # the box of the nonzero t_i; the reference filters the whole system at
+    # full arity
     orbits = 0
     for n, k_max in ((1, 7), (2, 7), (3, 7), (4, 7), (5, 4), (6, 4)):
         for k in range(1, k_max + 1):

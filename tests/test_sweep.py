@@ -125,33 +125,32 @@ def test_the_sparse_negative_control_equals_the_dense_one():
     # verify --self-test-perturb raises cell (0, 0) of the constraint system
     # by 1; the reference does so on the dense matrix and ranks every row
     for n, k_max in ((2, 4), (3, 3)):
-        for w, k, t in sweep_configurations(n, k_max):
-            cells = [list(row) for row in build_system(w).matrix.entries]
+        for row in run_sweep(n, k_max, ("system",), "off", perturb=True):
+            w, k = row.weights, row.k
+            cells = [list(cells) for cells in build_system(w).matrix.entries]
             if cells:
                 cells[0][0] += 1
             n_rows = multiset_coeff(n, k - 1)
             expected = multiset_coeff(n - 1, k) + \
                 3 * (n_rows - linalg.rank(RationalMatrix(cells, cols=multiset_coeff(n, k))))
-            row = evaluate_row(w, k, t, ("system",), "off", perturb=True)
-            assert row.dim_system == expected, (n, k, t)
+            assert row.dim_system == expected, (n, k, row.t)
 
 
-def test_the_negative_control_never_reads_the_box_memo():
-    # t = (1, 0) warms the orbit of t = (0, 1): unperturbed, both have
-    # dim 4; the perturbed system of (0, 1) has full rank, so dim 1
+def test_a_perturbed_rank_belongs_to_its_row_not_its_orbit():
+    # t = (0, 1) and (1, 0) share one orbit and dim 4; entry (0, 0), which
+    # the self-test perturbs, moves with a slot permutation, so perturbed
+    # the system of (0, 1) has full rank, dim 1, and that of (1, 0) keeps 4
     empty_caches()
-    dim_h2_via_system(weights_for_tvector(2, 2, (1, 0)))
-    before = reduced._box_deficiency.cache_info()
+    rows = {row.t: row for row in run_sweep(2, 2, ("system",), "off", perturb=True)}
+    assert (rows[(0, 1)].dim_system, rows[(1, 0)].dim_system) == (1, 4)
+    assert [dim_h2_via_system(rows[t].weights).dim for t in ((0, 1), (1, 0))] == [4, 4]
+    # no record holds a perturbed rank: a later unperturbed row reads 4
+    # from the record, as a hit
+    before = reduced.orbit_record.cache_info()
     w = weights_for_tvector(2, 2, (0, 1))
-    assert evaluate_row(w, 2, (0, 1), ("system",), "off", perturb=True).dim_system == 1
-    assert reduced._box_deficiency.cache_info() == before
-    # the perturbed row recorded its orbit without a system value: the
-    # same key is a hit that holds none
-    orbit = (w.delta(), (-1, 0))
-    assert sweep._orbit_dims(*orbit, False, False, False, False) == (None,) * 5
-    assert sweep._orbit_dims.cache_info()[:2] == (1, 1)
     assert evaluate_row(w, 2, (0, 1), ("system",), "off").dim_system == 4
-    assert sweep._orbit_dims.cache_info()[:2] == (1, 2)
+    after = reduced.orbit_record.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 ALL_METHODS = ("system", "closed", "summary", "oracle")
@@ -213,37 +212,46 @@ def test_tags_results_and_rows_refuse_assignment():
 
 
 def test_a_row_calls_each_entry_point_once_per_requested_method(monkeypatch):
-    # classify, the system rank, both predictors and the oracle are the
-    # spans the benchmark's tracer binds.  On an emptied record a row
-    # classifies itself once, and each requested engine runs once per
-    # orbit, on its representative, which the record classifies once
-    calls = {}
-    for name in ("classify", "dim_h2_via_system", "dim_h2_closed_form",
-                 "dim_h2_summary_table", "brute_force_h2"):
-        def counted(*args, _real=getattr(sweep, name), _name=name):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _real(*args)
-        monkeypatch.setattr(sweep, name, counted)
+    # classify, the box rank, both predictors and the oracle are what a row
+    # runs.  On an emptied record a row classifies itself once; the record
+    # classifies each orbit's representative once, ranks its box once when
+    # it is singular and runs both predictors once, whether the row asked
+    # for them or not, and the oracle once only when the row asks for it
     configs = sweep_configurations(2, 3)
     orbits = {(w.delta(), tuple(sorted(w.twice_lambdas))) for w, _, _ in configs}
-    assert (len(configs), len(orbits)) == (18, 14)
+    singular = {(w.delta(), tuple(sorted(w.twice_lambdas))) for w, _, _ in configs
+                if classify(w).kind is CaseKind.SINGULAR}
+    assert (len(configs), len(orbits), len(singular)) == (18, 14, 10)
+    calls = {}
+    for module, name in ((sweep, "classify"), (reduced, "classify"),
+                         (reduced, "_box_deficiency"), (reduced, "dim_h2_closed_form"),
+                         (reduced, "dim_h2_summary_table"), (reduced, "brute_force_h2")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
     for methods in (ALL_METHODS, ("system",), ("system", "summary", "oracle")):
         for policy in ("on", "off"):
             empty_caches()
             calls.clear()
-            for w, k, t in configs:
-                evaluate_row(w, k, t, methods, policy)
+            rows = [evaluate_row(w, k, t, methods, policy) for w, k, t in configs]
             wanted = sum(sweep._oracle_wanted(policy, 2, k) for _, k, _ in configs)
             expected = {"classify": len(configs) + len(orbits),
-                        "dim_h2_via_system": len(orbits)}
-            for method, name in (("closed", "dim_h2_closed_form"),
-                                 ("summary", "dim_h2_summary_table")):
-                if method in methods:
-                    expected[name] = len(orbits)
+                        "_box_deficiency": len(singular),
+                        "dim_h2_closed_form": len(orbits),
+                        "dim_h2_summary_table": len(orbits)}
             if "oracle" in methods and wanted:
                 expected["brute_force_h2"] = len(orbits)
             assert calls == expected, (methods, policy)
             assert wanted == (len(configs) if policy == "on" else 0)
+            # a column the row did not ask for is None
+            unasked = {"closed", "summary", "oracle"} - set(methods) | \
+                ({"oracle"} if not wanted else set())
+            for row in rows:
+                values = {"closed": row.dim_closed, "summary": row.dim_summary,
+                          "oracle": row.dim_oracle}
+                assert {values[m] for m in unasked} <= {None}, (methods, policy)
+                assert (row.stable is None) == ("oracle" in unasked), (methods, policy)
             # a second pass reads every dimension from the record
             calls.clear()
             for w, k, t in configs:
