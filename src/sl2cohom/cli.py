@@ -228,16 +228,23 @@ def _check_closed_size(n: int, k: int) -> None:
 
 
 def _check_basis_size(n: int, k: int) -> None:
-    # the square of the unknown count C(n + k - 1, k); see MAX_BASIS_CELLS
+    # the square of the unknown count C(n + k - 1, k); see MAX_BASIS_CELLS.
+    # A count too large to print has a square too large to print, refused
+    # before ``math.comb`` forms the count (n = 60,000 at k = 10^30: 3.4 s)
+    too_large = _unprintable_binomial_bits(n + k - 1, min(n - 1, k))
+    cells = _print_bound() if too_large else multiset_coeff(n, k) ** 2
     _check_ceiling(f"the kernel of the constraint system at n = {n}, k = {k}",
-                   multiset_coeff(n, k) ** 2, "cells", MAX_BASIS_CELLS)
+                   cells, "cells", MAX_BASIS_CELLS)
 
 
 def _check_oracle_size(n: int, cap: int) -> None:
-    # 3 tuples times #{alpha : |alpha| <= cap}: what the oracle enumerates
+    # 3 tuples times #{alpha : |alpha| <= cap} = 3 C(n + cap, n): what the
+    # oracle enumerates, refused from its bits when too large to print, as
+    # the system's equations are (n = 60,000 at cap = 10^30: 2.9 s)
+    too_large = _unprintable_binomial_bits(n + cap, min(n, cap))
+    candidates = _print_bound() if too_large else 3 * multiset_coeff(n + 1, cap)
     _check_ceiling(f"the oracle's block at n = {n}, alpha_max = {cap}",
-                   3 * multiset_coeff(n + 1, cap), "candidate cochains",
-                   MAX_ORACLE_BLOCK)
+                   candidates, "candidate cochains", MAX_ORACLE_BLOCK)
 
 
 def _sweep_rows(n: int, k_max: int) -> int:

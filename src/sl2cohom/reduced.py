@@ -129,11 +129,14 @@ matrix up to a relabelling of rows and columns, of equal size and rank.
 So the system's value is read from the orbit record,
 :func:`orbit_record`, keyed by the shift and the sorted 2 lambda_i, which
 on a miss ranks the box of sorted t once; n is the key's length.  The
-record holds every method's value of the orbit: the closed-form and
-summary predictors read the tag's kind, k and sigma, which a permutation
-keeps, and t only through ``len``, ``max``, ``count`` and sum(v > m),
-which it keeps as well, and the oracle's value is an orbit value by the
-proof in the ``cecomplex`` docstring.
+record holds the case tag of the orbit's sorted representative and every
+method's value of the orbit.  A permutation keeps the tag's kind, k and
+sigma and permutes its t, so the tag is the case of every configuration
+of the orbit up to the order of t.  The closed-form and summary
+predictors read the kind, k and sigma, and t only through ``len``,
+``max``, ``count`` and sum(v > m), which a permutation keeps as well,
+and the oracle's value is an orbit value by the proof in the
+``cecomplex`` docstring.
 
 The box is Q[x_1..x_n]/(x_i^(t_i + 1)) in degrees k - 1 to k, the ring
 whose strong Lefschetz property (R. Stanley 1980; J. Watanabe 1987) makes
@@ -518,14 +521,17 @@ def _box_deficiency(k: int, t: tuple[int, ...]) -> int:
 @lru_cache(maxsize=ORBIT_CACHE_SIZE)
 def orbit_record(delta: Scalar, sorted_twice_lambdas: tuple[Scalar, ...],
                  oracle: bool) -> tuple:
-    """(dim_system, dim_closed, dim_summary, dim_oracle, stable) of the orbit
-    of the shift delta and the sorted 2 lambda_i (module docstring).
+    """(dim_system, dim_closed, dim_summary, dim_oracle, stable, tag) of the
+    orbit of the shift delta and the sorted 2 lambda_i (module docstring).
 
     Computed once per key, on the orbit's sorted representative: the
     weights lambda_i = v_i / 2, for the key's v_i, and mu = delta +
-    sum(lambda_i).  Both predictors are always filled, since they are
-    arithmetic on the tag; the oracle runs only when ``oracle`` is set,
-    and its two fields are None otherwise.
+    sum(lambda_i).  ``tag`` is ``classify`` of that representative: its
+    kind, k and sigma, and so the counts s and r, are those of every
+    configuration of the orbit, and its t is the representative's.  Both
+    predictors are always filled, since they are arithmetic on the tag;
+    the oracle runs only when ``oracle`` is set, and its two fields are
+    None otherwise.
     """
     lambdas = [Fraction(v, 2) for v in sorted_twice_lambdas]
     w = Weights(lambdas, delta + sum(lambdas))
@@ -537,7 +543,7 @@ def orbit_record(delta: Scalar, sorted_twice_lambdas: tuple[Scalar, ...],
     result = brute_force_h2(w, tag) if oracle else None
     return (system, dim_h2_closed_form(tag, n), dim_h2_summary_table(tag, n),
             None if result is None else result.dim,
-            None if result is None else result.stable)
+            None if result is None else result.stable, tag)
 
 
 def dim_h2_via_system(w: Weights, tag: Optional[CaseTag] = None) -> CohomResult:

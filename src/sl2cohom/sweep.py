@@ -17,25 +17,29 @@ method's dimension for a row is read from one orbit record,
 2 lambda_i and whether the oracle runs, that on a miss evaluates the
 orbit's sorted representative (the ``reduced`` docstring says why each
 method's value is the same on the whole orbit).  The record always holds
-both predictors; a row sets to None each one it did not ask for.  A row
-still classifies itself, since its tag holds its own unsorted t.  The
-self-test of ``verify --self-test-perturb`` is applied by ``run_sweep``,
-after the record: entry (0, 0), which it perturbs, is moved by a
-permutation, so each row ranks its own perturbed rows, and no record
-holds that rank.
+both predictors; a row sets to None each one it did not ask for.  It also
+holds the representative's case tag, which every row of the orbit shares
+as its ``tag``: its kind, k and sigma, and so s and r, are the row's own,
+and only its t is in the representative's order, so a row classifies
+nothing.  The row's own t stays in ``row.t``, and a JSON report formats
+the case from ``classify`` of the row's weights.  The self-test of
+``verify --self-test-perturb`` is applied by ``run_sweep``, after the
+record: entry (0, 0), which it perturbs, is moved by a permutation, so
+each row ranks its own perturbed rows, and no record holds that rank.
 
-So a warm row is bookkeeping.  Its tag and row are named tuples, built
+So a warm row is bookkeeping.  The row is a named tuple, built
 positionally through ``tuple.__new__``, and the case string is formatted
-only when a report is written.  In-process CPU time on 2 vCPUs, Python
-3.11, best of 7 passes: a warm n = 4, k <= 5 row with the system, closed
-and summary methods costs about 3.2 us: 1.4 to 1.6 to classify, 0.9 to
+only when a JSON report is written.  In-process CPU time on 2 vCPUs,
+Python 3.11.7, best of 9 timings of 10 passes: a warm n = 4, k <= 5 row
+with the system, closed and summary methods costs about 1.0 us: 0.55 to
 sort its 2 lambda_i and look the orbit up, and the rest to read the
-methods asked for, for the call and for the row.  On a warm row, asking
-for the oracle adds only the check of the oracle policy.  Building the
-row's ``Weights`` beforehand, in ``sweep_configurations``, costs about
-3 us more at n = 4 and 5 us at n = 8: the weights -t_i/2 and
-mu = k - sigma/2 are made once per k, and what is left is the
-``Weights`` constructor.
+methods asked for, for the call and for the row.  A ``classify`` of the
+row would cost 0.9 us more, which is why the tag comes from the record.
+On a warm row, asking for the oracle adds only the check of the oracle
+policy.  Building the row's ``Weights`` beforehand, in
+``sweep_configurations``, costs about 3 us more at n = 4 and 5 us at
+n = 8: the weights -t_i/2 and mu = k - sigma/2 are made once per k, and
+what is left is the ``Weights`` constructor.
 """
 
 from __future__ import annotations
@@ -90,7 +94,15 @@ def _t_grid(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 class SweepRow(NamedTuple):
-    """One evaluated configuration of a sweep."""
+    """One evaluated configuration of a sweep.
+
+    ``tag`` is the case of the row's orbit, read from the orbit record and
+    shared by every row of the orbit: its kind, k and sigma, and so the
+    counts s and r, are the row's own, but its t is in the order of the
+    orbit's sorted representative.  The row's own t is ``t`` (None on the
+    non-resonant row) and its ``weights``; a report formats the case from
+    ``classify(weights)``.
+    """
 
     weights: Weights
     tag: CaseTag
@@ -156,7 +168,7 @@ class SweepRow(NamedTuple):
             "s": s,
             "r": r,
             "weights": self.weights.to_json_dict(),
-            "case": self.tag.describe(),
+            "case": classify(self.weights).describe(),
             "dim_system": self.dim_system,
             "dim_closed": self.dim_closed,
             "dim_summary": None if self.dim_summary is None
@@ -190,15 +202,16 @@ def evaluate_row(w: Weights, k: int, t: Optional[tuple[int, ...]],
                  methods: Sequence[str], oracle_policy: str = "auto") -> SweepRow:
     """Evaluate one configuration with the requested methods.
 
-    Every dimension is read from the orbit record, ``reduced.orbit_record``;
-    a predictor the row did not ask for reads None.
+    The case and every dimension are read from the orbit record,
+    ``reduced.orbit_record``, so a row classifies nothing itself; a
+    predictor the row did not ask for reads None.
     """
-    system, closed, summary, dim_oracle, stable = orbit_record(
+    system, closed, summary, dim_oracle, stable, tag = orbit_record(
         w.delta(), tuple(sorted(w.twice_lambdas)),
         "oracle" in methods and _oracle_wanted(oracle_policy, w.n, k))
     # tuple.__new__ skips the NamedTuple's Python-level __new__ (see
     # closedform.classify)
-    return tuple.__new__(SweepRow, (w, classify(w), k, t, system,
+    return tuple.__new__(SweepRow, (w, tag, k, t, system,
                                     closed if "closed" in methods else None,
                                     summary if "summary" in methods else None,
                                     dim_oracle, stable))

@@ -402,6 +402,29 @@ def test_basis_is_bounded_by_the_square_of_its_unknowns(capsys):
     cli._check_basis_size(6, 7)
 
 
+def test_oracle_and_basis_ceilings_are_refused_before_the_binomial_is_formed(
+        monkeypatch, capsys):
+    # 3 C(n + cap, n) and C(n + k - 1, k)^2 at n = 60,000, k = 10^30 took
+    # 2.9 s and 3.4 s of CPU to form before their refusal; both are now
+    # refused from a bound on the bits of the binomial, which no call forms
+    def formed(*args):
+        raise AssertionError(f"multiset_coeff{args} formed")
+    monkeypatch.setattr(cli, "multiset_coeff", formed)
+    for check, unit in ((cli._check_oracle_size, "candidate cochains"),
+                        (cli._check_basis_size, "cells")):
+        with pytest.raises(cli.UsageError, match=f"over 10\\^4300 {unit}, above the ceiling"):
+            check(60000, 10 ** 30)
+    zeros = ",".join(["0"] * 60000)
+    for argv, unit in ((["basis", "--mu", "1e30", "--lambdas", zeros], "cells"),
+                       (["dim", "--methods", "oracle", "--mu", "1e30", "--lambdas", zeros],
+                        "candidate cochains")):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 2, argv[0]
+        assert code == 2 and out == "", argv[0]
+        assert f"over 10^4300 {unit}, above the ceiling" in err, argv[0]
+
+
 def test_a_thousand_arguments_run_without_recursion():
     # the enumerations used to recurse once per slot: RecursionError, exit 1
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -182,16 +182,29 @@ def test_a_csv_record_holds_the_cells_of_the_row_json():
 
 
 def test_a_row_holds_what_each_method_gives_on_its_own():
+    # a row's tag is its orbit's, one object for every row of the orbit:
+    # the kind, k, sigma and multiset t of the row's own tag, with t in the
+    # representative's order; the report formats the row's own case
+    reordered = 0
     for n, k_max in ((2, 4), (3, 3)):
+        orbit_tags = {}
         for w, k, t in sweep_configurations(n, k_max):
             row = evaluate_row(w, k, t, ALL_METHODS, "on")
             tag = classify(w)
             oracle = brute_force_h2(w)
-            assert (row.weights, row.tag, row.k, row.t) == (w, tag, k, t)
+            assert (row.weights, row.k, row.t) == (w, k, t)
+            assert (row.tag.kind, row.tag.k, row.tag.sigma) == (tag.kind, tag.k, tag.sigma)
+            assert (row.tag.t is None) == (tag.t is None)
+            assert tag.t is None or sorted(row.tag.t) == sorted(tag.t)
+            reordered += row.tag.t != tag.t
+            orbit = (w.delta(), tuple(sorted(w.twice_lambdas)))
+            assert orbit_tags.setdefault(orbit, row.tag) is row.tag, (k, t)
+            assert row.to_json_dict()["case"] == tag.describe()
             assert (row.dim_system, row.dim_closed, row.dim_summary,
                     row.dim_oracle, row.stable) == \
                 (dim_h2_via_system(w).dim, dim_h2_closed_form(tag, n),
                  dim_h2_summary_table(tag, n), oracle.dim, oracle.stable), (k, t)
+    assert reordered  # some row's own t is not its representative's
 
 
 def test_the_result_json_formats_the_case_of_its_tag():
@@ -213,10 +226,10 @@ def test_tags_results_and_rows_refuse_assignment():
 
 def test_a_row_calls_each_entry_point_once_per_requested_method(monkeypatch):
     # classify, the box rank, both predictors and the oracle are what a row
-    # runs.  On an emptied record a row classifies itself once; the record
-    # classifies each orbit's representative once, ranks its box once when
-    # it is singular and runs both predictors once, whether the row asked
-    # for them or not, and the oracle once only when the row asks for it
+    # runs.  A row classifies nothing itself: on an emptied record the
+    # record classifies each orbit's representative once, ranks its box once
+    # when it is singular and runs both predictors once, whether the row
+    # asked for them or not, and the oracle once only when the row asks for it
     configs = sweep_configurations(2, 3)
     orbits = {(w.delta(), tuple(sorted(w.twice_lambdas))) for w, _, _ in configs}
     singular = {(w.delta(), tuple(sorted(w.twice_lambdas))) for w, _, _ in configs
@@ -236,7 +249,7 @@ def test_a_row_calls_each_entry_point_once_per_requested_method(monkeypatch):
             calls.clear()
             rows = [evaluate_row(w, k, t, methods, policy) for w, k, t in configs]
             wanted = sum(sweep._oracle_wanted(policy, 2, k) for _, k, _ in configs)
-            expected = {"classify": len(configs) + len(orbits),
+            expected = {"classify": len(orbits),
                         "_box_deficiency": len(singular),
                         "dim_h2_closed_form": len(orbits),
                         "dim_h2_summary_table": len(orbits)}
@@ -252,11 +265,12 @@ def test_a_row_calls_each_entry_point_once_per_requested_method(monkeypatch):
                           "oracle": row.dim_oracle}
                 assert {values[m] for m in unasked} <= {None}, (methods, policy)
                 assert (row.stable is None) == ("oracle" in unasked), (methods, policy)
-            # a second pass reads every dimension from the record
+            # a second pass reads the case and every dimension from the
+            # record, and runs nothing
             calls.clear()
             for w, k, t in configs:
                 evaluate_row(w, k, t, methods, policy)
-            assert calls == {"classify": len(configs)}, (methods, policy)
+            assert calls == {}, (methods, policy)
 
 
 def test_a_perturbed_sweep_changes_only_the_system_column():
